@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
 
     // Alternative calibration: a slower LLC descriptor pipeline (initiation
     // interval 2) lands on the paper's frag-1 *performance* figure while its
-    // access latencies run higher than the paper's; see EXPERIMENTS.md for
-    // the discussion of why both cannot hold simultaneously in a pure
-    // blocking-load model.
+    // access latencies run higher than the paper's. In a pure blocking-load
+    // model performance is fixed by the latency ratio, so one calibration
+    // cannot hit both figures.
     std::puts("\n-- alternative LLC calibration (descriptor interval 2) --");
     Sweep alt = make_sweep("fig6a-llc2");
     BenchOptions alt_opts = opts;

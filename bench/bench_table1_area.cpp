@@ -45,7 +45,6 @@ int main() {
                 model_overhead_percent(p));
     std::puts("\nNote: the per-unit model matches the reported RT-unit area within a few");
     std::puts("percent; the config-file row overshoots because Table II's per-unit-and-");
-    std::puts("region register constants do not reconcile exactly with Table I's 9.8 kGE");
-    std::puts("(see EXPERIMENTS.md).");
+    std::puts("region register constants do not reconcile exactly with Table I's 9.8 kGE.");
     return 0;
 }

@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
     std::vector<ScenarioResult> grid;
     if (!sargs.grid_json.empty()) {
         std::size_t reused = 0;
-        grid = runner.run_resumed(sweep, sargs.grid_json, &reused);
+        grid = load_or_exit(
+            [&] { return runner.run_resumed(sweep, sargs.grid_json, &reused); });
         std::fprintf(stderr, "%s: grid: reused %zu/%zu points from %s\n",
                      sweep_name.c_str(), reused, sweep.points.size(),
                      sargs.grid_json.c_str());
@@ -162,8 +163,8 @@ int main(int argc, char** argv) {
                 sweep.points[target].label.c_str(), search.budget,
                 static_cast<unsigned long long>(search.seed), search.parents,
                 search.population);
-    const SearchOutcome outcome =
-        search_worst_case(sweep.points[target].config, search);
+    const SearchOutcome outcome = load_or_exit(
+        [&] { return search_worst_case(sweep.points[target].config, search); });
     const SearchEval& win = outcome.winner();
 
     SearchSummary summary;

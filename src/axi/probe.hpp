@@ -33,8 +33,7 @@ public:
     [[nodiscard]] const sim::LatencyStat& write_latency() const noexcept { return write_lat_; }
     [[nodiscard]] const sim::LatencyStat& read_latency() const noexcept { return read_lat_; }
     /// Fixed-memory quantile sketches over the same samples as the stats
-    /// above; quantiles carry the documented <= 3.125% relative error bound
-    /// instead of the LatencyStat histogram's power-of-two edges.
+    /// above; quantiles carry the documented <= 3.125% relative error bound.
     [[nodiscard]] const mon::QuantileSketch& write_sketch() const noexcept { return write_sketch_; }
     [[nodiscard]] const mon::QuantileSketch& read_sketch() const noexcept { return read_sketch_; }
     [[nodiscard]] std::uint64_t bytes_read() const noexcept { return bytes_read_; }

@@ -287,15 +287,28 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
     return opts;
 }
 
+/// Runs `load`; a malformed input dump ends the process with its message
+/// (file and byte offset) and exit code 2, like a malformed flag.
+template <typename F>
+auto load_or_exit(F&& load) {
+    try {
+        return load();
+    } catch (const MalformedDump& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+    }
+}
+
 /// Applies CLI overrides (scheduler, shards, mesh routing policy) to every
 /// point.
 inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
     // Loaded once per sweep: the rows feed every balanced point's weight
-    // model (empty when the flag is absent or the file is unreadable).
+    // model (empty when the flag is absent or the file is missing).
     const std::vector<ProfileRow> profile_rows =
         opts.partition_profile_path.empty()
             ? std::vector<ProfileRow>{}
-            : load_profile_rows(opts.partition_profile_path);
+            : load_or_exit(
+                  [&] { return load_profile_rows(opts.partition_profile_path); });
     if (!opts.partition_profile_path.empty() && profile_rows.empty()) {
         std::fprintf(stderr, "warning: --partition-profile %s has no profile "
                              "rows; balanced partition falls back to the "
@@ -343,7 +356,8 @@ inline std::vector<ScenarioResult> run_with_options(const BenchOptions& opts,
     std::vector<ScenarioResult> results;
     if (opts.resume) {
         std::size_t reused = 0;
-        results = runner.run_resumed(sweep, opts.json_path, &reused);
+        results = load_or_exit(
+            [&] { return runner.run_resumed(sweep, opts.json_path, &reused); });
         std::fprintf(stderr, "%s: reused %zu/%zu points from %s\n",
                      sweep.name.c_str(), reused, sweep.points.size(),
                      opts.json_path.c_str());
@@ -383,11 +397,11 @@ inline std::vector<ScenarioResult> run_with_options(const BenchOptions& opts,
 inline int check_diff(const BenchOptions& opts, const Sweep& sweep,
                       const std::vector<ScenarioResult>& results) {
     if (opts.diff_path.empty()) { return 0; }
-    const DiffReport diff = diff_against_baseline(opts.diff_path, results,
-                                                  opts.diff_threshold,
-                                                  opts.diff_slack,
-                                                  opts.speed_threshold,
-                                                  opts.speed_slack);
+    const DiffReport diff = load_or_exit([&] {
+        return diff_against_baseline(opts.diff_path, results, opts.diff_threshold,
+                                     opts.diff_slack, opts.speed_threshold,
+                                     opts.speed_slack);
+    });
     for (const DiffEntry& e : diff.entries) {
         if (e.missing_in_baseline) {
             std::fprintf(stderr, "%s: diff: '%s' not in baseline (new point)\n",

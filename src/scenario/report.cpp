@@ -169,9 +169,7 @@ void write_flat_report(std::ostream& os, const Sweep& sweep,
         if (any_speed) {
             if (r.wall_seconds > 0.0) {
                 char buf[32];
-                std::snprintf(buf, sizeof buf, " %.0f |",
-                              static_cast<double>(r.simulated_cycles) /
-                                  r.wall_seconds);
+                std::snprintf(buf, sizeof buf, " %.0f |", r.sim_cycles_per_sec());
                 os << buf;
             } else {
                 os << " – |";

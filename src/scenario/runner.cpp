@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 namespace realm::scenario {
 
@@ -116,7 +121,12 @@ ScenarioRunner::run_resumed(const Sweep& sweep, const std::string& resume_path,
 
 namespace {
 
-void json_escape(std::ostream& os, const std::string& s) {
+/// The two keys that open every point: its identity, ahead of the
+/// `kResultFields` keys that describe its outcome.
+constexpr const char* kLabelKey = "label";
+constexpr const char* kHashKey = "config_hash";
+
+void write_value(std::ostream& os, const std::string& s) {
     os << '"';
     for (const char c : s) {
         switch (c) {
@@ -137,7 +147,11 @@ void json_escape(std::ostream& os, const std::string& s) {
     os << '"';
 }
 
-void json_number(std::ostream& os, double v) {
+void write_value(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void write_value(std::ostream& os, unsigned v) { os << v; }
+void write_value(std::ostream& os, std::uint64_t v) { os << v; }
+
+void write_value(std::ostream& os, double v) {
     if (!std::isfinite(v)) {
         os << "null";
         return;
@@ -147,14 +161,52 @@ void json_number(std::ostream& os, double v) {
     os << buf;
 }
 
+void write_value(std::ostream& os, const ProfileRow& row);
+
+template <typename T>
+void write_value(std::ostream& os, const std::vector<T>& items) {
+    os << '[';
+    for (std::size_t k = 0; k < items.size(); ++k) {
+        os << (k > 0 ? ", " : "");
+        write_value(os, items[k]);
+    }
+    os << ']';
+}
+
+bool written(const ProfileRow& /*row*/, FieldWhen /*when*/) { return true; }
+bool written(const ScenarioResult& r, FieldWhen when) {
+    return when == FieldWhen::kAlways ||
+           (when == FieldWhen::kMonitored ? r.mon_enabled : !r.profile.empty());
+}
+
+/// Writes `"key": value` for every field of `s` the table says to write,
+/// comma-separated; `first` says whether nothing precedes the first one.
+template <typename S, std::size_t N>
+void write_fields(std::ostream& os, const S& s, const std::array<Field<S>, N>& fields,
+                  bool first) {
+    for (const Field<S>& f : fields) {
+        if (!written(s, f.when)) { continue; }
+        os << (first ? "\"" : ", \"") << f.key << "\": ";
+        first = false;
+        std::visit([&](auto member) { write_value(os, std::invoke(member, s)); },
+                   f.member);
+    }
+}
+
+void write_value(std::ostream& os, const ProfileRow& row) {
+    os << '{';
+    write_fields(os, row, kProfileRowFields, true);
+    os << '}';
+}
+
 } // namespace
 
 void write_json(std::ostream& os, const Sweep& sweep,
                 const std::vector<ScenarioResult>& results) {
     os << "{\n  \"sweep\": ";
-    json_escape(os, sweep.name);
+    write_value(os, sweep.name);
     os << ",\n  \"title\": ";
-    json_escape(os, sweep.title);
+    write_value(os, sweep.title);
     os << ",\n  \"baseline_index\": ";
     if (sweep.baseline_index) {
         os << *sweep.baseline_index;
@@ -163,113 +215,16 @@ void write_json(std::ostream& os, const Sweep& sweep,
     }
     os << ",\n  \"points\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult& r = results[i];
-        os << "    {\"label\": ";
-        json_escape(os, r.label);
+        os << "    {\"" << kLabelKey << "\": ";
+        write_value(os, results[i].label);
         if (i < sweep.points.size()) {
             char hash_buf[24];
             std::snprintf(hash_buf, sizeof hash_buf, "0x%016llx",
                           static_cast<unsigned long long>(
                               config_hash(sweep.points[i].config)));
-            os << ", \"config_hash\": \"" << hash_buf << '"';
+            os << ", \"" << kHashKey << "\": \"" << hash_buf << '"';
         }
-        os << ", \"seed\": " << r.seed;
-        os << ", \"boot_ok\": " << (r.boot_ok ? "true" : "false");
-        os << ", \"timed_out\": " << (r.timed_out ? "true" : "false");
-        os << ", \"run_cycles\": " << r.run_cycles;
-        os << ", \"ops\": " << r.ops;
-        os << ", \"load_lat_mean\": ";
-        json_number(os, r.load_lat_mean);
-        os << ", \"load_lat_min\": " << r.load_lat_min;
-        os << ", \"load_lat_max\": " << r.load_lat_max;
-        os << ", \"load_lat_p99\": " << r.load_lat_p99;
-        os << ", \"store_lat_mean\": ";
-        json_number(os, r.store_lat_mean);
-        os << ", \"store_lat_max\": " << r.store_lat_max;
-        os << ", \"dma_bytes\": " << r.dma_bytes;
-        os << ", \"dma_read_bw\": ";
-        json_number(os, r.dma_read_bw);
-        os << ", \"dma_depletions\": " << r.dma_depletions;
-        os << ", \"dma_isolation_cycles\": " << r.dma_isolation_cycles;
-        os << ", \"dma_throttle_stalls\": " << r.dma_throttle_stalls;
-        os << ", \"dma_cut_through\": " << r.dma_cut_through;
-        os << ", \"xbar_w_stalls\": " << r.xbar_w_stalls;
-        os << ", \"fabric_hops\": " << r.fabric_hops;
-        if (r.mon_enabled) {
-            // Monitoring-plane telemetry: all integers, so a parsed-back
-            // point is bit-identical to the run that produced it. The mgr_*
-            // arrays are columnar per-manager data (0 = victim core,
-            // 1+i = interference DMA i).
-            const auto emit_array = [&os](const char* key,
-                                          const std::vector<std::uint64_t>& v) {
-                os << ", \"" << key << "\": [";
-                for (std::size_t k = 0; k < v.size(); ++k) {
-                    os << (k > 0 ? ", " : "") << v[k];
-                }
-                os << ']';
-            };
-            os << ", \"mon_enabled\": true";
-            os << ", \"mon_lat_p50\": " << r.mon_lat_p50;
-            os << ", \"mon_lat_p99\": " << r.mon_lat_p99;
-            os << ", \"mon_lat_p999\": " << r.mon_lat_p999;
-            os << ", \"mon_timeouts\": " << r.mon_timeouts;
-            os << ", \"mon_orphan_rsp\": " << r.mon_orphan_rsp;
-            os << ", \"mon_orphan_req\": " << r.mon_orphan_req;
-            os << ", \"mon_stall_events\": " << r.mon_stall_events;
-            os << ", \"mon_wgap_events\": " << r.mon_wgap_events;
-            os << ", \"mon_true_positives\": " << r.mon_true_positives;
-            os << ", \"mon_false_positives\": " << r.mon_false_positives;
-            os << ", \"mon_false_negatives\": " << r.mon_false_negatives;
-            os << ", \"mon_first_detect\": " << r.mon_first_detect;
-            emit_array("mgr_p50", r.mgr_p50);
-            emit_array("mgr_p99", r.mgr_p99);
-            emit_array("mgr_p999", r.mgr_p999);
-            emit_array("mgr_flagged", r.mgr_flagged);
-            emit_array("mgr_signals", r.mgr_signals);
-            emit_array("mgr_hostile", r.mgr_hostile);
-            emit_array("mgr_detect", r.mgr_detect);
-            emit_array("mgr_occ_milli", r.mgr_occ_milli);
-        }
-        os << ", \"ticks_executed\": " << r.ticks_executed;
-        os << ", \"ticks_skipped\": " << r.ticks_skipped;
-        // Per-shard slices of the tick counters — the load-balance picture
-        // of the sharded kernel (single-element arrays when unsharded).
-        os << ", \"shard_ticks_executed\": [";
-        for (std::size_t s = 0; s < r.shard_ticks_executed.size(); ++s) {
-            os << (s > 0 ? ", " : "") << r.shard_ticks_executed[s];
-        }
-        os << "], \"shard_ticks_skipped\": [";
-        for (std::size_t s = 0; s < r.shard_ticks_skipped.size(); ++s) {
-            os << (s > 0 ? ", " : "") << r.shard_ticks_skipped[s];
-        }
-        os << ']';
-        os << ", \"fast_forwarded_cycles\": " << r.fast_forwarded_cycles;
-        os << ", \"simulated_cycles\": " << r.simulated_cycles;
-        os << ", \"wall_seconds\": ";
-        json_number(os, r.wall_seconds);
-        // Host-side simulation speed (simulated cycles per wall second):
-        // the regression metric CI tracks across commits.
-        os << ", \"sim_cycles_per_sec\": ";
-        json_number(os, r.wall_seconds > 0.0
-                            ? static_cast<double>(r.simulated_cycles) / r.wall_seconds
-                            : 0.0);
-        if (!r.profile.empty()) {
-            // Cycle-attribution profile (`--profile`), heaviest bucket
-            // first. Host-side observability: the resume scanner ignores it
-            // (scan_result keys off fixed field names), so a dump with
-            // profiles resumes exactly like one without.
-            os << ", \"profile\": [";
-            for (std::size_t k = 0; k < r.profile.size(); ++k) {
-                const ProfileRow& row = r.profile[k];
-                os << (k > 0 ? ", " : "") << "{\"type\": ";
-                json_escape(os, row.type);
-                os << ", \"shard\": " << row.shard
-                   << ", \"components\": " << row.components
-                   << ", \"ticks\": " << row.ticks << ", \"nanos\": " << row.nanos
-                   << '}';
-            }
-            os << ']';
-        }
+        write_fields(os, results[i], kResultFields, false);
         os << '}' << (i + 1 < results.size() ? "," : "") << '\n';
     }
     os << "  ]\n}\n";
@@ -285,125 +240,259 @@ bool write_json_file(const std::string& path, const Sweep& sweep,
 
 namespace {
 
-/// Start of the value of `"key": <value>` in `line`, or nullptr when the
-/// key is absent. The emitter writes one point object per line with unique
-/// keys, so a flat scan is unambiguous.
-const char* find_value(const std::string& line, const char* key) {
-    const std::string needle = std::string{"\""} + key + "\": ";
-    const std::size_t pos = line.find(needle);
-    return pos == std::string::npos ? nullptr : line.c_str() + pos + needle.size();
-}
+/// One parsed JSON value: `kind` is '{' or '[' with children in `items`
+/// (object members tagged with their `key`), '"' with the unescaped string
+/// in `text`, or '#' with a literal or number token in `text`. `complete`
+/// is set after the value's last token.
+struct Json {
+    char kind = 0;
+    bool complete = false;
+    std::size_t at = 0; ///< byte offset, for error messages
+    std::string key;
+    std::string text;
+    std::vector<Json> items;
+};
 
-double scan_number(const std::string& line, const char* key, double fallback = 0.0) {
-    const char* start = find_value(line, key);
-    if (start == nullptr || std::strncmp(start, "null", 4) == 0) { return fallback; }
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    return end == start ? fallback : v;
-}
+/// The input ended inside the document: the dump was cut short.
+struct Truncated {};
 
-std::uint64_t scan_u64(const std::string& line, const char* key) {
-    // Not via strtod: 64-bit values (seeds) exceed double's 53-bit mantissa.
-    const char* start = find_value(line, key);
-    if (start == nullptr) { return 0; }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 10);
-    return end == start ? 0 : static_cast<std::uint64_t>(v);
-}
+/// Recursive-descent JSON parser. Running out of input throws `Truncated`;
+/// any other syntax error throws `MalformedDump` with the byte offset.
+class JsonParser {
+public:
+    JsonParser(std::string_view text, const std::string& source)
+        : text_{text}, source_{source} {}
 
-bool scan_bool(const std::string& line, const char* key, bool fallback) {
-    const char* start = find_value(line, key);
-    return start == nullptr ? fallback : std::strncmp(start, "true", 4) == 0;
-}
-
-/// Parses `"key": [1, 2, ...]` into a u64 vector (empty when absent or not
-/// an array). Note the needle includes the opening quote, so the flat keys
-/// `ticks_executed` / `ticks_skipped` never match the `shard_`-prefixed
-/// array keys and vice versa.
-std::vector<std::uint64_t> scan_u64_array(const std::string& line, const char* key) {
-    std::vector<std::uint64_t> out;
-    const char* p = find_value(line, key);
-    if (p == nullptr || *p != '[') { return out; }
-    ++p;
-    while (*p != '\0' && *p != ']') {
-        while (*p == ' ' || *p == ',') { ++p; }
-        if (*p == ']' || *p == '\0') { break; }
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(p, &end, 10);
-        if (end == p) { break; }
-        out.push_back(static_cast<std::uint64_t>(v));
-        p = end;
+    [[noreturn]] void fail(std::size_t at, const std::string& what) const {
+        throw MalformedDump{source_ + ": byte " + std::to_string(at) + ": " + what};
     }
-    return out;
-}
 
-/// Extracts the point's label (first string field of every point line).
-/// Labels come from the registry and never contain escapes in practice; a
-/// label with a quote simply fails to parse and the point is skipped, in
-/// line with the loaders' overall tolerance.
-bool scan_label(const std::string& line, std::string& out) {
-    const char* start = find_value(line, "label");
-    if (start == nullptr || *start != '"') { return false; }
-    const char* close = std::strchr(start + 1, '"');
-    if (close == nullptr) { return false; }
-    out.assign(start + 1, close);
-    return true;
-}
-
-/// Parses the metric fields of one point line (shared by the hash-keyed
-/// resume loader and the label-keyed diff loader).
-ScenarioResult scan_result(const std::string& line) {
-    ScenarioResult r;
-    r.seed = scan_u64(line, "seed");
-    r.boot_ok = scan_bool(line, "boot_ok", true);
-    r.timed_out = scan_bool(line, "timed_out", false);
-    r.run_cycles = scan_u64(line, "run_cycles");
-    r.ops = scan_u64(line, "ops");
-    r.load_lat_mean = scan_number(line, "load_lat_mean");
-    r.load_lat_min = scan_u64(line, "load_lat_min");
-    r.load_lat_max = scan_u64(line, "load_lat_max");
-    r.load_lat_p99 = scan_u64(line, "load_lat_p99");
-    r.store_lat_mean = scan_number(line, "store_lat_mean");
-    r.store_lat_max = scan_u64(line, "store_lat_max");
-    r.dma_bytes = scan_u64(line, "dma_bytes");
-    r.dma_read_bw = scan_number(line, "dma_read_bw");
-    r.dma_depletions = scan_u64(line, "dma_depletions");
-    r.dma_isolation_cycles = scan_u64(line, "dma_isolation_cycles");
-    r.dma_throttle_stalls = scan_u64(line, "dma_throttle_stalls");
-    r.dma_cut_through = scan_u64(line, "dma_cut_through");
-    r.xbar_w_stalls = scan_u64(line, "xbar_w_stalls");
-    r.fabric_hops = scan_u64(line, "fabric_hops");
-    r.mon_enabled = scan_bool(line, "mon_enabled", false);
-    if (r.mon_enabled) {
-        r.mon_lat_p50 = scan_u64(line, "mon_lat_p50");
-        r.mon_lat_p99 = scan_u64(line, "mon_lat_p99");
-        r.mon_lat_p999 = scan_u64(line, "mon_lat_p999");
-        r.mon_timeouts = scan_u64(line, "mon_timeouts");
-        r.mon_orphan_rsp = scan_u64(line, "mon_orphan_rsp");
-        r.mon_orphan_req = scan_u64(line, "mon_orphan_req");
-        r.mon_stall_events = scan_u64(line, "mon_stall_events");
-        r.mon_wgap_events = scan_u64(line, "mon_wgap_events");
-        r.mon_true_positives = scan_u64(line, "mon_true_positives");
-        r.mon_false_positives = scan_u64(line, "mon_false_positives");
-        r.mon_false_negatives = scan_u64(line, "mon_false_negatives");
-        r.mon_first_detect = scan_u64(line, "mon_first_detect");
-        r.mgr_p50 = scan_u64_array(line, "mgr_p50");
-        r.mgr_p99 = scan_u64_array(line, "mgr_p99");
-        r.mgr_p999 = scan_u64_array(line, "mgr_p999");
-        r.mgr_flagged = scan_u64_array(line, "mgr_flagged");
-        r.mgr_signals = scan_u64_array(line, "mgr_signals");
-        r.mgr_hostile = scan_u64_array(line, "mgr_hostile");
-        r.mgr_detect = scan_u64_array(line, "mgr_detect");
-        r.mgr_occ_milli = scan_u64_array(line, "mgr_occ_milli");
+    /// Skips whitespace; false at the end of the input.
+    bool more() {
+        pos_ = std::min(text_.find_first_not_of(" \t\r\n", pos_), text_.size());
+        return pos_ < text_.size();
     }
-    r.ticks_executed = scan_u64(line, "ticks_executed");
-    r.ticks_skipped = scan_u64(line, "ticks_skipped");
-    r.shard_ticks_executed = scan_u64_array(line, "shard_ticks_executed");
-    r.shard_ticks_skipped = scan_u64_array(line, "shard_ticks_skipped");
-    r.fast_forwarded_cycles = scan_u64(line, "fast_forwarded_cycles");
-    r.simulated_cycles = scan_u64(line, "simulated_cycles");
-    r.wall_seconds = scan_number(line, "wall_seconds");
-    return r;
+
+    [[nodiscard]] std::size_t pos() const { return pos_; }
+
+    /// Parses one value into `v`. Containers append each child before
+    /// parsing it, so when the input runs out, every value already
+    /// complete stays in the tree.
+    void parse(Json& v, int depth = 0) {
+        if (!more()) { throw Truncated{}; }
+        v.at = pos_;
+        v.kind = text_[pos_];
+        if (depth > 32) { fail(v.at, "nesting too deep"); }
+        if (v.kind == '{' || v.kind == '[') {
+            const char close = v.kind == '{' ? '}' : ']';
+            ++pos_;
+            if (!consume(close)) {
+                do {
+                    Json& item = v.items.emplace_back();
+                    if (v.kind == '{') {
+                        item.key = string();
+                        expect(':');
+                    }
+                    parse(item, depth + 1);
+                } while (consume(','));
+                expect(close);
+            }
+        } else if (v.kind == '"') {
+            v.text = string();
+        } else {
+            // A literal or number runs to the next delimiter, which must
+            // exist: a value can never end the document.
+            const std::size_t end = text_.find_first_of(",]} \t\r\n", pos_);
+            if (end == std::string_view::npos) { throw Truncated{}; }
+            v.kind = '#';
+            v.text = text_.substr(pos_, end - pos_);
+            pos_ = end;
+            double number = 0;
+            const char* last = v.text.data() + v.text.size();
+            const auto [stop, ec] = std::from_chars(v.text.data(), last, number);
+            if (v.text != "true" && v.text != "false" && v.text != "null" &&
+                (ec != std::errc{} || stop != last)) {
+                fail(v.at, "expected a value");
+            }
+        }
+        v.complete = true;
+    }
+
+private:
+    char next() {
+        if (pos_ == text_.size()) { throw Truncated{}; }
+        return text_[pos_++];
+    }
+
+    bool consume(char c) {
+        if (!more()) { throw Truncated{}; }
+        if (text_[pos_] != c) { return false; }
+        ++pos_;
+        return true;
+    }
+
+    void expect(char c) {
+        if (!consume(c)) { fail(pos_, std::string{"expected '"} + c + "'"); }
+    }
+
+    std::string string() {
+        expect('"');
+        std::string out;
+        for (char c = next(); c != '"'; c = next()) {
+            if (static_cast<unsigned char>(c) < 0x20) {
+                fail(pos_ - 1, "control character in string");
+            }
+            if (c == '\\') {
+                constexpr std::string_view kEscape = "\"\\/bfnrtu";
+                constexpr std::string_view kMeaning = "\"\\/\b\f\n\r\t";
+                const std::size_t k = kEscape.find(c = next());
+                if (k == std::string_view::npos) { fail(pos_ - 1, "bad escape"); }
+                c = k < kMeaning.size() ? kMeaning[k] : ascii_escape();
+            }
+            out += c;
+        }
+        return out;
+    }
+
+    /// The character of a `\uXXXX` escape. The writer escapes only control
+    /// characters, so an escape past ASCII is refused rather than transcoded.
+    char ascii_escape() {
+        const std::size_t at = pos_;
+        for (int i = 0; i < 4; ++i) { (void)next(); }
+        unsigned v = 0;
+        const char* end = text_.data() + pos_;
+        const auto [stop, ec] = std::from_chars(text_.data() + at, end, v, 16);
+        if (ec != std::errc{} || stop != end || v > 0x7F) {
+            fail(at, "expected an ASCII \\u escape");
+        }
+        return static_cast<char>(v);
+    }
+
+    std::string_view text_;
+    const std::string& source_;
+    std::size_t pos_ = 0;
+};
+
+void read_value(const JsonParser& in, const Json& j, std::string& v) {
+    if (j.kind != '"') { in.fail(j.at, "expected a string"); }
+    v = j.text;
+}
+
+void read_value(const JsonParser& in, const Json& j, bool& v) {
+    if (j.kind != '#' || (j.text != "true" && j.text != "false")) {
+        in.fail(j.at, "expected true or false");
+    }
+    v = j.text == "true";
+}
+
+/// Numbers parse exactly into the member's type; for a double, `null` (the
+/// writer's spelling of a non-finite value) reads as NaN.
+template <typename T>
+    requires std::is_arithmetic_v<T>
+void read_value(const JsonParser& in, const Json& j, T& v) {
+    if (std::is_floating_point_v<T> && j.kind == '#' && j.text == "null") {
+        v = std::numeric_limits<T>::quiet_NaN();
+        return;
+    }
+    const char* end = j.text.data() + j.text.size();
+    const auto [stop, ec] = std::from_chars(j.text.data(), end, v);
+    if (j.kind != '#' || ec != std::errc{} || stop != end) {
+        in.fail(j.at, "expected a number");
+    }
+}
+
+void read_value(const JsonParser& in, const Json& j, ProfileRow& row);
+
+template <typename T>
+void read_value(const JsonParser& in, const Json& j, std::vector<T>& items) {
+    if (j.kind != '[') { in.fail(j.at, "expected an array"); }
+    items.resize(j.items.size());
+    for (std::size_t k = 0; k < items.size(); ++k) { read_value(in, j.items[k], items[k]); }
+}
+
+/// Reads object `obj` into `s` through its field table; members outside
+/// the table go to `other(member)`.
+template <typename S, std::size_t N, typename F>
+void read_fields(const JsonParser& in, const Json& obj, S& s,
+                 const std::array<Field<S>, N>& fields, F&& other) {
+    if (obj.kind != '{') { in.fail(obj.at, "expected an object"); }
+    for (const Json& m : obj.items) {
+        const auto f = std::find_if(fields.begin(), fields.end(),
+                                    [&](const Field<S>& row) { return m.key == row.key; });
+        if (f == fields.end()) {
+            other(m);
+            continue;
+        }
+        std::visit(
+            [&](auto member) {
+                if constexpr (std::is_member_function_pointer_v<decltype(member)>) {
+                    double derived = 0; // recomputed on write; only checked here
+                    read_value(in, m, derived);
+                } else {
+                    read_value(in, m, s.*member);
+                }
+            },
+            f->member);
+    }
+}
+
+void read_value(const JsonParser& in, const Json& j, ProfileRow& row) {
+    read_fields(in, j, row, kProfileRowFields, [](const Json&) {});
+}
+
+/// One point of a dump; `has_hash` is false for points written past the
+/// end of the sweep's point list.
+struct DumpPoint {
+    ScenarioResult result;
+    std::uint64_t hash = 0;
+    bool has_hash = false;
+};
+
+/// Every complete point of the dump at `path`: none when the file is
+/// missing, the complete prefix when it ends early (a checkpoint killed
+/// mid-write), and a `MalformedDump` for anything that is not a dump.
+std::vector<DumpPoint> read_dump(const std::string& path) {
+    std::vector<DumpPoint> points;
+    std::ifstream file{path, std::ios::binary};
+    if (!file) { return points; }
+    std::ostringstream text;
+    text << file.rdbuf();
+    const std::string doc_text = std::move(text).str();
+
+    JsonParser in{doc_text, path};
+    Json doc;
+    try {
+        in.parse(doc);
+        if (in.more()) { in.fail(in.pos(), "unexpected text after the document"); }
+    } catch (const Truncated&) {
+        // Keep what was complete when the input ran out.
+    }
+    if (doc.kind == 0) { return points; }
+    if (doc.kind != '{') { in.fail(doc.at, "expected an object"); }
+    for (const Json& member : doc.items) {
+        if (member.key != "points" || member.kind == 0) { continue; }
+        if (member.kind != '[') { in.fail(member.at, "expected an array"); }
+        for (const Json& item : member.items) {
+            if (!item.complete) { break; }
+            DumpPoint& p = points.emplace_back();
+            read_fields(in, item, p.result, kResultFields, [&](const Json& m) {
+                if (m.key == kLabelKey) {
+                    read_value(in, m, p.result.label);
+                } else if (m.key == kHashKey) {
+                    const char* end = m.text.data() + m.text.size();
+                    const auto [stop, ec] = std::from_chars(
+                        m.text.data() + std::min<std::size_t>(m.text.size(), 2), end,
+                        p.hash, 16);
+                    if (m.kind != '"' || m.text.rfind("0x", 0) != 0 ||
+                        ec != std::errc{} || stop != end) {
+                        in.fail(m.at, "expected a 0x-prefixed hex config_hash");
+                    }
+                    p.has_hash = true;
+                }
+            });
+        }
+    }
+    return points;
 }
 
 } // namespace
@@ -411,18 +500,8 @@ ScenarioResult scan_result(const std::string& line) {
 std::unordered_map<std::uint64_t, ScenarioResult>
 load_json_results(const std::string& path) {
     std::unordered_map<std::uint64_t, ScenarioResult> cache;
-    std::ifstream in{path};
-    if (!in) { return cache; }
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t hash_pos = line.find("\"config_hash\": \"");
-        if (hash_pos == std::string::npos) { continue; }
-        char* end = nullptr;
-        const std::uint64_t hash = std::strtoull(
-            line.c_str() + hash_pos + std::strlen("\"config_hash\": \""), &end, 16);
-        if (end == nullptr || *end != '"') { continue; }
-
-        cache.emplace(hash, scan_result(line));
+    for (DumpPoint& p : read_dump(path)) {
+        if (p.has_hash) { cache.emplace(p.hash, std::move(p.result)); }
     }
     return cache;
 }
@@ -430,68 +509,19 @@ load_json_results(const std::string& path) {
 std::unordered_map<std::string, ScenarioResult>
 load_json_results_by_label(const std::string& path) {
     std::unordered_map<std::string, ScenarioResult> cache;
-    std::ifstream in{path};
-    if (!in) { return cache; }
-    std::string line;
-    std::string label;
-    while (std::getline(in, line)) {
-        // Point lines are the ones carrying a config hash (the document
-        // header also has a "label"-free "sweep" string, never matched).
-        if (line.find("\"config_hash\": \"") == std::string::npos) { continue; }
-        if (!scan_label(line, label)) { continue; }
-        ScenarioResult r = scan_result(line);
-        r.label = label;
-        cache.emplace(std::move(label), std::move(r));
+    for (DumpPoint& p : read_dump(path)) {
+        cache.emplace(p.result.label, std::move(p.result));
     }
     return cache;
 }
 
 std::vector<ProfileRow> load_profile_rows(const std::string& path) {
     std::vector<ProfileRow> rows;
-    std::ifstream in{path};
-    if (!in) { return rows; }
-    std::string line;
-    while (std::getline(in, line)) {
-        const char* p = find_value(line, "profile");
-        if (p == nullptr || *p != '[') { continue; }
-        // Row objects are flat ({"type": ..., "shard": ..., ...}) and type
-        // names never contain braces, so brace matching is unambiguous.
-        while (*p != '\0' && *p != ']') {
-            const char* open = std::strchr(p, '{');
-            if (open == nullptr) { break; }
-            const char* close = std::strchr(open, '}');
-            if (close == nullptr) { break; }
-            const std::string obj(open, close + 1);
-            ProfileRow row;
-            if (const char* t = find_value(obj, "type");
-                t != nullptr && *t == '"') {
-                if (const char* q = std::strchr(t + 1, '"'); q != nullptr) {
-                    row.type.assign(t + 1, q);
-                }
-            }
-            row.shard = static_cast<unsigned>(scan_u64(obj, "shard"));
-            row.components = scan_u64(obj, "components");
-            row.ticks = scan_u64(obj, "ticks");
-            row.nanos = scan_u64(obj, "nanos");
-            if (!row.type.empty()) { rows.push_back(std::move(row)); }
-            p = close + 1;
-        }
+    for (const DumpPoint& p : read_dump(path)) {
+        rows.insert(rows.end(), p.result.profile.begin(), p.result.profile.end());
     }
     return rows;
 }
-
-namespace {
-
-/// Host-side simulation speed of a (possibly parsed-back) result, or 0 when
-/// the run has no usable timing (e.g. a baseline dumped before the fields
-/// existed, or a zero-length run).
-double host_speed(const ScenarioResult& r) {
-    return r.wall_seconds > 0.0
-               ? static_cast<double>(r.simulated_cycles) / r.wall_seconds
-               : 0.0;
-}
-
-} // namespace
 
 DiffReport diff_against_baseline(const std::string& baseline_path,
                                  const std::vector<ScenarioResult>& results,
@@ -527,8 +557,8 @@ DiffReport diff_against_baseline(const std::string& baseline_path,
         // (recomputed from the stored fields, so old baselines work) and
         // never feeds into the latency verdict.
         if (speed_threshold > 0.0) {
-            e.baseline_speed = host_speed(it->second);
-            e.current_speed = host_speed(r);
+            e.baseline_speed = it->second.sim_cycles_per_sec();
+            e.current_speed = r.sim_cycles_per_sec();
             if (e.baseline_speed > 0.0 && e.current_speed > 0.0) {
                 ++report.speed_compared;
                 e.speed_regressed =

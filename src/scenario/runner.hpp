@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,10 +58,10 @@ private:
     RunnerOptions options_;
 };
 
-/// Writes the sweep's results as a JSON document:
-/// `{"sweep": ..., "points": [{label, config_hash, seed, metrics...}, ...]}`.
-/// Each point carries the `config_hash` of its config (resume key) and
-/// `sim_cycles_per_sec`, the host-side simulation speed CI tracks.
+/// Writes the sweep's results as a JSON document, one point per line:
+/// `{"sweep": ..., "points": [{label, config_hash, <kResultFields>...}, ...]}`.
+/// `config_hash` (the resume key) is written for points within
+/// `sweep.points`; the other keys follow the `kResultFields` table.
 void write_json(std::ostream& os, const Sweep& sweep,
                 const std::vector<ScenarioResult>& results);
 
@@ -68,27 +69,39 @@ void write_json(std::ostream& os, const Sweep& sweep,
 bool write_json_file(const std::string& path, const Sweep& sweep,
                      const std::vector<ScenarioResult>& results);
 
-/// Parses a previous `write_json` dump back into results keyed by
-/// `config_hash`. Tolerant: a missing/unreadable file or malformed points
-/// yield an empty/partial map, never an error — resume then simply re-runs.
+/// A dump that is not JSON, or whose values have the wrong type; `what()`
+/// names the file and the byte offset of the offending token.
+class MalformedDump : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// \name Dump loaders
+/// All three parse a previous `write_json` dump with the same rules: a
+/// missing file yields nothing (resume then runs every point); a file that
+/// ends early yields exactly the points completed before the end (a search
+/// checkpoint killed mid-write); anything else that is not valid JSON of
+/// the right types throws `MalformedDump`. Formatting is free, so a
+/// re-indented dump loads like the original. Keys missing from a point keep
+/// their defaults and unknown keys are skipped.
+///@{
+/// Results keyed by `config_hash` — the resume key, stable across label
+/// renames. Points without a hash are skipped.
 [[nodiscard]] std::unordered_map<std::uint64_t, ScenarioResult>
 load_json_results(const std::string& path);
 
-/// Parses a previous `write_json` dump back into results keyed by point
-/// *label* — the report-to-report key: labels are stable across code
-/// changes that move `config_hash` (that is the point of the differ),
-/// while hashes are stable across label renames (that is the point of
-/// resume). Same tolerance as `load_json_results`.
+/// Results keyed by point *label* — the report-to-report key: labels are
+/// stable across code changes that move `config_hash` (that is the point
+/// of the differ).
 [[nodiscard]] std::unordered_map<std::string, ScenarioResult>
 load_json_results_by_label(const std::string& path);
 
-/// Parses the cycle-attribution profile rows out of a previous `--profile
-/// --json` dump, concatenated across every point that carries them (the
-/// balanced partitioner's weight model aggregates per component type, so
-/// merging points is the intended use). Same tolerance as the other
-/// loaders: missing file or absent profiles yield an empty vector.
+/// The cycle-attribution profile rows of a `--profile --json` dump,
+/// concatenated across points (the balanced partitioner's weight model
+/// aggregates per component type, so merging points is the intended use).
 [[nodiscard]] std::vector<ProfileRow>
 load_profile_rows(const std::string& path);
+///@}
 
 /// \name Report-to-report regression diffing
 ///@{

@@ -163,8 +163,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     res.load_lat_min = core.load_latency().min();
     res.load_lat_max = core.load_latency().max();
     // P99 comes from the fixed-memory sketch: <= 3.125% overestimate
-    // (QuantileSketch::kRelativeErrorBound) instead of the LatencyStat
-    // histogram's power-of-two bucket edges (up to ~2x).
+    // (QuantileSketch::kRelativeErrorBound).
     res.load_lat_p99 = core.load_sketch().quantile(0.99);
     res.store_lat_mean = core.store_latency().mean();
     res.store_lat_max = core.store_latency().max();

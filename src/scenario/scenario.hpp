@@ -21,8 +21,10 @@
 #include "traffic/susan.hpp"
 #include "traffic/workload.hpp"
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace realm::scenario {
@@ -100,6 +102,8 @@ struct ProfileRow {
     std::uint64_t components = 0; ///< instances in the bucket
     std::uint64_t ticks = 0;      ///< executed ticks attributed
     std::uint64_t nanos = 0;      ///< wall time attributed
+
+    bool operator==(const ProfileRow&) const = default;
 };
 
 /// How the mesh fabric's tiles are distributed over the spatial shards.
@@ -274,11 +278,125 @@ struct ScenarioResult {
     std::vector<ProfileRow> profile;
     ///@}
 
-    [[nodiscard]] double cycles_per_op() const noexcept {
-        return ops == 0 ? 0.0
-                        : static_cast<double>(run_cycles) / static_cast<double>(ops);
+    /// Host-side simulation speed in simulated cycles per wall second (0
+    /// when no wall time was measured) — the number CI tracks.
+    [[nodiscard]] double sim_cycles_per_sec() const noexcept {
+        return wall_seconds > 0.0 ? static_cast<double>(simulated_cycles) / wall_seconds
+                                  : 0.0;
     }
+
+    bool operator==(const ScenarioResult&) const = default;
 };
+
+/// How a result field behaves across runs of one config, i.e. what an
+/// equivalence check may ignore. Ordered: each kind depends on more of the
+/// host than the one before.
+enum class FieldKind : std::uint8_t {
+    kSimulated, ///< the simulated outcome: identical for every scheduler,
+                ///< shard count, partition, thread count and `profile` flag
+    kKernel,    ///< tick counters, which depend on scheduler and shard count
+    kHost,      ///< wall time and profile, which differ on every run
+};
+
+/// When `write_json` emits a key.
+enum class FieldWhen : std::uint8_t {
+    kAlways,
+    kMonitored, ///< only for points with `mon_enabled`
+    kProfiled,  ///< only for points carrying profile rows
+};
+
+/// One key of the sweep dump: its JSON name, the member it mirrors, its
+/// kind, and when it is written. A derived key names a member function
+/// instead; loaders accept it and drop it, `write_json` recomputes it.
+template <typename S>
+struct Field {
+    const char* key;
+    std::variant<bool S::*, unsigned S::*, std::uint64_t S::*, double S::*,
+                 std::string S::*, std::vector<std::uint64_t> S::*,
+                 std::vector<ProfileRow> S::*, double (S::*)() const noexcept>
+        member;
+    FieldKind kind = FieldKind::kSimulated;
+    FieldWhen when = FieldWhen::kAlways;
+};
+
+/// The keys of one `"profile"` row object.
+inline constexpr auto kProfileRowFields = std::to_array<Field<ProfileRow>>({
+    {"type", &ProfileRow::type},
+    {"shard", &ProfileRow::shard},
+    {"components", &ProfileRow::components},
+    {"ticks", &ProfileRow::ticks},
+    {"nanos", &ProfileRow::nanos, FieldKind::kHost},
+});
+
+using ResultField = Field<ScenarioResult>;
+
+/// The sweep dump's schema: every `ScenarioResult` key in `--json` order.
+/// `write_json`, the dump loader and the tests' result comparator iterate
+/// this table, so a field is declared here and nowhere else. Each point
+/// starts with its `label` and `config_hash`, which identify the point
+/// rather than describe its outcome.
+inline constexpr auto kResultFields = [] {
+    using R = ScenarioResult;
+    constexpr FieldKind sim = FieldKind::kSimulated;
+    constexpr FieldKind kernel = FieldKind::kKernel;
+    constexpr FieldKind host = FieldKind::kHost;
+    constexpr FieldWhen mon = FieldWhen::kMonitored;
+    return std::to_array<ResultField>({
+        {"seed", &R::seed},
+        {"boot_ok", &R::boot_ok},
+        {"timed_out", &R::timed_out},
+        {"run_cycles", &R::run_cycles},
+        {"ops", &R::ops},
+        {"load_lat_mean", &R::load_lat_mean},
+        {"load_lat_min", &R::load_lat_min},
+        {"load_lat_max", &R::load_lat_max},
+        {"load_lat_p99", &R::load_lat_p99},
+        {"store_lat_mean", &R::store_lat_mean},
+        {"store_lat_max", &R::store_lat_max},
+        {"dma_bytes", &R::dma_bytes},
+        {"dma_read_bw", &R::dma_read_bw},
+        {"dma_depletions", &R::dma_depletions},
+        {"dma_isolation_cycles", &R::dma_isolation_cycles},
+        {"dma_throttle_stalls", &R::dma_throttle_stalls},
+        {"dma_cut_through", &R::dma_cut_through},
+        {"xbar_w_stalls", &R::xbar_w_stalls},
+        {"fabric_hops", &R::fabric_hops},
+        {"dma_mr_bytes_total", &R::dma_mr_bytes_total},
+        {"dma_mr_read_lat_mean", &R::dma_mr_read_lat_mean},
+        {"core_mr_read_lat_mean", &R::core_mr_read_lat_mean},
+        {"core_mr_write_lat_max", &R::core_mr_write_lat_max},
+        {"mon_enabled", &R::mon_enabled, sim, mon},
+        {"mon_lat_p50", &R::mon_lat_p50, sim, mon},
+        {"mon_lat_p99", &R::mon_lat_p99, sim, mon},
+        {"mon_lat_p999", &R::mon_lat_p999, sim, mon},
+        {"mon_timeouts", &R::mon_timeouts, sim, mon},
+        {"mon_orphan_rsp", &R::mon_orphan_rsp, sim, mon},
+        {"mon_orphan_req", &R::mon_orphan_req, sim, mon},
+        {"mon_stall_events", &R::mon_stall_events, sim, mon},
+        {"mon_wgap_events", &R::mon_wgap_events, sim, mon},
+        {"mon_true_positives", &R::mon_true_positives, sim, mon},
+        {"mon_false_positives", &R::mon_false_positives, sim, mon},
+        {"mon_false_negatives", &R::mon_false_negatives, sim, mon},
+        {"mon_first_detect", &R::mon_first_detect, sim, mon},
+        {"mgr_p50", &R::mgr_p50, sim, mon},
+        {"mgr_p99", &R::mgr_p99, sim, mon},
+        {"mgr_p999", &R::mgr_p999, sim, mon},
+        {"mgr_flagged", &R::mgr_flagged, sim, mon},
+        {"mgr_signals", &R::mgr_signals, sim, mon},
+        {"mgr_hostile", &R::mgr_hostile, sim, mon},
+        {"mgr_detect", &R::mgr_detect, sim, mon},
+        {"mgr_occ_milli", &R::mgr_occ_milli, sim, mon},
+        {"ticks_executed", &R::ticks_executed, kernel},
+        {"ticks_skipped", &R::ticks_skipped, kernel},
+        {"shard_ticks_executed", &R::shard_ticks_executed, kernel},
+        {"shard_ticks_skipped", &R::shard_ticks_skipped, kernel},
+        {"fast_forwarded_cycles", &R::fast_forwarded_cycles, kernel},
+        {"simulated_cycles", &R::simulated_cycles},
+        {"wall_seconds", &R::wall_seconds, host},
+        {"sim_cycles_per_sec", &R::sim_cycles_per_sec, host},
+        {"profile", &R::profile, host, FieldWhen::kProfiled},
+    });
+}();
 
 /// Runs one scenario end to end in a fresh simulation context.
 /// \param label  Result label (defaults to `cfg.name`).

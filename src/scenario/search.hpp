@@ -36,8 +36,9 @@ struct SearchOptions {
     unsigned threads = 1;       ///< sweep-runner workers per generation
     /// `write_json` dump reused as the checkpoint: evaluations whose
     /// `config_hash` already appears there are replayed, not re-simulated,
-    /// and the file is rewritten after every generation. Empty = no
-    /// checkpointing.
+    /// and the file is rewritten after every generation. A checkpoint cut
+    /// mid-write replays its complete points; a malformed one throws
+    /// `MalformedDump`. Empty = no checkpointing.
     std::string checkpoint_path;
 };
 

@@ -198,74 +198,29 @@ void SimContext::ensure_partition() {
 
 void SimContext::tick_shard_span(unsigned shard, Cycle count) {
     if (profiler_ != nullptr) {
-        tick_shard_span_profiled(shard, count);
-        return;
+        tick_shard_span<true>(shard, count);
+    } else {
+        tick_shard_span<false>(shard, count);
     }
-    t_current_shard = shard;
-    tl_tick_ctx_ = this;
-    const std::vector<Component*>& list = shard_lists_[shard];
-    const Cycle end = now_ + count;
-    if (scheduler_ == Scheduler::kTickAll) {
-        for (Cycle at = now_; at < end; ++at) {
-            tl_tick_now_ = at;
-            for (Component* c : list) { c->tick(); }
-        }
-        shard_ticks_executed_[shard] +=
-            static_cast<std::uint64_t>(list.size()) * count;
-        tl_tick_ctx_ = nullptr;
-        t_current_shard = 0;
-        return;
-    }
-    std::uint64_t executed = 0;
-    std::uint64_t skipped = 0;
-    Cycle hint = kNoCycle;
-    for (Cycle at = now_; at < end;) {
-        tl_tick_now_ = at;
-        hint = kNoCycle;
-        std::uint64_t ran = 0;
-        for (Component* c : list) {
-            const Cycle wake = c->wake_cycle();
-            if (wake > at) {
-                ++skipped;
-                hint = std::min(hint, wake);
-                continue;
-            }
-            c->tick();
-            ++ran;
-            const Cycle after = c->wake_cycle();
-            hint = std::min(hint, after > at ? after : at + 1);
-        }
-        executed += ran;
-        // Intra-batch fast-forward: a walk that executed nothing proves
-        // every component of this shard sleeps until `hint` — exact, since
-        // within a batch only the shard itself wakes its components
-        // (cross-shard wakes land at the batch-edge flush). Jumping is a
-        // per-shard no-op skip, so it never perturbs the simulated state.
-        at = (ran == 0 && hint > at + 1) ? std::min(hint, end) : at + 1;
-    }
-    shard_ticks_executed_[shard] += executed;
-    shard_ticks_skipped_[shard] += skipped;
-    note_wake(hint); // fold the shard-local hint (atomic min)
-    tl_tick_ctx_ = nullptr;
-    t_current_shard = 0;
 }
 
-// Same walk as tick_shard_span with chained clock samples: the end stamp of
-// one executed tick is the start stamp of the next, so attribution costs one
+// With kProfiled, chained clock samples charge each executed tick: the end
+// stamp of one tick is the start stamp of the next, so attribution costs one
 // `steady_clock` call per executed tick (skip-scan time is charged to the
-// following executed tick — negligible and documented). Buckets are keyed
-// by shard, so concurrent shards never write the same counter.
-void SimContext::tick_shard_span_profiled(unsigned shard, Cycle count) {
+// following executed tick — negligible and documented). Buckets are keyed by
+// shard, so concurrent shards never write the same counter.
+template <bool kProfiled>
+void SimContext::tick_shard_span(unsigned shard, Cycle count) {
     t_current_shard = shard;
     tl_tick_ctx_ = this;
     const std::vector<Component*>& list = shard_lists_[shard];
-    const std::vector<std::uint32_t>& buckets = shard_buckets_[shard];
     const bool activity = scheduler_ == Scheduler::kActivity;
     const Cycle end = now_ + count;
     std::uint64_t executed = 0;
     std::uint64_t skipped = 0;
     Cycle hint = kNoCycle;
-    auto last = std::chrono::steady_clock::now();
+    [[maybe_unused]] std::chrono::steady_clock::time_point last{};
+    if constexpr (kProfiled) { last = std::chrono::steady_clock::now(); }
     for (Cycle at = now_; at < end;) {
         tl_tick_now_ = at;
         hint = kNoCycle;
@@ -282,26 +237,32 @@ void SimContext::tick_shard_span_profiled(unsigned shard, Cycle count) {
             }
             c->tick();
             ++ran;
-            const auto stamp = std::chrono::steady_clock::now();
-            Profiler::Bucket& b = profiler_->bucket(buckets[i]);
-            ++b.ticks;
-            b.nanos += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(stamp - last)
-                    .count());
-            last = stamp;
+            if constexpr (kProfiled) {
+                const auto stamp = std::chrono::steady_clock::now();
+                Profiler::Bucket& b = profiler_->bucket(shard_buckets_[shard][i]);
+                ++b.ticks;
+                b.nanos += static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(stamp - last)
+                        .count());
+                last = stamp;
+            }
             if (activity) {
                 const Cycle after = c->wake_cycle();
                 hint = std::min(hint, after > at ? after : at + 1);
             }
         }
         executed += ran;
-        at = (activity && ran == 0 && hint > at + 1) ? std::min(hint, end)
-                                                     : at + 1;
+        // Intra-batch fast-forward: a walk that executed nothing proves
+        // every component of this shard sleeps until `hint` — exact, since
+        // within a batch only the shard itself wakes its components
+        // (cross-shard wakes land at the batch-edge flush). Jumping is a
+        // per-shard no-op skip, so it never perturbs the simulated state.
+        at = (activity && ran == 0 && hint > at + 1) ? std::min(hint, end) : at + 1;
     }
     shard_ticks_executed_[shard] += executed;
     if (activity) {
         shard_ticks_skipped_[shard] += skipped;
-        note_wake(hint);
+        note_wake(hint); // fold the shard-local hint (atomic min)
     }
     tl_tick_ctx_ = nullptr;
     t_current_shard = 0;

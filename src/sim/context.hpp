@@ -264,12 +264,14 @@ private:
     /// the thread-local tick clock (see `now()`); a walk that executes
     /// nothing jumps the local clock to the shard's earliest wake (exact:
     /// within a batch a shard's components are only woken by the shard
-    /// itself — cross-shard wakes land at the batch-edge flush).
+    /// itself — cross-shard wakes land at the batch-edge flush). With
+    /// `kProfiled` every executed tick is also timed into its `profiler_`
+    /// bucket (see sim/profiler.hpp); the unprofiled instantiation carries
+    /// no timing code at all.
+    template <bool kProfiled>
     void tick_shard_span(unsigned shard, Cycle count);
-    /// Same walk with per-tick wall-time attribution into `profiler_`
-    /// (chained clock samples; see sim/profiler.hpp). Split out so the
-    /// unprofiled loop carries no timing code at all.
-    void tick_shard_span_profiled(unsigned shard, Cycle count);
+    /// Picks the instantiation above by whether a profiler is armed.
+    void tick_shard_span(unsigned shard, Cycle count);
     /// Applies all staged cross-shard work, single-threaded, in shard-major
     /// registration order. Runs on every cycle edge in every mode.
     void flush_edges();

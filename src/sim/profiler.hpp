@@ -9,9 +9,9 @@
 /// shard) bucket, so a sweep can report "62% of the wall time is
 /// `MeshRouter` ticks on shard 2" instead of a single aggregate.
 ///
-/// Cost model: **zero overhead when off** — the tick loop takes one
-/// predictable branch per shard per cycle to select the unprofiled path.
-/// When on, the profiled loop chains `steady_clock` samples (one clock call
+/// Cost model: **zero overhead when off** — one predictable branch per
+/// shard per batch selects the unprofiled instantiation of the tick walk.
+/// When on, the profiled instantiation chains `steady_clock` samples (one clock call
 /// per executed tick, not two: the end of tick N is the start of tick N+1),
 /// and buckets are keyed by shard, so concurrent shards never share a
 /// counter — no atomics on the sample path.

@@ -1,30 +1,25 @@
 /// \file
-/// \brief Lightweight statistics primitives used by monitors and benches.
+/// \brief Running latency statistic used by monitors, probes and traffic
+///        models. Quantiles come from `mon::QuantileSketch` instead.
 #pragma once
 
 #include "sim/types.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace realm::sim {
 
-/// Scalar running statistic over cycle counts (latencies, service times...).
-/// Tracks count/sum/min/max plus a log2-bucketed histogram, enough to report
-/// mean, worst case, and distribution shape without storing samples.
+/// Scalar running statistic over cycle counts (latencies, service times...):
+/// count/sum/min/max, enough to report mean and worst case without storing
+/// samples.
 class LatencyStat {
 public:
-    static constexpr std::size_t kBuckets = 32; // bucket i covers [2^i, 2^(i+1))
-
     void record(Cycle value) noexcept {
         ++count_;
         sum_ += value;
         min_ = count_ == 1 ? value : std::min(min_, value);
         max_ = std::max(max_, value);
-        ++histogram_[bucket_of(value)];
     }
 
     void reset() noexcept { *this = LatencyStat{}; }
@@ -36,70 +31,12 @@ public:
     [[nodiscard]] double mean() const noexcept {
         return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
     }
-    [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-        return i < kBuckets ? histogram_[i] : 0;
-    }
-
-    /// Approximate p-quantile (by histogram bucket upper edge), q in [0,1].
-    [[nodiscard]] Cycle quantile(double q) const noexcept {
-        if (count_ == 0) { return 0; }
-        const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < kBuckets; ++i) {
-            seen += histogram_[i];
-            if (seen > target) { return (Cycle{2} << i) - 1; }
-        }
-        return max_;
-    }
 
 private:
-    static std::size_t bucket_of(Cycle v) noexcept {
-        std::size_t b = 0;
-        while (v > 1 && b + 1 < kBuckets) {
-            v >>= 1;
-            ++b;
-        }
-        return b;
-    }
-
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     Cycle min_ = 0;
     Cycle max_ = 0;
-    std::array<std::uint64_t, kBuckets> histogram_{};
-};
-
-/// Named counter bundle for human-readable stat dumps in examples/benches.
-class StatSet {
-public:
-    /// Returns a reference to the named counter, creating it at zero.
-    std::uint64_t& counter(const std::string& label) {
-        for (auto& entry : counters_) {
-            if (entry.label == label) { return entry.value; }
-        }
-        counters_.push_back({label, 0});
-        return counters_.back().value;
-    }
-
-    [[nodiscard]] std::uint64_t get(const std::string& label) const noexcept {
-        for (const auto& entry : counters_) {
-            if (entry.label == label) { return entry.value; }
-        }
-        return 0;
-    }
-
-    struct Entry {
-        std::string label;
-        std::uint64_t value;
-    };
-
-    [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return counters_; }
-    void reset() noexcept {
-        for (auto& entry : counters_) { entry.value = 0; }
-    }
-
-private:
-    std::vector<Entry> counters_;
 };
 
 } // namespace realm::sim

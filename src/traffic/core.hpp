@@ -48,8 +48,7 @@ public:
     [[nodiscard]] const sim::LatencyStat& load_latency() const noexcept { return load_lat_; }
     [[nodiscard]] const sim::LatencyStat& store_latency() const noexcept { return store_lat_; }
     /// Fixed-memory load-latency distribution: quantiles overestimate by at
-    /// most `mon::QuantileSketch::kRelativeErrorBound` (3.125%), a far
-    /// tighter bound than the power-of-two `LatencyStat` buckets.
+    /// most `mon::QuantileSketch::kRelativeErrorBound` (3.125%).
     [[nodiscard]] const mon::QuantileSketch& load_sketch() const noexcept { return load_sketch_; }
     [[nodiscard]] std::uint64_t loads_retired() const noexcept { return loads_; }
     [[nodiscard]] std::uint64_t stores_retired() const noexcept { return stores_; }

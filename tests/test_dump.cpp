@@ -1,0 +1,276 @@
+/// Tests for the sweep dump: `write_json` and the one reader behind
+/// `--resume`, `--diff`, the search checkpoint and `--partition-profile`.
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
+
+#include "same_result.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
+
+namespace realm::scenario {
+namespace {
+
+std::string dump(const Sweep& sweep, const std::vector<ScenarioResult>& results) {
+    std::ostringstream os;
+    write_json(os, sweep, results);
+    return std::move(os).str();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+    std::ofstream{path, std::ios::binary} << text;
+}
+
+/// Re-indents compact JSON the way `python3 -m json.tool` does: every
+/// value on its own line.
+std::string pretty(const std::string& json) {
+    std::string out;
+    int depth = 0;
+    bool in_string = false;
+    const auto newline = [&] {
+        out += '\n';
+        out.append(static_cast<std::size_t>(4 * depth), ' ');
+    };
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (in_string) {
+            out += c;
+            if (c == '\\') {
+                out += json[++i];
+            } else if (c == '"') {
+                in_string = false;
+            }
+            continue;
+        }
+        switch (c) {
+        case '"': in_string = true; out += c; break;
+        case '{':
+        case '[': out += c; ++depth; newline(); break;
+        case '}':
+        case ']': --depth; newline(); out += c; break;
+        case ',': out += c; newline(); break;
+        case ':': out += ": "; break;
+        case ' ':
+        case '\n': break;
+        default: out += c;
+        }
+    }
+    return out;
+}
+
+/// The ring smoke sweep, simulated once for the whole suite.
+const std::vector<ScenarioResult>& ring_smoke() {
+    static const std::vector<ScenarioResult> results =
+        ScenarioRunner{RunnerOptions{.threads = 2}}.run(make_sweep("ring-dos-smoke"));
+    return results;
+}
+
+/// `results` with host timing cleared. A rewrite recomputes
+/// `sim_cycles_per_sec` from the dump's 6-digit `wall_seconds`, so host
+/// timing is the one thing it may change in the last digit.
+std::vector<ScenarioResult> without_host(std::vector<ScenarioResult> results) {
+    for (ScenarioResult& r : results) { test::clear_from(r, FieldKind::kHost); }
+    return results;
+}
+
+/// `r` as a dump holds it: doubles at the writer's six significant digits.
+/// A member missing from `kResultFields` keeps its full value here while
+/// the loaded copy has the default, so comparing against this catches it.
+ScenarioResult as_dumped(ScenarioResult r) {
+    for (const ResultField& f : kResultFields) {
+        std::visit(
+            [&r](auto member) {
+                if constexpr (std::is_same_v<decltype(member), double ScenarioResult::*>) {
+                    char buf[32];
+                    std::snprintf(buf, sizeof buf, "%.6g", r.*member);
+                    r.*member = std::strtod(buf, nullptr);
+                }
+            },
+            f.member);
+    }
+    return r;
+}
+
+/// Writes `results`, loads them back through both keyed loaders, and
+/// expects every loaded point to equal the written one and the rewrite of
+/// what was loaded to reproduce the dump byte for byte.
+void expect_rewrite_identical(const std::string& path, const Sweep& sweep,
+                              const std::vector<ScenarioResult>& results) {
+    const std::string first = dump(sweep, without_host(results));
+    write_file(path, first);
+    const auto by_hash = load_json_results(path);
+    const auto by_label = load_json_results_by_label(path);
+    ASSERT_EQ(by_hash.size(), sweep.points.size());
+    ASSERT_EQ(by_label.size(), sweep.points.size());
+    std::vector<ScenarioResult> loaded;
+    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+        const SweepPoint& p = sweep.points[i];
+        loaded.push_back(by_hash.at(config_hash(p.config)));
+        EXPECT_TRUE(test::same_result(loaded.back(), as_dumped(results[i]), FieldKind::kHost))
+            << p.label;
+        const auto it = by_label.find(p.label);
+        ASSERT_NE(it, by_label.end()) << p.label;
+        EXPECT_TRUE(it->second == loaded.back()) << p.label;
+    }
+    EXPECT_EQ(dump(sweep, loaded), first);
+}
+
+class DumpFixture : public ::testing::Test {
+protected:
+    void TearDown() override { std::remove(path_.c_str()); }
+    std::string path_ = "dump_test.json";
+};
+
+TEST_F(DumpFixture, PrettyPrintedDumpResumesEveryPoint) {
+    const Sweep sweep = make_sweep("ring-dos-smoke");
+    const std::string compact = dump(sweep, ring_smoke());
+    write_file(path_, compact);
+    const auto from_compact = load_json_results(path_);
+    const std::string reformatted = pretty(compact);
+    ASSERT_GT(std::count(reformatted.begin(), reformatted.end(), '\n'),
+              static_cast<long>(30 * sweep.points.size()))
+        << "one key per line";
+    write_file(path_, reformatted);
+
+    std::size_t reused = 0;
+    const auto resumed = ScenarioRunner{}.run_resumed(sweep, path_, &reused);
+    EXPECT_EQ(reused, sweep.points.size());
+    ASSERT_EQ(resumed.size(), sweep.points.size());
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+        SCOPED_TRACE(sweep.points[i].label);
+        // Exactly what the compact dump holds, in every field, which is the
+        // fresh run to the dump's precision.
+        EXPECT_TRUE(resumed[i] == from_compact.at(config_hash(sweep.points[i].config)));
+        EXPECT_TRUE(test::same_result(resumed[i], as_dumped(ring_smoke()[i]), FieldKind::kHost));
+    }
+    EXPECT_GT(resumed[0].dma_mr_bytes_total, 0U);
+}
+
+TEST_F(DumpFixture, EveryCutKeepsExactlyTheCompletePointsBeforeIt) {
+    const Sweep sweep = make_sweep("ring-dos-smoke");
+    const std::string text = dump(sweep, ring_smoke());
+    write_file(path_, text);
+    const auto full = load_json_results(path_);
+    ASSERT_EQ(full.size(), sweep.points.size());
+
+    // One point per line: a point is complete once the cut passes its `}`.
+    std::vector<std::size_t> ends;
+    for (std::size_t at = text.find("\n    {"); at != std::string::npos;
+         at = text.find("\n    {", at + 1)) {
+        ends.push_back(text.rfind('}', text.find('\n', at + 1)) + 1);
+    }
+    ASSERT_EQ(ends.size(), sweep.points.size());
+
+    for (std::size_t cut = 0; cut < text.size(); ++cut) {
+        write_file(path_, text.substr(0, cut));
+        const auto got = load_json_results(path_);
+        const auto complete = static_cast<std::size_t>(
+            std::count_if(ends.begin(), ends.end(), [cut](std::size_t e) { return e <= cut; }));
+        ASSERT_EQ(got.size(), complete) << "cut at byte " << cut;
+        for (std::size_t i = 0; i < complete; ++i) {
+            const std::uint64_t hash = config_hash(sweep.points[i].config);
+            ASSERT_TRUE(got.count(hash) == 1 && got.at(hash) == full.at(hash))
+                << "point " << i << ", cut at byte " << cut;
+        }
+    }
+}
+
+TEST_F(DumpFixture, WriteLoadWriteIsByteIdentical) {
+    Sweep sweep = make_sweep("ring-dos-smoke");
+    std::vector<ScenarioResult> results = ring_smoke();
+    // The label-keyed loader must key a label with a quote and a newline.
+    sweep.points[0].label = results[0].label = "weird \"label\"\nline two";
+    expect_rewrite_identical(path_, sweep, results);
+
+    Sweep monitored = make_sweep("ring-dos-smoke");
+    monitored.points.resize(4);
+    for (SweepPoint& p : monitored.points) { p.config.monitors.enabled = true; }
+    const auto telemetry = ScenarioRunner{RunnerOptions{.threads = 2}}.run(monitored);
+    ASSERT_TRUE(telemetry[0].mon_enabled);
+    ASSERT_FALSE(telemetry[0].mgr_p99.empty());
+    expect_rewrite_identical(path_, monitored, telemetry);
+}
+
+TEST_F(DumpFixture, CorruptTokenFailsWithFileAndOffset) {
+    const Sweep sweep = make_sweep("ring-dos-smoke");
+    const std::string text = dump(sweep, ring_smoke());
+    struct Corruption {
+        std::string needle;      ///< first occurrence is replaced ...
+        std::string bad;         ///< ... by this
+        std::size_t token_at;    ///< offset of the bad token within `bad`
+    };
+    const std::vector<Corruption> cases = {
+        {"\"boot_ok\": true", "\"boot_ok\": xrue", 11},
+        {"\"run_cycles\": ", "\"run_cycles\": -", 14},
+        {"\"ops\": ", "\"ops\": \"1\", \"x\": ", 7},
+        {"\"config_hash\": \"0x", "\"config_hash\": \"0y", 15},
+        {", \"seed\"", " \"seed\"", 1},
+        {"\"load_lat_mean\": ", "\"load_lat_mean\": 1e", 17},
+        {"\"label\": \"", "\"label\": \"\\q", 11},
+    };
+    for (const Corruption& c : cases) {
+        SCOPED_TRACE(c.bad);
+        const std::size_t at = text.find(c.needle);
+        ASSERT_NE(at, std::string::npos);
+        write_file(path_, text.substr(0, at) + c.bad + text.substr(at + c.needle.size()));
+        const std::string want = path_ + ": byte " + std::to_string(at + c.token_at) + ": ";
+        try {
+            (void)load_json_results(path_);
+            ADD_FAILURE() << "no error for a corrupt dump";
+        } catch (const MalformedDump& e) {
+            EXPECT_EQ(std::string{e.what()}.rfind(want, 0), 0U) << e.what();
+        }
+    }
+    // Text after the document is an error too, not a truncation.
+    write_file(path_, text + "x");
+    EXPECT_THROW((void)load_json_results_by_label(path_), MalformedDump);
+    // A resume from a corrupt dump fails before simulating anything.
+    EXPECT_THROW((void)ScenarioRunner{}.run_resumed(sweep, path_), MalformedDump);
+}
+
+TEST_F(DumpFixture, ProfileRowsLoadBack) {
+    Sweep sweep = make_sweep("ring-dos-smoke");
+    sweep.points.resize(2);
+    for (SweepPoint& p : sweep.points) { p.config.profile = true; }
+    const auto results = ScenarioRunner{}.run(sweep);
+    write_file(path_, dump(sweep, results));
+    std::vector<ProfileRow> rows;
+    for (const ScenarioResult& r : results) {
+        ASSERT_FALSE(r.profile.empty());
+        rows.insert(rows.end(), r.profile.begin(), r.profile.end());
+    }
+    EXPECT_TRUE(load_profile_rows(path_) == rows);
+    EXPECT_TRUE(load_profile_rows("no_such_dump.json").empty());
+}
+
+TEST(SameResult, ClearsOnlyTheKindsItIsTold) {
+    ScenarioResult a;
+    a.load_lat_mean = 1.5;
+    a.ticks_executed = 7;
+    a.wall_seconds = 0.25;
+    ScenarioResult b = a;
+    b.ticks_executed += 1;
+    b.wall_seconds += 1;
+    EXPECT_TRUE(test::same_result(a, b, FieldKind::kKernel));
+    EXPECT_FALSE(test::same_result(a, b, FieldKind::kHost));
+    b = a;
+    b.load_lat_mean += 0.5;
+    EXPECT_FALSE(test::same_result(a, b, FieldKind::kKernel));
+    b = a;
+    b.label = "renamed";
+    EXPECT_FALSE(test::same_result(a, b, FieldKind::kKernel))
+        << "a member outside the table is still compared";
+}
+
+} // namespace
+} // namespace realm::scenario

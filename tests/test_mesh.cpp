@@ -13,6 +13,7 @@
 #include "traffic/dma.hpp"
 #include "traffic/workload.hpp"
 #include "test_util.hpp"
+#include "same_result.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 namespace realm::noc {
 namespace {
 
+using scenario::FieldKind;
 using test::collect_b;
 using test::collect_read_burst;
 using test::push_write_burst;
@@ -491,18 +493,7 @@ TEST(MeshSchedulerEquivalence, ActivityMatchesTickAllBitForBit) {
     const ScenarioResult fast = scenario::run_scenario(cfg);
 
     ASSERT_FALSE(naive.timed_out);
-    EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-    EXPECT_EQ(naive.ops, fast.ops);
-    EXPECT_EQ(naive.load_lat_mean, fast.load_lat_mean);
-    EXPECT_EQ(naive.load_lat_max, fast.load_lat_max);
-    EXPECT_EQ(naive.load_lat_p99, fast.load_lat_p99);
-    EXPECT_EQ(naive.store_lat_mean, fast.store_lat_mean);
-    EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-    EXPECT_EQ(naive.dma_bytes, fast.dma_bytes);
-    EXPECT_EQ(naive.dma_mr_bytes_total, fast.dma_mr_bytes_total);
-    EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-    EXPECT_EQ(naive.fabric_hops, fast.fabric_hops);
-    EXPECT_EQ(naive.simulated_cycles, fast.simulated_cycles);
+    EXPECT_TRUE(test::same_result(naive, fast, FieldKind::kKernel));
 
     EXPECT_EQ(naive.ticks_skipped, 0U);
     EXPECT_GT(fast.ticks_skipped, 0U) << "idle mesh routers must be skipped";
@@ -541,15 +532,7 @@ TEST(MeshRunner, MatrixPointThreadInvariantOn24Nodes) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(sweep.points[i].label);
-        EXPECT_EQ(serial[i].run_cycles, parallel[i].run_cycles);
-        EXPECT_EQ(serial[i].ops, parallel[i].ops);
-        EXPECT_EQ(serial[i].load_lat_mean, parallel[i].load_lat_mean);
-        EXPECT_EQ(serial[i].load_lat_max, parallel[i].load_lat_max);
-        EXPECT_EQ(serial[i].store_lat_max, parallel[i].store_lat_max);
-        EXPECT_EQ(serial[i].dma_bytes, parallel[i].dma_bytes);
-        EXPECT_EQ(serial[i].xbar_w_stalls, parallel[i].xbar_w_stalls);
-        EXPECT_EQ(serial[i].fabric_hops, parallel[i].fabric_hops);
-        EXPECT_EQ(serial[i].ticks_executed, parallel[i].ticks_executed);
+        EXPECT_TRUE(test::same_result(serial[i], parallel[i], FieldKind::kHost));
         EXPECT_GT(serial[i].fabric_hops, 0U);
     }
 }
@@ -726,15 +709,7 @@ TEST(MeshRoutingSchedulerEquivalence, ActivityMatchesTickAllPerPolicy) {
         cfg.scheduler = sim::Scheduler::kActivity;
         const ScenarioResult fast = scenario::run_scenario(cfg);
         ASSERT_FALSE(naive.timed_out);
-        EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-        EXPECT_EQ(naive.ops, fast.ops);
-        EXPECT_EQ(naive.load_lat_mean, fast.load_lat_mean);
-        EXPECT_EQ(naive.load_lat_max, fast.load_lat_max);
-        EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-        EXPECT_EQ(naive.dma_bytes, fast.dma_bytes);
-        EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-        EXPECT_EQ(naive.fabric_hops, fast.fabric_hops);
-        EXPECT_EQ(naive.simulated_cycles, fast.simulated_cycles);
+        EXPECT_TRUE(test::same_result(naive, fast, FieldKind::kKernel));
         EXPECT_EQ(naive.ticks_skipped, 0U);
         EXPECT_GT(fast.ticks_skipped, 0U) << "idle routers must be skipped";
     }

@@ -10,6 +10,8 @@
 #include "scenario/scenario.hpp"
 #include "sim/context.hpp"
 
+#include "same_result.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -546,30 +548,7 @@ TEST(MonitoredScenario, ShardCountDoesNotChangeMonitorResults) {
     }
     for (std::size_t i = 1; i < runs.size(); ++i) {
         SCOPED_TRACE("shards run " + std::to_string(i));
-        const ScenarioResult& a = runs[0];
-        const ScenarioResult& b = runs[i];
-        EXPECT_EQ(a.run_cycles, b.run_cycles);
-        EXPECT_EQ(a.ops, b.ops);
-        EXPECT_EQ(a.mon_lat_p50, b.mon_lat_p50);
-        EXPECT_EQ(a.mon_lat_p99, b.mon_lat_p99);
-        EXPECT_EQ(a.mon_lat_p999, b.mon_lat_p999);
-        EXPECT_EQ(a.mon_timeouts, b.mon_timeouts);
-        EXPECT_EQ(a.mon_orphan_rsp, b.mon_orphan_rsp);
-        EXPECT_EQ(a.mon_orphan_req, b.mon_orphan_req);
-        EXPECT_EQ(a.mon_stall_events, b.mon_stall_events);
-        EXPECT_EQ(a.mon_wgap_events, b.mon_wgap_events);
-        EXPECT_EQ(a.mon_true_positives, b.mon_true_positives);
-        EXPECT_EQ(a.mon_false_positives, b.mon_false_positives);
-        EXPECT_EQ(a.mon_false_negatives, b.mon_false_negatives);
-        EXPECT_EQ(a.mon_first_detect, b.mon_first_detect);
-        EXPECT_EQ(a.mgr_p50, b.mgr_p50);
-        EXPECT_EQ(a.mgr_p99, b.mgr_p99);
-        EXPECT_EQ(a.mgr_p999, b.mgr_p999);
-        EXPECT_EQ(a.mgr_flagged, b.mgr_flagged);
-        EXPECT_EQ(a.mgr_signals, b.mgr_signals);
-        EXPECT_EQ(a.mgr_hostile, b.mgr_hostile);
-        EXPECT_EQ(a.mgr_detect, b.mgr_detect);
-        EXPECT_EQ(a.mgr_occ_milli, b.mgr_occ_milli);
+        EXPECT_TRUE(test::same_result(runs[0], runs[i], scenario::FieldKind::kKernel));
     }
 }
 

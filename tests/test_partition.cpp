@@ -11,6 +11,8 @@
 #include "scenario/registry.hpp"
 #include "sim/rng.hpp"
 
+#include "same_result.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,25 +131,6 @@ scenario::ScenarioConfig mesh4x4_cell(std::uint32_t link_latency) {
     return scenario::ScenarioConfig{};
 }
 
-void expect_partition_invariant(const scenario::ScenarioResult& ref,
-                                const scenario::ScenarioResult& got) {
-    EXPECT_EQ(got.run_cycles, ref.run_cycles);
-    EXPECT_EQ(got.ops, ref.ops);
-    EXPECT_EQ(got.load_lat_mean, ref.load_lat_mean);
-    EXPECT_EQ(got.load_lat_p99, ref.load_lat_p99);
-    EXPECT_EQ(got.load_lat_max, ref.load_lat_max);
-    EXPECT_EQ(got.store_lat_max, ref.store_lat_max);
-    EXPECT_EQ(got.dma_bytes, ref.dma_bytes);
-    EXPECT_EQ(got.fabric_hops, ref.fabric_hops);
-    EXPECT_EQ(got.xbar_w_stalls, ref.xbar_w_stalls);
-    EXPECT_EQ(got.simulated_cycles, ref.simulated_cycles);
-    EXPECT_EQ(got.mon_lat_p50, ref.mon_lat_p50);
-    EXPECT_EQ(got.mon_lat_p99, ref.mon_lat_p99);
-    EXPECT_EQ(got.mgr_p99, ref.mgr_p99);
-    EXPECT_EQ(got.mgr_flagged, ref.mgr_flagged);
-    EXPECT_EQ(got.mgr_detect, ref.mgr_detect);
-}
-
 class PartitionInvariance : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PartitionInvariance, RandomTileMapsAreBitIdentical) {
@@ -165,7 +148,8 @@ TEST_P(PartitionInvariance, RandomTileMapsAreBitIdentical) {
         cfg.tile_shards = std::move(map);
         SCOPED_TRACE(testing::Message() << what << " link_latency=" << latency
                                         << " shards=" << shards);
-        expect_partition_invariant(ref, scenario::run_scenario(cfg));
+        EXPECT_TRUE(test::same_result(ref, scenario::run_scenario(cfg),
+                                      scenario::FieldKind::kKernel));
     };
 
     // Pathological maps first: everything on one shard (three shards idle),

@@ -6,6 +6,8 @@
 #include "scenario/scenario.hpp"
 #include "sim/rng.hpp"
 
+#include "same_result.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -105,25 +107,6 @@ TEST(RunScenario, SeedSelectsTheRandomWorkload) {
 
 // --- Parallel runner ---------------------------------------------------------
 
-void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.run_cycles, b.run_cycles);
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.load_lat_mean, b.load_lat_mean);
-    EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-    EXPECT_EQ(a.store_lat_mean, b.store_lat_mean);
-    EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-    EXPECT_EQ(a.dma_depletions, b.dma_depletions);
-    EXPECT_EQ(a.dma_isolation_cycles, b.dma_isolation_cycles);
-    EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
-    // Same scheduler on both sides: even the host-side evaluation counts
-    // must line up, or the runs were not bit-identical.
-    EXPECT_EQ(a.ticks_executed, b.ticks_executed);
-    EXPECT_EQ(a.ticks_skipped, b.ticks_skipped);
-    EXPECT_EQ(a.fast_forwarded_cycles, b.fast_forwarded_cycles);
-}
-
 TEST(ScenarioRunner, ThreadCountDoesNotChangeResults) {
     Sweep sweep = make_sweep("random-mix");
     for (SweepPoint& p : sweep.points) {
@@ -136,7 +119,9 @@ TEST(ScenarioRunner, ThreadCountDoesNotChangeResults) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(sweep.points[i].label);
-        expect_identical(serial[i], parallel[i]);
+        // Same scheduler on both sides: even the kernel's tick counters
+        // must line up, or the runs were not bit-identical.
+        EXPECT_TRUE(test::same_result(serial[i], parallel[i], FieldKind::kHost));
     }
 }
 
@@ -246,37 +231,6 @@ Sweep quick_smoke_sweep() {
     return sweep;
 }
 
-TEST(Resume, JsonRoundTripRestoresEveryEmittedField) {
-    Sweep sweep = quick_smoke_sweep();
-    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
-    const std::string path = "scenario_resume_roundtrip.json";
-    ASSERT_TRUE(write_json_file(path, sweep, results));
-
-    const auto cache = load_json_results(path);
-    ASSERT_EQ(cache.size(), results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto it = cache.find(config_hash(sweep.points[i].config));
-        ASSERT_NE(it, cache.end()) << sweep.points[i].label;
-        const ScenarioResult& a = results[i];
-        const ScenarioResult& b = it->second;
-        EXPECT_EQ(a.seed, b.seed);
-        EXPECT_EQ(a.boot_ok, b.boot_ok);
-        EXPECT_EQ(a.timed_out, b.timed_out);
-        EXPECT_EQ(a.run_cycles, b.run_cycles);
-        EXPECT_EQ(a.ops, b.ops);
-        EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-        EXPECT_EQ(a.store_lat_max, b.store_lat_max);
-        EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-        EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
-        EXPECT_EQ(a.fabric_hops, b.fabric_hops);
-        EXPECT_EQ(a.ticks_executed, b.ticks_executed);
-        EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
-        // Doubles survive the %.6g round trip only approximately.
-        EXPECT_NEAR(a.load_lat_mean, b.load_lat_mean, 1e-4 * (1.0 + a.load_lat_mean));
-    }
-    std::remove(path.c_str());
-}
-
 TEST(Resume, RunResumedSkipsMatchingPointsAndRerunsChangedOnes) {
     Sweep sweep = quick_smoke_sweep();
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};
@@ -331,48 +285,6 @@ TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {
     std::remove(path.c_str());
 }
 
-TEST(Resume, MonitoredJsonRoundTripRestoresTelemetry) {
-    Sweep sweep = quick_smoke_sweep();
-    sweep.points.resize(2);
-    for (SweepPoint& p : sweep.points) { p.config.monitors.enabled = true; }
-    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
-    const std::string path = "scenario_monitored_roundtrip.json";
-    ASSERT_TRUE(write_json_file(path, sweep, results));
-
-    const auto cache = load_json_results(path);
-    ASSERT_EQ(cache.size(), results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE(sweep.points[i].label);
-        const auto it = cache.find(config_hash(sweep.points[i].config));
-        ASSERT_NE(it, cache.end());
-        const ScenarioResult& a = results[i];
-        const ScenarioResult& b = it->second;
-        ASSERT_TRUE(b.mon_enabled);
-        EXPECT_EQ(a.mon_lat_p50, b.mon_lat_p50);
-        EXPECT_EQ(a.mon_lat_p99, b.mon_lat_p99);
-        EXPECT_EQ(a.mon_lat_p999, b.mon_lat_p999);
-        EXPECT_EQ(a.mon_timeouts, b.mon_timeouts);
-        EXPECT_EQ(a.mon_orphan_rsp, b.mon_orphan_rsp);
-        EXPECT_EQ(a.mon_orphan_req, b.mon_orphan_req);
-        EXPECT_EQ(a.mon_stall_events, b.mon_stall_events);
-        EXPECT_EQ(a.mon_wgap_events, b.mon_wgap_events);
-        EXPECT_EQ(a.mon_true_positives, b.mon_true_positives);
-        EXPECT_EQ(a.mon_false_positives, b.mon_false_positives);
-        EXPECT_EQ(a.mon_false_negatives, b.mon_false_negatives);
-        EXPECT_EQ(a.mon_first_detect, b.mon_first_detect);
-        EXPECT_EQ(a.mgr_p50, b.mgr_p50);
-        EXPECT_EQ(a.mgr_p99, b.mgr_p99);
-        EXPECT_EQ(a.mgr_p999, b.mgr_p999);
-        EXPECT_EQ(a.mgr_flagged, b.mgr_flagged);
-        EXPECT_EQ(a.mgr_signals, b.mgr_signals);
-        EXPECT_EQ(a.mgr_hostile, b.mgr_hostile);
-        EXPECT_EQ(a.mgr_detect, b.mgr_detect);
-        EXPECT_EQ(a.mgr_occ_milli, b.mgr_occ_milli);
-        EXPECT_FALSE(b.mgr_p99.empty());
-    }
-    std::remove(path.c_str());
-}
-
 // --- 24-node DoS-matrix point through the parallel runner --------------------
 
 TEST(ScenarioRunner, RingMatrixPointThreadInvariant) {
@@ -390,7 +302,7 @@ TEST(ScenarioRunner, RingMatrixPointThreadInvariant) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(sweep.points[i].label);
-        expect_identical(serial[i], parallel[i]);
+        EXPECT_TRUE(test::same_result(serial[i], parallel[i], FieldKind::kHost));
         EXPECT_GT(serial[i].fabric_hops, 0U);
     }
 }

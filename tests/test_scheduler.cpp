@@ -14,13 +14,17 @@
 #include "sim/link.hpp"
 #include "traffic/dma.hpp"
 
+#include "same_result.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 namespace realm {
 namespace {
 
+using scenario::FieldKind;
 using sim::Component;
 using sim::Cycle;
 using sim::Link;
@@ -213,25 +217,7 @@ TEST(SchedulerEquivalence, Fig6TopologyBitIdentical) {
     ASSERT_TRUE(naive.boot_ok);
     ASSERT_FALSE(naive.timed_out);
     EXPECT_GT(naive.ops, 0U);
-
-    EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-    EXPECT_EQ(naive.ops, fast.ops);
-    EXPECT_EQ(naive.load_lat_mean, fast.load_lat_mean);
-    EXPECT_EQ(naive.load_lat_min, fast.load_lat_min);
-    EXPECT_EQ(naive.load_lat_max, fast.load_lat_max);
-    EXPECT_EQ(naive.load_lat_p99, fast.load_lat_p99);
-    EXPECT_EQ(naive.store_lat_mean, fast.store_lat_mean);
-    EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-    EXPECT_EQ(naive.dma_bytes, fast.dma_bytes);
-    EXPECT_EQ(naive.dma_read_bw, fast.dma_read_bw);
-    EXPECT_EQ(naive.dma_depletions, fast.dma_depletions);
-    EXPECT_EQ(naive.dma_isolation_cycles, fast.dma_isolation_cycles);
-    EXPECT_EQ(naive.dma_throttle_stalls, fast.dma_throttle_stalls);
-    EXPECT_EQ(naive.dma_cut_through, fast.dma_cut_through);
-    EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-    EXPECT_EQ(naive.dma_mr_bytes_total, fast.dma_mr_bytes_total);
-    EXPECT_EQ(naive.dma_mr_read_lat_mean, fast.dma_mr_read_lat_mean);
-    EXPECT_EQ(naive.simulated_cycles, fast.simulated_cycles);
+    EXPECT_TRUE(test::same_result(naive, fast, FieldKind::kKernel));
 
     // And the activity kernel must actually have saved work. (No full
     // fast-forward here: the looping interference DMA never goes idle;
@@ -350,11 +336,7 @@ TEST(SchedulerEquivalence, DosAttackTopologyBitIdentical) {
     const scenario::ScenarioResult fast = scenario::run_scenario(cfg);
 
     ASSERT_FALSE(naive.timed_out);
-    EXPECT_EQ(naive.run_cycles, fast.run_cycles);
-    EXPECT_EQ(naive.store_lat_mean, fast.store_lat_mean);
-    EXPECT_EQ(naive.store_lat_max, fast.store_lat_max);
-    EXPECT_EQ(naive.xbar_w_stalls, fast.xbar_w_stalls);
-    EXPECT_EQ(naive.dma_cut_through, fast.dma_cut_through);
+    EXPECT_TRUE(test::same_result(naive, fast, FieldKind::kKernel));
 }
 
 // --- Sharded-kernel equivalence ----------------------------------------------
@@ -378,27 +360,6 @@ small_mesh_point(noc::RoutingPolicy routing, unsigned shards,
     return cfg;
 }
 
-/// Field-by-field bit-identity of everything a sharded run could plausibly
-/// perturb (latency distribution, DMA progress, fabric counters, timing).
-void expect_same_results(const scenario::ScenarioResult& a,
-                         const scenario::ScenarioResult& b) {
-    EXPECT_EQ(a.run_cycles, b.run_cycles);
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.load_lat_mean, b.load_lat_mean);
-    EXPECT_EQ(a.load_lat_min, b.load_lat_min);
-    EXPECT_EQ(a.load_lat_max, b.load_lat_max);
-    EXPECT_EQ(a.load_lat_p99, b.load_lat_p99);
-    EXPECT_EQ(a.store_lat_mean, b.store_lat_mean);
-    EXPECT_EQ(a.store_lat_max, b.store_lat_max);
-    EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-    EXPECT_EQ(a.dma_read_bw, b.dma_read_bw);
-    EXPECT_EQ(a.dma_depletions, b.dma_depletions);
-    EXPECT_EQ(a.dma_isolation_cycles, b.dma_isolation_cycles);
-    EXPECT_EQ(a.xbar_w_stalls, b.xbar_w_stalls);
-    EXPECT_EQ(a.fabric_hops, b.fabric_hops);
-    EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
-}
-
 TEST(ShardedKernel, MeshBitIdenticalAcrossShardCountsAndPolicies) {
     for (const noc::RoutingPolicy routing :
          {noc::RoutingPolicy::kXY, noc::RoutingPolicy::kYX,
@@ -414,7 +375,7 @@ TEST(ShardedKernel, MeshBitIdenticalAcrossShardCountsAndPolicies) {
             SCOPED_TRACE(testing::Message()
                          << "routing=" << noc::to_string(routing)
                          << " shards=" << shards);
-            expect_same_results(ref, sharded);
+            EXPECT_TRUE(test::same_result(ref, sharded, FieldKind::kKernel));
         }
     }
 }
@@ -429,7 +390,7 @@ TEST(ShardedKernel, MatchesTickAllScheduler) {
     const scenario::ScenarioResult sharded =
         scenario::run_scenario(small_mesh_point(noc::RoutingPolicy::kO1Turn, 4));
     ASSERT_FALSE(naive.timed_out);
-    expect_same_results(naive, sharded);
+    EXPECT_TRUE(test::same_result(naive, sharded, FieldKind::kKernel));
 }
 
 TEST(ShardedKernel, OddWidthMeshBitIdentical) {
@@ -450,7 +411,7 @@ TEST(ShardedKernel, OddWidthMeshBitIdentical) {
         s.shards = shards;
         s.shard_workers = 2;
         SCOPED_TRACE(testing::Message() << "shards=" << shards);
-        expect_same_results(ref, scenario::run_scenario(s));
+        EXPECT_TRUE(test::same_result(ref, scenario::run_scenario(s), FieldKind::kKernel));
     }
 }
 
@@ -472,7 +433,7 @@ TEST(ShardedKernel, LookaheadBatchedBitIdenticalAcrossShardsAndPolicies) {
             SCOPED_TRACE(testing::Message()
                          << "routing=" << noc::to_string(routing)
                          << " shards=" << shards << " link_latency=4");
-            expect_same_results(ref, sharded);
+            EXPECT_TRUE(test::same_result(ref, sharded, FieldKind::kKernel));
         }
     }
 }
@@ -487,7 +448,7 @@ TEST(ShardedKernel, LookaheadBatchingMatchesTickAllScheduler) {
     const scenario::ScenarioResult sharded = scenario::run_scenario(
         small_mesh_point(noc::RoutingPolicy::kO1Turn, 4, 2));
     ASSERT_FALSE(naive.timed_out);
-    expect_same_results(naive, sharded);
+    EXPECT_TRUE(test::same_result(naive, sharded, FieldKind::kKernel));
 }
 
 TEST(ShardedKernel, BalancedPartitionBitIdentical) {
@@ -500,10 +461,12 @@ TEST(ShardedKernel, BalancedPartitionBitIdentical) {
         for (const unsigned shards : {2U, 8U}) {
             SCOPED_TRACE(testing::Message() << "link_latency=" << latency
                                             << " shards=" << shards);
-            expect_same_results(
-                ref, scenario::run_scenario(small_mesh_point(
-                         noc::RoutingPolicy::kXY, shards, latency,
-                         scenario::PartitionPolicy::kBalanced)));
+            EXPECT_TRUE(test::same_result(
+                ref,
+                scenario::run_scenario(small_mesh_point(
+                    noc::RoutingPolicy::kXY, shards, latency,
+                    scenario::PartitionPolicy::kBalanced)),
+                FieldKind::kKernel));
         }
     }
 }
@@ -534,7 +497,39 @@ TEST(ShardedKernel, RepeatedShardedRunsAreDeterministic) {
     const scenario::ScenarioResult first = scenario::run_scenario(cfg);
     const scenario::ScenarioResult second = scenario::run_scenario(cfg);
     ASSERT_FALSE(first.timed_out);
-    expect_same_results(first, second);
+    EXPECT_TRUE(test::same_result(first, second, FieldKind::kHost));
+}
+
+TEST(ShardedKernel, ProfiledRunMatchesPlainRun) {
+    // The profiled instantiation of the tick walk only adds timing: under
+    // both schedulers and at one and two shards, every field but host
+    // timing (tick counters included) equals the plain run's. A monitored
+    // smoke cell keeps the eight runs cheap.
+    const scenario::Sweep smoke = scenario::make_sweep("mesh-dos-smoke");
+    const auto cell = std::find_if(smoke.points.begin(), smoke.points.end(),
+                                   [](const scenario::SweepPoint& p) {
+                                       return p.label == "1atk/hog/budget";
+                                   });
+    ASSERT_NE(cell, smoke.points.end());
+    for (const Scheduler scheduler : {Scheduler::kActivity, Scheduler::kTickAll}) {
+        for (const unsigned shards : {1U, 2U}) {
+            SCOPED_TRACE(testing::Message()
+                         << "tick-all=" << (scheduler == Scheduler::kTickAll)
+                         << " shards=" << shards);
+            scenario::ScenarioConfig cfg = cell->config;
+            cfg.monitors.enabled = true;
+            cfg.scheduler = scheduler;
+            cfg.shards = shards;
+            cfg.shard_workers = shards;
+            const scenario::ScenarioResult plain = scenario::run_scenario(cfg);
+            cfg.profile = true;
+            const scenario::ScenarioResult profiled = scenario::run_scenario(cfg);
+            ASSERT_FALSE(plain.timed_out);
+            EXPECT_TRUE(plain.profile.empty());
+            EXPECT_FALSE(profiled.profile.empty());
+            EXPECT_TRUE(test::same_result(plain, profiled, FieldKind::kHost));
+        }
+    }
 }
 
 TEST(ShardedKernel, ShrinkingShardCountFoldsCountersIntoShardZero) {

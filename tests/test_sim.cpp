@@ -188,23 +188,6 @@ TEST(LatencyStat, TracksMinMeanMax) {
     EXPECT_DOUBLE_EQ(s.mean(), 8.0);
 }
 
-TEST(LatencyStat, QuantileApproximatesDistribution) {
-    LatencyStat s;
-    for (Cycle v = 1; v <= 1000; ++v) { s.record(v); }
-    EXPECT_GE(s.quantile(0.99), 500U);
-    EXPECT_LE(s.quantile(0.10), 255U);
-}
-
-TEST(StatSet, NamedCountersAccumulate) {
-    StatSet set;
-    set.counter("a") += 3;
-    set.counter("a") += 2;
-    set.counter("b") = 7;
-    EXPECT_EQ(set.get("a"), 5U);
-    EXPECT_EQ(set.get("b"), 7U);
-    EXPECT_EQ(set.get("missing"), 0U);
-}
-
 TEST(Check, ViolationCarriesLocationAndMessage) {
     try {
         REALM_EXPECTS(false, "something broke");
