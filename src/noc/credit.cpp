@@ -17,6 +17,27 @@ void NocFlowConfig::validate() const {
     REALM_EXPECTS(link_latency >= 1, "link_latency must be >= 1");
 }
 
+CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
+                       const NocFlowConfig& fc)
+    : n_{num_nodes}, subs_{std::move(subordinate_nodes)},
+      slot_(num_nodes, kNoSlot) {
+    for (std::size_t s = 0; s < subs_.size(); ++s) {
+        const NodeId node = subs_[s];
+        REALM_EXPECTS(node < n_, "subordinate node out of range");
+        REALM_EXPECTS(slot_[node] == kNoSlot, "subordinate node listed twice");
+        slot_[node] = static_cast<NodeId>(s);
+    }
+    // Built once and never resized: the credit-return hooks hold pointers
+    // into these vectors.
+    const std::size_t pools = subs_.size() * n_;
+    req_.reserve(pools);
+    rsp_.reserve(pools);
+    for (std::size_t i = 0; i < pools; ++i) {
+        req_.emplace_back(fc.e2e_credits);
+        rsp_.emplace_back(fc.e2e_credits);
+    }
+}
+
 void NocLink::commit(Entry e) {
     VcState& s = vc_[e.pkt.vc];
     REALM_ENSURES(s.count < cap_, name_ + ": VC ring overflow");

@@ -48,8 +48,8 @@
 #include "sim/ring.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace realm::noc {
@@ -249,79 +249,80 @@ private:
     bool return_deferred_ = false;
 };
 
-/// Every end-to-end pool of one fabric: request pools indexed by
-/// (target subordinate node, source manager node) and response pools by
-/// (target manager node, source subordinate node). Kept separate so the
+/// Every end-to-end pool of one fabric, in one dense table over
+/// (subordinate slot x node): request pools keyed by (target subordinate,
+/// source node) and response pools by (target node, source subordinate).
+/// Only subordinate nodes receive requests or send responses, so these are
+/// exactly the pairs that can carry traffic; a lookup for any other pair
+/// asserts. Request and response pools are kept separate so the
 /// request/response protocol split stays deadlock-free under credit
 /// exhaustion.
 ///
-/// Pools materialize lazily: a 32x32 mesh would otherwise eagerly build
-/// 2 x 1024^2 pools, of which the role map ever touches a few thousand
-/// (managers x memories). `unordered_map` is node-based, so references
-/// handed to the credit-return closures stay valid forever.
-///
-/// Sharded fabrics must `freeze()` the book after materializing every pool
-/// their tick phase can touch (the mesh constructor touches req pools via
-/// `wire_credit_returns` and rsp pools explicitly): `pool()` inserts into a
-/// map shared by all shards, so lazy materialization from concurrent ticks
-/// would be a data race. After `freeze()`, looking up a pool that was never
-/// materialized asserts instead of inserting.
+/// The book also owns the fabric's one node -> subordinate-slot map (a
+/// slot is the node's position in the subordinate list); the fabrics and
+/// every `NocNi` size and index their per-subordinate state through it.
+/// The table is complete at construction and never resized, so the pool
+/// references handed to the credit-return hooks stay valid and the sharded
+/// tick phase never mutates the book's structure; each pool keeps its own
+/// one-writer-per-side contract (see `CreditPool`).
 class CreditBook {
 public:
-    CreditBook(NodeId num_nodes, const NocFlowConfig& fc)
-        : n_{num_nodes}, credits_{fc.e2e_credits} {}
+    /// `slot()` of a node that hosts no subordinate.
+    static constexpr NodeId kNoSlot = std::numeric_limits<NodeId>::max();
 
-    [[nodiscard]] CreditPool& req(NodeId dest, NodeId src) const {
-        return pool(req_, dest, src);
+    /// \param subordinate_nodes  nodes hosting a subordinate, each below
+    ///                           `num_nodes` and listed once (asserted).
+    CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
+               const NocFlowConfig& fc);
+
+    /// Pool for requests from node `src` toward subordinate node `dest`.
+    [[nodiscard]] CreditPool& req(NodeId dest, NodeId src) {
+        return req_[index(dest, src)];
     }
-    [[nodiscard]] CreditPool& rsp(NodeId dest, NodeId src) const {
-        return pool(rsp_, dest, src);
+    [[nodiscard]] const CreditPool& req(NodeId dest, NodeId src) const {
+        return req_[index(dest, src)];
+    }
+    /// Pool for responses from subordinate node `src` toward node `dest`.
+    [[nodiscard]] CreditPool& rsp(NodeId dest, NodeId src) {
+        return rsp_[index(src, dest)];
+    }
+    [[nodiscard]] const CreditPool& rsp(NodeId dest, NodeId src) const {
+        return rsp_[index(src, dest)];
     }
 
     [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
-
-    /// Forbids materializing further pools: every later `req`/`rsp` call
-    /// must hit an existing pool (asserted). Called once the single-threaded
-    /// construction phase has touched every pool the fabric can reach, so
-    /// the parallel tick phase never mutates the shared maps.
-    void freeze() noexcept { frozen_ = true; }
-    [[nodiscard]] bool frozen() const noexcept { return frozen_; }
-    /// Number of materialized pools (tests assert a frozen book stops
-    /// growing — the map must never mutate during the parallel tick phase).
-    [[nodiscard]] std::size_t materialized() const noexcept {
-        return req_.size() + rsp_.size();
+    /// Subordinate nodes, in slot order.
+    [[nodiscard]] const std::vector<NodeId>& subordinates() const noexcept {
+        return subs_;
     }
+    /// Subordinate slot of `node`, or `kNoSlot` when it hosts none.
+    [[nodiscard]] NodeId slot(NodeId node) const {
+        REALM_EXPECTS(node < n_, "node id out of range");
+        return slot_[node];
+    }
+    /// Pools per direction: subordinates x nodes.
+    [[nodiscard]] std::size_t pools() const noexcept { return req_.size(); }
 
-    /// Asserts conservation on every (materialized) pool.
+    /// Asserts conservation on every pool.
     void check_conserved() const {
-        for (const auto& [key, p] : req_) { p.check_conserved(); }
-        for (const auto& [key, p] : rsp_) { p.check_conserved(); }
+        for (const CreditPool& p : req_) { p.check_conserved(); }
+        for (const CreditPool& p : rsp_) { p.check_conserved(); }
     }
 
 private:
-    using PoolMap = std::unordered_map<std::uint32_t, CreditPool>;
-
-    [[nodiscard]] CreditPool& pool(PoolMap& m, NodeId dest, NodeId src) const {
-        REALM_EXPECTS(dest < n_ && src < n_, "credit pool index out of range");
-        const std::uint32_t key =
-            (static_cast<std::uint32_t>(dest) << 16) | src;
-        if (frozen_) {
-            const auto it = m.find(key);
-            REALM_EXPECTS(it != m.end(),
-                          "credit pool lookup after freeze for a pool never "
-                          "materialized during construction");
-            return it->second;
-        }
-        return m.try_emplace(key, credits_).first->second;
+    /// Table index of the pair (subordinate node `sub`, node `node`).
+    [[nodiscard]] std::size_t index(NodeId sub, NodeId node) const {
+        REALM_EXPECTS(sub < n_ && node < n_, "credit pool index out of range");
+        REALM_EXPECTS(slot_[sub] != kNoSlot,
+                      "credit pool for a pair without a subordinate end");
+        return static_cast<std::size_t>(slot_[sub]) * n_ + node;
     }
 
     NodeId n_;
-    std::uint32_t credits_;
-    bool frozen_ = false;
-    /// Mutable: materializing an untouched pool is unobservable (it is
-    /// born full), so const callers may trigger it.
-    mutable PoolMap req_;
-    mutable PoolMap rsp_;
+    std::vector<NodeId> subs_; ///< slot -> node
+    std::vector<NodeId> slot_; ///< node -> slot or kNoSlot
+    std::vector<CreditPool> req_;
+    std::vector<CreditPool> rsp_;
 };
 
 /// One NoC link: a physical wormhole channel carrying `num_vcs` virtual

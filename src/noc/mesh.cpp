@@ -13,7 +13,7 @@ namespace realm::noc {
 // ---------------------------------------------------------------------------
 
 MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
-                       NodeId cols, NodeId num_nodes, ic::AddrMap map,
+                       NodeId cols, ic::AddrMap map,
                        axi::AxiChannel* local_mgr,
                        std::vector<axi::AxiChannel*> egress, Ports ports,
                        const NocFlowConfig& fc, CreditBook* book,
@@ -27,7 +27,7 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
       ports_{ports},
       routing_{routing},
       num_vcs_{route_num_vcs(routing)},
-      ni_{ctx, this->name(), num_nodes, fc, book, routing, deferred_credits} {
+      ni_{ctx, this->name(), node_id, fc, book, routing, deferred_credits} {
     // Activity-aware kernel wiring: every neighbor link feeding this router
     // has exactly one consumer (this router), so claiming the push hooks is
     // safe; the local manager and egress channels follow the ring-NI scheme.
@@ -166,7 +166,7 @@ void MeshRouter::service_network(bool request_net) {
 
 void MeshRouter::inject_requests() {
     if (local_mgr_ == nullptr) { return; }
-    if (ni_.inject_requests(id_, *local_mgr_, map_,
+    if (ni_.inject_requests(*local_mgr_, map_,
                             [this](NodeId dest, std::uint32_t flits,
                                    std::uint8_t vc) {
                                 return route_out(/*request_net=*/true, dest, flits,
@@ -178,7 +178,7 @@ void MeshRouter::inject_requests() {
 
 void MeshRouter::inject_responses() {
     if (egress_.empty()) { return; }
-    if (ni_.inject_responses(id_, egress_,
+    if (ni_.inject_responses(egress_,
                              [this](NodeId dest, std::uint32_t flits,
                                     std::uint8_t vc) {
                                  return route_out(/*request_net=*/false, dest,
@@ -226,8 +226,8 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  NodeId cols, ic::AddrMap node_map,
                  std::vector<NodeId> subordinate_nodes, NocFlowConfig flow,
                  RoutingPolicy routing, std::vector<unsigned> tile_shards)
-    : rows_{rows}, cols_{cols}, flow_{flow}, routing_{routing},
-      tile_shards_{std::move(tile_shards)} {
+    : rows_{rows}, cols_{cols}, tile_shards_{std::move(tile_shards)},
+      flow_{flow}, routing_{routing} {
     const std::uint32_t n32 = static_cast<std::uint32_t>(rows) * cols;
     REALM_EXPECTS(n32 >= 2, "a mesh needs at least two nodes");
     REALM_EXPECTS(n32 <= 65535, "node ids are 16-bit");
@@ -253,11 +253,8 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             REALM_EXPECTS(s < shards, "tile_shards entry out of shard range");
         }
     }
-    sub_index_.assign(n, -1);
-    for (const NodeId s : subordinate_nodes) {
-        REALM_EXPECTS(s < n, "subordinate node out of range");
-    }
-    book_ = std::make_unique<CreditBook>(n, flow_);
+    book_ = std::make_unique<CreditBook>(n, std::move(subordinate_nodes), flow_);
+    const std::vector<NodeId>& subs = book_->subordinates();
 
     // Channels and links first (plain objects, no tick order concerns).
     // The routing policy fixes the per-link VC count (O1TURN needs one VC
@@ -295,19 +292,19 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             make_link(v_rsp_rev_, i, ".vrsp_n");
         }
     }
-    egress_.resize(n);
-    for (const NodeId s : subordinate_nodes) {
+    egress_.resize(subs.size());
+    for (std::size_t slot = 0; slot < subs.size(); ++slot) {
+        const NodeId s = subs[slot];
         const sim::ShardScope scope{ctx, shard_of_node(s)};
         std::vector<axi::AxiChannel*> egress_raw;
         for (NodeId src = 0; src < n; ++src) {
-            egress_[s].push_back(std::make_unique<axi::AxiChannel>(
+            egress_[slot].push_back(std::make_unique<axi::AxiChannel>(
                 ctx, name + ".eg" + std::to_string(s) + "_" + std::to_string(src),
                 staging_depth(flow_)));
-            wire_credit_returns(ctx, *egress_[s].back(), book_->req(s, src), flow_,
-                                /*deferred=*/true);
-            egress_raw.push_back(egress_[s].back().get());
+            wire_credit_returns(ctx, *egress_[slot].back(), book_->req(s, src),
+                                flow_, /*deferred=*/true);
+            egress_raw.push_back(egress_[slot].back().get());
         }
-        sub_index_[s] = static_cast<int>(sub_ports_.size());
         sub_ports_.push_back(std::make_unique<axi::AxiChannel>(
             ctx, name + ".sub" + std::to_string(s)));
         muxes_.push_back(std::make_unique<ic::AxiMux>(ctx, name + ".mux" + std::to_string(s),
@@ -315,23 +312,14 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                                                       *sub_ports_.back()));
     }
 
-    // Pre-materialize every credit pool the tick phase can touch, then
-    // freeze the book: pool lookups insert into a map shared by all shards,
-    // which must only ever happen here, single-threaded. Request pools
-    // (subordinate dest x any src) materialized above via
-    // wire_credit_returns; response pools are (manager dest x subordinate
-    // src) — responses only ever originate at subordinate nodes.
-    for (NodeId d = 0; d < n; ++d) {
-        for (const NodeId s : subordinate_nodes) { book_->rsp(d, s); }
-    }
-    book_->freeze();
-
     // Routers last, in node order (construction order fixes tick order).
     const auto dir = [](MeshDir d) { return static_cast<std::size_t>(d); };
     for (NodeId i = 0; i < n; ++i) {
         const sim::ShardScope scope{ctx, shard_of_node(i)};
         std::vector<axi::AxiChannel*> egress_raw;
-        for (const auto& ch : egress_[i]) { egress_raw.push_back(ch.get()); }
+        if (const NodeId slot = book_->slot(i); slot != CreditBook::kNoSlot) {
+            for (const auto& ch : egress_[slot]) { egress_raw.push_back(ch.get()); }
+        }
 
         MeshRouter::Ports p;
         if (i % cols != cols - 1U) { // east neighbor at i+1
@@ -359,16 +347,16 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             p.rsp_in[dir(MeshDir::kNorth)] = v_rsp_fwd_[i - cols].get();
         }
         routers_.push_back(std::make_unique<MeshRouter>(
-            ctx, name + ".r" + std::to_string(i), i, cols, n, node_map,
+            ctx, name + ".r" + std::to_string(i), i, cols, node_map,
             mgr_ports_[i].get(), std::move(egress_raw), p, flow_, book_.get(),
             routing_, /*deferred_credits=*/true));
     }
 }
 
 axi::AxiChannel& NocMesh::subordinate_port(NodeId node) {
-    REALM_EXPECTS(node < sub_index_.size() && sub_index_[node] >= 0,
-                  "node hosts no subordinate");
-    return *sub_ports_[static_cast<std::size_t>(sub_index_[node])];
+    const NodeId slot = book_->slot(node);
+    REALM_EXPECTS(slot != CreditBook::kNoSlot, "node hosts no subordinate");
+    return *sub_ports_[slot];
 }
 
 std::uint64_t NocMesh::total_forwarded() const noexcept {
@@ -404,26 +392,23 @@ void NocMesh::check_flow_invariants() const {
     check_links(v_req_rev_);
     check_links(v_rsp_fwd_);
     check_links(v_rsp_rev_);
-    for (std::size_t s = 0; s < egress_.size(); ++s) {
-        for (std::size_t src = 0; src < egress_[s].size(); ++src) {
-            check_staging_invariants(
-                *egress_[s][src],
-                book_->req(static_cast<NodeId>(s), static_cast<NodeId>(src)),
-                flow_,
-                routers_[s]->ni().stashed_request_flits(
-                    static_cast<NodeId>(src)));
+    const std::vector<NodeId>& subs = book_->subordinates();
+    const NodeId n = num_nodes();
+    for (std::size_t slot = 0; slot < subs.size(); ++slot) {
+        const NocNi& ni = routers_[subs[slot]]->ni();
+        for (NodeId src = 0; src < n; ++src) {
+            check_staging_invariants(*egress_[slot][src], book_->req(subs[slot], src),
+                                     flow_, ni.stashed_request_flits(src));
         }
     }
     // Response reorder stashes are bounded by the response pools: a stashed
     // response still holds its end-to-end credits. Only subordinate nodes
-    // source responses (the frozen book holds exactly those pools).
-    for (std::size_t d = 0; d < routers_.size(); ++d) {
-        for (NodeId src = 0; src < routers_.size(); ++src) {
-            if (sub_index_[src] < 0) { continue; }
-            REALM_ENSURES(
-                routers_[d]->ni().stashed_response_flits(src) <=
-                    book_->rsp(static_cast<NodeId>(d), src).in_flight(),
-                "stashed response flits without matching in-flight credits");
+    // source responses (the book holds exactly those pools).
+    for (NodeId d = 0; d < n; ++d) {
+        for (const NodeId s : subs) {
+            REALM_ENSURES(routers_[d]->ni().stashed_response_flits(s) <=
+                              book_->rsp(d, s).in_flight(),
+                          "stashed response flits without matching in-flight credits");
         }
     }
 }

@@ -66,7 +66,7 @@ public:
     ///        flush (required under spatial sharding; `NocMesh` always
     ///        passes true so behaviour never depends on the shard count).
     MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
-               NodeId cols, NodeId num_nodes, ic::AddrMap map,
+               NodeId cols, ic::AddrMap map,
                axi::AxiChannel* local_mgr,
                std::vector<axi::AxiChannel*> egress, Ports ports,
                const NocFlowConfig& fc, CreditBook* book,
@@ -143,7 +143,8 @@ private:
 class NocMesh {
 public:
     /// \param node_map          decodes addresses to node ids (row-major).
-    /// \param subordinate_nodes nodes hosting a local subordinate.
+    /// \param subordinate_nodes nodes hosting a local subordinate, each
+    ///        listed once (asserted by the `CreditBook`).
     /// \param flow              transport model and its knobs (shared with
     ///        `NocRing` — the flow-control argument is fabric-independent).
     /// \param routing           routing policy applied fabric-wide (fixes
@@ -226,12 +227,12 @@ private:
     std::vector<std::unique_ptr<NocLink>> h_rsp_fwd_, h_rsp_rev_;
     std::vector<std::unique_ptr<NocLink>> v_req_fwd_, v_req_rev_;
     std::vector<std::unique_ptr<NocLink>> v_rsp_fwd_, v_rsp_rev_;
-    /// egress_[node][src] (nullptr when `node` hosts no subordinate).
+    /// Per subordinate slot (see `CreditBook::slot`): egress_[slot][src],
+    /// the subordinate port and its mux.
     std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;
     std::vector<std::unique_ptr<axi::AxiChannel>> sub_ports_;
     std::vector<std::unique_ptr<ic::AxiMux>> muxes_;
     std::vector<std::unique_ptr<MeshRouter>> routers_;
-    std::vector<int> sub_index_; ///< node -> index into sub_ports_ or -1
 };
 
 } // namespace realm::noc

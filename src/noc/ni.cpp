@@ -2,7 +2,26 @@
 
 #include "sim/check.hpp"
 
+#include <utility>
+
 namespace realm::noc {
+
+NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
+             const NocFlowConfig& fc, CreditBook* book, RoutingPolicy routing,
+             bool deferred_credits)
+    : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book},
+      routing_{routing}, deferred_credits_{deferred_credits}, self_{self} {
+    REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
+    REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
+                  owner_ + ": deferred credit returns need delay >= 1");
+    const std::size_t subs = book_->subordinates().size();
+    const std::size_t peers =
+        book_->slot(self_) == CreditBook::kNoSlot ? 0 : book_->num_nodes();
+    req_seq_.assign(subs, 0);
+    rsp_reorder_.resize(subs);
+    rsp_seq_.assign(peers, 0);
+    req_reorder_.resize(peers);
+}
 
 void NocNi::reset() {
     w_dest_.clear();
@@ -25,7 +44,7 @@ void NocNi::reset() {
 }
 
 void NocNi::update_rsp_stash_index(NodeId src) {
-    const bool nonempty = !rsp_reorder_[src].stash.empty();
+    const bool nonempty = !rsp_reorder(src).stash.empty();
     const auto it =
         std::lower_bound(rsp_stash_srcs_.begin(), rsp_stash_srcs_.end(), src);
     const bool present = it != rsp_stash_srcs_.end() && *it == src;
@@ -126,9 +145,9 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
 void NocNi::drain_response_stash(axi::AxiChannel* local_mgr) {
     if (local_mgr == nullptr || rsp_stash_srcs_.empty()) { return; }
     // Iterate a snapshot (ascending source): draining rewrites the index.
-    const std::vector<NodeId> srcs = rsp_stash_srcs_;
-    for (const NodeId src : srcs) {
-        Reorder& ro = rsp_reorder_[src];
+    rsp_stash_scan_.assign(rsp_stash_srcs_.begin(), rsp_stash_srcs_.end());
+    for (const NodeId src : rsp_stash_scan_) {
+        Reorder& ro = rsp_reorder(src);
         drain_stash(arena_, ro, [&](const NocPacket& p) {
             return deliver_response(p, *local_mgr);
         });
@@ -139,7 +158,7 @@ void NocNi::drain_response_stash(axi::AxiChannel* local_mgr) {
 bool NocNi::try_eject_response(const NocPacket& pkt, axi::AxiChannel* local_mgr) {
     REALM_EXPECTS(local_mgr != nullptr,
                   owner_ + ": response ejected at a node without a manager");
-    Reorder& ro = rsp_reorder_[pkt.src];
+    Reorder& ro = rsp_reorder(pkt.src);
     if (pkt.seq != ro.expected) {
         const bool inserted = ro.stash_insert(arena_, pkt.seq, pkt);
         REALM_ENSURES(inserted, owner_ + ": duplicate response sequence number");

@@ -32,10 +32,14 @@
 /// so it adds no unbounded buffer; under single-path policies (XY, YX, the
 /// ring) arrivals are always in order and the stash stays empty.
 ///
-/// **Hot-path layout.** Every per-cycle table is contiguous and indexed by
-/// node id (sequence counters, reorder state) or scanned linearly over a
-/// handful of live entries (same-ID tracking) — the former per-pair
-/// `std::map` / `std::unordered_map` node churn is gone, which is what the
+/// **Hot-path layout.** Every per-cycle table is contiguous and sized by
+/// the pairs that can carry traffic, through the credit book's node ->
+/// subordinate-slot map: every NI keeps one request sequence counter and
+/// one response reorder state per subordinate slot, and only a subordinate
+/// NI keeps a response sequence counter and a request reorder state per
+/// node. Same-ID tracking is scanned linearly over a handful of live
+/// entries. Per-fabric pair state is therefore subordinates x nodes, not
+/// nodes squared, and there is no node-based container on the path the
 /// 16x16/32x32 fabrics tick millions of times.
 #pragma once
 
@@ -59,8 +63,9 @@ namespace realm::noc {
 class NocNi {
 public:
     /// \param ctx        Simulation clock (credit-return maturation).
-    /// \param num_nodes  Fabric size — dimensions the per-node tables.
-    /// \param book       End-to-end credit book of the fabric (required).
+    /// \param self       Node this NI serves.
+    /// \param book       End-to-end credit book of the fabric (required);
+    ///                   its subordinate-slot map sizes the pair tables.
     /// \param routing    Routing policy of the fabric — the NI assigns each
     ///                   worm's route class / VC at injection (kXY for the
     ///                   ring and every other single-path fabric).
@@ -68,18 +73,10 @@ public:
     ///                   flush instead of releasing inline — required when
     ///                   the fabric is spatially sharded (mesh), where the
     ///                   released pool's taker may live on another shard.
-    NocNi(const sim::SimContext& ctx, std::string owner, NodeId num_nodes,
+    NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
           const NocFlowConfig& fc, CreditBook* book,
           RoutingPolicy routing = RoutingPolicy::kXY,
-          bool deferred_credits = false)
-        : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book},
-          routing_{routing}, deferred_credits_{deferred_credits},
-          req_seq_(num_nodes, 0), rsp_seq_(num_nodes, 0),
-          req_reorder_(num_nodes), rsp_reorder_(num_nodes) {
-        REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
-        REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
-                      owner_ + ": deferred credit returns need delay >= 1");
-    }
+          bool deferred_credits = false);
 
     void reset();
 
@@ -127,8 +124,8 @@ public:
     /// credits from the target subordinate's pool; a credit-starved head
     /// holds its lane exactly like link backpressure.
     template <typename RouteFn>
-    bool inject_requests(NodeId self, axi::AxiChannel& mgr,
-                         const ic::AddrMap& map, RouteFn&& route) {
+    bool inject_requests(axi::AxiChannel& mgr, const ic::AddrMap& map,
+                         RouteFn&& route) {
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
         if (mgr.aw.can_pop()) {
             const axi::AwFlit& head = mgr.aw.front();
@@ -139,16 +136,15 @@ public:
             const bool ordering_ok =
                 fl == nullptr || fl->count == 0 || fl->dest == dest;
             if (ordering_ok) {
-                if (NocLink* out = try_route(self, dest, 1, /*request_net=*/true,
-                                             route)) {
+                if (NocLink* out = try_route(dest, 1, /*request_net=*/true, route)) {
                     axi::AwFlit aw = mgr.aw.pop();
                     InFlight& slot = in_flight_slot(w_in_flight_, aw.id);
                     slot.dest = dest;
                     ++slot.count;
                     w_dest_.push_back(dest);
                     w_beats_left_.push_back(aw.beats());
-                    req_take(self, dest, 1);
-                    out->push(make_packet(self, dest, 1, /*request_net=*/true, aw));
+                    pair_pool(dest, /*request_net=*/true).take(1);
+                    out->push(make_packet(dest, 1, /*request_net=*/true, aw));
                     return true;
                 }
                 return false; // hold the AW; W/AR behind it wait their turn
@@ -156,12 +152,11 @@ public:
         }
         if (!w_dest_.empty() && mgr.w.can_pop()) {
             const NodeId dest = w_dest_.front();
-            if (NocLink* out = try_route(self, dest, data_flits,
-                                         /*request_net=*/true, route)) {
+            if (NocLink* out =
+                    try_route(dest, data_flits, /*request_net=*/true, route)) {
                 axi::WFlit w = mgr.w.pop();
-                req_take(self, dest, data_flits);
-                out->push(make_packet(self, dest, data_flits, /*request_net=*/true,
-                                      w));
+                pair_pool(dest, /*request_net=*/true).take(data_flits);
+                out->push(make_packet(dest, data_flits, /*request_net=*/true, w));
                 if (--w_beats_left_.front() == 0) {
                     REALM_ENSURES(w.last, owner_ + ": W burst ended without WLAST");
                     w_dest_.pop_front();
@@ -180,14 +175,13 @@ public:
             const bool ordering_ok =
                 fl == nullptr || fl->count == 0 || fl->dest == dest;
             if (!ordering_ok) { return false; }
-            if (NocLink* out = try_route(self, dest, 1, /*request_net=*/true,
-                                         route)) {
+            if (NocLink* out = try_route(dest, 1, /*request_net=*/true, route)) {
                 axi::ArFlit ar = mgr.ar.pop();
                 InFlight& slot = in_flight_slot(r_in_flight_, ar.id);
                 slot.dest = dest;
                 ++slot.count;
-                req_take(self, dest, 1);
-                out->push(make_packet(self, dest, 1, /*request_net=*/true, ar));
+                pair_pool(dest, /*request_net=*/true).take(1);
+                out->push(make_packet(dest, 1, /*request_net=*/true, ar));
                 return true;
             }
         }
@@ -200,8 +194,7 @@ public:
     /// the outgoing link, or nullptr on backpressure — a blocked or
     /// credit-starved source does not stop a routable one.
     template <typename RouteFn>
-    bool inject_responses(NodeId self,
-                          const std::vector<axi::AxiChannel*>& egress,
+    bool inject_responses(const std::vector<axi::AxiChannel*>& egress,
                           RouteFn&& route) {
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
         const auto n = static_cast<std::uint32_t>(egress.size());
@@ -211,10 +204,10 @@ public:
             if (ch == nullptr) { continue; }
             const auto dest = static_cast<NodeId>(src);
             if (ch->b.can_pop()) {
-                if (NocLink* out = try_route(self, dest, 1, /*request_net=*/false,
-                                             route)) {
-                    rsp_take(self, dest, 1);
-                    out->push(make_packet(self, dest, 1, /*request_net=*/false,
+                if (NocLink* out =
+                        try_route(dest, 1, /*request_net=*/false, route)) {
+                    pair_pool(dest, /*request_net=*/false).take(1);
+                    out->push(make_packet(dest, 1, /*request_net=*/false,
                                           ch->b.pop()));
                     rsp_rr_ = src;
                     return true;
@@ -222,11 +215,11 @@ public:
                 continue;
             }
             if (ch->r.can_pop()) {
-                if (NocLink* out = try_route(self, dest, data_flits,
+                if (NocLink* out = try_route(dest, data_flits,
                                              /*request_net=*/false, route)) {
-                    rsp_take(self, dest, data_flits);
-                    out->push(make_packet(self, dest, data_flits,
-                                          /*request_net=*/false, ch->r.pop()));
+                    pair_pool(dest, /*request_net=*/false).take(data_flits);
+                    out->push(make_packet(dest, data_flits, /*request_net=*/false,
+                                          ch->r.pop()));
                     rsp_rr_ = src;
                     return true;
                 }
@@ -244,11 +237,12 @@ public:
     /// Flits stashed out of order for request packets from `src` (0 under
     /// single-path policies).
     [[nodiscard]] std::uint32_t stashed_request_flits(NodeId src) const {
-        return stashed_flits(arena_, req_reorder_, src);
+        return src < req_reorder_.size() ? stashed_flits(req_reorder_[src]) : 0;
     }
     /// Flits stashed out of order for response packets from `src`.
     [[nodiscard]] std::uint32_t stashed_response_flits(NodeId src) const {
-        return stashed_flits(arena_, rsp_reorder_, src);
+        const NodeId slot = book_->slot(src);
+        return slot == CreditBook::kNoSlot ? 0 : stashed_flits(rsp_reorder_[slot]);
     }
     ///@}
 
@@ -288,17 +282,35 @@ private:
         }
     };
 
+    /// Injection sequence counter of the (self, `dest`) pair: requests only
+    /// target subordinates (one counter per slot), responses only leave a
+    /// subordinate NI (one counter per node).
+    [[nodiscard]] std::uint16_t& next_seq(NodeId dest, bool request_net) {
+        return request_net ? req_seq_[book_->slot(dest)] : rsp_seq_[dest];
+    }
+    /// End-to-end pool of the (self, `dest`) pair; asserts the pair has a
+    /// subordinate end, which also bounds the `next_seq` index.
+    [[nodiscard]] CreditPool& pair_pool(NodeId dest, bool request_net) {
+        return request_net ? book_->req(dest, self_) : book_->rsp(dest, self_);
+    }
+    /// Reorder state for responses from subordinate node `src`.
+    [[nodiscard]] Reorder& rsp_reorder(NodeId src) {
+        const NodeId slot = book_->slot(src);
+        REALM_EXPECTS(slot != CreditBook::kNoSlot,
+                      owner_ + ": response from a node without a subordinate");
+        return rsp_reorder_[slot];
+    }
+
     template <typename Flit>
-    [[nodiscard]] NocPacket make_packet(NodeId self, NodeId dest,
-                                        std::uint32_t flits, bool request_net,
-                                        Flit&& flit) {
-        std::uint16_t& seq = (request_net ? req_seq_ : rsp_seq_)[dest];
+    [[nodiscard]] NocPacket make_packet(NodeId dest, std::uint32_t flits,
+                                        bool request_net, Flit&& flit) {
+        std::uint16_t& seq = next_seq(dest, request_net);
         NocPacket pkt;
-        pkt.src = self;
+        pkt.src = self_;
         pkt.dest = dest;
         pkt.flits = static_cast<std::uint8_t>(flits);
         pkt.seq = seq++;
-        pkt.vc = route_class(routing_, self, dest, pkt.seq);
+        pkt.vc = route_class(routing_, self_, dest, pkt.seq);
         pkt.flit = std::forward<Flit>(flit);
         return pkt;
     }
@@ -307,22 +319,13 @@ private:
     /// credit returns first so a delayed return becomes visible the cycle
     /// it arrives.
     template <typename RouteFn>
-    [[nodiscard]] NocLink* try_route(NodeId self, NodeId dest,
-                                     std::uint32_t flits, bool request_net,
-                                     RouteFn&& route) {
-        CreditPool& pool = request_net ? book_->req(dest, self)
-                                       : book_->rsp(dest, self);
-        pool.settle(ctx_->now());
-        if (!pool.can_take(flits)) { return nullptr; }
-        const std::uint16_t seq = (request_net ? req_seq_ : rsp_seq_)[dest];
-        return route(dest, flits, route_class(routing_, self, dest, seq));
-    }
-
-    void req_take(NodeId self, NodeId dest, std::uint32_t flits) {
-        book_->req(dest, self).take(flits);
-    }
-    void rsp_take(NodeId self, NodeId dest, std::uint32_t flits) {
-        book_->rsp(dest, self).take(flits);
+    [[nodiscard]] NocLink* try_route(NodeId dest, std::uint32_t flits,
+                                     bool request_net, RouteFn&& route) {
+        CreditPool& p = pair_pool(dest, request_net);
+        p.settle(ctx_->now());
+        if (!p.can_take(flits)) { return nullptr; }
+        const std::uint16_t seq = next_seq(dest, request_net);
+        return route(dest, flits, route_class(routing_, self_, dest, seq));
     }
 
     /// Delivers consecutive stashed packets starting at `ro.expected`
@@ -354,14 +357,9 @@ private:
     /// responses) in sync after a stash mutation for `src`.
     void update_rsp_stash_index(NodeId src);
 
-    [[nodiscard]] static std::uint32_t
-    stashed_flits(const PacketArena& arena, const std::vector<Reorder>& reorder,
-                  NodeId src) {
-        if (src >= reorder.size()) { return 0; }
+    [[nodiscard]] std::uint32_t stashed_flits(const Reorder& ro) const {
         std::uint32_t total = 0;
-        for (const auto& [seq, slot] : reorder[src].stash) {
-            total += arena[slot].flits;
-        }
+        for (const auto& [seq, slot] : ro.stash) { total += arena_[slot].flits; }
         return total;
     }
 
@@ -409,6 +407,7 @@ private:
     CreditBook* book_; ///< fabric-owned end-to-end pools
     RoutingPolicy routing_;
     bool deferred_credits_;
+    NodeId self_;
 
     /// Ingress W routing: dest node per accepted AW, in order.
     std::deque<NodeId> w_dest_;
@@ -417,12 +416,12 @@ private:
     std::vector<InFlight> r_in_flight_;
     /// Response injection round-robin over egress sources.
     std::uint32_t rsp_rr_ = 0;
-    /// Per-destination injection sequence counters (requests / responses),
-    /// indexed by node id.
+    /// Injection sequence counters: requests per target subordinate slot;
+    /// responses per destination node (subordinate NIs only, else empty).
     std::vector<std::uint16_t> req_seq_;
     std::vector<std::uint16_t> rsp_seq_;
-    /// Per-source ejection reorder state (requests / responses), indexed by
-    /// node id.
+    /// Ejection reorder state: requests per source node (subordinate NIs
+    /// only, else empty); responses per source subordinate slot.
     std::vector<Reorder> req_reorder_;
     std::vector<Reorder> rsp_reorder_;
     /// Slot pool for every stashed packet of this NI (per shard by
@@ -434,6 +433,9 @@ private:
     /// deterministic: ascending source node, as the ordered map used to
     /// iterate).
     std::vector<NodeId> rsp_stash_srcs_;
+    /// The drain's copy of `rsp_stash_srcs_` (draining rewrites the index);
+    /// a member so its capacity survives and the drain never allocates.
+    std::vector<NodeId> rsp_stash_scan_;
 };
 
 } // namespace realm::noc

@@ -7,7 +7,7 @@
 namespace realm::noc {
 
 NocNode::NocNode(sim::SimContext& ctx, std::string name, NodeId node_id,
-                 NodeId num_nodes, ic::AddrMap map, axi::AxiChannel* local_mgr,
+                 ic::AddrMap map, axi::AxiChannel* local_mgr,
                  std::vector<axi::AxiChannel*> egress, NocLink& req_in,
                  NocLink& req_out, NocLink& rsp_in, NocLink& rsp_out,
                  const NocFlowConfig& fc, CreditBook* book)
@@ -20,7 +20,7 @@ NocNode::NocNode(sim::SimContext& ctx, std::string name, NodeId node_id,
       req_out_{&req_out},
       rsp_in_{&rsp_in},
       rsp_out_{&rsp_out},
-      ni_{ctx, this->name(), num_nodes, fc, book} {
+      ni_{ctx, this->name(), node_id, fc, book} {
     // Activity-aware kernel wiring: everything this node consumes wakes it.
     // Each ring link has exactly one consumer (the next node downstream), so
     // claiming the push hook here is safe.
@@ -67,7 +67,7 @@ void NocNode::inject_requests() {
     // Single-lane ring: every destination leaves through the one request
     // link; the NI supplies the worm length so the link can gate on
     // serialization and VC space.
-    if (ni_.inject_requests(id_, *local_mgr_, map_,
+    if (ni_.inject_requests(*local_mgr_, map_,
                             [this](NodeId, std::uint32_t flits,
                                    std::uint8_t vc) {
                                 return req_out_->can_push(flits, vc) ? req_out_
@@ -79,7 +79,7 @@ void NocNode::inject_requests() {
 
 void NocNode::inject_responses() {
     if (egress_.empty()) { return; }
-    if (ni_.inject_responses(id_, egress_,
+    if (ni_.inject_responses(egress_,
                              [this](NodeId, std::uint32_t flits,
                                     std::uint8_t vc) {
                                  return rsp_out_->can_push(flits, vc) ? rsp_out_

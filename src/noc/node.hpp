@@ -37,7 +37,7 @@ public:
     /// \param fc             fabric flow-control configuration.
     /// \param book           end-to-end credit book (owned by `NocRing`).
     NocNode(sim::SimContext& ctx, std::string name, NodeId node_id,
-            NodeId num_nodes, ic::AddrMap map, axi::AxiChannel* local_mgr,
+            ic::AddrMap map, axi::AxiChannel* local_mgr,
             std::vector<axi::AxiChannel*> egress,
             NocLink& req_in, NocLink& req_out, NocLink& rsp_in, NocLink& rsp_out,
             const NocFlowConfig& fc, CreditBook* book);

@@ -34,7 +34,8 @@ namespace realm::noc {
 class NocRing {
 public:
     /// \param node_map          decodes addresses to node ids.
-    /// \param subordinate_nodes nodes hosting a local subordinate.
+    /// \param subordinate_nodes nodes hosting a local subordinate, each
+    ///        listed once (asserted by the `CreditBook`).
     /// \param flow              transport model and its knobs.
     NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
             ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
@@ -84,12 +85,12 @@ private:
     std::vector<std::unique_ptr<axi::AxiChannel>> mgr_ports_;
     std::vector<std::unique_ptr<NocLink>> req_links_;
     std::vector<std::unique_ptr<NocLink>> rsp_links_;
-    /// egress_[node][src] (nullptr when `node` hosts no subordinate).
+    /// Per subordinate slot (see `CreditBook::slot`): egress_[slot][src],
+    /// the subordinate port and its mux.
     std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;
     std::vector<std::unique_ptr<axi::AxiChannel>> sub_ports_;
     std::vector<std::unique_ptr<ic::AxiMux>> muxes_;
     std::vector<std::unique_ptr<NocNode>> nodes_;
-    std::vector<int> sub_index_; ///< node -> index into sub_ports_ or -1
 };
 
 } // namespace realm::noc

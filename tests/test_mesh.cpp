@@ -359,21 +359,48 @@ TEST_F(MeshFixture, DefaultTransportIsCreditedAndBookkept) {
     mesh->check_flow_invariants();
 }
 
-TEST_F(MeshFixture, CreditBookIsFrozenAndNeverGrowsAfterConstruction) {
-    // Sharded ticks look pools up concurrently, so the book's shared maps
-    // must be fully materialized (req: subordinate x any source, rsp:
-    // manager x subordinate) by the single-threaded constructor and then
-    // frozen — any lazy insertion from the hot path would be a data race.
-    ASSERT_TRUE(mesh->credit_book()->frozen());
-    const std::size_t pools = mesh->credit_book()->materialized();
-    EXPECT_GT(pools, 0U);
+TEST_F(MeshFixture, CreditBookIsOneSubordinateByNodeTable) {
+    // One pool per (subordinate, node) pair and direction, all built by the
+    // constructor: traffic never adds one, so the sharded tick phase never
+    // mutates the book's structure.
+    const CreditBook& book = *mesh->credit_book();
+    EXPECT_EQ(book.subordinates(), (std::vector<NodeId>{3, 5}));
+    EXPECT_EQ(book.pools(), 2U * 6U);
     push_write_burst(ctx, mesh->manager_port(0), 1, 0x100, 4, 8, 0x2A);
     (void)collect_b(ctx, mesh->manager_port(0));
     push_write_burst(ctx, mesh->manager_port(2), 3, 0x1'0000, 1, 8, 0x5C);
     (void)collect_b(ctx, mesh->manager_port(2));
-    EXPECT_EQ(mesh->credit_book()->materialized(), pools)
-        << "traffic materialized a credit pool after the freeze";
+    EXPECT_EQ(book.pools(), 2U * 6U);
     mesh->check_flow_invariants();
+}
+
+TEST_F(MeshFixture, CreditBookRejectsPairsOutsideTheTable) {
+    const CreditBook& book = *mesh->credit_book();
+    EXPECT_NO_THROW((void)book.req(3, 0));
+    EXPECT_NO_THROW((void)book.rsp(0, 5));
+    // No subordinate end: requests only target, responses only leave, the
+    // subordinate nodes 3 and 5.
+    EXPECT_THROW((void)book.req(0, 3), sim::ContractViolation);
+    EXPECT_THROW((void)book.req(1, 2), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(5, 0), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(2, 1), sim::ContractViolation);
+    // Node ids past the fabric, on either end.
+    const NodeId n = mesh->num_nodes();
+    EXPECT_THROW((void)book.req(n, 0), sim::ContractViolation);
+    EXPECT_THROW((void)book.req(3, n), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(n, 5), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(0, n), sim::ContractViolation);
+}
+
+TEST(MeshSubordinates, DuplicatedSubordinateNodeIsRejected) {
+    // Listed twice, node 3 would get a second mux and staging lanes: the
+    // memory slave would attach to one set while the NI ejects into the
+    // other, and a write would never complete.
+    sim::SimContext ctx;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 3, "mem3");
+    EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3, 3}}),
+                 sim::ContractViolation);
 }
 
 TEST_F(MeshFixture, BackpressureDoesNotDeadlock) {

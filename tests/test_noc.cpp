@@ -157,6 +157,35 @@ TEST_F(RingFixture, DefaultTransportIsCreditedAndBookkept) {
     ring->check_flow_invariants();
 }
 
+TEST_F(RingFixture, CreditBookIsOneSubordinateByNodeTable) {
+    // The ring shares the mesh's dense book: one pool per (subordinate,
+    // node) pair and direction, and traffic in both directions adds none.
+    const CreditBook& book = *ring->credit_book();
+    EXPECT_EQ(book.subordinates(), (std::vector<NodeId>{2, 3}));
+    EXPECT_EQ(book.pools(), 2U * 4U);
+    push_write_burst(ctx, ring->manager_port(0), 1, 0x100, 4, 8, 0x2A);
+    (void)collect_b(ctx, ring->manager_port(0));
+    axi::ManagerView mgr{ring->manager_port(1)};
+    mgr.send_ar(axi::make_ar(2, 0x1'0000, 4, 3));
+    (void)collect_read_burst(ctx, ring->manager_port(1), 4);
+    EXPECT_EQ(book.pools(), 2U * 4U);
+    EXPECT_THROW((void)book.req(0, 1), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(2, 1), sim::ContractViolation);
+    EXPECT_THROW((void)book.req(2, 4), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(4, 3), sim::ContractViolation);
+    ring->check_flow_invariants();
+}
+
+TEST(RingSubordinates, DuplicatedSubordinateNodeIsRejected) {
+    // See MeshSubordinates.DuplicatedSubordinateNodeIsRejected: a second
+    // mux on node 3 would strand every request ejected there.
+    sim::SimContext ctx;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 3, "mem3");
+    EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3, 3}}),
+                 sim::ContractViolation);
+}
+
 TEST(RingCreditDelay, DelayedCreditReturnsStillCompleteEndToEnd) {
     // With credit_return_delay the end-to-end credits ride the response
     // network instead of materializing at the drain point; traffic must
