@@ -23,8 +23,10 @@ namespace realm::ic {
 
 class AxiMux : public sim::Component {
 public:
-    /// IDs are remapped as `down_id = up_id * N + manager_index` so response
-    /// routing is stateless and collision-free.
+    /// N is the number of upstream ports: on the NoC fabrics, the managers
+    /// present (one egress lane each, in ascending node order), not every
+    /// node. IDs are remapped as `down_id = up_id * N + manager_index` so
+    /// response routing is stateless and collision-free.
     AxiMux(sim::SimContext& ctx, std::string name,
            std::vector<axi::AxiChannel*> upstreams, axi::AxiChannel& downstream);
 

@@ -17,19 +17,32 @@ void NocFlowConfig::validate() const {
     REALM_EXPECTS(link_latency >= 1, "link_latency must be >= 1");
 }
 
-CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
-                       const NocFlowConfig& fc)
-    : n_{num_nodes}, subs_{std::move(subordinate_nodes)},
-      slot_(num_nodes, kNoSlot) {
-    for (std::size_t s = 0; s < subs_.size(); ++s) {
-        const NodeId node = subs_[s];
-        REALM_EXPECTS(node < n_, "subordinate node out of range");
-        REALM_EXPECTS(slot_[node] == kNoSlot, "subordinate node listed twice");
-        slot_[node] = static_cast<NodeId>(s);
+namespace {
+
+/// Fills `slot_of` (node -> slot) from `nodes` (slot -> node).
+void assign_slots(const std::vector<NodeId>& nodes, std::vector<NodeId>& slot_of,
+                  const char* role) {
+    for (std::size_t s = 0; s < nodes.size(); ++s) {
+        const NodeId node = nodes[s];
+        REALM_EXPECTS(node < slot_of.size(), std::string{role} + " node out of range");
+        REALM_EXPECTS(slot_of[node] == CreditBook::kNoSlot,
+                      std::string{role} + " node listed twice");
+        slot_of[node] = static_cast<NodeId>(s);
     }
+}
+
+} // namespace
+
+CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
+                       std::vector<NodeId> manager_nodes, const NocFlowConfig& fc)
+    : subs_{std::move(subordinate_nodes)}, mgrs_{std::move(manager_nodes)},
+      sub_slot_(num_nodes, kNoSlot), mgr_slot_(num_nodes, kNoSlot) {
+    std::sort(mgrs_.begin(), mgrs_.end());
+    assign_slots(subs_, sub_slot_, "subordinate");
+    assign_slots(mgrs_, mgr_slot_, "manager");
     // Built once and never resized: the credit-return hooks hold pointers
     // into these vectors.
-    const std::size_t pools = subs_.size() * n_;
+    const std::size_t pools = subs_.size() * mgrs_.size();
     req_.reserve(pools);
     rsp_.reserve(pools);
     for (std::size_t i = 0; i < pools; ++i) {

@@ -250,39 +250,45 @@ private:
 };
 
 /// Every end-to-end pool of one fabric, in one dense table over
-/// (subordinate slot x node): request pools keyed by (target subordinate,
-/// source node) and response pools by (target node, source subordinate).
-/// Only subordinate nodes receive requests or send responses, so these are
-/// exactly the pairs that can carry traffic; a lookup for any other pair
-/// asserts. Request and response pools are kept separate so the
-/// request/response protocol split stays deadlock-free under credit
-/// exhaustion.
+/// (subordinate slot x manager slot): request pools keyed by (target
+/// subordinate, source manager) and response pools by (target manager,
+/// source subordinate). Only managers send requests and only subordinates
+/// answer them, so these are exactly the pairs that can carry traffic; a
+/// lookup for any other pair asserts. Request and response pools are kept
+/// separate so the request/response protocol split stays deadlock-free
+/// under credit exhaustion.
 ///
-/// The book also owns the fabric's one node -> subordinate-slot map (a
-/// slot is the node's position in the subordinate list); the fabrics and
-/// every `NocNi` size and index their per-subordinate state through it.
+/// The book also owns the fabric's two slot maps, node -> subordinate slot
+/// and node -> manager slot; the fabrics and every `NocNi` size and index
+/// their per-pair state through them. A subordinate slot is the node's
+/// position in the subordinate list. Manager slots follow ascending node
+/// order whatever the order of the list, so a round-robin over manager
+/// slots visits managers in the order a scan over every node would.
 /// The table is complete at construction and never resized, so the pool
 /// references handed to the credit-return hooks stay valid and the sharded
 /// tick phase never mutates the book's structure; each pool keeps its own
 /// one-writer-per-side contract (see `CreditPool`).
 class CreditBook {
 public:
-    /// `slot()` of a node that hosts no subordinate.
+    /// Slot of a node that hosts no subordinate (or no manager).
     static constexpr NodeId kNoSlot = std::numeric_limits<NodeId>::max();
 
-    /// \param subordinate_nodes  nodes hosting a subordinate, each below
+    /// \param subordinate_nodes  nodes hosting a subordinate, and
+    /// \param manager_nodes      nodes hosting a manager: each below
     ///                           `num_nodes` and listed once (asserted).
     CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
-               const NocFlowConfig& fc);
+               std::vector<NodeId> manager_nodes, const NocFlowConfig& fc);
 
-    /// Pool for requests from node `src` toward subordinate node `dest`.
+    /// Pool for requests from manager node `src` toward subordinate node
+    /// `dest`.
     [[nodiscard]] CreditPool& req(NodeId dest, NodeId src) {
         return req_[index(dest, src)];
     }
     [[nodiscard]] const CreditPool& req(NodeId dest, NodeId src) const {
         return req_[index(dest, src)];
     }
-    /// Pool for responses from subordinate node `src` toward node `dest`.
+    /// Pool for responses from subordinate node `src` toward manager node
+    /// `dest`.
     [[nodiscard]] CreditPool& rsp(NodeId dest, NodeId src) {
         return rsp_[index(src, dest)];
     }
@@ -290,17 +296,28 @@ public:
         return rsp_[index(src, dest)];
     }
 
-    [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
+    [[nodiscard]] NodeId num_nodes() const noexcept {
+        return static_cast<NodeId>(sub_slot_.size());
+    }
     /// Subordinate nodes, in slot order.
     [[nodiscard]] const std::vector<NodeId>& subordinates() const noexcept {
         return subs_;
     }
-    /// Subordinate slot of `node`, or `kNoSlot` when it hosts none.
-    [[nodiscard]] NodeId slot(NodeId node) const {
-        REALM_EXPECTS(node < n_, "node id out of range");
-        return slot_[node];
+    /// Manager nodes, in slot order (ascending).
+    [[nodiscard]] const std::vector<NodeId>& managers() const noexcept {
+        return mgrs_;
     }
-    /// Pools per direction: subordinates x nodes.
+    /// Subordinate slot of `node`, or `kNoSlot` when it hosts none.
+    [[nodiscard]] NodeId subordinate_slot(NodeId node) const {
+        REALM_EXPECTS(node < num_nodes(), "node id out of range");
+        return sub_slot_[node];
+    }
+    /// Manager slot of `node`, or `kNoSlot` when it hosts none.
+    [[nodiscard]] NodeId manager_slot(NodeId node) const {
+        REALM_EXPECTS(node < num_nodes(), "node id out of range");
+        return mgr_slot_[node];
+    }
+    /// Pools per direction: subordinates x managers.
     [[nodiscard]] std::size_t pools() const noexcept { return req_.size(); }
 
     /// Asserts conservation on every pool.
@@ -310,17 +327,20 @@ public:
     }
 
 private:
-    /// Table index of the pair (subordinate node `sub`, node `node`).
-    [[nodiscard]] std::size_t index(NodeId sub, NodeId node) const {
-        REALM_EXPECTS(sub < n_ && node < n_, "credit pool index out of range");
-        REALM_EXPECTS(slot_[sub] != kNoSlot,
+    /// Table index of the pair (subordinate node `sub`, manager node `mgr`).
+    [[nodiscard]] std::size_t index(NodeId sub, NodeId mgr) const {
+        const NodeId s = subordinate_slot(sub);
+        const NodeId m = manager_slot(mgr);
+        REALM_EXPECTS(s != kNoSlot,
                       "credit pool for a pair without a subordinate end");
-        return static_cast<std::size_t>(slot_[sub]) * n_ + node;
+        REALM_EXPECTS(m != kNoSlot, "credit pool for a pair without a manager end");
+        return static_cast<std::size_t>(s) * mgrs_.size() + m;
     }
 
-    NodeId n_;
-    std::vector<NodeId> subs_; ///< slot -> node
-    std::vector<NodeId> slot_; ///< node -> slot or kNoSlot
+    std::vector<NodeId> subs_;     ///< subordinate slot -> node
+    std::vector<NodeId> mgrs_;     ///< manager slot -> node
+    std::vector<NodeId> sub_slot_; ///< node -> subordinate slot or kNoSlot
+    std::vector<NodeId> mgr_slot_; ///< node -> manager slot or kNoSlot
     std::vector<CreditPool> req_;
     std::vector<CreditPool> rsp_;
 };

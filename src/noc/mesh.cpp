@@ -224,7 +224,8 @@ void MeshRouter::update_activity() {
 
 NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  NodeId cols, ic::AddrMap node_map,
-                 std::vector<NodeId> subordinate_nodes, NocFlowConfig flow,
+                 std::vector<NodeId> subordinate_nodes,
+                 std::vector<NodeId> manager_nodes, NocFlowConfig flow,
                  RoutingPolicy routing, std::vector<unsigned> tile_shards)
     : rows_{rows}, cols_{cols}, tile_shards_{std::move(tile_shards)},
       flow_{flow}, routing_{routing} {
@@ -253,8 +254,10 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             REALM_EXPECTS(s < shards, "tile_shards entry out of shard range");
         }
     }
-    book_ = std::make_unique<CreditBook>(n, std::move(subordinate_nodes), flow_);
+    book_ = std::make_unique<CreditBook>(n, std::move(subordinate_nodes),
+                                         std::move(manager_nodes), flow_);
     const std::vector<NodeId>& subs = book_->subordinates();
+    const std::vector<NodeId>& mgrs = book_->managers();
 
     // Channels and links first (plain objects, no tick order concerns).
     // The routing policy fixes the per-link VC count (O1TURN needs one VC
@@ -275,10 +278,13 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
     v_req_rev_.resize(n);
     v_rsp_fwd_.resize(n);
     v_rsp_rev_.resize(n);
+    for (const NodeId m : mgrs) {
+        const sim::ShardScope scope{ctx, shard_of_node(m)};
+        mgr_ports_.push_back(std::make_unique<axi::AxiChannel>(
+            ctx, name + ".mgr" + std::to_string(m)));
+    }
     for (NodeId i = 0; i < n; ++i) {
         const sim::ShardScope scope{ctx, shard_of_node(i)};
-        mgr_ports_.push_back(std::make_unique<axi::AxiChannel>(
-            ctx, name + ".mgr" + std::to_string(i)));
         if (i % cols != cols - 1U) { // east neighbor exists
             make_link(h_req_fwd_, i, ".hreq_e");
             make_link(h_req_rev_, i, ".hreq_w");
@@ -297,11 +303,11 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
         const NodeId s = subs[slot];
         const sim::ShardScope scope{ctx, shard_of_node(s)};
         std::vector<axi::AxiChannel*> egress_raw;
-        for (NodeId src = 0; src < n; ++src) {
+        for (const NodeId m : mgrs) {
             egress_[slot].push_back(std::make_unique<axi::AxiChannel>(
-                ctx, name + ".eg" + std::to_string(s) + "_" + std::to_string(src),
+                ctx, name + ".eg" + std::to_string(s) + "_" + std::to_string(m),
                 staging_depth(flow_)));
-            wire_credit_returns(ctx, *egress_[slot].back(), book_->req(s, src),
+            wire_credit_returns(ctx, *egress_[slot].back(), book_->req(s, m),
                                 flow_, /*deferred=*/true);
             egress_raw.push_back(egress_[slot].back().get());
         }
@@ -317,9 +323,12 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
     for (NodeId i = 0; i < n; ++i) {
         const sim::ShardScope scope{ctx, shard_of_node(i)};
         std::vector<axi::AxiChannel*> egress_raw;
-        if (const NodeId slot = book_->slot(i); slot != CreditBook::kNoSlot) {
+        if (const NodeId slot = book_->subordinate_slot(i); slot != CreditBook::kNoSlot) {
             for (const auto& ch : egress_[slot]) { egress_raw.push_back(ch.get()); }
         }
+        const NodeId mgr_slot = book_->manager_slot(i);
+        axi::AxiChannel* local_mgr =
+            mgr_slot == CreditBook::kNoSlot ? nullptr : mgr_ports_[mgr_slot].get();
 
         MeshRouter::Ports p;
         if (i % cols != cols - 1U) { // east neighbor at i+1
@@ -347,14 +356,20 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             p.rsp_in[dir(MeshDir::kNorth)] = v_rsp_fwd_[i - cols].get();
         }
         routers_.push_back(std::make_unique<MeshRouter>(
-            ctx, name + ".r" + std::to_string(i), i, cols, node_map,
-            mgr_ports_[i].get(), std::move(egress_raw), p, flow_, book_.get(),
+            ctx, name + ".r" + std::to_string(i), i, cols, node_map, local_mgr,
+            std::move(egress_raw), p, flow_, book_.get(),
             routing_, /*deferred_credits=*/true));
     }
 }
 
+axi::AxiChannel& NocMesh::manager_port(NodeId node) {
+    const NodeId slot = book_->manager_slot(node);
+    REALM_EXPECTS(slot != CreditBook::kNoSlot, "node hosts no manager");
+    return *mgr_ports_[slot];
+}
+
 axi::AxiChannel& NocMesh::subordinate_port(NodeId node) {
-    const NodeId slot = book_->slot(node);
+    const NodeId slot = book_->subordinate_slot(node);
     REALM_EXPECTS(slot != CreditBook::kNoSlot, "node hosts no subordinate");
     return *sub_ports_[slot];
 }
@@ -393,18 +408,19 @@ void NocMesh::check_flow_invariants() const {
     check_links(v_rsp_fwd_);
     check_links(v_rsp_rev_);
     const std::vector<NodeId>& subs = book_->subordinates();
-    const NodeId n = num_nodes();
+    const std::vector<NodeId>& mgrs = book_->managers();
     for (std::size_t slot = 0; slot < subs.size(); ++slot) {
         const NocNi& ni = routers_[subs[slot]]->ni();
-        for (NodeId src = 0; src < n; ++src) {
-            check_staging_invariants(*egress_[slot][src], book_->req(subs[slot], src),
-                                     flow_, ni.stashed_request_flits(src));
+        for (std::size_t m = 0; m < mgrs.size(); ++m) {
+            check_staging_invariants(*egress_[slot][m], book_->req(subs[slot], mgrs[m]),
+                                     flow_, ni.stashed_request_flits(mgrs[m]));
         }
     }
     // Response reorder stashes are bounded by the response pools: a stashed
-    // response still holds its end-to-end credits. Only subordinate nodes
-    // source responses (the book holds exactly those pools).
-    for (NodeId d = 0; d < n; ++d) {
+    // response still holds its end-to-end credits. Only subordinates source
+    // responses and only managers receive them (the book holds exactly
+    // those pools).
+    for (const NodeId d : mgrs) {
         for (const NodeId s : subs) {
             REALM_ENSURES(routers_[d]->ni().stashed_response_flits(s) <=
                               book_->rsp(d, s).in_flight(),

@@ -3,7 +3,7 @@
 ///
 /// The third fabric of the "regulation is interconnect-agnostic" claim: an
 /// R x C mesh of routers, each optionally hosting one AXI manager and one
-/// subordinate (reached through the same per-source egress staging and
+/// subordinate (reached through the same per-manager egress staging and
 /// `ic::AxiMux` scheme as the ring NI). The routing decision lives in
 /// noc/routing.hpp as a pluggable `RoutingPolicy` — deterministic XY / YX
 /// dimension order, per-worm randomized O1TURN (two VCs, one per route
@@ -143,8 +143,10 @@ private:
 class NocMesh {
 public:
     /// \param node_map          decodes addresses to node ids (row-major).
-    /// \param subordinate_nodes nodes hosting a local subordinate, each
-    ///        listed once (asserted by the `CreditBook`).
+    /// \param subordinate_nodes nodes hosting a local subordinate, and
+    /// \param manager_nodes     nodes hosting a local manager, each listed
+    ///        once (asserted by the `CreditBook`). Egress lanes, credit
+    ///        pools and NI pair state exist only between the two sets.
     /// \param flow              transport model and its knobs (shared with
     ///        `NocRing` — the flow-control argument is fabric-independent).
     /// \param routing           routing policy applied fabric-wide (fixes
@@ -158,17 +160,17 @@ public:
     ///        scenario/partition.hpp for the profile-guided builder).
     NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             NodeId cols, ic::AddrMap node_map,
-            std::vector<NodeId> subordinate_nodes, NocFlowConfig flow = {},
+            std::vector<NodeId> subordinate_nodes,
+            std::vector<NodeId> manager_nodes, NocFlowConfig flow = {},
             RoutingPolicy routing = RoutingPolicy::kXY,
             std::vector<unsigned> tile_shards = {});
 
     NocMesh(const NocMesh&) = delete;
     NocMesh& operator=(const NocMesh&) = delete;
 
-    /// Channel a manager at `node` drives (requests in, responses out).
-    [[nodiscard]] axi::AxiChannel& manager_port(NodeId node) {
-        return *mgr_ports_.at(node);
-    }
+    /// Channel the manager at `node` drives (requests in, responses out);
+    /// asserts that `node` hosts a manager.
+    [[nodiscard]] axi::AxiChannel& manager_port(NodeId node);
     /// Channel to attach a subordinate model at `node`.
     [[nodiscard]] axi::AxiChannel& subordinate_port(NodeId node);
 
@@ -218,6 +220,7 @@ private:
     NocFlowConfig flow_;
     RoutingPolicy routing_;
     std::unique_ptr<CreditBook> book_;
+    /// Per manager slot (see `CreditBook::manager_slot`).
     std::vector<std::unique_ptr<axi::AxiChannel>> mgr_ports_;
     /// Neighbor links per network and orientation. `h_*[i]` connects node i
     /// to node i+1 (east/west pair, absent on the last column); `v_*[i]`
@@ -227,8 +230,8 @@ private:
     std::vector<std::unique_ptr<NocLink>> h_rsp_fwd_, h_rsp_rev_;
     std::vector<std::unique_ptr<NocLink>> v_req_fwd_, v_req_rev_;
     std::vector<std::unique_ptr<NocLink>> v_rsp_fwd_, v_rsp_rev_;
-    /// Per subordinate slot (see `CreditBook::slot`): egress_[slot][src],
-    /// the subordinate port and its mux.
+    /// Per subordinate slot (see `CreditBook::subordinate_slot`):
+    /// egress_[slot][manager slot], the subordinate port and its mux.
     std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;
     std::vector<std::unique_ptr<axi::AxiChannel>> sub_ports_;
     std::vector<std::unique_ptr<ic::AxiMux>> muxes_;

@@ -14,21 +14,26 @@ NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
     REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
     REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
                   owner_ + ": deferred credit returns need delay >= 1");
-    const std::size_t subs = book_->subordinates().size();
-    const std::size_t peers =
-        book_->slot(self_) == CreditBook::kNoSlot ? 0 : book_->num_nodes();
+    // A manager NI talks to every subordinate, a subordinate NI to every
+    // manager; a pass-through node keeps no pair state at all.
+    const std::size_t subs = book_->manager_slot(self_) == CreditBook::kNoSlot
+                                 ? 0
+                                 : book_->subordinates().size();
+    const std::size_t mgrs = book_->subordinate_slot(self_) == CreditBook::kNoSlot
+                                 ? 0
+                                 : book_->managers().size();
     req_seq_.assign(subs, 0);
     rsp_reorder_.resize(subs);
-    rsp_seq_.assign(peers, 0);
-    req_reorder_.resize(peers);
+    rsp_seq_.assign(mgrs, 0);
+    req_reorder_.resize(mgrs);
+    rsp_next_ = first_response_slot();
 }
 
 void NocNi::reset() {
-    w_dest_.clear();
-    w_beats_left_.clear();
+    w_routes_.clear();
     w_in_flight_.clear();
     r_in_flight_.clear();
-    rsp_rr_ = 0;
+    rsp_next_ = first_response_slot();
     std::fill(req_seq_.begin(), req_seq_.end(), 0);
     std::fill(rsp_seq_.begin(), rsp_seq_.end(), 0);
     for (Reorder& ro : req_reorder_) {
@@ -79,10 +84,12 @@ void NocNi::deliver_request(const NocPacket& pkt, axi::AxiChannel& ch) {
 
 bool NocNi::try_eject_request(const NocPacket& pkt,
                               const std::vector<axi::AxiChannel*>& egress) {
-    REALM_EXPECTS(pkt.src < egress.size() && egress[pkt.src] != nullptr,
+    const NodeId slot = book_->manager_slot(pkt.src);
+    REALM_EXPECTS(!egress.empty(),
                   owner_ + ": request ejected at a node without a subordinate");
-    axi::AxiChannel& ch = *egress[pkt.src];
-    Reorder& ro = req_reorder_[pkt.src];
+    REALM_EXPECTS(slot < egress.size(), owner_ + ": request from a node without a manager");
+    axi::AxiChannel& ch = *egress[slot];
+    Reorder& ro = req_reorder_[slot];
     if (pkt.seq != ro.expected) {
         // Early arrival on a faster path: hold it (its credits stay in
         // flight) until the injection-order predecessors catch up.

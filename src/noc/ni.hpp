@@ -33,14 +33,15 @@
 /// ring) arrivals are always in order and the stash stays empty.
 ///
 /// **Hot-path layout.** Every per-cycle table is contiguous and sized by
-/// the pairs that can carry traffic, through the credit book's node ->
-/// subordinate-slot map: every NI keeps one request sequence counter and
-/// one response reorder state per subordinate slot, and only a subordinate
-/// NI keeps a response sequence counter and a request reorder state per
-/// node. Same-ID tracking is scanned linearly over a handful of live
-/// entries. Per-fabric pair state is therefore subordinates x nodes, not
-/// nodes squared, and there is no node-based container on the path the
-/// 16x16/32x32 fabrics tick millions of times.
+/// the pairs that can carry traffic, through the credit book's two slot
+/// maps: a manager NI keeps one request sequence counter and one response
+/// reorder state per subordinate slot, and a subordinate NI keeps one
+/// response sequence counter and one request reorder state per manager
+/// slot; every other table is empty. Same-ID tracking is scanned linearly
+/// over a handful of live entries. Per-fabric pair state is therefore
+/// subordinates x managers, however many pass-through nodes the fabric
+/// has, and there is no node-based container on the path the 16x16/32x32
+/// fabrics tick millions of times.
 #pragma once
 
 #include "axi/channel.hpp"
@@ -51,10 +52,10 @@
 #include "noc/routing.hpp"
 
 #include "sim/context.hpp"
+#include "sim/ring.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,7 @@ public:
     /// \param ctx        Simulation clock (credit-return maturation).
     /// \param self       Node this NI serves.
     /// \param book       End-to-end credit book of the fabric (required);
-    ///                   its subordinate-slot map sizes the pair tables.
+    ///                   its slot maps size the pair tables.
     /// \param routing    Routing policy of the fabric — the NI assigns each
     ///                   worm's route class / VC at injection (kXY for the
     ///                   ring and every other single-path fabric).
@@ -83,9 +84,10 @@ public:
     /// \name Ejection (packets whose dest is the local node)
     ///@{
     /// Accepts a request packet: in-order packets are delivered into the
-    /// per-source egress staging toward the local subordinate's mux (space
-    /// guaranteed — the injector reserved it through the credit pool,
-    /// asserted); out-of-order packets are stashed until the gap closes.
+    /// source manager's egress lane (`egress[manager slot]`) toward the
+    /// local subordinate's mux (space guaranteed — the injector reserved it
+    /// through the credit pool, asserted); out-of-order packets are stashed
+    /// until the gap closes.
     /// Always succeeds (returns true) so the router can retire the link
     /// head unconditionally.
     bool try_eject_request(const NocPacket& pkt,
@@ -141,8 +143,7 @@ public:
                     InFlight& slot = in_flight_slot(w_in_flight_, aw.id);
                     slot.dest = dest;
                     ++slot.count;
-                    w_dest_.push_back(dest);
-                    w_beats_left_.push_back(aw.beats());
+                    w_routes_.push_back(WRoute{dest, aw.beats()});
                     pair_pool(dest, /*request_net=*/true).take(1);
                     out->push(make_packet(dest, 1, /*request_net=*/true, aw));
                     return true;
@@ -150,17 +151,17 @@ public:
                 return false; // hold the AW; W/AR behind it wait their turn
             }
         }
-        if (!w_dest_.empty() && mgr.w.can_pop()) {
-            const NodeId dest = w_dest_.front();
+        if (!w_routes_.empty() && mgr.w.can_pop()) {
+            WRoute& wr = w_routes_.front();
+            const NodeId dest = wr.dest;
             if (NocLink* out =
                     try_route(dest, data_flits, /*request_net=*/true, route)) {
                 axi::WFlit w = mgr.w.pop();
                 pair_pool(dest, /*request_net=*/true).take(data_flits);
                 out->push(make_packet(dest, data_flits, /*request_net=*/true, w));
-                if (--w_beats_left_.front() == 0) {
+                if (--wr.beats_left == 0) {
                     REALM_ENSURES(w.last, owner_ + ": W burst ended without WLAST");
-                    w_dest_.pop_front();
-                    w_beats_left_.pop_front();
+                    w_routes_.pop_front();
                 }
                 return true;
             }
@@ -189,27 +190,27 @@ public:
     }
 
     /// Injects at most one response packet from the local subordinate,
-    /// round-robin over the sources whose responses wait at the egress mux.
-    /// `route` maps (response destination, worm flits, route class/VC) to
-    /// the outgoing link, or nullptr on backpressure — a blocked or
-    /// credit-starved source does not stop a routable one.
+    /// round-robin over the managers whose responses wait in their egress
+    /// lanes (`egress[manager slot]`), in manager slot order. `route` maps
+    /// (response destination, worm flits, route class/VC) to the outgoing
+    /// link, or nullptr on backpressure — a blocked or credit-starved
+    /// manager does not stop a routable one.
     template <typename RouteFn>
     bool inject_responses(const std::vector<axi::AxiChannel*>& egress,
                           RouteFn&& route) {
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
-        const auto n = static_cast<std::uint32_t>(egress.size());
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint32_t src = (rsp_rr_ + 1 + i) % n;
-            axi::AxiChannel* ch = egress[src];
-            if (ch == nullptr) { continue; }
-            const auto dest = static_cast<NodeId>(src);
+        const auto m = static_cast<std::uint32_t>(egress.size());
+        for (std::uint32_t i = 0; i < m; ++i) {
+            const std::uint32_t slot = (rsp_next_ + i) % m;
+            axi::AxiChannel* ch = egress[slot];
+            const NodeId dest = book_->managers()[slot];
             if (ch->b.can_pop()) {
                 if (NocLink* out =
                         try_route(dest, 1, /*request_net=*/false, route)) {
                     pair_pool(dest, /*request_net=*/false).take(1);
                     out->push(make_packet(dest, 1, /*request_net=*/false,
                                           ch->b.pop()));
-                    rsp_rr_ = src;
+                    rsp_next_ = (slot + 1) % m;
                     return true;
                 }
                 continue;
@@ -220,7 +221,7 @@ public:
                     pair_pool(dest, /*request_net=*/false).take(data_flits);
                     out->push(make_packet(dest, data_flits, /*request_net=*/false,
                                           ch->r.pop()));
-                    rsp_rr_ = src;
+                    rsp_next_ = (slot + 1) % m;
                     return true;
                 }
             }
@@ -234,15 +235,17 @@ public:
 
     /// \name Reorder-stash introspection (fabric invariant checkers)
     ///@{
-    /// Flits stashed out of order for request packets from `src` (0 under
-    /// single-path policies).
+    /// Flits stashed out of order for request packets from manager node
+    /// `src` (0 under single-path policies, and away from a subordinate).
     [[nodiscard]] std::uint32_t stashed_request_flits(NodeId src) const {
-        return src < req_reorder_.size() ? stashed_flits(req_reorder_[src]) : 0;
+        const NodeId slot = book_->manager_slot(src);
+        return slot < req_reorder_.size() ? stashed_flits(req_reorder_[slot]) : 0;
     }
-    /// Flits stashed out of order for response packets from `src`.
+    /// Flits stashed out of order for response packets from subordinate
+    /// node `src` (0 away from a manager).
     [[nodiscard]] std::uint32_t stashed_response_flits(NodeId src) const {
-        const NodeId slot = book_->slot(src);
-        return slot == CreditBook::kNoSlot ? 0 : stashed_flits(rsp_reorder_[slot]);
+        const NodeId slot = book_->subordinate_slot(src);
+        return slot < rsp_reorder_.size() ? stashed_flits(rsp_reorder_[slot]) : 0;
     }
     ///@}
 
@@ -283,20 +286,23 @@ private:
     };
 
     /// Injection sequence counter of the (self, `dest`) pair: requests only
-    /// target subordinates (one counter per slot), responses only leave a
-    /// subordinate NI (one counter per node).
+    /// leave a manager NI toward a subordinate (one counter per subordinate
+    /// slot), responses only leave a subordinate NI toward a manager (one
+    /// counter per manager slot).
     [[nodiscard]] std::uint16_t& next_seq(NodeId dest, bool request_net) {
-        return request_net ? req_seq_[book_->slot(dest)] : rsp_seq_[dest];
+        return request_net ? req_seq_[book_->subordinate_slot(dest)]
+                           : rsp_seq_[book_->manager_slot(dest)];
     }
     /// End-to-end pool of the (self, `dest`) pair; asserts the pair has a
-    /// subordinate end, which also bounds the `next_seq` index.
+    /// manager and a subordinate end, which also bounds the `next_seq`
+    /// index.
     [[nodiscard]] CreditPool& pair_pool(NodeId dest, bool request_net) {
         return request_net ? book_->req(dest, self_) : book_->rsp(dest, self_);
     }
     /// Reorder state for responses from subordinate node `src`.
     [[nodiscard]] Reorder& rsp_reorder(NodeId src) {
-        const NodeId slot = book_->slot(src);
-        REALM_EXPECTS(slot != CreditBook::kNoSlot,
+        const NodeId slot = book_->subordinate_slot(src);
+        REALM_EXPECTS(slot < rsp_reorder_.size(),
                       owner_ + ": response from a node without a subordinate");
         return rsp_reorder_[slot];
     }
@@ -352,6 +358,14 @@ private:
     /// Returns the response's end-to-end credits (staged for the edge
     /// flush when the fabric is sharded).
     void release_response_credits(const NocPacket& pkt);
+
+    /// Where the first response scan starts: the lowest manager slot above
+    /// node 0, so the scans visit managers in the order a round-robin over
+    /// every node, starting one past node 0, would.
+    [[nodiscard]] std::uint32_t first_response_slot() const {
+        const std::vector<NodeId>& mgrs = book_->managers();
+        return !mgrs.empty() && mgrs.front() == 0 ? 1 : 0;
+    }
 
     /// Keeps `rsp_stash_srcs_` (the sorted list of sources with stashed
     /// responses) in sync after a stash mutation for `src`.
@@ -409,19 +423,27 @@ private:
     bool deferred_credits_;
     NodeId self_;
 
-    /// Ingress W routing: dest node per accepted AW, in order.
-    std::deque<NodeId> w_dest_;
-    std::deque<std::uint32_t> w_beats_left_;
+    /// Ingress W routing: destination and beats still to send per accepted
+    /// AW, in order. A flat ring allocates nothing until the first write,
+    /// so a node without a manager holds no buffer for it.
+    struct WRoute {
+        NodeId dest = 0;
+        std::uint32_t beats_left = 0;
+    };
+    sim::FlatRing<WRoute> w_routes_;
     std::vector<InFlight> w_in_flight_;
     std::vector<InFlight> r_in_flight_;
-    /// Response injection round-robin over egress sources.
-    std::uint32_t rsp_rr_ = 0;
-    /// Injection sequence counters: requests per target subordinate slot;
-    /// responses per destination node (subordinate NIs only, else empty).
+    /// Response injection round-robin: the manager slot the next scan
+    /// starts at (see `first_response_slot`).
+    std::uint32_t rsp_next_ = 0;
+    /// Injection sequence counters: requests per target subordinate slot
+    /// (manager NIs only, else empty); responses per destination manager
+    /// slot (subordinate NIs only, else empty).
     std::vector<std::uint16_t> req_seq_;
     std::vector<std::uint16_t> rsp_seq_;
-    /// Ejection reorder state: requests per source node (subordinate NIs
-    /// only, else empty); responses per source subordinate slot.
+    /// Ejection reorder state: requests per source manager slot
+    /// (subordinate NIs only, else empty); responses per source subordinate
+    /// slot (manager NIs only, else empty).
     std::vector<Reorder> req_reorder_;
     std::vector<Reorder> rsp_reorder_;
     /// Slot pool for every stashed packet of this NI (per shard by

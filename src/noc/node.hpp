@@ -2,7 +2,7 @@
 /// \brief One ring-NoC node: router + AXI network interface unit.
 ///
 /// Each node can host one local manager (whose channel the node terminates
-/// as a subordinate) and one local subordinate (reached through per-source
+/// as a subordinate) and one local subordinate (reached through per-manager
 /// egress channels and an `ic::AxiMux`, which enforces the usual
 /// burst-granular W ordering). Rings are unidirectional with one-cycle
 /// hops; forwarding has priority over injection. A request worm only
@@ -31,8 +31,9 @@ public:
     /// \param map            node-level address map (addr -> node id).
     /// \param local_mgr      channel driven by the local manager (nullptr if
     ///                       the node hosts none).
-    /// \param egress         per-source channels toward the local
-    ///                       subordinate's mux (empty if none).
+    /// \param egress         per-manager channels toward the local
+    ///                       subordinate's mux, in manager slot order
+    ///                       (empty if none).
     /// \param req_in/out, rsp_in/out  ring links (owned by `NocRing`).
     /// \param fc             fabric flow-control configuration.
     /// \param book           end-to-end credit book (owned by `NocRing`).

@@ -1,11 +1,11 @@
 /// \file
 /// \brief Ring NoC assembly: nodes, ring links, and per-node egress muxes.
 ///
-/// The "more scalable network-on-chip" integration of Figure 1b: every node
-/// may host one AXI manager; nodes named in `subordinate_nodes` also host a
-/// subordinate, reached through per-source egress channels and an
-/// `ic::AxiMux` (which provides the burst-granular W ordering a real NI
-/// needs). REALM units drop in front of any manager port unchanged —
+/// The "more scalable network-on-chip" integration of Figure 1b: nodes
+/// named in `manager_nodes` host one AXI manager each; nodes named in
+/// `subordinate_nodes` host a subordinate, reached through per-manager
+/// egress channels and an `ic::AxiMux` (which provides the burst-granular W
+/// ordering a real NI needs). REALM units drop in front of any manager port unchanged —
 /// regulation is interconnect-agnostic, which this module exists to prove.
 ///
 /// Flow control (see credit.hpp): per-source staging is sized by the
@@ -34,20 +34,20 @@ namespace realm::noc {
 class NocRing {
 public:
     /// \param node_map          decodes addresses to node ids.
-    /// \param subordinate_nodes nodes hosting a local subordinate, each
-    ///        listed once (asserted by the `CreditBook`).
+    /// \param subordinate_nodes nodes hosting a local subordinate, and
+    /// \param manager_nodes     nodes hosting a local manager, each listed
+    ///        once (asserted by the `CreditBook`).
     /// \param flow              transport model and its knobs.
     NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
             ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
-            NocFlowConfig flow = {});
+            std::vector<NodeId> manager_nodes, NocFlowConfig flow = {});
 
     NocRing(const NocRing&) = delete;
     NocRing& operator=(const NocRing&) = delete;
 
-    /// Channel a manager at `node` drives (requests in, responses out).
-    [[nodiscard]] axi::AxiChannel& manager_port(NodeId node) {
-        return *mgr_ports_.at(node);
-    }
+    /// Channel the manager at `node` drives (requests in, responses out);
+    /// asserts that `node` hosts a manager.
+    [[nodiscard]] axi::AxiChannel& manager_port(NodeId node);
     /// Channel to attach a subordinate model at `node`.
     [[nodiscard]] axi::AxiChannel& subordinate_port(NodeId node);
 
@@ -82,11 +82,12 @@ public:
 private:
     NocFlowConfig flow_;
     std::unique_ptr<CreditBook> book_;
+    /// Per manager slot (see `CreditBook::manager_slot`).
     std::vector<std::unique_ptr<axi::AxiChannel>> mgr_ports_;
     std::vector<std::unique_ptr<NocLink>> req_links_;
     std::vector<std::unique_ptr<NocLink>> rsp_links_;
-    /// Per subordinate slot (see `CreditBook::slot`): egress_[slot][src],
-    /// the subordinate port and its mux.
+    /// Per subordinate slot (see `CreditBook::subordinate_slot`):
+    /// egress_[slot][manager slot], the subordinate port and its mux.
     std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;
     std::vector<std::unique_ptr<axi::AxiChannel>> sub_ports_;
     std::vector<std::unique_ptr<ic::AxiMux>> muxes_;

@@ -11,7 +11,7 @@ WriteBuffer::WriteBuffer(std::uint32_t depth_beats, bool enabled)
 
 void WriteBuffer::reset() {
     entries_.clear();
-    buffered_unsent_ = 0;
+    beats_.clear();
     cut_through_ = 0;
 }
 
@@ -45,7 +45,7 @@ bool WriteBuffer::can_accept_beat() const noexcept {
     for (const Entry& e : entries_) {
         if (e.beats_buffered < e.beats_total) {
             if (e.cut_through) { return true; } // data flows straight through
-            return buffered_unsent_ < depth_;
+            return buffered_beats() < depth_;
         }
     }
     return false; // no entry expecting data (W would lead AW)
@@ -54,7 +54,7 @@ bool WriteBuffer::can_accept_beat() const noexcept {
 void WriteBuffer::accept_beat(const axi::WFlit& beat) {
     Entry* e = fill_target();
     REALM_EXPECTS(e != nullptr, "W beat with no queued write burst");
-    REALM_EXPECTS(e->cut_through || buffered_unsent_ < depth_, "write buffer overflow");
+    REALM_EXPECTS(e->cut_through || buffered_beats() < depth_, "write buffer overflow");
     axi::WFlit stored = beat;
     ++e->beats_buffered;
     // Re-gate last at the child boundary; verify the parent's last beat
@@ -63,8 +63,7 @@ void WriteBuffer::accept_beat(const axi::WFlit& beat) {
     REALM_ENSURES(beat.last == (child_last && e->parent_last),
                   "parent WLAST out of position");
     stored.last = child_last;
-    e->data.push_back(stored);
-    ++buffered_unsent_;
+    beats_.push_back(stored);
 }
 
 bool WriteBuffer::has_aw_to_send() const noexcept {
@@ -94,16 +93,15 @@ axi::AwFlit WriteBuffer::pop_aw() {
 bool WriteBuffer::has_w_to_send() const noexcept {
     if (entries_.empty()) { return false; }
     const Entry& e = entries_.front();
-    return e.aw_sent && !e.data.empty();
+    return e.aw_sent && e.beats_sent < e.beats_buffered;
 }
 
 axi::WFlit WriteBuffer::pop_w() {
     REALM_EXPECTS(has_w_to_send(), "no W beat ready");
     Entry& e = entries_.front();
-    axi::WFlit f = e.data.front();
-    e.data.pop_front();
+    axi::WFlit f = beats_.front();
+    beats_.pop_front();
     ++e.beats_sent;
-    --buffered_unsent_;
     if (e.beats_sent == e.beats_total) {
         REALM_ENSURES(f.last, "entry drained without child WLAST");
         entries_.pop_front();

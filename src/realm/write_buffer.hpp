@@ -12,10 +12,16 @@
 /// or configured above the depth) fall back to cut-through forwarding and
 /// are counted — exactly the sizing constraint the paper states ("from one
 /// to 256 beats if the write buffer is parametrized large enough").
+///
+/// Beats enter in entry order (an entry fills only after every earlier one
+/// is complete) and leave from the front entry, so one FIFO holds the beats
+/// of every entry in order; an entry keeps only its counters.
 #pragma once
 
 #include "axi/burst.hpp"
 #include "axi/flit.hpp"
+
+#include "sim/ring.hpp"
 
 #include <cstdint>
 #include <deque>
@@ -54,7 +60,9 @@ public:
 
     /// \name Introspection
     ///@{
-    [[nodiscard]] std::uint32_t buffered_beats() const noexcept { return buffered_unsent_; }
+    [[nodiscard]] std::uint32_t buffered_beats() const noexcept {
+        return static_cast<std::uint32_t>(beats_.size());
+    }
     [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
     [[nodiscard]] bool enabled() const noexcept { return enabled_; }
     [[nodiscard]] std::uint64_t cut_through_bursts() const noexcept { return cut_through_; }
@@ -71,7 +79,6 @@ private:
         bool aw_sent = false;
         bool cut_through = false;       ///< larger than the buffer: stream through
         bool parent_last = false;       ///< this child carries the parent's last beat
-        std::deque<axi::WFlit> data;
     };
 
     /// First entry still missing beats (fill pointer).
@@ -80,7 +87,8 @@ private:
     std::uint32_t depth_;
     bool enabled_;
     std::deque<Entry> entries_;
-    std::uint32_t buffered_unsent_ = 0;
+    /// Buffered, unsent beats of every entry, in entry order.
+    sim::FlatRing<axi::WFlit> beats_;
     std::uint64_t cut_through_ = 0;
 };
 

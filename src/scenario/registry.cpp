@@ -443,10 +443,14 @@ ScenarioConfig dos_point(const DosKnobs& k) {
         cfg.interference.push_back(irq);
     }
 
-    // Config path: plan 0 = victim unit (always free), plan 1+i = attacker i.
+    // Config path: plan 0 = victim unit (always free), plan 1+i = attacker
+    // unit i. The NoC fabrics place one unit per attacker; the crossbar SoC
+    // builds `num_dsa` units, one even without an attacker, and its boot
+    // script programs every unit it builds.
+    const std::uint32_t attacker_units = xbar ? cfg.soc.num_dsa : k.attackers;
     const auto plan_attackers = [&](const RegionPlan& plan) {
         cfg.boot_plans.push_back(RegionPlan{1ULL << 30, 1ULL << 20, 256}); // victim
-        for (noc::NodeId i = 0; i < k.attackers; ++i) { cfg.boot_plans.push_back(plan); }
+        for (std::uint32_t i = 0; i < attacker_units; ++i) { cfg.boot_plans.push_back(plan); }
     };
     switch (k.defense) {
     case DosDefense::kNone: break; // unregulated (and no write buffer)

@@ -131,7 +131,8 @@ private:
 template <typename Fabric>
 class NocTopologyBase : public TopologyHandle {
 protected:
-    /// \param make_fabric  (ctx, node_map, subordinate_nodes) -> Fabric ptr.
+    /// \param make_fabric  (ctx, node_map, subordinate_nodes, manager_nodes)
+    ///                     -> Fabric ptr.
     template <typename MakeFabric>
     NocTopologyBase(sim::SimContext& ctx, const NocTopologyConfig& cfg,
                     std::vector<RingNodeSpec> specs, MakeFabric&& make_fabric)
@@ -170,7 +171,11 @@ protected:
 
         std::vector<noc::NodeId> sub_nodes;
         for (const Span& s : spans_) { sub_nodes.push_back(s.node); }
-        fabric_ = make_fabric(ctx, std::move(map), std::move(sub_nodes));
+        std::vector<noc::NodeId> mgr_nodes{victim_node_};
+        mgr_nodes.insert(mgr_nodes.end(), interference_nodes_.begin(),
+                         interference_nodes_.end());
+        fabric_ = make_fabric(ctx, std::move(map), std::move(sub_nodes),
+                              std::move(mgr_nodes));
         // Tile-local models co-shard with their tile: the memory slave talks
         // to its egress mux (and the REALM unit to its router NI) through
         // plain registered channels, which are only race-free within one
@@ -310,10 +315,11 @@ public:
     RingTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
         : NocTopologyBase{ctx, cfg.topology.ring, resolve(cfg.topology.ring),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
-                                 std::vector<noc::NodeId> subs) {
+                                 std::vector<noc::NodeId> subs,
+                                 std::vector<noc::NodeId> mgrs) {
                               return std::make_unique<noc::NocRing>(
                                   c, "ring", cfg.topology.ring.num_nodes,
-                                  std::move(map), std::move(subs),
+                                  std::move(map), std::move(subs), std::move(mgrs),
                                   cfg.topology.ring.flow());
                           }} {}
 
@@ -332,11 +338,13 @@ public:
     MeshTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
         : NocTopologyBase{ctx, cfg.topology.mesh, resolve(cfg.topology.mesh),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
-                                 std::vector<noc::NodeId> subs) {
+                                 std::vector<noc::NodeId> subs,
+                                 std::vector<noc::NodeId> mgrs) {
                               return std::make_unique<noc::NocMesh>(
                                   c, "mesh", cfg.topology.mesh.rows,
                                   cfg.topology.mesh.cols, std::move(map),
-                                  std::move(subs), cfg.topology.mesh.flow(),
+                                  std::move(subs), std::move(mgrs),
+                                  cfg.topology.mesh.flow(),
                                   cfg.topology.mesh.routing,
                                   mesh_tile_shards(cfg, resolve(cfg.topology.mesh),
                                                    c.shards()));

@@ -1,8 +1,13 @@
-/// Footprint regression test for the NoC fabrics: the heap a mesh build
-/// holds must grow with the nodes (routers, links) and with the
-/// subordinate x node pairs (egress staging, credit pools, NI pair state),
-/// never with nodes squared. A binary of its own, because it replaces the
-/// global `operator new` with a counting one.
+/// Footprint regression tests: the heap a mesh build holds must grow with
+/// the nodes (routers, links) and with the subordinate x manager pairs
+/// (egress staging, credit pools, NI pair state, manager ports), never with
+/// nodes squared or with subordinates x nodes; and the REALM write buffer
+/// must hold a fragmented write in heap proportional to the beats it
+/// buffers, not to the fragments it queues. A binary of its own, because
+/// it replaces the global `operator new` with a counting one.
+#include "axi/burst.hpp"
+#include "axi/flit.hpp"
+#include "realm/write_buffer.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/topology.hpp"
@@ -15,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -76,12 +82,43 @@ TEST(Footprint, MeshBuildHeapGrowsWithNodesNotPairs) {
     const double mesh32 = build_heap_mib("32x32 solo");
     RecordProperty("heap_16x16_mib", std::to_string(mesh16));
     RecordProperty("heap_32x32_mib", std::to_string(mesh32));
-    // 4x the nodes: state linear in the nodes (or in subordinates x nodes,
-    // with a fixed subordinate count) grows ~4x; per-pair tables sized by
-    // nodes squared grow 16x and pull the ratio past 8x.
+    // 4x the nodes: state linear in the nodes grows ~4x; per-pair tables
+    // sized by nodes squared grow 16x and pull the ratio past 8x.
     EXPECT_LT(mesh32, 5.0 * mesh16)
         << "32x32 build heap " << mesh32 << " MiB vs 16x16 " << mesh16 << " MiB";
-    EXPECT_LT(mesh32, 48.0) << "32x32 build heap " << mesh32 << " MiB";
+    // The solo point has one manager among 1,024 nodes. Egress lanes and
+    // manager ports at every node would add ~19 MiB to the ~10 MiB of
+    // routers and links; sized by subordinates x managers they add a few
+    // KiB.
+    EXPECT_LT(mesh32, 16.0) << "32x32 build heap " << mesh32 << " MiB";
+}
+
+TEST(Footprint, FragmentedWriteHeapFollowsBufferedBeats) {
+    // A 256-beat write fragmented into 2-beat children queues 128 entries,
+    // of which the 16-beat buffer can hold data for 8. The heap must follow
+    // the 16 buffered beats plus a small record per entry: a FIFO of beats
+    // per entry would cost over 500 bytes each even while empty.
+    const std::size_t before = g_live_bytes.load();
+    {
+        rt::WriteBuffer wb{16, true};
+        axi::AwFlit parent;
+        parent.len = 255;
+        std::vector<axi::BurstDescriptor> children;
+        for (axi::Addr a = 0; a < 256 * 8; a += 2 * 8) {
+            children.push_back(axi::BurstDescriptor{a, 1, 3, axi::Burst::kIncr});
+        }
+        wb.queue_children(parent, children);
+        children.clear();
+        children.shrink_to_fit();
+        for (int beat = 0; beat < 16; ++beat) {
+            ASSERT_TRUE(wb.can_accept_beat());
+            wb.accept_beat(axi::WFlit{});
+        }
+        EXPECT_FALSE(wb.can_accept_beat()) << "the buffer holds 16 beats";
+        const std::size_t held = g_live_bytes.load() - before;
+        RecordProperty("fragmented_write_bytes", std::to_string(held));
+        EXPECT_LT(held, 16U * 1024U) << "write buffer holds " << held << " bytes";
+    }
 }
 
 } // namespace

@@ -249,7 +249,8 @@ protected:
         map.add(0x0000, 0x10000, 3, "mem3");
         map.add(0x1'0000, 0x10000, 5, "mem5");
         mesh = std::make_unique<NocMesh>(ctx, "mesh", 2, 3, map,
-                                         std::vector<noc::NodeId>{3, 5});
+                                         std::vector<noc::NodeId>{3, 5},
+                                         std::vector<noc::NodeId>{0, 2});
         mem3 = std::make_unique<mem::AxiMemSlave>(
             ctx, "mem3", mesh->subordinate_port(3),
             std::make_unique<mem::SramBackend>(1, 1), mem::AxiMemSlaveConfig{8, 8, 0});
@@ -359,18 +360,20 @@ TEST_F(MeshFixture, DefaultTransportIsCreditedAndBookkept) {
     mesh->check_flow_invariants();
 }
 
-TEST_F(MeshFixture, CreditBookIsOneSubordinateByNodeTable) {
-    // One pool per (subordinate, node) pair and direction, all built by the
-    // constructor: traffic never adds one, so the sharded tick phase never
-    // mutates the book's structure.
+TEST_F(MeshFixture, CreditBookIsOneSubordinateByManagerTable) {
+    // One pool per (subordinate, manager) pair and direction, all built by
+    // the constructor: the pass-through nodes 1 and 4 get none, and traffic
+    // never adds one, so the sharded tick phase never mutates the book's
+    // structure.
     const CreditBook& book = *mesh->credit_book();
     EXPECT_EQ(book.subordinates(), (std::vector<NodeId>{3, 5}));
-    EXPECT_EQ(book.pools(), 2U * 6U);
+    EXPECT_EQ(book.managers(), (std::vector<NodeId>{0, 2}));
+    EXPECT_EQ(book.pools(), 2U * 2U);
     push_write_burst(ctx, mesh->manager_port(0), 1, 0x100, 4, 8, 0x2A);
     (void)collect_b(ctx, mesh->manager_port(0));
     push_write_burst(ctx, mesh->manager_port(2), 3, 0x1'0000, 1, 8, 0x5C);
     (void)collect_b(ctx, mesh->manager_port(2));
-    EXPECT_EQ(book.pools(), 2U * 6U);
+    EXPECT_EQ(book.pools(), 2U * 2U);
     mesh->check_flow_invariants();
 }
 
@@ -384,12 +387,27 @@ TEST_F(MeshFixture, CreditBookRejectsPairsOutsideTheTable) {
     EXPECT_THROW((void)book.req(1, 2), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(5, 0), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(2, 1), sim::ContractViolation);
+    // No manager end: requests only leave, responses only target, the
+    // manager nodes 0 and 2.
+    EXPECT_THROW((void)book.req(3, 1), sim::ContractViolation);
+    EXPECT_THROW((void)book.req(5, 4), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(1, 3), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(4, 5), sim::ContractViolation);
     // Node ids past the fabric, on either end.
     const NodeId n = mesh->num_nodes();
     EXPECT_THROW((void)book.req(n, 0), sim::ContractViolation);
     EXPECT_THROW((void)book.req(3, n), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(n, 5), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(0, n), sim::ContractViolation);
+}
+
+TEST_F(MeshFixture, ManagerPortExistsOnlyAtManagerNodes) {
+    EXPECT_NO_THROW((void)mesh->manager_port(0));
+    EXPECT_NO_THROW((void)mesh->manager_port(2));
+    for (const NodeId node : {1, 3, 4, 5}) {
+        EXPECT_THROW((void)mesh->manager_port(node), sim::ContractViolation) << node;
+    }
+    EXPECT_THROW((void)mesh->manager_port(mesh->num_nodes()), sim::ContractViolation);
 }
 
 TEST(MeshSubordinates, DuplicatedSubordinateNodeIsRejected) {
@@ -399,7 +417,19 @@ TEST(MeshSubordinates, DuplicatedSubordinateNodeIsRejected) {
     sim::SimContext ctx;
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
-    EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3, 3}}),
+    EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3, 3},
+                          std::vector<NodeId>{0}}),
+                 sim::ContractViolation);
+}
+
+TEST(MeshManagers, DuplicatedManagerNodeIsRejected) {
+    // Listed twice, node 0 would take two manager slots: two egress lanes
+    // per subordinate, one of which its NI never fills.
+    sim::SimContext ctx;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 3, "mem3");
+    EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3},
+                          std::vector<NodeId>{0, 2, 0}}),
                  sim::ContractViolation);
 }
 
@@ -671,7 +701,7 @@ TEST(MeshRoutingPolicies, SameIdOrderingHoldsUnderEveryPolicy) {
         map.add(0x0000, 0x10000, 3, "mem3");
         map.add(0x1'0000, 0x10000, 5, "mem5");
         NocMesh mesh{ctx, "mesh", 2, 3, map, std::vector<noc::NodeId>{3, 5},
-                     NocFlowConfig{}, policy};
+                     std::vector<noc::NodeId>{0, 2}, NocFlowConfig{}, policy};
         mem::AxiMemSlave mem3{ctx, "mem3", mesh.subordinate_port(3),
                               std::make_unique<mem::SramBackend>(1, 1),
                               mem::AxiMemSlaveConfig{8, 8, 0}};
@@ -701,7 +731,7 @@ TEST(MeshRoutingPolicies, DmaCopyPreservesDataUnderEveryPolicy) {
         map.add(0x0000, 0x10000, 3, "mem3");
         map.add(0x1'0000, 0x10000, 5, "mem5");
         NocMesh mesh{ctx, "mesh", 2, 3, map, std::vector<noc::NodeId>{3, 5},
-                     NocFlowConfig{}, policy};
+                     std::vector<noc::NodeId>{0, 2}, NocFlowConfig{}, policy};
         mem::AxiMemSlave mem3{ctx, "mem3", mesh.subordinate_port(3),
                               std::make_unique<mem::SramBackend>(1, 1),
                               mem::AxiMemSlaveConfig{8, 8, 0}};

@@ -32,7 +32,8 @@ protected:
         map.add(0x0000, 0x10000, 2, "mem2");
         map.add(0x1'0000, 0x10000, 3, "mem3");
         ring = std::make_unique<NocRing>(ctx, "ring", 4, map,
-                                         std::vector<noc::NodeId>{2, 3});
+                                         std::vector<noc::NodeId>{2, 3},
+                                         std::vector<noc::NodeId>{0, 1});
         mem2 = std::make_unique<mem::AxiMemSlave>(
             ctx, "mem2", ring->subordinate_port(2),
             std::make_unique<mem::SramBackend>(1, 1), mem::AxiMemSlaveConfig{8, 8, 0});
@@ -157,23 +158,37 @@ TEST_F(RingFixture, DefaultTransportIsCreditedAndBookkept) {
     ring->check_flow_invariants();
 }
 
-TEST_F(RingFixture, CreditBookIsOneSubordinateByNodeTable) {
+TEST_F(RingFixture, CreditBookIsOneSubordinateByManagerTable) {
     // The ring shares the mesh's dense book: one pool per (subordinate,
-    // node) pair and direction, and traffic in both directions adds none.
+    // manager) pair and direction, and traffic in both directions adds
+    // none.
     const CreditBook& book = *ring->credit_book();
     EXPECT_EQ(book.subordinates(), (std::vector<NodeId>{2, 3}));
-    EXPECT_EQ(book.pools(), 2U * 4U);
+    EXPECT_EQ(book.managers(), (std::vector<NodeId>{0, 1}));
+    EXPECT_EQ(book.pools(), 2U * 2U);
     push_write_burst(ctx, ring->manager_port(0), 1, 0x100, 4, 8, 0x2A);
     (void)collect_b(ctx, ring->manager_port(0));
     axi::ManagerView mgr{ring->manager_port(1)};
     mgr.send_ar(axi::make_ar(2, 0x1'0000, 4, 3));
     (void)collect_read_burst(ctx, ring->manager_port(1), 4);
-    EXPECT_EQ(book.pools(), 2U * 4U);
+    EXPECT_EQ(book.pools(), 2U * 2U);
     EXPECT_THROW((void)book.req(0, 1), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(2, 1), sim::ContractViolation);
     EXPECT_THROW((void)book.req(2, 4), sim::ContractViolation);
     EXPECT_THROW((void)book.rsp(4, 3), sim::ContractViolation);
+    // No manager end: the subordinates neither send requests nor take
+    // responses.
+    EXPECT_THROW((void)book.req(2, 3), sim::ContractViolation);
+    EXPECT_THROW((void)book.rsp(3, 2), sim::ContractViolation);
     ring->check_flow_invariants();
+}
+
+TEST_F(RingFixture, ManagerPortExistsOnlyAtManagerNodes) {
+    EXPECT_NO_THROW((void)ring->manager_port(0));
+    EXPECT_NO_THROW((void)ring->manager_port(1));
+    EXPECT_THROW((void)ring->manager_port(2), sim::ContractViolation);
+    EXPECT_THROW((void)ring->manager_port(3), sim::ContractViolation);
+    EXPECT_THROW((void)ring->manager_port(4), sim::ContractViolation);
 }
 
 TEST(RingSubordinates, DuplicatedSubordinateNodeIsRejected) {
@@ -182,8 +197,79 @@ TEST(RingSubordinates, DuplicatedSubordinateNodeIsRejected) {
     sim::SimContext ctx;
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
-    EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3, 3}}),
+    EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3, 3},
+                          std::vector<NodeId>{0}}),
                  sim::ContractViolation);
+}
+
+TEST(RingManagers, DuplicatedManagerNodeIsRejected) {
+    sim::SimContext ctx;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 3, "mem3");
+    EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3},
+                          std::vector<NodeId>{1, 1}}),
+                 sim::ContractViolation);
+}
+
+/// The response side of one subordinate NI, driven by hand: node 3 of a
+/// 4-node fabric hosts the subordinate, the managers sit at `managers`, and
+/// the test plays the egress mux by pushing responses into the managers'
+/// egress lanes directly.
+class NiResponseScan : public ::testing::Test {
+protected:
+    void build(std::vector<NodeId> managers) {
+        book = std::make_unique<CreditBook>(4, std::vector<NodeId>{3},
+                                            std::move(managers), fc);
+        ni = std::make_unique<NocNi>(ctx, "ni3", 3, fc, book.get());
+        for (const NodeId m : book->managers()) {
+            lanes.push_back(std::make_unique<axi::AxiChannel>(
+                ctx, "eg3_" + std::to_string(m), staging_depth(fc)));
+            lane_ptrs.push_back(lanes.back().get());
+        }
+    }
+    /// Makes one write response ready in every manager's lane, all in the
+    /// same cycle.
+    void ready_all() {
+        for (const auto& lane : lanes) { lane->b.push(axi::BFlit{}); }
+        ctx.step();
+    }
+    /// Lets the NI inject one response and returns its destination.
+    NodeId inject_one() {
+        NodeId dest = CreditBook::kNoSlot;
+        EXPECT_TRUE(ni->inject_responses(
+            lane_ptrs, [&](NodeId d, std::uint32_t flits, std::uint8_t vc) {
+                dest = d;
+                return out.can_push(flits, vc) ? &out : nullptr;
+            }));
+        ctx.step();
+        return dest;
+    }
+
+    sim::SimContext ctx;
+    NocFlowConfig fc;
+    NocLink out{ctx, "rsp_out", fc};
+    std::unique_ptr<CreditBook> book;
+    std::unique_ptr<NocNi> ni;
+    std::vector<std::unique_ptr<axi::AxiChannel>> lanes;
+    std::vector<axi::AxiChannel*> lane_ptrs;
+};
+
+TEST_F(NiResponseScan, NodeZeroWithoutAManagerServesTheLowestManagerFirst) {
+    // The response round-robin grants what a scan over every node,
+    // starting one past node 0, would: with node 0 hosting no manager, the
+    // lowest manager first. Listed out of order: slots follow node order.
+    build({2, 1});
+    ready_all();
+    EXPECT_EQ(inject_one(), 1U);
+    EXPECT_EQ(inject_one(), 2U);
+}
+
+TEST_F(NiResponseScan, NodeZeroWithAManagerIsServedLastOnTheFirstScan) {
+    // The same scan starts one past node 0, so node 0's manager waits.
+    build({0, 2});
+    ready_all();
+    EXPECT_EQ(inject_one(), 2U);
+    EXPECT_EQ(inject_one(), 0U);
 }
 
 TEST(RingCreditDelay, DelayedCreditReturnsStillCompleteEndToEnd) {
@@ -195,7 +281,8 @@ TEST(RingCreditDelay, DelayedCreditReturnsStillCompleteEndToEnd) {
     map.add(0x0, 0x10000, 2, "mem2");
     NocFlowConfig fc;
     fc.credit_return_delay = 6;
-    NocRing ring{ctx, "ring", 4, map, std::vector<noc::NodeId>{2}, fc};
+    NocRing ring{ctx, "ring", 4, map, std::vector<noc::NodeId>{2},
+                 std::vector<noc::NodeId>{0}, fc};
     ASSERT_NE(ring.credit_book(), nullptr);
     mem::AxiMemSlave mem2{ctx, "mem2", ring.subordinate_port(2),
                           std::make_unique<mem::SramBackend>(1, 1),

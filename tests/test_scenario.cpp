@@ -1,5 +1,6 @@
-/// Tests for the scenario engine: registry integrity, seed derivation,
-/// thread-count-invariant parallel sweeps, and the JSON emitter.
+/// Tests for the scenario engine: registry integrity (every registered point
+/// builds and boots), seed derivation, thread-count-invariant parallel
+/// sweeps, the crossbar DoS smoke, and the JSON emitter.
 #include "scenario/cli.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -12,6 +13,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace realm::scenario {
 namespace {
@@ -70,6 +73,26 @@ TEST(Registry, SweepPointsCarryDerivedSeeds) {
     EXPECT_EQ(sweep.points[1].config.boot_plans[1].fragment_beats, 1U);
     EXPECT_GT(sweep.points[1].config.boot_plans[1].budget_bytes,
               sweep.points[5].config.boot_plans[1].budget_bytes);
+}
+
+TEST(Registry, EveryPointBuildsAndBoots) {
+    // The set-up pass perfbench times, over every point of every sweep:
+    // build, preload, boot and harvest with no simulated budget. A point
+    // that throws here throws in any run of its sweep.
+    std::size_t points = 0;
+    for (const std::string& name : sweep_names()) {
+        for (const SweepPoint& p : make_sweep(name).points) {
+            SCOPED_TRACE(name + ": " + p.label);
+            ScenarioConfig cfg = p.config;
+            cfg.warmup_cycles = 0;
+            cfg.max_cycles = 0;
+            ScenarioResult res;
+            ASSERT_NO_THROW(res = run_scenario(cfg, p.label));
+            EXPECT_TRUE(res.boot_ok);
+            ++points;
+        }
+    }
+    RecordProperty("points", std::to_string(points));
 }
 
 // --- End-to-end scenario run -------------------------------------------------
@@ -308,6 +331,24 @@ TEST(ScenarioRunner, RingMatrixPointThreadInvariant) {
 }
 
 // --- JSON emitter ------------------------------------------------------------
+
+TEST(XbarDosSmoke, RunsTheMeshSmokeCellsAndEveryPointFinishes) {
+    // The crossbar runs the same ten DoS cells as the mesh smoke, so the
+    // three fabrics compare one regulation story; every cell, the
+    // zero-attacker defended ones included, boots and finishes.
+    const Sweep mesh = make_sweep("mesh-dos-smoke");
+    const Sweep xbar = make_sweep("xbar-dos-smoke");
+    const std::vector<ScenarioResult> results =
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(xbar);
+    ASSERT_EQ(results.size(), 10U);
+    ASSERT_EQ(mesh.points.size(), results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].label, mesh.points[i].label)
+            << "the three fabrics must run identical cells";
+        EXPECT_TRUE(results[i].boot_ok) << results[i].label;
+        EXPECT_FALSE(results[i].timed_out) << results[i].label;
+    }
+}
 
 TEST(JsonOutput, EmitsOnePointPerResultWithEscaping) {
     Sweep sweep = make_sweep("random-mix");
