@@ -10,6 +10,7 @@
 #include "noc/routing.hpp"
 #include "mem/axi_mem_slave.hpp"
 #include "mem/llc.hpp"
+#include "mem/sparse_memory.hpp"
 #include "mon/quantile.hpp"
 #include "mon/txn_monitor.hpp"
 #include "realm/splitter.hpp"
@@ -383,12 +384,35 @@ void BM_SusanTraceGeneration(benchmark::State& state) {
     traffic::SusanConfig cfg;
     cfg.width = 64;
     cfg.height = 48;
+    std::uint64_t taps = 0;
     for (auto _ : state) {
         traffic::SusanTraceGenerator gen{cfg};
         benchmark::DoNotOptimize(gen.ops().size());
+        taps += gen.total_taps();
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(taps));
 }
 BENCHMARK(BM_SusanTraceGeneration);
+
+void BM_PreloadSpan(benchmark::State& state) {
+    // The mesh DoS cells' preload volume (80 KiB of `off * 7` words) written
+    // in one call into a fresh memory, as `run_scenario` preconditions it.
+    std::vector<std::uint8_t> bytes(80 * 1024);
+    for (std::uint64_t off = 0; off < bytes.size(); off += 8) {
+        const std::uint64_t word = off * 7;
+        for (std::size_t i = 0; i < 8; ++i) {
+            bytes[off + i] = static_cast<std::uint8_t>(word >> (8 * i));
+        }
+    }
+    for (auto _ : state) {
+        mem::SparseMemory memory;
+        memory.write(0x10'0000, bytes);
+        benchmark::DoNotOptimize(memory.page_count());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_PreloadSpan);
 
 } // namespace
 

@@ -73,6 +73,7 @@ bool Llc::contains(axi::Addr addr) const noexcept {
 }
 
 void Llc::warm_range(axi::Addr base, std::uint64_t bytes, const SparseMemory& image) {
+    if (bytes == 0) { return; } // an empty range covers no line
     const axi::Addr first_line = base / config_.line_bytes;
     const axi::Addr last_line = (base + bytes - 1) / config_.line_bytes;
     for (axi::Addr line = first_line; line <= last_line; ++line) {

@@ -1,6 +1,7 @@
 #include "mem/sparse_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace realm::mem {
@@ -31,12 +32,24 @@ void SparseMemory::read(axi::Addr addr, std::span<std::uint8_t> out) const {
 }
 
 void SparseMemory::write(axi::Addr addr, std::span<const std::uint8_t> in, axi::Strb strb) {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        if ((strb >> (i % 64U)) & 1U) {
-            const axi::Addr cur = addr + i;
+    std::size_t done = 0;
+    while (done < in.size()) {
+        const axi::Addr cur = addr + done;
+        const std::size_t offset = static_cast<std::size_t>(cur % kPageBytes);
+        const std::size_t chunk = std::min(in.size() - done, kPageBytes - offset);
+        // Bit j % 64 of `lanes` qualifies chunk byte j (input byte done + j);
+        // `window` holds the bits the chunk uses, all 64 from 64 bytes up.
+        const axi::Strb lanes = std::rotr(strb, static_cast<int>(done % 64));
+        const axi::Strb window = chunk >= 64 ? ~axi::Strb{0} : (axi::Strb{1} << chunk) - 1;
+        if ((lanes & window) == window) {
+            std::memcpy(touch_page(cur / kPageBytes).data() + offset, in.data() + done, chunk);
+        } else if ((lanes & window) != 0) {
             Page& page = touch_page(cur / kPageBytes);
-            page[static_cast<std::size_t>(cur % kPageBytes)] = in[i];
+            for (std::size_t j = 0; j < chunk; ++j) {
+                if ((lanes >> (j % 64U)) & 1U) { page[offset + j] = in[done + j]; }
+            }
         }
+        done += chunk;
     }
 }
 
@@ -58,10 +71,6 @@ std::uint8_t SparseMemory::read_u8(axi::Addr addr) const {
     std::uint8_t v = 0;
     read(addr, std::span{&v, 1});
     return v;
-}
-
-void SparseMemory::write_u8(axi::Addr addr, std::uint8_t value) {
-    write(addr, std::span{&value, 1});
 }
 
 } // namespace realm::mem

@@ -22,9 +22,7 @@ std::unique_ptr<traffic::Workload> make_victim(const VictimConfig& cfg,
     case VictimConfig::Kind::kSusan: {
         traffic::SusanTraceGenerator gen{cfg.susan};
         const auto& img = gen.input_image();
-        for (std::size_t i = 0; i < img.size(); ++i) {
-            topo.write_u8(cfg.susan.image_base + i, img[i]);
-        }
+        topo.write(cfg.susan.image_base, img);
         topo.warm(cfg.susan.image_base, img.size());
         topo.warm(cfg.susan.out_base, img.size());
         topo.warm(cfg.susan.lut_base, 4096);
@@ -40,6 +38,22 @@ std::unique_ptr<traffic::Workload> make_victim(const VictimConfig& cfg,
     }
     REALM_EXPECTS(false, "unknown victim kind");
     return nullptr;
+}
+
+/// The span's contents: little-endian 8-byte words, `off * multiplier` at
+/// each word offset `off`.
+std::vector<std::uint8_t> preload_bytes(const PreloadSpan& span) {
+    REALM_EXPECTS(span.bytes % 8 == 0,
+                  "preload span at " + sim::hex(span.base) + " of " +
+                      std::to_string(span.bytes) + " bytes is not a whole number of words");
+    std::vector<std::uint8_t> bytes(span.bytes);
+    for (std::uint64_t off = 0; off < span.bytes; off += 8) {
+        const std::uint64_t word = off * span.multiplier;
+        for (std::size_t i = 0; i < 8; ++i) {
+            bytes[off + i] = static_cast<std::uint8_t>(word >> (8 * i));
+        }
+    }
+    return bytes;
 }
 
 } // namespace
@@ -76,9 +90,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     // --- Memory preconditioning -----------------------------------------
     auto victim_workload = make_victim(cfg.victim, cfg.seed, *topo);
     for (const PreloadSpan& span : cfg.preload) {
-        for (std::uint64_t off = 0; off < span.bytes; off += 8) {
-            topo->write_u64(span.base + off, off * span.multiplier);
-        }
+        topo->write(span.base, preload_bytes(span));
         if (span.warm) { topo->warm(span.base, span.bytes); }
     }
 

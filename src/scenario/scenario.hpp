@@ -89,7 +89,7 @@ struct MonitorConfig {
 /// 8 bytes) and optionally installed hot in the LLC.
 struct PreloadSpan {
     axi::Addr base = 0;
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 0; ///< a multiple of 8; `run_scenario` throws otherwise
     std::uint64_t multiplier = 1;
     bool warm = true;
 };

@@ -69,11 +69,8 @@ public:
         return soc_.dsa_port(i);
     }
 
-    void write_u8(axi::Addr addr, std::uint8_t value) override {
-        soc_.dram_image().write_u8(addr, value);
-    }
-    void write_u64(axi::Addr addr, std::uint64_t value) override {
-        soc_.dram_image().write_u64(addr, value);
+    void write(axi::Addr addr, std::span<const std::uint8_t> bytes) override {
+        soc_.dram_image().write(addr, bytes);
     }
     void warm(axi::Addr base, std::uint64_t bytes) override {
         soc_.warm_llc(base, bytes);
@@ -224,13 +221,15 @@ public:
         return fabric_->shard_of_node(interference_nodes_.at(i));
     }
 
-    void write_u8(axi::Addr addr, std::uint8_t value) override {
+    void write(axi::Addr addr, std::span<const std::uint8_t> bytes) override {
+        if (bytes.empty()) { return; } // places nothing, so `addr` may be unmapped
         const Span& s = span_for(addr);
-        s.store->write_u8(addr - s.base, value);
-    }
-    void write_u64(axi::Addr addr, std::uint64_t value) override {
-        const Span& s = span_for(addr);
-        s.store->write_u64(addr - s.base, value);
+        REALM_EXPECTS(bytes.size() <= s.base + s.bytes - addr,
+                      "write of " + std::to_string(bytes.size()) + " bytes at " +
+                          sim::hex(addr) + " runs past the end of memory node " +
+                          std::to_string(s.node) + "'s span [" + sim::hex(s.base) + ", " +
+                          sim::hex(s.base + s.bytes) + ")");
+        s.store->write(addr - s.base, bytes);
     }
     void warm(axi::Addr, std::uint64_t) override {} // flat SRAM nodes: no cache
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace realm::scenario {
@@ -199,8 +200,10 @@ public:
 
     /// \name Memory preconditioning (by bus address)
     ///@{
-    virtual void write_u8(axi::Addr addr, std::uint8_t value) = 0;
-    virtual void write_u64(axi::Addr addr, std::uint64_t value) = 0;
+    /// Copies `bytes` into the memory behind `[addr, addr + bytes.size())`.
+    /// The NoC fabrics require the whole range to sit in one memory node's
+    /// span.
+    virtual void write(axi::Addr addr, std::span<const std::uint8_t> bytes) = 0;
     /// Installs the span hot in whatever cache the fabric has (no-op when
     /// it has none, e.g. the NoC fabrics' flat SRAM nodes).
     virtual void warm(axi::Addr base, std::uint64_t bytes) = 0;

@@ -1,5 +1,7 @@
 #include "sim/check.hpp"
 
+#include <charconv>
+
 namespace realm::sim {
 
 void contract_violation(const char* kind, const char* file, int line,
@@ -13,6 +15,12 @@ void contract_violation(const char* kind, const char* file, int line,
     what += ": ";
     what += message;
     throw ContractViolation{what};
+}
+
+std::string hex(std::uint64_t value) {
+    char digits[16];
+    const auto end = std::to_chars(digits, digits + sizeof digits, value, 16).ptr;
+    return "0x" + std::string(digits, end);
 }
 
 } // namespace realm::sim

@@ -8,6 +8,7 @@
 /// work itself.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -23,6 +24,9 @@ public:
 /// small.
 [[noreturn]] void contract_violation(const char* kind, const char* file, int line,
                                      const std::string& message);
+
+/// `value` as "0x" plus lower-case hex digits, for addresses in messages.
+[[nodiscard]] std::string hex(std::uint64_t value);
 
 } // namespace realm::sim
 

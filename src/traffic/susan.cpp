@@ -3,6 +3,7 @@
 #include "sim/check.hpp"
 #include "sim/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -11,26 +12,29 @@ namespace realm::traffic {
 namespace {
 
 /// Direct-mapped filter cache deciding which loads reach the interconnect.
+/// Line size and line count are powers of two, so a probe shifts and masks.
 class FilterCache {
 public:
-    FilterCache(std::uint32_t bytes, std::uint32_t line_bytes)
-        : line_bytes_{line_bytes}, tags_(bytes / line_bytes, ~std::uint64_t{0}) {
-        REALM_EXPECTS(!tags_.empty(), "filter cache must hold at least one line");
+    FilterCache(std::uint32_t bytes, std::uint32_t line_bytes) {
+        REALM_EXPECTS(std::has_single_bit(line_bytes),
+                      "filter cache line size must be a power of two");
+        REALM_EXPECTS(std::has_single_bit(bytes / line_bytes),
+                      "filter cache must hold a power-of-two number of lines");
+        line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
+        tags_.assign(bytes / line_bytes, ~std::uint64_t{0});
     }
 
     /// Returns true on hit; installs the line on miss.
     bool access(axi::Addr addr) {
-        const std::uint64_t line = addr / line_bytes_;
-        const std::size_t set = static_cast<std::size_t>(line % tags_.size());
-        if (tags_[set] == line) { return true; }
-        tags_[set] = line;
+        const std::uint64_t line = addr >> line_shift_;
+        std::uint64_t& tag = tags_[static_cast<std::size_t>(line & (tags_.size() - 1))];
+        if (tag == line) { return true; }
+        tag = line;
         return false;
     }
 
-    [[nodiscard]] std::uint32_t line_bytes() const noexcept { return line_bytes_; }
-
 private:
-    std::uint32_t line_bytes_;
+    unsigned line_shift_ = 0;
     std::vector<std::uint64_t> tags_;
 };
 

@@ -36,7 +36,8 @@ struct SusanConfig {
     /// latency dominated — execution time scales almost linearly with access
     /// latency. The defaults below (small filter cache, sub-cycle per-tap
     /// cost) put the generated trace in that regime; they are knobs, not
-    /// measurements.
+    /// measurements. Line size and line count must be powers of two; the
+    /// generator throws otherwise.
     std::uint32_t filter_cache_bytes = 512;
     std::uint32_t filter_line_bytes = 8;
     /// Compute cost per window tap, in quarter cycles (1 = 0.25 cycles/tap).

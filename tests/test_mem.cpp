@@ -7,9 +7,14 @@
 #include "mem/error_slave.hpp"
 #include "mem/llc.hpp"
 #include "mem/sparse_memory.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <vector>
 
 namespace realm::mem {
 namespace {
@@ -53,6 +58,49 @@ TEST(SparseMemory, StrobeMasksBytes) {
     in.fill(0xFF);
     m.write(0x100, in, 0x0F); // low four lanes only
     EXPECT_EQ(m.read_u64(0x100), 0x11111111FFFFFFFFULL);
+}
+
+TEST(SparseMemory, PageChunkedWritesMatchAByteWiseModel) {
+    // Seeded differential check of the page-at-a-time write path against a
+    // byte map that applies strobe bit i % 64 to byte i. Writes run up to
+    // three pages, half of them start just below a page boundary, and the
+    // strobe patterns cover every chunk case: all bits set (copied whole),
+    // all clear (no page allocated), and mixed (masked byte by byte).
+    constexpr axi::Addr kPage = SparseMemory::kPageBytes;
+    constexpr axi::Addr kBase = 0x4000'0000;
+    constexpr std::uint64_t kPages = 12;
+    sim::Rng rng{0x5A11'0C47};
+    std::vector<std::uint8_t> in;
+    std::vector<std::uint8_t> out(kPages * kPage);
+    for (int round = 0; round < 60; ++round) {
+        SparseMemory mem;
+        std::map<axi::Addr, std::uint8_t> ref;
+        for (int n = 0; n < 5; ++n) {
+            axi::Addr addr = kBase + rng.uniform(0, 7 * kPage);
+            if (rng.chance(1, 2)) { addr = kBase + rng.uniform(1, 8) * kPage - rng.uniform(1, 80); }
+            const std::uint64_t len =
+                rng.chance(1, 2) ? rng.uniform(0, 130) : rng.uniform(0, 3 * kPage);
+            const std::array<axi::Strb, 6> strobes{
+                ~axi::Strb{0}, 0, 0xFFFF'FFFF, 0xFFFF'FFFF'0000'0000ULL,
+                axi::Strb{1} << rng.uniform(0, 63), rng.next()};
+            const axi::Strb strb = strobes[rng.uniform(0, strobes.size() - 1)];
+            in.resize(len);
+            for (std::uint8_t& b : in) { b = static_cast<std::uint8_t>(rng.next()); }
+            mem.write(addr, in, strb);
+            for (std::uint64_t i = 0; i < len; ++i) {
+                if ((strb >> (i % 64)) & 1U) { ref[addr + i] = in[i]; }
+            }
+        }
+        mem.read(kBase, out);
+        for (std::uint64_t i = 0; i < out.size(); ++i) {
+            const auto it = ref.find(kBase + i);
+            ASSERT_EQ(out[i], it == ref.end() ? 0 : it->second)
+                << "round " << round << ", byte " << kBase + i;
+        }
+        std::set<axi::Addr> pages;
+        for (const auto& [a, v] : ref) { pages.insert(a / kPage); }
+        EXPECT_EQ(mem.page_count(), pages.size()) << "round " << round;
+    }
 }
 
 TEST(DramBackend, RowHitFasterThanMiss) {
@@ -223,6 +271,13 @@ TEST_F(LlcFixture, WriteAllocateAndWritebackOnEviction) {
     // The dirty data must have landed in DRAM (pattern 0x55 + lane from
     // push_write_burst).
     EXPECT_EQ(dram_store().read_u8(0x3000), 0x55);
+}
+
+TEST_F(LlcFixture, ZeroByteWarmInstallsNoLine) {
+    llc->warm_range(0x2004, 0, dram_store());
+    ASSERT_FALSE(llc->contains(0x2000)) << "an empty range at an unaligned base";
+    llc->warm_range(0x0, 0, dram_store());
+    EXPECT_FALSE(llc->contains(0x0)) << "an empty range at address 0";
 }
 
 TEST_F(LlcFixture, HotSingleBeatReadsPipelineBackToBack) {

@@ -1,6 +1,7 @@
 /// Tests for the scenario engine: registry integrity (every registered point
-/// builds and boots), seed derivation, thread-count-invariant parallel
-/// sweeps, the crossbar DoS smoke, and the JSON emitter.
+/// builds and boots), malformed preload spans, seed derivation,
+/// thread-count-invariant parallel sweeps, the crossbar DoS smoke, and the
+/// JSON emitter.
 #include "scenario/cli.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -93,6 +94,44 @@ TEST(Registry, EveryPointBuildsAndBoots) {
         }
     }
     RecordProperty("points", std::to_string(points));
+}
+
+// --- Malformed preload ------------------------------------------------------
+
+/// The message of the contract violation `run_scenario` throws on `cfg`'s
+/// set-up, or "" when it throws none.
+std::string setup_violation(ScenarioConfig cfg) {
+    cfg.warmup_cycles = 0;
+    cfg.max_cycles = 0;
+    try {
+        (void)run_scenario(cfg);
+    } catch (const sim::ContractViolation& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Preload, SpanOfPartialWordsFailsNamingTheSpan) {
+    ScenarioConfig cfg = make_sweep("mesh-dos-smoke").points[0].config;
+    cfg.preload.push_back(PreloadSpan{0x1000, 12, 1, false});
+    const std::string what = setup_violation(cfg);
+    EXPECT_NE(what.find("preload span at 0x1000 of 12 bytes"), std::string::npos) << what;
+}
+
+TEST(Preload, SpanRunningPastAMeshMemoryNodeFailsNamingTheSpan) {
+    // The last word starts inside the node's 128 KiB and ends 4 bytes past
+    // it, in store bytes no bus address reaches.
+    ScenarioConfig cfg = make_sweep("mesh-dos-smoke").points[0].config;
+    const MeshTopologyConfig& mesh = cfg.topology.mesh;
+    ASSERT_EQ(cfg.topology.kind, TopologyKind::kMesh);
+    const axi::Addr end = mesh.mem_base + mesh.mem_span_bytes;
+    cfg.preload.push_back(PreloadSpan{end - 0x1004, 0x1008, 1, false});
+    const std::string what = setup_violation(cfg);
+    EXPECT_NE(what.find("write of 4104 bytes at " + sim::hex(end - 0x1004)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("[" + sim::hex(mesh.mem_base) + ", " + sim::hex(end) + ")"),
+              std::string::npos)
+        << what;
 }
 
 // --- End-to-end scenario run -------------------------------------------------
