@@ -1,13 +1,16 @@
 /// \file
 /// \brief The result comparator every test shares: two `ScenarioResult`s
 ///        agree when they are equal after clearing the field kinds the
-///        check may ignore (see `scenario::kResultFields`).
+///        check may ignore (see `scenario::kResultFields`); `as_dumped`
+///        rounds a fresh result the way a sweep dump stores it.
 #pragma once
 
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <type_traits>
 #include <variant>
 
@@ -26,6 +29,25 @@ inline void clear_from(scenario::ScenarioResult& r, scenario::FieldKind from) {
             },
             f.member);
     }
+}
+
+/// `r` as a dump holds it: doubles at the writer's six significant digits.
+/// A member missing from `kResultFields` keeps its full value here while
+/// the loaded copy has the default, so comparing against this catches it.
+inline scenario::ScenarioResult as_dumped(scenario::ScenarioResult r) {
+    for (const scenario::ResultField& f : scenario::kResultFields) {
+        std::visit(
+            [&r](auto member) {
+                if constexpr (std::is_same_v<decltype(member),
+                                             double scenario::ScenarioResult::*>) {
+                    char buf[32];
+                    std::snprintf(buf, sizeof buf, "%.6g", r.*member);
+                    r.*member = std::strtod(buf, nullptr);
+                }
+            },
+            f.member);
+    }
+    return r;
 }
 
 /// Succeeds when `a == b` once the fields of kind `ignore_from` or later

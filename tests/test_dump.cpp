@@ -10,12 +10,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <type_traits>
-#include <variant>
 #include <vector>
 
 namespace realm::scenario {
@@ -83,24 +80,6 @@ std::vector<ScenarioResult> without_host(std::vector<ScenarioResult> results) {
     return results;
 }
 
-/// `r` as a dump holds it: doubles at the writer's six significant digits.
-/// A member missing from `kResultFields` keeps its full value here while
-/// the loaded copy has the default, so comparing against this catches it.
-ScenarioResult as_dumped(ScenarioResult r) {
-    for (const ResultField& f : kResultFields) {
-        std::visit(
-            [&r](auto member) {
-                if constexpr (std::is_same_v<decltype(member), double ScenarioResult::*>) {
-                    char buf[32];
-                    std::snprintf(buf, sizeof buf, "%.6g", r.*member);
-                    r.*member = std::strtod(buf, nullptr);
-                }
-            },
-            f.member);
-    }
-    return r;
-}
-
 /// Writes `results`, loads them back through both keyed loaders, and
 /// expects every loaded point to equal the written one and the rewrite of
 /// what was loaded to reproduce the dump byte for byte.
@@ -116,7 +95,7 @@ void expect_rewrite_identical(const std::string& path, const Sweep& sweep,
     for (std::size_t i = 0; i < sweep.points.size(); ++i) {
         const SweepPoint& p = sweep.points[i];
         loaded.push_back(by_hash.at(config_hash(p.config)));
-        EXPECT_TRUE(test::same_result(loaded.back(), as_dumped(results[i]), FieldKind::kHost))
+        EXPECT_TRUE(test::same_result(loaded.back(), test::as_dumped(results[i]), FieldKind::kHost))
             << p.label;
         const auto it = by_label.find(p.label);
         ASSERT_NE(it, by_label.end()) << p.label;
@@ -151,7 +130,7 @@ TEST_F(DumpFixture, PrettyPrintedDumpResumesEveryPoint) {
         // Exactly what the compact dump holds, in every field, which is the
         // fresh run to the dump's precision.
         EXPECT_TRUE(resumed[i] == from_compact.at(config_hash(sweep.points[i].config)));
-        EXPECT_TRUE(test::same_result(resumed[i], as_dumped(ring_smoke()[i]), FieldKind::kHost));
+        EXPECT_TRUE(test::same_result(resumed[i], test::as_dumped(ring_smoke()[i]), FieldKind::kHost));
     }
     EXPECT_GT(resumed[0].dma_mr_bytes_total, 0U);
 }
