@@ -4,6 +4,7 @@
 ///        cycles simulated per wall second).
 #include "axi/builder.hpp"
 #include "axi/channel.hpp"
+#include "ic/mux.hpp"
 #include "ic/xbar.hpp"
 #include "noc/arena.hpp"
 #include "noc/credit.hpp"
@@ -23,6 +24,10 @@
 #include "traffic/susan.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -110,6 +115,36 @@ void BM_SramSlaveCycle(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(ctx.now()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SramSlaveCycle);
+
+void BM_AxiMuxFanIn(benchmark::State& state) {
+    // Per-cycle cost of a subordinate-side mux at NoC fan-in (Arg = upstream
+    // lanes): lane 0 streams 1-beat reads into an SRAM slave and every
+    // other lane stays empty, as at a mesh memory node where one of many
+    // managers talks. 257 is the fan-in of each subordinate mux on the
+    // 32x32 hog256 point (victim plus 256 attackers). Items are cycles.
+    const auto lanes = static_cast<std::size_t>(state.range(0));
+    sim::SimContext ctx;
+    std::vector<std::unique_ptr<axi::AxiChannel>> ups;
+    std::vector<axi::AxiChannel*> up_ptrs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+        ups.push_back(std::make_unique<axi::AxiChannel>(ctx, "up" + std::to_string(i)));
+        up_ptrs.push_back(ups.back().get());
+    }
+    axi::AxiChannel down{ctx, "down"};
+    ic::AxiMux mux{ctx, "mux", up_ptrs, down};
+    mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(1, 1),
+                           mem::AxiMemSlaveConfig{8, 8, 0}};
+    axi::ManagerView mgr{*ups[0]};
+    for (auto _ : state) {
+        if (mgr.can_send_ar()) { mgr.send_ar(axi::make_ar(1, ctx.now() % 4096, 1, 3)); }
+        if (mgr.has_r()) { benchmark::DoNotOptimize(mgr.recv_r()); }
+        ctx.step();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ctx.now()));
+    state.counters["cycles/s"] =
+        benchmark::Counter(static_cast<double>(ctx.now()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AxiMuxFanIn)->Arg(2)->Arg(16)->Arg(257);
 
 void BM_QuantileSketch(benchmark::State& state) {
     // Record cost of the fixed-memory HDR sketch: the per-completed-burst

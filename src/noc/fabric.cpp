@@ -1,0 +1,149 @@
+#include "noc/fabric.hpp"
+
+#include "sim/check.hpp"
+
+#include <utility>
+
+namespace realm::noc {
+
+// ---------------------------------------------------------------------------
+// NocFabric
+// ---------------------------------------------------------------------------
+
+NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
+                     ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
+                     std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
+                     bool deferred_credits)
+    : name_{std::move(name)}, flow_{flow}, deferred_credits_{deferred_credits},
+      map_{std::move(node_map)} {
+    REALM_EXPECTS(num_nodes >= 2, "a NoC needs at least two nodes");
+    flow_.validate();
+    book_ = std::make_unique<CreditBook>(num_nodes, std::move(subordinate_nodes),
+                                         std::move(manager_nodes), flow_);
+    for (const NodeId m : book_->managers()) {
+        mgr_ports_.push_back(std::make_unique<axi::AxiChannel>(
+            ctx, name_ + ".mgr" + std::to_string(m)));
+    }
+}
+
+NocLink& NocFabric::add_link(const sim::SimContext& ctx, const std::string& tag,
+                             std::uint8_t num_vcs, bool edge_registered) {
+    links_.push_back(
+        std::make_unique<NocLink>(ctx, name_ + tag, flow_, num_vcs, edge_registered));
+    return *links_.back();
+}
+
+void NocFabric::build_egress(sim::SimContext& ctx) {
+    const std::vector<NodeId>& subs = book_->subordinates();
+    const std::vector<NodeId>& mgrs = book_->managers();
+    egress_.resize(subs.size());
+    for (std::size_t slot = 0; slot < subs.size(); ++slot) {
+        const NodeId s = subs[slot];
+        const sim::ShardScope scope{ctx, shard_of_node(s)};
+        std::vector<axi::AxiChannel*> lanes;
+        lanes.reserve(mgrs.size());
+        egress_[slot].reserve(mgrs.size());
+        for (const NodeId m : mgrs) {
+            egress_[slot].push_back(std::make_unique<axi::AxiChannel>(
+                ctx, name_ + ".eg" + std::to_string(s) + "_" + std::to_string(m),
+                staging_depth(flow_)));
+            wire_credit_returns(ctx, *egress_[slot].back(), book_->req(s, m), flow_,
+                                deferred_credits_);
+            lanes.push_back(egress_[slot].back().get());
+        }
+        sub_ports_.push_back(std::make_unique<axi::AxiChannel>(
+            ctx, name_ + ".sub" + std::to_string(s)));
+        muxes_.push_back(std::make_unique<ic::AxiMux>(
+            ctx, name_ + ".mux" + std::to_string(s), std::move(lanes), *sub_ports_.back()));
+    }
+}
+
+void NocFabric::add_router(std::unique_ptr<NocRouter> router) {
+    REALM_EXPECTS(router->id() == routers_.size(), "routers are added in node order");
+    routers_.push_back(std::move(router));
+}
+
+axi::AxiChannel& NocFabric::manager_port(NodeId node) {
+    const NodeId slot = book_->manager_slot(node);
+    REALM_EXPECTS(slot != CreditBook::kNoSlot, "node hosts no manager");
+    return *mgr_ports_[slot];
+}
+
+axi::AxiChannel& NocFabric::subordinate_port(NodeId node) {
+    const NodeId slot = book_->subordinate_slot(node);
+    REALM_EXPECTS(slot != CreditBook::kNoSlot, "node hosts no subordinate");
+    return *sub_ports_[slot];
+}
+
+std::uint64_t NocFabric::total_forwarded() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& r : routers_) { total += r->forwarded(); }
+    return total;
+}
+
+std::uint64_t NocFabric::total_mux_w_stalls() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& m : muxes_) { total += m->w_stall_cycles(); }
+    return total;
+}
+
+void NocFabric::check_flow_invariants() const {
+    book_->check_conserved();
+    for (const auto& link : links_) { link->check_bounded(); }
+    const std::vector<NodeId>& subs = book_->subordinates();
+    const std::vector<NodeId>& mgrs = book_->managers();
+    for (std::size_t slot = 0; slot < subs.size(); ++slot) {
+        const NocNi& ni = routers_[subs[slot]]->ni();
+        for (std::size_t m = 0; m < mgrs.size(); ++m) {
+            check_staging_invariants(*egress_[slot][m], book_->req(subs[slot], mgrs[m]),
+                                     flow_, ni.stashed_request_flits(mgrs[m]));
+        }
+    }
+    // Response reorder stashes are bounded by the response pools: a stashed
+    // response still holds its end-to-end credits. Only subordinates source
+    // responses and only managers receive them (the book holds exactly
+    // those pools).
+    for (const NodeId d : mgrs) {
+        for (const NodeId s : subs) {
+            REALM_ENSURES(routers_[d]->ni().stashed_response_flits(s) <=
+                              book_->rsp(d, s).in_flight(),
+                          "stashed response flits without matching in-flight credits");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// NocRouter
+// ---------------------------------------------------------------------------
+
+NocRouter::NocRouter(sim::SimContext& ctx, std::string name, NodeId node,
+                     NocFabric& fabric, RoutingPolicy routing)
+    : Component{ctx, std::move(name)},
+      id_{node},
+      map_{&fabric.map_},
+      local_mgr_{nullptr},
+      ni_{ctx, this->name(), node, fabric.flow_, fabric.book_.get(), routing,
+          fabric.deferred_credits_} {
+    if (const NodeId slot = fabric.book_->manager_slot(node); slot != CreditBook::kNoSlot) {
+        local_mgr_ = fabric.mgr_ports_[slot].get();
+        local_mgr_->wake_subordinate_on_request(*this);
+    }
+    if (const NodeId slot = fabric.book_->subordinate_slot(node);
+        slot != CreditBook::kNoSlot) {
+        egress_.reserve(fabric.egress_[slot].size());
+        for (const auto& ch : fabric.egress_[slot]) {
+            egress_.push_back(ch.get());
+            ch->wake_manager_on_response(*this);
+        }
+    }
+}
+
+void NocRouter::reset() {
+    ni_.reset();
+    injected_ = 0;
+    ejected_ = 0;
+    forwarded_ = 0;
+    stalls_ = 0;
+}
+
+} // namespace realm::noc

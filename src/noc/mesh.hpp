@@ -19,23 +19,24 @@
 /// for `flits_per_packet` cycles, which is exactly the head-of-line
 /// blocking at the memory-column merge routers the matrix exists to
 /// expose — and exactly the hotspot the routing-policy axis moves around.
+/// Endpoints, credit flow control and the router shell are the shared
+/// `NocFabric` / `NocRouter` layer (see fabric.hpp); the mesh adds its
+/// edge-registered neighbor links, the tile -> shard map, and the routers'
+/// hop step.
 #pragma once
 
-#include "axi/channel.hpp"
 #include "ic/addr_map.hpp"
-#include "ic/mux.hpp"
 #include "noc/credit.hpp"
-#include "noc/ni.hpp"
+#include "noc/fabric.hpp"
 #include "noc/packet.hpp"
 #include "noc/routing.hpp"
 
-#include "sim/component.hpp"
 #include "sim/context.hpp"
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace realm::noc {
@@ -50,7 +51,7 @@ namespace realm::noc {
 /// comes from the fabric's `RoutingPolicy`; when the policy permits more
 /// than one productive hop (west-first), the router takes the candidate
 /// whose target VC holds the fewest buffered flits.
-class MeshRouter : public sim::Component {
+class MeshRouter final : public NocRouter {
 public:
     /// Neighbor links, indexed by `MeshDir`; nullptr at mesh edges.
     /// `in[d]` carries packets *from* the neighbor in direction d,
@@ -62,38 +63,14 @@ public:
         std::array<NocLink*, kMeshDirs> rsp_out{};
     };
 
-    /// \param deferred_credits  Stage credit releases for the cycle-edge
-    ///        flush (required under spatial sharding; `NocMesh` always
-    ///        passes true so behaviour never depends on the shard count).
-    MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
-               NodeId cols, ic::AddrMap map,
-               axi::AxiChannel* local_mgr,
-               std::vector<axi::AxiChannel*> egress, Ports ports,
-               const NocFlowConfig& fc, CreditBook* book,
-               RoutingPolicy routing = RoutingPolicy::kXY,
-               bool deferred_credits = false);
+    MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id, NocFabric& fabric,
+               NodeId cols, const Ports& ports, RoutingPolicy routing);
 
     void reset() override;
     void tick() override;
 
-    [[nodiscard]] RoutingPolicy routing() const noexcept { return routing_; }
-    /// NI bookkeeping (reorder-stash introspection for invariant checks).
-    [[nodiscard]] const NocNi& ni() const noexcept { return ni_; }
-
-    /// \name Statistics
-    ///@{
-    [[nodiscard]] std::uint64_t injected() const noexcept { return injected_; }
-    [[nodiscard]] std::uint64_t ejected() const noexcept { return ejected_; }
-    [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
-    /// Cycles an input head could not move (output busy/backpressured or
-    /// ejection staging full) — the mesh analog of ring stalls.
-    [[nodiscard]] std::uint64_t stall_cycles() const noexcept { return stalls_; }
-    ///@}
-
 private:
     void service_network(bool request_net);
-    void inject_requests();
-    void inject_responses();
     /// Injection-side routing: computes the permitted hops for `dest` and
     /// picks an output (asserting the set is non-empty — a node never
     /// routes to itself).
@@ -109,16 +86,10 @@ private:
                                        std::optional<MeshDir> from);
     void update_activity();
 
-    NodeId id_;
     NodeId cols_;
-    ic::AddrMap map_;
-    axi::AxiChannel* local_mgr_;
-    std::vector<axi::AxiChannel*> egress_;
     Ports ports_;
     RoutingPolicy routing_;
     std::uint8_t num_vcs_;
-
-    NocNi ni_;
 
     /// Round-robin input priority per network (advances only when a packet
     /// moved, so an idle tick stays the promised no-op).
@@ -130,17 +101,11 @@ private:
     /// Per-cycle output reservations (one packet per port per cycle).
     std::array<bool, kMeshDirs> req_out_used_{};
     std::array<bool, kMeshDirs> rsp_out_used_{};
-
-    std::uint64_t injected_ = 0;
-    std::uint64_t ejected_ = 0;
-    std::uint64_t forwarded_ = 0;
-    std::uint64_t stalls_ = 0;
 };
 
-/// Mesh assembly: routers, neighbor links, per-subordinate egress muxes.
-/// Mirrors `NocRing`'s interface so the topology subsystem treats both
-/// fabrics through one code path.
-class NocMesh {
+/// Mesh assembly: neighbor links and one `MeshRouter` per tile on the
+/// shared fabric endpoints.
+class NocMesh final : public NocFabric {
 public:
     /// \param node_map          decodes addresses to node ids (row-major).
     /// \param subordinate_nodes nodes hosting a local subordinate, and
@@ -165,77 +130,25 @@ public:
             RoutingPolicy routing = RoutingPolicy::kXY,
             std::vector<unsigned> tile_shards = {});
 
-    NocMesh(const NocMesh&) = delete;
-    NocMesh& operator=(const NocMesh&) = delete;
-
-    /// Channel the manager at `node` drives (requests in, responses out);
-    /// asserts that `node` hosts a manager.
-    [[nodiscard]] axi::AxiChannel& manager_port(NodeId node);
-    /// Channel to attach a subordinate model at `node`.
-    [[nodiscard]] axi::AxiChannel& subordinate_port(NodeId node);
-
-    [[nodiscard]] MeshRouter& router(NodeId i) { return *routers_.at(i); }
-    [[nodiscard]] NodeId rows() const noexcept { return rows_; }
-    [[nodiscard]] NodeId cols() const noexcept { return cols_; }
-    [[nodiscard]] NodeId num_nodes() const noexcept {
-        return static_cast<NodeId>(routers_.size());
-    }
     /// Spatial shard hosting node `n`'s tile: the explicit map when one was
     /// provided, the default column stripe otherwise. Fixed at construction
     /// from the context's shard setting, so all of a tile's components
     /// (router, mux, memory, attached cores) land on one shard and every
     /// cross-shard path is an edge-registered neighbor link.
-    [[nodiscard]] unsigned shard_of_node(NodeId n) const noexcept {
+    [[nodiscard]] unsigned shard_of_node(NodeId n) const override {
         return tile_shards_.empty()
                    ? static_cast<unsigned>(n % cols_) * stripe_shards_ / cols_
                    : tile_shards_[n];
     }
-    [[nodiscard]] const NocFlowConfig& flow() const noexcept { return flow_; }
     [[nodiscard]] RoutingPolicy routing() const noexcept { return routing_; }
-    /// End-to-end credit book.
-    [[nodiscard]] const CreditBook* credit_book() const noexcept {
-        return book_.get();
-    }
-
-    /// Aggregate mesh statistics (hops forwarded across all routers).
-    [[nodiscard]] std::uint64_t total_forwarded() const noexcept;
-    /// Aggregate head-of-line stall cycles across all routers.
-    [[nodiscard]] std::uint64_t total_stalls() const noexcept;
-    /// Aggregate W-channel reservation stalls across the subordinate-side
-    /// egress muxes (the DoS exposure metric, cf. `NocRing`).
-    [[nodiscard]] std::uint64_t total_mux_w_stalls() const noexcept;
-
-    /// Asserts every flow-control invariant of the fabric (see
-    /// `NocRing::check_flow_invariants`), including the reorder-stash
-    /// bounds of every NI.
-    void check_flow_invariants() const;
 
 private:
-    NodeId rows_;
     NodeId cols_;
+    RoutingPolicy routing_;
     /// Column stripes used for spatial sharding (min(shards, cols)).
     unsigned stripe_shards_ = 1;
     /// Explicit tile -> shard map (empty = column stripes).
     std::vector<unsigned> tile_shards_;
-    NocFlowConfig flow_;
-    RoutingPolicy routing_;
-    std::unique_ptr<CreditBook> book_;
-    /// Per manager slot (see `CreditBook::manager_slot`).
-    std::vector<std::unique_ptr<axi::AxiChannel>> mgr_ports_;
-    /// Neighbor links per network and orientation. `h_*[i]` connects node i
-    /// to node i+1 (east/west pair, absent on the last column); `v_*[i]`
-    /// connects node i to node i+cols (south/north pair, absent on the last
-    /// row). `*_fwd` flows east/south, `*_rev` flows west/north.
-    std::vector<std::unique_ptr<NocLink>> h_req_fwd_, h_req_rev_;
-    std::vector<std::unique_ptr<NocLink>> h_rsp_fwd_, h_rsp_rev_;
-    std::vector<std::unique_ptr<NocLink>> v_req_fwd_, v_req_rev_;
-    std::vector<std::unique_ptr<NocLink>> v_rsp_fwd_, v_rsp_rev_;
-    /// Per subordinate slot (see `CreditBook::subordinate_slot`):
-    /// egress_[slot][manager slot], the subordinate port and its mux.
-    std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;
-    std::vector<std::unique_ptr<axi::AxiChannel>> sub_ports_;
-    std::vector<std::unique_ptr<ic::AxiMux>> muxes_;
-    std::vector<std::unique_ptr<MeshRouter>> routers_;
 };
 
 } // namespace realm::noc

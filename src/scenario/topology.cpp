@@ -5,6 +5,7 @@
 #include "sim/check.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -121,18 +122,19 @@ private:
 // NoC fabrics (ring of Figure 1b, 2D mesh) at scenario scale. Everything
 // except fabric construction is shared: role resolution, the node-level
 // address map, memory-slave attachment, REALM placement, and the direct
-// config path. `Fabric` provides `manager_port` / `subordinate_port` /
-// `total_forwarded` / `total_mux_w_stalls`.
+// config path; every fabric is a `noc::NocFabric`.
 // ---------------------------------------------------------------------------
 
-template <typename Fabric>
 class NocTopologyBase : public TopologyHandle {
 protected:
-    /// \param make_fabric  (ctx, node_map, subordinate_nodes, manager_nodes)
-    ///                     -> Fabric ptr.
-    template <typename MakeFabric>
+    /// Builds the fabric from (ctx, node_map, subordinate_nodes,
+    /// manager_nodes).
+    using MakeFabric = std::function<std::unique_ptr<noc::NocFabric>(
+        sim::SimContext&, ic::AddrMap, std::vector<noc::NodeId>,
+        std::vector<noc::NodeId>)>;
+
     NocTopologyBase(sim::SimContext& ctx, const NocTopologyConfig& cfg,
-                    std::vector<RingNodeSpec> specs, MakeFabric&& make_fabric)
+                    std::vector<RingNodeSpec> specs, const MakeFabric& make_fabric)
         : cfg_{cfg}, specs_{std::move(specs)} {
         cfg_.nodes.clear(); // `specs_` is the resolved list; keep one copy
         const auto num_nodes = static_cast<noc::NodeId>(specs_.size());
@@ -236,9 +238,15 @@ public:
     bool boot(const std::vector<RegionPlan>& plans) override {
         // The NoC fabrics have no HWRoT boot master (yet); the config path
         // programs the placed units directly, covering the whole mapped
-        // memory span.
+        // memory span. A plan for a manager without a unit is a no-op.
+        if (plans.empty()) { return true; }
+        const std::size_t managers = 1 + interference_nodes_.size();
+        REALM_EXPECTS(plans.size() == managers,
+                      "one boot plan per NoC manager required: got " +
+                          std::to_string(plans.size()) + " plans for " +
+                          std::to_string(managers) + " managers");
         for (std::size_t p = 0; p < plans.size(); ++p) {
-            rt::RealmUnit* unit = unit_for_plan(p);
+            rt::RealmUnit* unit = unit_at(p == 0 ? victim_node_ : interference_nodes_[p - 1]);
             if (unit == nullptr) { continue; }
             unit->set_fragmentation(plans[p].fragment_beats);
             unit->set_region(0, rt::RegionConfig{mem_lo_, mem_hi_, plans[p].budget_bytes,
@@ -286,18 +294,13 @@ private:
         return realm_of_node_[node] >= 0 ? *realm_up_[realm_of_node_[node]]
                                          : fabric_->manager_port(node);
     }
-    [[nodiscard]] const rt::RealmUnit* unit_at(noc::NodeId node) const {
-        return realm_of_node_[node] >= 0 ? realms_[realm_of_node_[node]].get() : nullptr;
-    }
-    [[nodiscard]] rt::RealmUnit* unit_for_plan(std::size_t p) {
-        if (p > interference_nodes_.size()) { return nullptr; }
-        const noc::NodeId node = p == 0 ? victim_node_ : interference_nodes_[p - 1];
+    [[nodiscard]] rt::RealmUnit* unit_at(noc::NodeId node) const {
         return realm_of_node_[node] >= 0 ? realms_[realm_of_node_[node]].get() : nullptr;
     }
 
     NocTopologyConfig cfg_;
     std::vector<RingNodeSpec> specs_;
-    std::unique_ptr<Fabric> fabric_;
+    std::unique_ptr<noc::NocFabric> fabric_;
     std::vector<std::unique_ptr<mem::AxiMemSlave>> mems_;
     std::vector<Span> spans_;
     std::vector<std::unique_ptr<axi::AxiChannel>> realm_up_;
@@ -309,7 +312,7 @@ private:
     axi::Addr mem_hi_ = 0;
 };
 
-class RingTopology final : public NocTopologyBase<noc::NocRing> {
+class RingTopology final : public NocTopologyBase {
 public:
     RingTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
         : NocTopologyBase{ctx, cfg.topology.ring, resolve(cfg.topology.ring),
@@ -332,7 +335,7 @@ private:
     }
 };
 
-class MeshTopology final : public NocTopologyBase<noc::NocMesh> {
+class MeshTopology final : public NocTopologyBase {
 public:
     MeshTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
         : NocTopologyBase{ctx, cfg.topology.mesh, resolve(cfg.topology.mesh),

@@ -1,7 +1,7 @@
 /// Tests for the scenario engine: registry integrity (every registered point
-/// builds and boots), malformed preload spans, seed derivation,
-/// thread-count-invariant parallel sweeps, the crossbar DoS smoke, and the
-/// JSON emitter.
+/// builds and boots), malformed preload spans and NoC boot plans, seed
+/// derivation, thread-count-invariant parallel sweeps, the crossbar, ring
+/// and mesh DoS smokes, and the JSON emitter.
 #include "scenario/cli.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -132,6 +133,25 @@ TEST(Preload, SpanRunningPastAMeshMemoryNodeFailsNamingTheSpan) {
     EXPECT_NE(what.find("[" + sim::hex(mesh.mem_base) + ", " + sim::hex(end) + ")"),
               std::string::npos)
         << what;
+}
+
+TEST(NocBoot, PlanListOfTheWrongLengthFailsNamingBothCounts) {
+    // A ring with one attacker hosts two managers, so it takes two plans.
+    // A third plan used to be dropped and a single plan left the attacker
+    // unregulated, both silently; the crossbar rejects either list too.
+    ScenarioConfig cfg = make_sweep("ring-dos-smoke").points[0].config;
+    ASSERT_EQ(cfg.topology.kind, TopologyKind::kRing);
+    ASSERT_EQ(std::count_if(cfg.topology.ring.nodes.begin(), cfg.topology.ring.nodes.end(),
+                            [](const RingNodeSpec& n) { return n.role == RingRole::kInterference; }),
+              1);
+    cfg.boot_plans.assign(3, RegionPlan{});
+    std::string what = setup_violation(cfg);
+    EXPECT_NE(what.find("got 3 plans for 2 managers"), std::string::npos) << what;
+    cfg.boot_plans.assign(1, RegionPlan{});
+    what = setup_violation(cfg);
+    EXPECT_NE(what.find("got 1 plans for 2 managers"), std::string::npos) << what;
+    cfg.boot_plans.assign(2, RegionPlan{});
+    EXPECT_EQ(setup_violation(cfg), "");
 }
 
 // --- End-to-end scenario run -------------------------------------------------
@@ -386,6 +406,51 @@ TEST(XbarDosSmoke, RunsTheMeshSmokeCellsAndEveryPointFinishes) {
             << "the three fabrics must run identical cells";
         EXPECT_TRUE(results[i].boot_ok) << results[i].label;
         EXPECT_FALSE(results[i].timed_out) << results[i].label;
+    }
+}
+
+/// The gates of a ten-cell DoS smoke: every cell boots, finishes, hops the
+/// fabric and reports a simulation speed, and the budget defense beats no
+/// defense on the two cells the matrix exists for.
+void expect_dos_smoke_gates(const std::vector<ScenarioResult>& results) {
+    ASSERT_EQ(results.size(), 10U) << "8 attack cells plus one baseline per defense";
+    for (const ScenarioResult& r : results) {
+        EXPECT_TRUE(r.boot_ok) << r.label;
+        EXPECT_FALSE(r.timed_out) << r.label;
+        EXPECT_GT(r.fabric_hops, 0U) << r.label;
+        EXPECT_GT(r.sim_cycles_per_sec(), 0.0) << r.label;
+    }
+    const auto cell = [&](const std::string& label) {
+        const auto it = std::find_if(results.begin(), results.end(),
+                                     [&](const ScenarioResult& r) { return r.label == label; });
+        EXPECT_NE(it, results.end()) << "no cell " << label;
+        return it == results.end() ? ScenarioResult{} : *it;
+    };
+    EXPECT_LT(cell("2atk/hog/budget").load_lat_mean, cell("2atk/hog/none").load_lat_mean);
+    EXPECT_LT(cell("2atk/wstall/budget").store_lat_max, cell("2atk/wstall/none").store_lat_max);
+}
+
+TEST(RingDosSmoke, EveryCellFinishesAndTheBudgetBeatsNoDefense) {
+    expect_dos_smoke_gates(
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(make_sweep("ring-dos-smoke")));
+}
+
+TEST(MeshDosSmoke, EveryCellFinishesAndTheBudgetBeatsNoDefense) {
+    expect_dos_smoke_gates(
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(make_sweep("mesh-dos-smoke")));
+}
+
+TEST(MeshDosSmoke, TickAllMatchesTheActivitySchedulerWithMoreTicks) {
+    const Sweep sweep = make_sweep("mesh-dos-smoke");
+    Sweep naive = sweep;
+    for (SweepPoint& p : naive.points) { p.config.scheduler = sim::Scheduler::kTickAll; }
+    const ScenarioRunner runner{RunnerOptions{.threads = 4}};
+    const std::vector<ScenarioResult> activity = runner.run(sweep);
+    const std::vector<ScenarioResult> tick_all = runner.run(naive);
+    ASSERT_EQ(activity.size(), tick_all.size());
+    for (std::size_t i = 0; i < activity.size(); ++i) {
+        EXPECT_TRUE(test::same_result(activity[i], tick_all[i], FieldKind::kKernel));
+        EXPECT_LT(activity[i].ticks_executed, tick_all[i].ticks_executed) << activity[i].label;
     }
 }
 
