@@ -15,6 +15,7 @@
 #include "mon/quantile.hpp"
 #include "mon/txn_monitor.hpp"
 #include "realm/splitter.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/topology.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/cheshire_soc.hpp"
@@ -25,6 +26,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,7 +57,8 @@ void BM_CreditedLinkCycle(benchmark::State& state) {
     // all on the hot path.
     sim::SimContext ctx;
     noc::NocFlowConfig fc; // defaults: credited, 4 flits/worm, vc_depth 8
-    noc::NocLink link{ctx, "credited", fc};
+    std::vector<noc::NocLink::Slot> slots(noc::NocLink::slots_needed(fc, 1));
+    noc::NocLink link{ctx, "credited", fc, slots};
     noc::NocPacket worm;
     worm.flits = static_cast<std::uint8_t>(fc.flits_per_packet);
     worm.flit = axi::RFlit{};
@@ -448,6 +451,31 @@ void BM_PreloadSpan(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
 }
 BENCHMARK(BM_PreloadSpan);
+
+void BM_MeshBuild(benchmark::State& state) {
+    // Set-up cost of a large mesh: build and tear down the topology of the
+    // `mesh-contention-large` solo point (Arg = side) at 2 shards, as each
+    // perfbench set-up pass does. Items are links built: two networks x a
+    // forward and a reverse link per neighbor pair, 8·n·(n-1).
+    const auto n = static_cast<std::int64_t>(state.range(0));
+    const std::string label = std::to_string(n) + "x" + std::to_string(n) + " solo";
+    const scenario::Sweep sweep = scenario::make_sweep("mesh-contention-large");
+    const auto point = std::find_if(sweep.points.begin(), sweep.points.end(),
+                                    [&](const scenario::SweepPoint& p) { return p.label == label; });
+    if (point == sweep.points.end()) {
+        state.SkipWithError(("mesh-contention-large has no point " + label).c_str());
+        return;
+    }
+    scenario::ScenarioConfig cfg = point->config;
+    cfg.shards = 2;
+    for (auto _ : state) {
+        sim::SimContext ctx;
+        ctx.set_shards(cfg.shards);
+        benchmark::DoNotOptimize(scenario::make_topology(ctx, cfg));
+    }
+    state.SetItemsProcessed(state.iterations() * 8 * n * (n - 1));
+}
+BENCHMARK(BM_MeshBuild)->Arg(16)->Arg(32);
 
 } // namespace
 

@@ -1,6 +1,7 @@
 #include "noc/credit.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace realm::noc {
@@ -51,19 +52,30 @@ CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
     }
 }
 
-void NocLink::commit(Entry e) {
+NocLink::NocLink(const sim::SimContext& ctx, std::string name, const NocFlowConfig& fc,
+                 std::span<Slot> slots, std::uint8_t num_vcs, bool edge_registered)
+    : ctx_{&ctx}, fc_{fc}, name_{std::move(name)}, edge_{edge_registered},
+      num_vcs_{num_vcs}, cap_{fc.vc_depth}, slots_{slots} {
+    REALM_EXPECTS(num_vcs >= 1 && num_vcs <= kMaxVcs,
+                  name_ + ": a NoC link carries one or two VCs");
+    REALM_EXPECTS(slots.size() == slots_needed(fc, num_vcs),
+                  name_ + ": slot span does not match vc_depth x VCs");
+}
+
+void NocLink::commit(const Entry& e) {
     VcState& s = vc_[e.pkt.vc];
     REALM_ENSURES(s.count < cap_, name_ + ": VC ring overflow");
     s.flits += e.pkt.flits;
     REALM_ENSURES(s.flits <= fc_.vc_depth,
                   name_ + ": VC buffer exceeds its configured depth");
     if (s.flits > s.peak) { s.peak = s.flits; }
-    slot(e.pkt.vc, s.head + s.count) = std::move(e);
+    // The slot past the tail holds no live entry: build one there.
+    std::construct_at(reinterpret_cast<Entry*>(slot(e.pkt.vc, s.head + s.count).bytes), e);
     ++s.count;
 }
 
 void NocLink::push(NocPacket pkt) {
-    REALM_EXPECTS(pkt.vc < vc_.size(), "push into unknown VC of " + name_);
+    REALM_EXPECTS(pkt.vc < num_vcs_, "push into unknown VC of " + name_);
     REALM_EXPECTS(can_push(pkt.flits, pkt.vc),
                   "push into busy/full NoC link " + name_);
     // The worm's tail leaves the sender `flits` cycles after the header;
@@ -95,8 +107,7 @@ void NocLink::push(NocPacket pkt) {
 NocPacket NocLink::pop(std::uint8_t vc) {
     REALM_EXPECTS(can_pop(vc), "pop from empty NoC link " + name_);
     VcState& s = vc_[vc];
-    Entry& e = slot(vc, s.head);
-    NocPacket pkt = std::move(e.pkt);
+    NocPacket pkt = entry(vc, s.head).pkt;
     REALM_ENSURES(s.flits >= pkt.flits, "NoC link flit underflow");
     s.flits -= pkt.flits;
     s.head = (s.head + 1) % cap_;
@@ -124,12 +135,13 @@ void NocLink::flush_edge(sim::Cycle /*now*/) {
     // staged mid-batch matures strictly after this flush. At link_latency 1
     // this degenerates to the historical wake at the flush cycle itself.
     sim::Cycle first = sim::kNoCycle;
-    for (Entry& e : staged_) {
+    for (const Entry& e : staged_) {
         first = std::min(first, e.pushed_at);
-        commit(std::move(e));
+        commit(e);
     }
     staged_.clear();
-    for (VcState& s : vc_) {
+    for (std::uint8_t vc = 0; vc < num_vcs_; ++vc) {
+        VcState& s = vc_[vc];
         s.staged_count = 0;
         s.staged_flits = 0;
         s.snap_count = s.count;

@@ -47,9 +47,14 @@
 #include "sim/link.hpp"
 #include "sim/ring.hpp"
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <new>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace realm::noc {
@@ -355,10 +360,13 @@ private:
 /// space another class waits on — the O1TURN deadlock-freedom requirement
 /// (see noc/routing.hpp).
 ///
-/// Storage: one contiguous backing array of (packet, push cycle) slots for
-/// all VCs of the link — `vc_depth` slots per VC, addressed as per-VC ring
-/// buffers — replacing the former per-VC heap-allocated queues. The whole
-/// in-flight state of a router port is one cache-friendly block.
+/// Storage: the link owns none. Whoever builds it hands it a span of
+/// `slots_needed` raw slots — `vc_depth` per VC, addressed as per-VC ring
+/// buffers — and keeps them alive: a fabric carves every link's span out
+/// of one block (see `NocFabric`), a standalone link brings its own. A
+/// slot is never initialised up front; `commit` constructs an entry in
+/// place when a flit lands, and only a VC's live entries
+/// `[head, head + count)` are ever read. The per-VC ring state is inline.
 ///
 /// Modes:
 ///  - **Immediate** (default; ring fabric, standalone links): `push`
@@ -376,22 +384,42 @@ private:
 ///    any shard layout (the flit exchange of the sharded kernel), at the
 ///    cost of a barrier period of capacity-return latency.
 class NocLink : public sim::EdgeFlushable {
+    struct Entry {
+        NocPacket pkt;
+        sim::Cycle pushed_at = 0;
+    };
+    // A popped entry is left in its slot, and the slots are released
+    // without visiting them, so an entry must need no destructor.
+    static_assert(std::is_trivially_destructible_v<Entry>);
+
 public:
-    NocLink(const sim::SimContext& ctx, std::string name, const NocFlowConfig& fc,
-            std::uint8_t num_vcs = 1, bool edge_registered = false)
-        : ctx_{&ctx}, fc_{fc}, name_{std::move(name)}, edge_{edge_registered},
-          cap_{fc.vc_depth} {
-        REALM_EXPECTS(num_vcs >= 1, "a NoC link needs at least one VC");
-        vc_.resize(num_vcs);
-        slots_.resize(static_cast<std::size_t>(num_vcs) * cap_);
+    /// Most VCs one link carries: one per route class (two under O1TURN).
+    static constexpr std::uint8_t kMaxVcs = 2;
+
+    /// Raw storage for one ring entry (see the class comment).
+    struct Slot {
+        alignas(Entry) std::byte bytes[sizeof(Entry)];
+    };
+    /// Slots a link of `num_vcs` VCs needs under `fc`.
+    [[nodiscard]] static std::size_t slots_needed(const NocFlowConfig& fc,
+                                                  std::uint8_t num_vcs) noexcept {
+        return static_cast<std::size_t>(num_vcs) * fc.vc_depth;
     }
+
+    /// \param slots  exactly `slots_needed(fc, num_vcs)` slots, kept alive
+    ///        by the caller for the link's lifetime.
+    NocLink(const sim::SimContext& ctx, std::string name, const NocFlowConfig& fc,
+            std::span<Slot> slots, std::uint8_t num_vcs = 1,
+            bool edge_registered = false);
+    NocLink(const NocLink&) = delete;
+    NocLink& operator=(const NocLink&) = delete;
 
     /// True when a packet of `flits` flits may start transmission on VC
     /// `vc` this cycle: the physical channel is not serializing an earlier
     /// worm and that VC holds enough free flit slots at the receiver (in
     /// edge mode, as of the last cycle edge).
     [[nodiscard]] bool can_push(std::uint32_t flits, std::uint8_t vc = 0) const {
-        const VcState& s = vc_.at(vc);
+        const VcState& s = state(vc);
         const std::uint32_t pkts = edge_ ? s.snap_count + s.staged_count : s.count;
         const std::uint32_t occ = edge_ ? s.snap_flits + s.staged_flits : s.flits;
         return ctx_->now() >= busy_until_ && pkts < cap_ &&
@@ -404,21 +432,21 @@ public:
     void push(NocPacket pkt);
 
     [[nodiscard]] bool can_pop(std::uint8_t vc = 0) const {
-        const VcState& s = vc_.at(vc);
+        const VcState& s = state(vc);
         return s.count > 0 &&
-               slot(vc, s.head).pushed_at + fc_.link_latency <= ctx_->now();
+               entry(vc, s.head).pushed_at + fc_.link_latency <= ctx_->now();
     }
     [[nodiscard]] const NocPacket& front(std::uint8_t vc = 0) const {
         REALM_EXPECTS(can_pop(vc), "front of empty NoC link " + name_);
-        return slot(vc, vc_.at(vc).head).pkt;
+        return entry(vc, vc_[vc].head).pkt;
     }
     NocPacket pop(std::uint8_t vc = 0);
 
     /// Consumer view: no committed packets on any VC (staged pushes are
     /// covered by the flush-time wake, so a consumer may sleep on this).
     [[nodiscard]] bool empty() const noexcept {
-        for (const VcState& s : vc_) {
-            if (s.count > 0) { return false; }
+        for (std::uint8_t vc = 0; vc < num_vcs_; ++vc) {
+            if (vc_[vc].count > 0) { return false; }
         }
         return true;
     }
@@ -430,19 +458,17 @@ public:
 
     /// \name Introspection (routing adaptivity, tests, benches)
     ///@{
-    [[nodiscard]] std::uint8_t num_vcs() const noexcept {
-        return static_cast<std::uint8_t>(vc_.size());
-    }
+    [[nodiscard]] std::uint8_t num_vcs() const noexcept { return num_vcs_; }
     /// Producer-side occupancy: committed + own staged flits in edge mode
     /// (deterministic under any shard layout — never reads state another
     /// shard is mutating), live occupancy otherwise. The west-first
     /// adaptivity tie-break reads this.
     [[nodiscard]] std::uint32_t buffered_flits(std::uint8_t vc = 0) const {
-        const VcState& s = vc_.at(vc);
+        const VcState& s = state(vc);
         return edge_ ? s.snap_flits + s.staged_flits : s.flits;
     }
     [[nodiscard]] std::uint32_t peak_buffered_flits(std::uint8_t vc = 0) const {
-        return vc_.at(vc).peak;
+        return state(vc).peak;
     }
     [[nodiscard]] const NocFlowConfig& flow() const noexcept { return fc_; }
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -451,19 +477,15 @@ public:
     /// Asserts the per-VC occupancy bound (tests call this every cycle;
     /// pushes already enforce it inline).
     void check_bounded() const {
-        for (const VcState& s : vc_) {
-            REALM_ENSURES(s.flits + s.staged_flits <= fc_.vc_depth,
+        for (std::uint8_t vc = 0; vc < num_vcs_; ++vc) {
+            REALM_ENSURES(vc_[vc].flits + vc_[vc].staged_flits <= fc_.vc_depth,
                           name_ + ": VC buffer exceeds its configured depth");
         }
     }
 
 private:
-    struct Entry {
-        NocPacket pkt;
-        sim::Cycle pushed_at = 0;
-    };
-    /// Per-VC ring state over the shared backing array. `count`/`flits` are
-    /// live (consumer + flush); `snap_*` is the producer's edge snapshot;
+    /// Per-VC ring state over the link's slots. `count`/`flits` are live
+    /// (consumer + flush); `snap_*` is the producer's edge snapshot;
     /// `staged_*` counts the producer's uncommitted pushes.
     struct VcState {
         std::uint32_t head = 0;
@@ -476,21 +498,30 @@ private:
         std::uint32_t staged_flits = 0;
     };
 
-    [[nodiscard]] Entry& slot(std::uint8_t vc, std::uint32_t pos) {
+    /// State of VC `vc`, which must be one of this link's own VCs (not
+    /// merely within the inline array).
+    [[nodiscard]] const VcState& state(std::uint8_t vc) const {
+        REALM_EXPECTS(vc < num_vcs_, "NoC link VC out of range");
+        return vc_[vc];
+    }
+    [[nodiscard]] Slot& slot(std::uint8_t vc, std::uint32_t pos) const {
         return slots_[static_cast<std::size_t>(vc) * cap_ + pos % cap_];
     }
-    [[nodiscard]] const Entry& slot(std::uint8_t vc, std::uint32_t pos) const {
-        return slots_[static_cast<std::size_t>(vc) * cap_ + pos % cap_];
+    /// The live entry at ring position `pos` of VC `vc`: only positions in
+    /// `[head, head + count)` hold one.
+    [[nodiscard]] Entry& entry(std::uint8_t vc, std::uint32_t pos) const {
+        return *std::launder(reinterpret_cast<Entry*>(slot(vc, pos).bytes));
     }
-    void commit(Entry e); ///< inserts one entry into its VC ring
+    void commit(const Entry& e); ///< constructs one entry at its VC ring's tail
 
     const sim::SimContext* ctx_;
     NocFlowConfig fc_;
     std::string name_;
     bool edge_;
+    std::uint8_t num_vcs_;
     std::uint32_t cap_; ///< ring slots per VC (== vc_depth packets)
-    std::vector<Entry> slots_;
-    std::vector<VcState> vc_;
+    std::span<Slot> slots_;
+    std::array<VcState, kMaxVcs> vc_{};
     /// Edge mode: pushes awaiting the barrier. Producer-owned during the
     /// tick phase (cleared at the barrier); the consumer must never read it.
     std::vector<Entry> staged_;

@@ -2,6 +2,7 @@
 
 #include "sim/check.hpp"
 
+#include <span>
 #include <utility>
 
 namespace realm::noc {
@@ -13,11 +14,14 @@ namespace realm::noc {
 NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
                      ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
                      std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
-                     bool deferred_credits)
+                     bool deferred_credits, const LinkPlan& links)
     : name_{std::move(name)}, flow_{flow}, deferred_credits_{deferred_credits},
-      map_{std::move(node_map)} {
+      map_{std::move(node_map)}, link_plan_{links}, links_(links.count) {
     REALM_EXPECTS(num_nodes >= 2, "a NoC needs at least two nodes");
     flow_.validate();
+    // Left uninitialised: a slot is built when a flit lands in it.
+    link_slots_ = std::make_unique_for_overwrite<NocLink::Slot[]>(
+        links.count * NocLink::slots_needed(flow_, links.num_vcs));
     book_ = std::make_unique<CreditBook>(num_nodes, std::move(subordinate_nodes),
                                          std::move(manager_nodes), flow_);
     for (const NodeId m : book_->managers()) {
@@ -26,14 +30,21 @@ NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_no
     }
 }
 
-NocLink& NocFabric::add_link(const sim::SimContext& ctx, const std::string& tag,
-                             std::uint8_t num_vcs, bool edge_registered) {
-    links_.push_back(
-        std::make_unique<NocLink>(ctx, name_ + tag, flow_, num_vcs, edge_registered));
-    return *links_.back();
+NocLink& NocFabric::add_link(const sim::SimContext& ctx, const std::string& tag) {
+    REALM_EXPECTS(links_built_ < links_.size(),
+                  name_ + ": more links than the " + std::to_string(links_.size()) +
+                      " declared");
+    const std::size_t per_link = NocLink::slots_needed(flow_, link_plan_.num_vcs);
+    const std::span<NocLink::Slot> slots{link_slots_.get() + links_built_ * per_link,
+                                         per_link};
+    return links_[links_built_++].emplace(ctx, name_ + tag, flow_, slots,
+                                          link_plan_.num_vcs, link_plan_.edge_registered);
 }
 
 void NocFabric::build_egress(sim::SimContext& ctx) {
+    REALM_EXPECTS(links_built_ == links_.size(),
+                  name_ + ": " + std::to_string(links_built_) + " links built, " +
+                      std::to_string(links_.size()) + " declared");
     const std::vector<NodeId>& subs = book_->subordinates();
     const std::vector<NodeId>& mgrs = book_->managers();
     egress_.resize(subs.size());

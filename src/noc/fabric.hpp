@@ -34,8 +34,10 @@
 #include "sim/component.hpp"
 #include "sim/context.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +45,24 @@ namespace realm::noc {
 
 class NocRouter;
 
+/// The links a fabric wires, declared before it builds the first one: how
+/// many, and the VC count and mode every one of them shares.
+struct LinkPlan {
+    std::size_t count = 0;
+    std::uint8_t num_vcs = 1;
+    bool edge_registered = false;
+};
+
 /// One NoC: credit book, manager ports, per-subordinate egress lanes,
 /// subordinate ports and muxes, links, and one router per node. A fabric
 /// subclass builds, in this order (construction order fixes tick order):
 /// the base (manager ports), its links (`add_link`), the egress lanes and
 /// muxes (`build_egress`), then its routers in node order (`add_router`).
+///
+/// Links live in one block sized by the `LinkPlan`, so their addresses
+/// never change, and their VC ring slots in a second, uninitialised one
+/// that each link receives its span of (see `NocLink`): two allocations
+/// per fabric, whatever its size.
 class NocFabric {
 public:
     virtual ~NocFabric() = default;
@@ -95,17 +110,19 @@ protected:
     ///        cycle-edge flush instead of releasing it inline — required
     ///        when the fabric is spatially sharded, where the released
     ///        pool's taker may tick on another shard.
+    /// \param links             every link `add_link` will build.
     NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
               ic::AddrMap node_map,
               std::vector<NodeId> subordinate_nodes,
               std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
-              bool deferred_credits);
+              bool deferred_credits, const LinkPlan& links);
 
-    /// Builds and keeps one link named `name() + tag`.
-    NocLink& add_link(const sim::SimContext& ctx, const std::string& tag,
-                      std::uint8_t num_vcs = 1, bool edge_registered = false);
+    /// Builds the next declared link, named `name() + tag`; asserts that
+    /// the `LinkPlan` has one left.
+    NocLink& add_link(const sim::SimContext& ctx, const std::string& tag);
     /// Builds every subordinate's egress lanes (with their credit-return
     /// hooks), subordinate port and mux, each mux on its node's shard.
+    /// Asserts that every declared link was built.
     void build_egress(sim::SimContext& ctx);
     /// Keeps the router of the next node: routers are added in node order,
     /// each built on its node's shard.
@@ -123,7 +140,14 @@ private:
     std::unique_ptr<CreditBook> book_;
     /// Per manager slot (see `CreditBook::manager_slot`).
     std::vector<std::unique_ptr<axi::AxiChannel>> mgr_ports_;
-    std::vector<std::unique_ptr<NocLink>> links_;
+    LinkPlan link_plan_;
+    /// Every link's VC ring slots, link after link (declared before the
+    /// links, so it outlives them).
+    std::unique_ptr<NocLink::Slot[]> link_slots_;
+    /// The link block: `link_plan_.count` entries, engaged in build order
+    /// by `add_link` and never resized.
+    std::vector<std::optional<NocLink>> links_;
+    std::size_t links_built_ = 0;
     /// Per subordinate slot (see `CreditBook::subordinate_slot`):
     /// egress_[slot][manager slot], the subordinate port and its mux.
     std::vector<std::vector<std::unique_ptr<axi::AxiChannel>>> egress_;

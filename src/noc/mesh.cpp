@@ -181,6 +181,13 @@ NodeId mesh_nodes(NodeId rows, NodeId cols) {
     return static_cast<NodeId>(n);
 }
 
+/// Links of a rows x cols mesh: a forward and a reverse link per network
+/// between every pair of neighbors.
+std::size_t mesh_links(NodeId rows, NodeId cols) {
+    const std::size_t pairs = std::size_t{rows} * (cols - 1U) + std::size_t{cols} * (rows - 1U);
+    return 4 * pairs;
+}
+
 /// The mesh always runs the shard-safe transport — edge-registered
 /// neighbor links and cycle-edge credit returns — so its behaviour never
 /// depends on the shard count (including 1). Deferred returns need at
@@ -203,7 +210,13 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  RoutingPolicy routing, std::vector<unsigned> tile_shards)
     : NocFabric{ctx, std::move(name), mesh_nodes(rows, cols), std::move(node_map),
                 std::move(subordinate_nodes), std::move(manager_nodes),
-                shard_safe(flow), /*deferred_credits=*/true},
+                shard_safe(flow), /*deferred_credits=*/true,
+                // Every router<->router link is edge-registered: pushes stage
+                // producer-side and commit at the cycle-edge flush, which is
+                // what makes cross-shard traffic order-independent within a
+                // cycle. The routing policy fixes the per-link VC count
+                // (O1TURN needs one VC per route class).
+                LinkPlan{mesh_links(rows, cols), route_num_vcs(routing), true}},
       cols_{cols}, routing_{routing},
       stripe_shards_{std::min<unsigned>(std::max(1U, ctx.shards()), cols)},
       tile_shards_{std::move(tile_shards)} {
@@ -216,23 +229,18 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
         }
     }
 
-    // Links first, per tile. The routing policy fixes the per-link VC
-    // count (O1TURN needs one VC per route class). Every router<->router
-    // link is edge-registered: pushes stage producer-side and commit at the
-    // cycle-edge flush, which is what makes cross-shard traffic
-    // order-independent within a cycle. Each neighbor pair gets a forward
-    // (east/south) and a reverse (west/north) link per network.
-    const std::uint8_t vcs = route_num_vcs(routing_);
+    // Links first, per tile. Each neighbor pair gets a forward (east/south)
+    // and a reverse (west/north) link per network.
     std::vector<MeshRouter::Ports> ports(n);
     const auto connect = [&](NodeId a, NodeId b, MeshDir dir, const char* axis,
                              const char* fwd, const char* rev) {
         const auto d = static_cast<std::size_t>(dir);
         const auto o = static_cast<std::size_t>(opposite(dir));
         const std::string i = std::to_string(a);
-        NocLink& req_fwd = add_link(ctx, std::string{"."} + axis + "req_" + fwd + i, vcs, true);
-        NocLink& req_rev = add_link(ctx, std::string{"."} + axis + "req_" + rev + i, vcs, true);
-        NocLink& rsp_fwd = add_link(ctx, std::string{"."} + axis + "rsp_" + fwd + i, vcs, true);
-        NocLink& rsp_rev = add_link(ctx, std::string{"."} + axis + "rsp_" + rev + i, vcs, true);
+        NocLink& req_fwd = add_link(ctx, std::string{"."} + axis + "req_" + fwd + i);
+        NocLink& req_rev = add_link(ctx, std::string{"."} + axis + "req_" + rev + i);
+        NocLink& rsp_fwd = add_link(ctx, std::string{"."} + axis + "rsp_" + fwd + i);
+        NocLink& rsp_rev = add_link(ctx, std::string{"."} + axis + "rsp_" + rev + i);
         ports[a].req_out[d] = &req_fwd;
         ports[b].req_in[o] = &req_fwd;
         ports[b].req_out[o] = &req_rev;

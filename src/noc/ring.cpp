@@ -12,7 +12,7 @@ NocRing::NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
                  std::vector<NodeId> manager_nodes, NocFlowConfig flow)
     : NocFabric{ctx, std::move(name), num_nodes, std::move(node_map),
                 std::move(subordinate_nodes), std::move(manager_nodes), flow,
-                /*deferred_credits=*/false} {
+                /*deferred_credits=*/false, LinkPlan{2U * num_nodes}} {
     // Link i leaves node i toward node i+1.
     std::vector<NocLink*> req;
     std::vector<NocLink*> rsp;

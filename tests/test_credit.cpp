@@ -118,7 +118,8 @@ NocPacket worm_of(std::uint32_t flits) {
 TEST(NocLink, WormSerializesOneFlitPerCycle) {
     sim::SimContext ctx;
     NocFlowConfig fc; // credited, 4 flits per worm, vc_depth 8
-    NocLink link{ctx, "l", fc};
+    std::vector<NocLink::Slot> slots(NocLink::slots_needed(fc, 1));
+    NocLink link{ctx, "l", fc, slots};
 
     ASSERT_TRUE(link.can_push(4));
     link.push(worm_of(4));
@@ -141,7 +142,8 @@ TEST(NocLink, VcOccupancyIsBoundedAndAsserted) {
     sim::SimContext ctx;
     NocFlowConfig fc;
     fc.vc_depth = 8;
-    NocLink link{ctx, "l", fc};
+    std::vector<NocLink::Slot> slots(NocLink::slots_needed(fc, 1));
+    NocLink link{ctx, "l", fc, slots};
 
     link.push(worm_of(4));
     for (int c = 0; c < 4; ++c) { ctx.step(); }
@@ -164,7 +166,8 @@ TEST(NocLink, VirtualChannelsHavePrivateBuffersAndASharedChannel) {
     sim::SimContext ctx;
     NocFlowConfig fc;
     fc.vc_depth = 4;
-    NocLink link{ctx, "l", fc, /*num_vcs=*/2};
+    std::vector<NocLink::Slot> slots(NocLink::slots_needed(fc, 2));
+    NocLink link{ctx, "l", fc, slots, /*num_vcs=*/2};
 
     NocPacket w0 = worm_of(4);
     link.push(w0); // fills VC 0 and opens a 4-cycle serialization window

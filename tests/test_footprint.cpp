@@ -1,10 +1,11 @@
 /// Footprint regression tests: the heap a mesh build holds must grow with
 /// the nodes (routers, links) and with the subordinate x manager pairs
 /// (egress staging, credit pools, NI pair state, manager ports), never with
-/// nodes squared or with subordinates x nodes; and the REALM write buffer
-/// must hold a fragmented write in heap proportional to the beats it
-/// buffers, not to the fragments it queues. A binary of its own, because
-/// it replaces the global `operator new` with a counting one.
+/// nodes squared or with subordinates x nodes; the build's allocation count
+/// must follow the nodes, not the links; and the REALM write buffer must
+/// hold a fragmented write in heap proportional to the beats it buffers,
+/// not to the fragments it queues. A binary of its own, because it replaces
+/// the global `operator new` with a counting one.
 #include "axi/burst.hpp"
 #include "axi/flit.hpp"
 #include "realm/write_buffer.hpp"
@@ -27,6 +28,8 @@ namespace {
 /// Bytes currently allocated through the replaced operators. Each block
 /// carries its size in a header so a free can subtract it.
 std::atomic<std::size_t> g_live_bytes{0};
+/// Calls to the replaced `operator new` / `operator new[]`.
+std::atomic<std::size_t> g_allocations{0};
 constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t size) {
@@ -34,6 +37,7 @@ void* counted_alloc(std::size_t size) {
     if (raw == nullptr) { throw std::bad_alloc{}; }
     *static_cast<std::size_t*>(raw) = size;
     g_live_bytes.fetch_add(size, std::memory_order_relaxed);
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     return static_cast<char*>(raw) + kHeader;
 }
 
@@ -56,9 +60,15 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 namespace realm::scenario {
 namespace {
 
-/// Heap held by the topology of one `mesh-contention-large` point built at
-/// 2 shards, in MiB: bytes allocated and not freed across `make_topology`.
-double build_heap_mib(const std::string& label) {
+/// What building the topology of one `mesh-contention-large` point at 2
+/// shards costs the heap: bytes allocated and not freed, and calls to
+/// `operator new`, both across `make_topology`.
+struct BuildCost {
+    double held_mib = 0;
+    std::size_t allocations = 0;
+};
+
+BuildCost build_cost(const std::string& label) {
     ScenarioConfig cfg;
     bool found = false;
     for (const SweepPoint& p : make_sweep("mesh-contention-large").points) {
@@ -71,15 +81,17 @@ double build_heap_mib(const std::string& label) {
     cfg.shards = 2;
     sim::SimContext ctx;
     ctx.set_shards(cfg.shards);
-    const std::size_t before = g_live_bytes.load();
+    const std::size_t bytes_before = g_live_bytes.load();
+    const std::size_t allocations_before = g_allocations.load();
     const auto topo = make_topology(ctx, cfg);
-    const std::size_t held = g_live_bytes.load() - before;
-    return static_cast<double>(held) / (1024.0 * 1024.0);
+    const std::size_t held = g_live_bytes.load() - bytes_before;
+    return {static_cast<double>(held) / (1024.0 * 1024.0),
+            g_allocations.load() - allocations_before};
 }
 
 TEST(Footprint, MeshBuildHeapGrowsWithNodesNotPairs) {
-    const double mesh16 = build_heap_mib("16x16 solo");
-    const double mesh32 = build_heap_mib("32x32 solo");
+    const double mesh16 = build_cost("16x16 solo").held_mib;
+    const double mesh32 = build_cost("32x32 solo").held_mib;
     RecordProperty("heap_16x16_mib", std::to_string(mesh16));
     RecordProperty("heap_32x32_mib", std::to_string(mesh32));
     // 4x the nodes: state linear in the nodes grows ~4x; per-pair tables
@@ -91,6 +103,22 @@ TEST(Footprint, MeshBuildHeapGrowsWithNodesNotPairs) {
     // routers and links; sized by subordinates x managers they add a few
     // KiB.
     EXPECT_LT(mesh32, 16.0) << "32x32 build heap " << mesh32 << " MiB";
+}
+
+TEST(Footprint, MeshBuildAllocationsFollowNodesNotLinks) {
+    // A mesh has ~8 links per node (two networks, four directions). Built
+    // one heap object (plus its buffers) at a time they cost ~24
+    // allocations per node; built in one block per fabric, what remains
+    // is about one router per node.
+    for (const unsigned n : {16U, 32U}) {
+        const std::string label = std::to_string(n) + "x" + std::to_string(n) + " solo";
+        const std::size_t allocations = build_cost(label).allocations;
+        RecordProperty("allocations_" + std::to_string(n) + "x" + std::to_string(n),
+                       std::to_string(allocations));
+        EXPECT_LT(allocations, 2U * n * n)
+            << label << " build makes " << allocations << " allocations for "
+            << n * n << " nodes";
+    }
 }
 
 TEST(Footprint, FragmentedWriteHeapFollowsBufferedBeats) {

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace realm::noc {
 namespace {
 
@@ -211,6 +213,47 @@ TEST(RingManagers, DuplicatedManagerNodeIsRejected) {
                  sim::ContractViolation);
 }
 
+/// A two-node fabric that declares `declared` links and builds `built`.
+class LinkCountFabric final : public NocFabric {
+public:
+    LinkCountFabric(sim::SimContext& ctx, std::size_t declared, std::size_t built)
+        : NocFabric{ctx, "f", 2, one_memory_map(), std::vector<NodeId>{1},
+                    std::vector<NodeId>{0}, NocFlowConfig{}, /*deferred_credits=*/false,
+                    LinkPlan{declared}} {
+        for (std::size_t i = 0; i < built; ++i) { add_link(ctx, ".l" + std::to_string(i)); }
+        build_egress(ctx);
+    }
+
+private:
+    static ic::AddrMap one_memory_map() {
+        ic::AddrMap map;
+        map.add(0x0000, 0x10000, 1, "mem1");
+        return map;
+    }
+};
+
+/// The message of the contract violation `build` throws, or "" if none.
+template <typename Build>
+std::string violation(Build&& build) {
+    try {
+        build();
+    } catch (const sim::ContractViolation& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(NocFabricLinks, EveryDeclaredLinkAndNoMoreIsBuilt) {
+    // The fabric sizes its link block and slot block from the declared
+    // count once; a fabric that builds a different number is miswired.
+    sim::SimContext ctx;
+    EXPECT_NO_THROW((LinkCountFabric{ctx, 2, 2}));
+    const std::string extra = violation([&] { LinkCountFabric f{ctx, 2, 3}; });
+    EXPECT_NE(extra.find("more links than the 2 declared"), std::string::npos) << extra;
+    const std::string missing = violation([&] { LinkCountFabric f{ctx, 2, 1}; });
+    EXPECT_NE(missing.find("1 links built, 2 declared"), std::string::npos) << missing;
+}
+
 /// The response side of one subordinate NI, driven by hand: node 3 of a
 /// 4-node fabric hosts the subordinate, the managers sit at `managers`, and
 /// the test plays the egress mux by pushing responses into the managers'
@@ -247,7 +290,9 @@ protected:
 
     sim::SimContext ctx;
     NocFlowConfig fc;
-    NocLink out{ctx, "rsp_out", fc};
+    std::vector<NocLink::Slot> out_slots =
+        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, 1));
+    NocLink out{ctx, "rsp_out", fc, out_slots};
     std::unique_ptr<CreditBook> book;
     std::unique_ptr<NocNi> ni;
     std::vector<std::unique_ptr<axi::AxiChannel>> lanes;

@@ -409,6 +409,15 @@ TEST(XbarDosSmoke, RunsTheMeshSmokeCellsAndEveryPointFinishes) {
     }
 }
 
+/// The result labelled `label` (a failure, and an empty result, if none is).
+ScenarioResult cell_result(const std::vector<ScenarioResult>& results,
+                           const std::string& label) {
+    const auto it = std::find_if(results.begin(), results.end(),
+                                 [&](const ScenarioResult& r) { return r.label == label; });
+    EXPECT_NE(it, results.end()) << "no cell " << label;
+    return it == results.end() ? ScenarioResult{} : *it;
+}
+
 /// The gates of a ten-cell DoS smoke: every cell boots, finishes, hops the
 /// fabric and reports a simulation speed, and the budget defense beats no
 /// defense on the two cells the matrix exists for.
@@ -420,12 +429,7 @@ void expect_dos_smoke_gates(const std::vector<ScenarioResult>& results) {
         EXPECT_GT(r.fabric_hops, 0U) << r.label;
         EXPECT_GT(r.sim_cycles_per_sec(), 0.0) << r.label;
     }
-    const auto cell = [&](const std::string& label) {
-        const auto it = std::find_if(results.begin(), results.end(),
-                                     [&](const ScenarioResult& r) { return r.label == label; });
-        EXPECT_NE(it, results.end()) << "no cell " << label;
-        return it == results.end() ? ScenarioResult{} : *it;
-    };
+    const auto cell = [&](const std::string& label) { return cell_result(results, label); };
     EXPECT_LT(cell("2atk/hog/budget").load_lat_mean, cell("2atk/hog/none").load_lat_mean);
     EXPECT_LT(cell("2atk/wstall/budget").store_lat_max, cell("2atk/wstall/none").store_lat_max);
 }
@@ -451,6 +455,46 @@ TEST(MeshDosSmoke, TickAllMatchesTheActivitySchedulerWithMoreTicks) {
     for (std::size_t i = 0; i < activity.size(); ++i) {
         EXPECT_TRUE(test::same_result(activity[i], tick_all[i], FieldKind::kKernel));
         EXPECT_LT(activity[i].ticks_executed, tick_all[i].ticks_executed) << activity[i].label;
+    }
+}
+
+TEST(MeshRoutingDosSmoke, EveryPointFinishesAndTheBudgetBeatsNoDefenseUnderEveryPolicy) {
+    // The ten smoke cells under each of the four routing policies: every
+    // point boots, finishes and hops the fabric, and under every policy the
+    // budget defense beats no defense on the hog cell.
+    const std::vector<ScenarioResult> results =
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(make_sweep("mesh-routing-dos-smoke"));
+    ASSERT_EQ(results.size(), 40U);
+    for (const ScenarioResult& r : results) {
+        EXPECT_TRUE(r.boot_ok) << r.label;
+        EXPECT_FALSE(r.timed_out) << r.label;
+        EXPECT_GT(r.fabric_hops, 0U) << r.label;
+    }
+    for (const std::string policy : {"xy", "yx", "o1turn", "west-first"}) {
+        EXPECT_LT(cell_result(results, "2atk/hog/budget/" + policy).load_lat_mean,
+                  cell_result(results, "2atk/hog/none/" + policy).load_lat_mean)
+            << policy;
+    }
+}
+
+TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
+    // `--routing yx` re-routes every point through the CLI path the sweep
+    // binaries take: the labels stay, and every config hash changes (the
+    // policy is semantic), so a `--resume` cache never serves one policy's
+    // result for another.
+    const Sweep base = make_sweep("mesh-dos-smoke");
+    Sweep forced = base;
+    std::vector<std::string> args = {"scenario_sweep", "mesh-dos-smoke", "--routing", "yx"};
+    std::vector<char*> argv;
+    for (std::string& a : args) { argv.push_back(a.data()); }
+    apply_overrides(parse_bench_args(static_cast<int>(argv.size()), argv.data(),
+                                     /*accept_positional=*/true),
+                    forced);
+    ASSERT_EQ(forced.points.size(), base.points.size());
+    for (std::size_t i = 0; i < base.points.size(); ++i) {
+        EXPECT_EQ(forced.points[i].label, base.points[i].label);
+        EXPECT_NE(config_hash(forced.points[i].config), config_hash(base.points[i].config))
+            << base.points[i].label;
     }
 }
 

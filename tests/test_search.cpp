@@ -156,11 +156,9 @@ TEST_F(SearchFixture, SearchMatchesOrBeatsTheEnumeratedGridAndReplaysExactly) {
             search_objective(grid[i]) > search_objective(grid[worst])) {
             worst = i;
         }
-        const DosCellLabel parsed = [&] {
-            DosCellLabel c;
-            parse_dos_cell_label(sweep.points[i].label, c);
-            return c;
-        }();
+        DosCellLabel parsed;
+        ASSERT_TRUE(parse_dos_cell_label(sweep.points[i].label, parsed))
+            << "unparseable DoS cell label " << sweep.points[i].label;
         if (target == sweep.points.size() && parsed.defense == "none") {
             target = i;
         }
