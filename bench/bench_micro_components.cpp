@@ -26,14 +26,27 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace {
 
 using namespace realm;
+
+/// The config of the point `label` of the registered sweep `sweep`; when it
+/// has none, skips the bench with an error naming both.
+std::optional<scenario::ScenarioConfig> sweep_point(benchmark::State& state,
+                                                    const std::string& sweep,
+                                                    const std::string& label) {
+    const scenario::Sweep points = scenario::make_sweep(sweep);
+    for (const scenario::SweepPoint& p : points.points) {
+        if (p.label == label) { return p.config; }
+    }
+    state.SkipWithError((sweep + " has no point " + label).c_str());
+    return std::nullopt;
+}
 
 void BM_LinkTransfer(benchmark::State& state) {
     sim::SimContext ctx;
@@ -419,6 +432,8 @@ void BM_ArenaVsHeapPacket(benchmark::State& state) {
 BENCHMARK(BM_ArenaVsHeapPacket)->Arg(0)->Arg(1);
 
 void BM_SusanTraceGeneration(benchmark::State& state) {
+    // The price of a `shared_susan_trace` miss: one kernel run over the
+    // Figure 6 image. Items are window taps.
     traffic::SusanConfig cfg;
     cfg.width = 64;
     cfg.height = 48;
@@ -431,6 +446,26 @@ void BM_SusanTraceGeneration(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(taps));
 }
 BENCHMARK(BM_SusanTraceGeneration);
+
+void BM_CheshireSetup(benchmark::State& state) {
+    // What an `xbar-fig6` set-up pass spends per point once this thread has
+    // built the Susan trace: the Cheshire build, the DRAM image write, the
+    // LLC warm, preload, boot, harvest and teardown. A zero-budget run of
+    // fig6a's `frag 1` point, as perfbench times set-up; one untimed run
+    // builds the trace first. Items are points set up.
+    const std::optional<scenario::ScenarioConfig> point = sweep_point(state, "fig6a", "frag 1");
+    if (!point) { return; }
+    scenario::ScenarioConfig cfg = *point;
+    cfg.warmup_cycles = 0;
+    cfg.max_cycles = 0;
+    cfg.cooldown_cycles = 0;
+    benchmark::DoNotOptimize(scenario::run_scenario(cfg));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(scenario::run_scenario(cfg));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CheshireSetup);
 
 void BM_PreloadSpan(benchmark::State& state) {
     // The mesh DoS cells' preload volume (80 KiB of `off * 7` words) written
@@ -458,15 +493,10 @@ void BM_MeshBuild(benchmark::State& state) {
     // perfbench set-up pass does. Items are links built: two networks x a
     // forward and a reverse link per neighbor pair, 8·n·(n-1).
     const auto n = static_cast<std::int64_t>(state.range(0));
-    const std::string label = std::to_string(n) + "x" + std::to_string(n) + " solo";
-    const scenario::Sweep sweep = scenario::make_sweep("mesh-contention-large");
-    const auto point = std::find_if(sweep.points.begin(), sweep.points.end(),
-                                    [&](const scenario::SweepPoint& p) { return p.label == label; });
-    if (point == sweep.points.end()) {
-        state.SkipWithError(("mesh-contention-large has no point " + label).c_str());
-        return;
-    }
-    scenario::ScenarioConfig cfg = point->config;
+    const std::optional<scenario::ScenarioConfig> point = sweep_point(
+        state, "mesh-contention-large", std::to_string(n) + "x" + std::to_string(n) + " solo");
+    if (!point) { return; }
+    scenario::ScenarioConfig cfg = *point;
     cfg.shards = 2;
     for (auto _ : state) {
         sim::SimContext ctx;

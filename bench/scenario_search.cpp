@@ -51,14 +51,7 @@ SearchArgs split_args(int argc, char** argv) {
         return argv[++i];
     };
     const auto parse_count = [](const char* flag, const char* value) {
-        char* end = nullptr;
-        const unsigned long long n = std::strtoull(value, &end, 10);
-        if (end == value || *end != '\0' || n == 0) {
-            std::fprintf(stderr, "%s expects a positive count, got '%s'\n", flag,
-                         value);
-            std::exit(2);
-        }
-        return n;
+        return realm::scenario::parse_unsigned_flag(flag, value, "a positive count", 1);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

@@ -17,14 +17,34 @@
 
 #include "sim/context.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace realm::scenario {
+
+/// The value of an unsigned flag: decimal digits only, in [lo, hi]. Anything
+/// else (a sign, a space, no digits, a number out of range) prints
+/// "FLAG expects WHAT, got 'VALUE'" and exits 2. Built on `std::from_chars`,
+/// which rejects a sign; `strtoul` would negate a leading `-`.
+inline std::uint64_t parse_unsigned_flag(
+    const char* flag, const char* value, const char* what, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+    const char* const end = value + std::strlen(value);
+    std::uint64_t n = 0;
+    const auto [stop, ec] = std::from_chars(value, end, n);
+    if (ec != std::errc{} || stop != end || n < lo || n > hi) {
+        std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, what, value);
+        std::exit(2);
+    }
+    return n;
+}
 
 struct BenchOptions {
     RunnerOptions runner{};
@@ -105,14 +125,9 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             return argv[++i];
         };
         if (arg == "--threads" || arg == "-j") {
-            const char* value = need_value("--threads");
-            char* end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0') {
-                std::fprintf(stderr, "--threads expects a number, got '%s'\n", value);
-                std::exit(2);
-            }
-            opts.runner.threads = static_cast<unsigned>(n);
+            opts.runner.threads = static_cast<unsigned>(
+                parse_unsigned_flag("--threads", need_value("--threads"), "a number", 0,
+                                    std::numeric_limits<unsigned>::max()));
         } else if (arg == "--json") {
             opts.json_path = need_value("--json");
         } else if (arg == "--report") {
@@ -131,14 +146,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                 std::exit(2);
             }
         } else if (arg == "--diff-slack") {
-            const char* value = need_value("--diff-slack");
-            char* end = nullptr;
-            opts.diff_slack = std::strtoull(value, &end, 10);
-            if (end == value || *end != '\0') {
-                std::fprintf(stderr, "--diff-slack expects a cycle count, got '%s'\n",
-                             value);
-                std::exit(2);
-            }
+            opts.diff_slack = parse_unsigned_flag("--diff-slack", need_value("--diff-slack"),
+                                                  "a cycle count");
         } else if (arg == "--speed-threshold") {
             const char* value = need_value("--speed-threshold");
             char* end = nullptr;
@@ -159,15 +168,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                 std::exit(2);
             }
         } else if (arg == "--shards") {
-            const char* value = need_value("--shards");
-            char* end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || n == 0 || n > 64) {
-                std::fprintf(stderr, "--shards expects a count in [1, 64], got '%s'\n",
-                             value);
-                std::exit(2);
-            }
-            opts.shards = static_cast<unsigned>(n);
+            opts.shards = static_cast<unsigned>(parse_unsigned_flag(
+                "--shards", need_value("--shards"), "a count in [1, 64]", 1, 64));
             opts.shards_forced = true;
         } else if (arg == "--scheduler") {
             const std::string v = need_value("--scheduler");
@@ -187,14 +189,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
         } else if (arg == "--mon-timeout" || arg == "--mon-stall" ||
                    arg == "--mon-window") {
             const std::string flag = arg;
-            const char* value = need_value(flag.c_str());
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(value, &end, 10);
-            if (end == value || *end != '\0' || n == 0) {
-                std::fprintf(stderr, "%s expects a positive cycle count, got '%s'\n",
-                             flag.c_str(), value);
-                std::exit(2);
-            }
+            const sim::Cycle n = parse_unsigned_flag(
+                flag.c_str(), need_value(flag.c_str()), "a positive cycle count", 1);
             if (flag == "--mon-timeout") {
                 opts.mon_timeout = n;
             } else if (flag == "--mon-stall") {
@@ -220,16 +216,9 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                 opts.mon_occ = f;
             }
         } else if (arg == "--link-latency") {
-            const char* value = need_value("--link-latency");
-            char* end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || n == 0 || n > 64) {
-                std::fprintf(stderr,
-                             "--link-latency expects a cycle count in [1, 64], "
-                             "got '%s'\n", value);
-                std::exit(2);
-            }
-            opts.link_latency = static_cast<std::uint32_t>(n);
+            opts.link_latency = static_cast<std::uint32_t>(
+                parse_unsigned_flag("--link-latency", need_value("--link-latency"),
+                                    "a cycle count in [1, 64]", 1, 64));
         } else if (arg == "--partition") {
             const std::string v = need_value("--partition");
             if (v == "stripe") {

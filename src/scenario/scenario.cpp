@@ -20,13 +20,16 @@ std::unique_ptr<traffic::Workload> make_victim(const VictimConfig& cfg,
                                                TopologyHandle& topo) {
     switch (cfg.kind) {
     case VictimConfig::Kind::kSusan: {
-        traffic::SusanTraceGenerator gen{cfg.susan};
-        const auto& img = gen.input_image();
+        const std::shared_ptr<const traffic::SusanTraceGenerator> gen =
+            traffic::shared_susan_trace(cfg.susan);
+        const auto& img = gen->input_image();
         topo.write(cfg.susan.image_base, img);
         topo.warm(cfg.susan.image_base, img.size());
         topo.warm(cfg.susan.out_base, img.size());
         topo.warm(cfg.susan.lut_base, 4096);
-        return std::make_unique<traffic::TraceWorkload>(gen.take_ops());
+        // The workload's ops pointer keeps the shared generator alive.
+        return std::make_unique<traffic::TraceWorkload>(
+            std::shared_ptr<const std::vector<traffic::MemOp>>{gen, &gen->ops()});
     }
     case VictimConfig::Kind::kStream:
         return std::make_unique<traffic::StreamWorkload>(cfg.stream);

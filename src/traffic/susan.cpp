@@ -217,9 +217,12 @@ void SusanTraceGenerator::run_kernel() {
     }
 }
 
-TraceWorkload make_susan_workload(const SusanConfig& config) {
-    SusanTraceGenerator gen{config};
-    return TraceWorkload{gen.take_ops()};
+std::shared_ptr<const SusanTraceGenerator> shared_susan_trace(const SusanConfig& config) {
+    thread_local std::shared_ptr<const SusanTraceGenerator> last;
+    if (last == nullptr || last->config() != config) {
+        last = std::make_shared<const SusanTraceGenerator>(config);
+    }
+    return last;
 }
 
 } // namespace realm::traffic

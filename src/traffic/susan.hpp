@@ -14,6 +14,7 @@
 #include "traffic/workload.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace realm::traffic {
@@ -47,6 +48,9 @@ struct SusanConfig {
     std::uint64_t image_seed = 42;
     /// Safety cap on emitted operations (0 = unlimited).
     std::uint64_t max_ops = 0;
+
+    /// Every field, so a field added above joins `shared_susan_trace`'s key.
+    bool operator==(const SusanConfig&) const = default;
 };
 
 /// Runs the kernel once at construction; exposes the trace and both images.
@@ -55,7 +59,6 @@ public:
     explicit SusanTraceGenerator(SusanConfig config);
 
     [[nodiscard]] const std::vector<MemOp>& ops() const noexcept { return ops_; }
-    [[nodiscard]] std::vector<MemOp> take_ops() noexcept { return std::move(ops_); }
     [[nodiscard]] const std::vector<std::uint8_t>& input_image() const noexcept {
         return input_;
     }
@@ -95,7 +98,11 @@ private:
     std::uint64_t emitted_stores_ = 0;
 };
 
-/// Convenience: build the replayable workload in one call.
-[[nodiscard]] TraceWorkload make_susan_workload(const SusanConfig& config);
+/// The generator for `config`, shared read-only. Each thread keeps the last
+/// generator it built and returns it while the config stays equal; another
+/// config builds a new one, which replaces it. The trace is a pure function
+/// of the config, so sharing it changes no result.
+[[nodiscard]] std::shared_ptr<const SusanTraceGenerator> shared_susan_trace(
+    const SusanConfig& config);
 
 } // namespace realm::traffic

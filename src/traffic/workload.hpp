@@ -4,14 +4,15 @@
 /// A workload is the interconnect-visible access stream of a program: the
 /// loads/stores that miss the core's private caches, with the compute
 /// cycles between them. Synthetic generators cover streaming, random, and
-/// dependency-chained patterns; `SusanWorkload` (susan.hpp) generates the
-/// trace of a real MiBench image kernel.
+/// dependency-chained patterns; `SusanTraceGenerator` (susan.hpp) generates
+/// the trace of a real MiBench image kernel.
 #pragma once
 
 #include "axi/types.hpp"
 #include "sim/rng.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -27,6 +28,8 @@ struct MemOp {
     std::uint32_t bytes = 8;
     /// Compute cycles the core spends before issuing this operation.
     std::uint32_t compute_cycles = 0;
+
+    bool operator==(const MemOp&) const = default;
 };
 
 /// Sequence of memory operations consumed by a core model.
@@ -44,22 +47,23 @@ public:
     [[nodiscard]] virtual std::uint64_t total_ops() const { return 0; }
 };
 
-/// Pre-recorded operation list (also the output format of trace generators).
+/// Replay of a pre-recorded operation list (the output format of trace
+/// generators). The list is shared read-only: replays of one trace hold one
+/// copy, and each keeps only its position.
 class TraceWorkload : public Workload {
 public:
-    explicit TraceWorkload(std::vector<MemOp> ops) : ops_{std::move(ops)} {}
+    explicit TraceWorkload(std::shared_ptr<const std::vector<MemOp>> ops)
+        : ops_{std::move(ops)} {}
 
     std::optional<MemOp> next() override {
-        if (pos_ >= ops_.size()) { return std::nullopt; }
-        return ops_[pos_++];
+        if (pos_ >= ops_->size()) { return std::nullopt; }
+        return (*ops_)[pos_++];
     }
     void restart() override { pos_ = 0; }
-    [[nodiscard]] std::uint64_t total_ops() const override { return ops_.size(); }
-
-    [[nodiscard]] const std::vector<MemOp>& ops() const noexcept { return ops_; }
+    [[nodiscard]] std::uint64_t total_ops() const override { return ops_->size(); }
 
 private:
-    std::vector<MemOp> ops_;
+    std::shared_ptr<const std::vector<MemOp>> ops_;
     std::size_t pos_ = 0;
 };
 

@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace realm::scenario {
@@ -216,6 +218,47 @@ TEST(ScenarioRunner, ResultsKeepPointOrder) {
         EXPECT_EQ(results[i].label, sweep.points[i].label);
         EXPECT_EQ(results[i].seed, sweep.points[i].config.seed);
     }
+}
+
+TEST(Fig6bSweep, EveryPointFinishesAtAnyThreadCount) {
+    // The paper's budget sweep through the runner on one thread and on
+    // four: every point boots and finishes, and the thread count changes no
+    // result, tick counters included.
+    const Sweep sweep = make_sweep("fig6b");
+    const std::vector<ScenarioResult> serial =
+        ScenarioRunner{RunnerOptions{.threads = 1}}.run(sweep);
+    const std::vector<ScenarioResult> parallel =
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(sweep);
+    ASSERT_EQ(serial.size(), 6U) << "the baseline plus five budget ratios";
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(sweep.points[i].label);
+        EXPECT_TRUE(serial[i].boot_ok);
+        EXPECT_FALSE(serial[i].timed_out);
+        EXPECT_TRUE(test::same_result(serial[i], parallel[i], FieldKind::kHost));
+    }
+}
+
+// --- Shared Susan trace ------------------------------------------------------
+
+TEST(SharedSusanTrace, AnotherConfigInBetweenChangesNoResult) {
+    // One thread runs a fig6b budget point (shrunk as `small_fig6_point` in
+    // test_scheduler.cpp does), then the same point over a wider image, then
+    // the first again. The per-thread trace memo must rebuild on each
+    // change: the repeat matches the first run exactly, and the middle run
+    // replays its own trace.
+    ScenarioConfig point = make_sweep("fig6b").points.back().config;
+    point.victim.susan.width = 32;
+    point.victim.susan.height = 24;
+    ScenarioConfig wider = point;
+    wider.victim.susan.width = 40;
+    const ScenarioResult first = run_scenario(point);
+    const ScenarioResult middle = run_scenario(wider);
+    const ScenarioResult again = run_scenario(point);
+    ASSERT_TRUE(first.boot_ok);
+    ASSERT_FALSE(first.timed_out);
+    EXPECT_TRUE(test::same_result(first, again, FieldKind::kHost));
+    EXPECT_NE(middle.ops, first.ops);
 }
 
 // --- Config digest (sweep-level resume) --------------------------------------
@@ -477,6 +520,13 @@ TEST(MeshRoutingDosSmoke, EveryPointFinishesAndTheBudgetBeatsNoDefenseUnderEvery
     }
 }
 
+/// `parse_bench_args` over `args`, the program name first.
+BenchOptions parse_args(std::vector<std::string> args, bool accept_positional = false) {
+    std::vector<char*> argv;
+    for (std::string& a : args) { argv.push_back(a.data()); }
+    return parse_bench_args(static_cast<int>(argv.size()), argv.data(), accept_positional);
+}
+
 TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
     // `--routing yx` re-routes every point through the CLI path the sweep
     // binaries take: the labels stay, and every config hash changes (the
@@ -484,11 +534,8 @@ TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
     // result for another.
     const Sweep base = make_sweep("mesh-dos-smoke");
     Sweep forced = base;
-    std::vector<std::string> args = {"scenario_sweep", "mesh-dos-smoke", "--routing", "yx"};
-    std::vector<char*> argv;
-    for (std::string& a : args) { argv.push_back(a.data()); }
-    apply_overrides(parse_bench_args(static_cast<int>(argv.size()), argv.data(),
-                                     /*accept_positional=*/true),
+    apply_overrides(parse_args({"scenario_sweep", "mesh-dos-smoke", "--routing", "yx"},
+                               /*accept_positional=*/true),
                     forced);
     ASSERT_EQ(forced.points.size(), base.points.size());
     for (std::size_t i = 0; i < base.points.size(); ++i) {
@@ -496,6 +543,32 @@ TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
         EXPECT_NE(config_hash(forced.points[i].config), config_hash(base.points[i].config))
             << base.points[i].label;
     }
+}
+
+TEST(BenchArgsDeathTest, UnsignedFlagsRejectASignAndValuesOutOfRange) {
+    // A sign is not part of an unsigned value: `-1` must not wrap to
+    // 2^64 - 1. Each flag also keeps its own range.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"--threads", "-1"},        {"--diff-slack", "-1"},
+        {"--mon-timeout", "-1"},    {"--mon-stall", "-1"},
+        {"--mon-window", "-1"},     {"--mon-stall", "0"},
+        {"--shards", "65"},         {"--threads", "4294967296"},
+        {"--link-latency", "+4"},   {"--diff-slack", "18446744073709551616"},
+    };
+    for (const auto& [flag, value] : bad) {
+        EXPECT_EXIT(parse_args({"bench", flag, value}), ::testing::ExitedWithCode(2),
+                    flag + " expects")
+            << flag << ' ' << value;
+    }
+}
+
+TEST(BenchArgs, UnsignedFlagsKeepTheirRanges) {
+    EXPECT_EQ(parse_args({"bench", "--threads", "0"}).runner.threads, 0U)
+        << "--threads 0 still means autodetect";
+    EXPECT_EQ(parse_args({"bench", "--diff-slack", "0"}).diff_slack, 0U);
+    EXPECT_EQ(parse_args({"bench", "--mon-timeout", "18446744073709551615"}).mon_timeout,
+              std::optional<sim::Cycle>{18446744073709551615ULL});
+    EXPECT_EQ(parse_args({"bench", "--shards", "64"}).shards, 64U);
 }
 
 TEST(JsonOutput, EmitsOnePointPerResultWithEscaping) {

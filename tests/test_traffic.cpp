@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 
 namespace realm::traffic {
@@ -150,6 +151,56 @@ TEST(Susan, OpsCapRespected) {
     cfg.max_ops = 500;
     SusanTraceGenerator gen{cfg};
     EXPECT_LE(gen.ops().size(), 500U);
+}
+
+TEST(Susan, SharedTraceFollowsEveryConfigField) {
+    // The per-thread memo is keyed by the whole config: after a change to
+    // any one field it must hand out that config's own trace, and while the
+    // config stays equal, the same generator.
+    SusanConfig base;
+    base.width = 24;
+    base.height = 18;
+    // Binds every field, so adding one breaks this line until the field
+    // gets a mutation below.
+    [[maybe_unused]] const auto& [width, height, mask_radius, threshold, image_base,
+                                  out_base, lut_base, filter_cache_bytes, filter_line_bytes,
+                                  tap_cost, filtered_cost, image_seed, max_ops] = base;
+    const std::vector<std::function<void(SusanConfig&)>> mutations = {
+        [](SusanConfig& c) { c.width = 26; },
+        [](SusanConfig& c) { c.height = 20; },
+        [](SusanConfig& c) { c.mask_radius = 1; },
+        [](SusanConfig& c) { c.threshold = 30; },
+        [](SusanConfig& c) { c.image_base += 0x1000; },
+        [](SusanConfig& c) { c.out_base += 0x1000; },
+        [](SusanConfig& c) { c.lut_base += 0x1000; },
+        [](SusanConfig& c) { c.filter_cache_bytes = 256; },
+        [](SusanConfig& c) { c.filter_line_bytes = 16; },
+        [](SusanConfig& c) { c.compute_quarter_cycles_per_tap = 3; },
+        [](SusanConfig& c) { c.filtered_load_quarter_cycles = 2; },
+        [](SusanConfig& c) { c.image_seed += 1; },
+        [](SusanConfig& c) { c.max_ops = 100; },
+    };
+    ASSERT_EQ(mutations.size(), 13U) << "one mutation per field bound above";
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        SCOPED_TRACE("mutation " + std::to_string(i));
+        SusanConfig c = base;
+        mutations[i](c);
+        ASSERT_FALSE(c == base);
+        const auto before = shared_susan_trace(base);
+        const auto trace = shared_susan_trace(c);
+        EXPECT_TRUE(trace->config() == c);
+        EXPECT_NE(trace, before);
+        const SusanTraceGenerator fresh{c};
+        EXPECT_EQ(trace->ops(), fresh.ops());
+        EXPECT_EQ(trace->input_image(), fresh.input_image());
+        EXPECT_EQ(trace->output_image(), fresh.output_image());
+        EXPECT_EQ(trace->total_taps(), fresh.total_taps());
+        EXPECT_EQ(trace->filtered_loads(), fresh.filtered_loads());
+        EXPECT_EQ(trace->emitted_loads(), fresh.emitted_loads());
+        EXPECT_EQ(trace->emitted_stores(), fresh.emitted_stores());
+        const SusanConfig equal = c;
+        EXPECT_EQ(shared_susan_trace(equal), trace);
+    }
 }
 
 // --- CoreModel ---------------------------------------------------------------
