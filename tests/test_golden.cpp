@@ -1,11 +1,14 @@
-/// Golden results: the NoC smoke sweeps must simulate exactly what the
-/// dumps checked in under tests/golden/ hold. Together the five sweeps
-/// cover immediate ring links, zero and delayed credit returns,
-/// edge-registered mesh links and all four routing policies, so a change
-/// to either fabric that moves any simulated field fails here. Tick
-/// counters are kernel fields and are not compared. A change that means to
-/// move these results rewrites the files with
-/// `scenario_sweep NAME --json tests/golden/NAME.json` and says so.
+/// Golden results: the smoke sweeps must simulate exactly what the dumps
+/// checked in under tests/golden/ hold. The five NoC sweeps cover immediate
+/// ring links, zero and delayed credit returns, edge-registered mesh links
+/// and all four routing policies. The six crossbar sweeps cover one and two
+/// hog or W-stalling attackers, W-reservation stalls with the write buffer
+/// off, budgets, fragmentation down to one beat, throttling, regulation
+/// periods and a random victim. So a change to any fabric that moves a
+/// simulated field fails here. Tick counters are kernel fields and are not
+/// compared. A change that means to move these results rewrites the files
+/// with `scenario_sweep NAME --threads 1 --json tests/golden/NAME.json` and
+/// says so.
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -42,6 +45,13 @@ TEST(NocGolden, RingCreditDosSmoke) { expect_matches_golden("ring-credit-dos-smo
 TEST(NocGolden, MeshDosSmoke) { expect_matches_golden("mesh-dos-smoke"); }
 TEST(NocGolden, MeshCreditDosSmoke) { expect_matches_golden("mesh-credit-dos-smoke"); }
 TEST(NocGolden, MeshRoutingDosSmoke) { expect_matches_golden("mesh-routing-dos-smoke"); }
+
+TEST(XbarGolden, XbarDosSmoke) { expect_matches_golden("xbar-dos-smoke"); }
+TEST(XbarGolden, Fig6b) { expect_matches_golden("fig6b"); }
+TEST(XbarGolden, AblationDos) { expect_matches_golden("ablation-dos"); }
+TEST(XbarGolden, AblationThrottle) { expect_matches_golden("ablation-throttle"); }
+TEST(XbarGolden, AblationPeriod) { expect_matches_golden("ablation-period"); }
+TEST(XbarGolden, RandomMix) { expect_matches_golden("random-mix"); }
 
 } // namespace
 } // namespace realm::scenario
