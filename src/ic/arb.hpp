@@ -38,23 +38,15 @@ public:
     void commit(std::uint32_t winner) {
         REALM_EXPECTS(winner < num_, "winner out of range");
         last_ = winner;
-        ++grants_;
     }
 
-    void reset() noexcept {
-        last_ = num_ - 1;
-        grants_ = 0;
-    }
+    void reset() noexcept { last_ = num_ - 1; }
 
     [[nodiscard]] std::uint32_t size() const noexcept { return num_; }
-    [[nodiscard]] std::uint64_t grants() const noexcept { return grants_; }
-    /// Most recent winner (the rotation anchor for external schedulers).
-    [[nodiscard]] std::uint32_t last_winner() const noexcept { return last_; }
 
 private:
     std::uint32_t num_;
     std::uint32_t last_ = num_ - 1;
-    std::uint64_t grants_ = 0;
 };
 
 } // namespace realm::ic

@@ -11,10 +11,7 @@ AxiMux::AxiMux(sim::SimContext& ctx, std::string name, std::vector<axi::AxiChann
     : Component{ctx, std::move(name)},
       ups_{std::move(upstreams)},
       down_{downstream},
-      aw_arb_{static_cast<std::uint32_t>(ups_.size())},
-      ar_arb_{static_cast<std::uint32_t>(ups_.size())},
-      aw_grant_count_(ups_.size(), 0),
-      ar_grant_count_(ups_.size(), 0) {
+      arb_{*this, static_cast<std::uint32_t>(ups_.size())} {
     REALM_EXPECTS(!ups_.empty(), "mux needs at least one manager");
     for (axi::AxiChannel* ch : ups_) {
         REALM_EXPECTS(ch != nullptr, "null upstream channel");
@@ -23,68 +20,7 @@ AxiMux::AxiMux(sim::SimContext& ctx, std::string name, std::vector<axi::AxiChann
     downstream.wake_manager_on_response(*this);
 }
 
-void AxiMux::reset() {
-    aw_arb_.reset();
-    ar_arb_.reset();
-    w_order_.clear();
-    std::fill(aw_grant_count_.begin(), aw_grant_count_.end(), 0);
-    std::fill(ar_grant_count_.begin(), ar_grant_count_.end(), 0);
-    w_stall_cycles_ = 0;
-}
-
-void AxiMux::arbitrate_aw() {
-    if (!down_.can_send_aw()) { return; }
-    const int winner =
-        aw_arb_.pick([this](std::uint32_t i) { return ups_[i]->aw.can_pop(); });
-    if (winner < 0) { return; }
-    const auto mgr = static_cast<std::uint32_t>(winner);
-    aw_arb_.commit(mgr);
-    axi::AwFlit f = ups_[mgr]->aw.pop();
-    // Reserve the downstream W channel for this burst *now* — before any
-    // data exists. This is the behaviour [14] identifies as the DoS vector.
-    w_order_.push_back(WGrant{mgr, f.beats()});
-    f.id = f.id * num_managers() + mgr;
-    down_.send_aw(f);
-    ++aw_grant_count_[mgr];
-}
-
-void AxiMux::forward_w() {
-    if (w_order_.empty()) { return; }
-    WGrant& grant = w_order_.front();
-    if (!down_.can_send_w()) { return; }
-    if (!ups_[grant.mgr]->w.can_pop()) {
-        // Granted manager withholds data: the W channel idles even if other
-        // managers have beats ready (bandwidth stolen by reservation).
-        bool others_waiting = false;
-        for (std::size_t i = 0; i < ups_.size(); ++i) {
-            if (i != grant.mgr && ups_[i]->w.can_pop()) { others_waiting = true; }
-        }
-        if (others_waiting) { ++w_stall_cycles_; }
-        return;
-    }
-    axi::WFlit f = ups_[grant.mgr]->w.pop();
-    down_.send_w(f);
-    --grant.beats_left;
-    if (grant.beats_left == 0) {
-        REALM_ENSURES(f.last, name() + ": W burst finished without WLAST");
-        w_order_.pop_front();
-    } else {
-        REALM_ENSURES(!f.last, name() + ": premature WLAST through mux");
-    }
-}
-
-void AxiMux::arbitrate_ar() {
-    if (!down_.can_send_ar()) { return; }
-    const int winner =
-        ar_arb_.pick([this](std::uint32_t i) { return ups_[i]->ar.can_pop(); });
-    if (winner < 0) { return; }
-    const auto mgr = static_cast<std::uint32_t>(winner);
-    ar_arb_.commit(mgr);
-    axi::ArFlit f = ups_[mgr]->ar.pop();
-    f.id = f.id * num_managers() + mgr;
-    down_.send_ar(f);
-    ++ar_grant_count_[mgr];
-}
+void AxiMux::reset() { arb_.reset(); }
 
 void AxiMux::route_b() {
     if (!down_.has_b()) { return; }
@@ -105,9 +41,12 @@ void AxiMux::route_r() {
 }
 
 void AxiMux::tick() {
-    arbitrate_aw();
-    forward_w();
-    arbitrate_ar();
+    const auto any = [](std::uint32_t, const auto&) { return true; };
+    const auto none = [](std::uint32_t, const auto&) {};
+    arb_.grant_aw(ups_, down_.channel(), any, none);
+    arb_.forward_w(ups_, down_.channel(), [](std::uint32_t) { return true; },
+                   [](std::uint32_t) {});
+    arb_.grant_ar(ups_, down_.channel(), any, none);
     route_b();
     route_r();
     update_activity();
@@ -116,9 +55,9 @@ void AxiMux::tick() {
 void AxiMux::update_activity() {
     // Same reasoning as the crossbar: with no request flit on any upstream
     // and no response on the downstream, every datapath is a no-op. A
-    // granted-but-dataless write reservation (`w_order_` non-empty) only
-    // progresses on a W push, and `w_stall_cycles_` needs another manager's
-    // non-empty W link — both wake us via the push hooks.
+    // granted-but-dataless write reservation only progresses on a W push,
+    // and a W stall needs another manager's non-empty W link — both wake us
+    // via the push hooks.
     for (const axi::AxiChannel* ch : ups_) {
         if (!ch->requests_empty()) { return; }
     }

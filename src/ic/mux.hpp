@@ -1,5 +1,6 @@
 /// \file
-/// \brief N-manager to 1-subordinate AXI multiplexer.
+/// \brief One subordinate port's burst arbitration, and the N-manager to
+///        1-subordinate AXI multiplexer built on it.
 ///
 /// Faithfully reproduces the two properties of burst-based interconnects the
 /// paper builds on:
@@ -13,35 +14,109 @@
 #include "axi/channel.hpp"
 #include "ic/arb.hpp"
 
+#include "sim/check.hpp"
 #include "sim/component.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 namespace realm::ic {
 
-class AxiMux : public sim::Component {
+/// The arbitration of one subordinate port over N upstream managers: the AW
+/// and AR round-robins, the granted-write queue that reserves the W channel,
+/// ID widening and the grant and W-stall counters. `AxiMux` owns one,
+/// `AxiXbar` one per subordinate; both call the three steps below from
+/// their tick. IDs leave widened as `id * N + manager` so response routing
+/// is stateless and collision-free.
+class BurstArbiter {
 public:
-    /// N is the number of upstream ports: on the NoC fabrics, the managers
-    /// present (one egress lane each, in ascending node order), not every
-    /// node. IDs are remapped as `down_id = up_id * N + manager_index` so
-    /// response routing is stateless and collision-free.
-    AxiMux(sim::SimContext& ctx, std::string name,
-           std::vector<axi::AxiChannel*> upstreams, axi::AxiChannel& downstream);
+    /// `owner` is the component ticking this arbiter; contract messages
+    /// name it.
+    BurstArbiter(const sim::Component& owner, std::uint32_t num_managers)
+        : owner_{&owner},
+          aw_rr_{num_managers},
+          ar_rr_{num_managers},
+          aw_grants_(num_managers, 0),
+          ar_grants_(num_managers, 0) {}
 
-    void reset() override;
-    void tick() override;
-
-    [[nodiscard]] std::uint32_t num_managers() const noexcept {
-        return static_cast<std::uint32_t>(ups_.size());
+    void reset() {
+        aw_rr_.reset();
+        ar_rr_.reset();
+        w_order_.clear();
+        std::fill(aw_grants_.begin(), aw_grants_.end(), 0);
+        std::fill(ar_grants_.begin(), ar_grants_.end(), 0);
+        w_stall_cycles_ = 0;
     }
-    /// Grants per manager (fairness introspection for tests/benches).
+
+    /// Grants one AW burst to `down`: the first manager after the last
+    /// winner whose head passes `eligible(m, head)`. `on_grant(m, flit)`
+    /// sees the granted flit before its ID is widened. The W channel is
+    /// reserved for the whole burst at this point.
+    template <typename Eligible, typename OnGrant>
+    void grant_aw(const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
+                  Eligible&& eligible, OnGrant&& on_grant) {
+        grant(&axi::AxiChannel::aw, aw_rr_, aw_grants_, ups, down, eligible,
+              [&](std::uint32_t m, const axi::AwFlit& f) {
+                  // Reserve the downstream W channel for this burst *now* —
+                  // before any data exists. This is the behaviour [14]
+                  // identifies as the DoS vector.
+                  w_order_.push_back(WGrant{m, f.beats()});
+                  on_grant(m, f);
+              });
+    }
+
+    /// Grants one AR burst to `down`, as `grant_aw` does for writes.
+    template <typename Eligible, typename OnGrant>
+    void grant_ar(const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
+                  Eligible&& eligible, OnGrant&& on_grant) {
+        grant(&axi::AxiChannel::ar, ar_rr_, ar_grants_, ups, down, eligible, on_grant);
+    }
+
+    /// Forwards one W beat of the oldest granted burst, from its manager if
+    /// `sending_here(m)` says that manager's W stream is at this burst.
+    /// `on_last(m)` runs when the burst's last beat has passed. While the
+    /// owner withholds data and another manager has a beat ready, the
+    /// cycle counts as a W stall.
+    template <typename SendingHere, typename OnLast>
+    void forward_w(const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
+                   SendingHere&& sending_here, OnLast&& on_last) {
+        if (w_order_.empty() || !down.w.can_push()) { return; }
+        WGrant& grant = w_order_.front();
+        const std::uint32_t mgr = grant.mgr;
+        if (!ups[mgr]->w.can_pop() || !sending_here(mgr)) {
+            // The granted manager withholds data: the W channel idles even
+            // if other managers have beats ready (bandwidth stolen by the
+            // reservation).
+            for (std::uint32_t m = 0; m < ups.size(); ++m) {
+                if (m != mgr && ups[m]->w.can_pop()) {
+                    ++w_stall_cycles_;
+                    break;
+                }
+            }
+            return;
+        }
+        const axi::WFlit f = ups[mgr]->w.pop();
+        down.w.push(f);
+        --grant.beats_left;
+        if (grant.beats_left == 0) {
+            REALM_ENSURES(f.last, owner_->name() + ": W burst finished without WLAST");
+            w_order_.pop_front();
+            on_last(mgr);
+        } else {
+            REALM_ENSURES(!f.last, owner_->name() + ": premature WLAST");
+        }
+    }
+
+    /// Write bursts granted whose last W beat has not yet passed.
+    [[nodiscard]] std::size_t writes_granted() const noexcept { return w_order_.size(); }
     [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const {
-        return aw_grant_count_.at(mgr);
+        return aw_grants_.at(mgr);
     }
     [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const {
-        return ar_grant_count_.at(mgr);
+        return ar_grants_.at(mgr);
     }
     /// Cycles the W channel spent stalled waiting for a granted manager's
     /// data while other writes were pending (DoS exposure metric).
@@ -53,23 +128,66 @@ private:
         std::uint32_t beats_left = 0;
     };
 
-    void arbitrate_aw();
-    void forward_w();
-    void arbitrate_ar();
+    /// The burst round-robin grant on one request channel (`lane`).
+    template <typename Flit, typename Eligible, typename OnGrant>
+    void grant(sim::Link<Flit> axi::AxiChannel::*lane, RoundRobinArbiter& rr,
+               std::vector<std::uint64_t>& grants, const std::vector<axi::AxiChannel*>& ups,
+               axi::AxiChannel& down, Eligible& eligible, OnGrant&& on_grant) {
+        if (!(down.*lane).can_push()) { return; }
+        const int winner = rr.pick([&](std::uint32_t m) {
+            const sim::Link<Flit>& in = ups[m]->*lane;
+            return in.can_pop() && eligible(m, in.front());
+        });
+        if (winner < 0) { return; }
+        const auto mgr = static_cast<std::uint32_t>(winner);
+        rr.commit(mgr);
+        Flit f = (ups[mgr]->*lane).pop();
+        on_grant(mgr, std::as_const(f));
+        f.id = f.id * rr.size() + mgr;
+        (down.*lane).push(f);
+        ++grants[mgr];
+    }
+
+    const sim::Component* owner_;
+    RoundRobinArbiter aw_rr_;
+    RoundRobinArbiter ar_rr_;
+    std::deque<WGrant> w_order_; ///< granted writes, in W-channel order
+    std::vector<std::uint64_t> aw_grants_;
+    std::vector<std::uint64_t> ar_grants_;
+    std::uint64_t w_stall_cycles_ = 0;
+};
+
+class AxiMux : public sim::Component {
+public:
+    /// N is the number of upstream ports: on the NoC fabrics, the managers
+    /// present (one egress lane each, in ascending node order), not every
+    /// node.
+    AxiMux(sim::SimContext& ctx, std::string name,
+           std::vector<axi::AxiChannel*> upstreams, axi::AxiChannel& downstream);
+
+    void reset() override;
+    void tick() override;
+
+    [[nodiscard]] std::uint32_t num_managers() const noexcept {
+        return static_cast<std::uint32_t>(ups_.size());
+    }
+    /// Grants per manager (fairness introspection for tests/benches).
+    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const {
+        return arb_.aw_grants(mgr);
+    }
+    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const {
+        return arb_.ar_grants(mgr);
+    }
+    [[nodiscard]] std::uint64_t w_stall_cycles() const noexcept { return arb_.w_stall_cycles(); }
+
+private:
     void route_b();
     void route_r();
     void update_activity();
 
     std::vector<axi::AxiChannel*> ups_;
     axi::ManagerView down_;
-
-    RoundRobinArbiter aw_arb_;
-    RoundRobinArbiter ar_arb_;
-    std::deque<WGrant> w_order_;
-
-    std::vector<std::uint64_t> aw_grant_count_;
-    std::vector<std::uint64_t> ar_grant_count_;
-    std::uint64_t w_stall_cycles_ = 0;
+    BurstArbiter arb_;
 };
 
 } // namespace realm::ic

@@ -13,15 +13,10 @@ AxiXbar::AxiXbar(sim::SimContext& ctx, std::string name, std::vector<axi::AxiCha
       subs_{std::move(subordinates)},
       map_{std::move(map)},
       config_{config},
-      aw_arb_(subs_.size(), RoundRobinArbiter{static_cast<std::uint32_t>(mgrs_.size())}),
-      ar_arb_(subs_.size(), RoundRobinArbiter{static_cast<std::uint32_t>(mgrs_.size())}),
-      w_serve_(subs_.size()),
+      arbs_(subs_.size(), BurstArbiter{*this, static_cast<std::uint32_t>(mgrs_.size())}),
       w_route_(mgrs_.size()),
       b_arb_(mgrs_.size(), RoundRobinArbiter{static_cast<std::uint32_t>(subs_.size())}),
-      r_arb_(mgrs_.size(), RoundRobinArbiter{static_cast<std::uint32_t>(subs_.size())}),
-      aw_grants_(mgrs_.size(), 0),
-      ar_grants_(mgrs_.size(), 0),
-      w_stalls_(subs_.size(), 0) {
+      r_arb_(mgrs_.size(), RoundRobinArbiter{static_cast<std::uint32_t>(subs_.size())}) {
     REALM_EXPECTS(!mgrs_.empty() && !subs_.empty(), "xbar needs managers and subordinates");
     for (axi::AxiChannel* ch : mgrs_) { REALM_EXPECTS(ch != nullptr, "null manager channel"); }
     for (axi::AxiChannel* ch : subs_) { REALM_EXPECTS(ch != nullptr, "null subordinate"); }
@@ -33,19 +28,26 @@ AxiXbar::AxiXbar(sim::SimContext& ctx, std::string name, std::vector<axi::AxiCha
 }
 
 void AxiXbar::reset() {
-    for (auto& a : aw_arb_) { a.reset(); }
-    for (auto& a : ar_arb_) { a.reset(); }
-    for (auto& q : w_serve_) { q.clear(); }
+    for (auto& a : arbs_) { a.reset(); }
     for (auto& q : w_route_) { q.clear(); }
     w_in_flight_.clear();
     r_in_flight_.clear();
     for (auto& a : b_arb_) { a.reset(); }
     for (auto& a : r_arb_) { a.reset(); }
-    std::fill(aw_grants_.begin(), aw_grants_.end(), 0);
-    std::fill(ar_grants_.begin(), ar_grants_.end(), 0);
-    std::fill(w_stalls_.begin(), w_stalls_.end(), 0);
     decode_errors_ = 0;
     ordering_stalls_ = 0;
+}
+
+std::uint64_t AxiXbar::aw_grants(std::uint32_t mgr) const {
+    std::uint64_t total = 0;
+    for (const BurstArbiter& a : arbs_) { total += a.aw_grants(mgr); }
+    return total;
+}
+
+std::uint64_t AxiXbar::ar_grants(std::uint32_t mgr) const {
+    std::uint64_t total = 0;
+    for (const BurstArbiter& a : arbs_) { total += a.ar_grants(mgr); }
+    return total;
 }
 
 std::uint32_t AxiXbar::route(axi::Addr addr) {
@@ -55,107 +57,64 @@ std::uint32_t AxiXbar::route(axi::Addr addr) {
     return *config_.default_port;
 }
 
-void AxiXbar::arbitrate_aw(std::uint32_t sub) {
-    if (!subs_[sub]->aw.can_push()) { return; }
-    if (w_serve_[sub].size() >= config_.max_outstanding_writes_per_sub) { return; }
-    const auto requesting = [this, sub](std::uint32_t m) {
-        if (!mgrs_[m]->aw.can_pop()) { return false; }
-        const axi::AwFlit& head = mgrs_[m]->aw.front();
-        if (route(head.addr) != sub) { return false; }
-        // AXI4 same-ID ordering: hold back if this ID is in flight to a
-        // different subordinate.
-        const auto it = w_in_flight_.find(order_key(m, head.id));
-        if (it != w_in_flight_.end() && it->second.count > 0 && it->second.port != sub) {
-            ++ordering_stalls_;
-            return false;
-        }
-        return true;
-    };
-    int winner = -1;
-    if (config_.arbitration == XbarArbitration::kQosPriority) {
-        winner = pick_by_qos(requesting,
-                             [this](std::uint32_t m) { return mgrs_[m]->aw.front().qos; },
-                             aw_arb_[sub]);
-    } else {
-        winner = aw_arb_[sub].pick(requesting);
+bool AxiXbar::in_order(const InFlightMap& in_flight, std::uint32_t mgr, axi::IdT id,
+                       std::uint32_t sub) {
+    const auto it = in_flight.find(order_key(mgr, id));
+    if (it != in_flight.end() && it->second.count > 0 && it->second.port != sub) {
+        ++ordering_stalls_;
+        return false;
     }
-    if (winner < 0) { return; }
-    const auto mgr = static_cast<std::uint32_t>(winner);
-    aw_arb_[sub].commit(mgr);
-    axi::AwFlit f = mgrs_[mgr]->aw.pop();
-    if (!map_.decode(f.addr)) { ++decode_errors_; }
-    auto& fl = w_in_flight_[order_key(mgr, f.id)];
+    return true;
+}
+
+void AxiXbar::issued(InFlightMap& in_flight, std::uint32_t mgr, axi::Addr addr, axi::IdT id,
+                     std::uint32_t sub) {
+    if (!map_.decode(addr)) { ++decode_errors_; }
+    InFlight& fl = in_flight[order_key(mgr, id)];
     fl.port = sub;
     ++fl.count;
-    // Reserve the subordinate's W channel for the whole burst (the DoS
-    // vector of burst-based interconnects, cf. Cut&Forward [14]).
-    w_serve_[sub].push_back(WGrant{mgr, f.beats()});
-    w_route_[mgr].push_back(sub);
-    f.id = f.id * num_managers() + mgr;
-    subs_[sub]->aw.push(f);
-    ++aw_grants_[mgr];
+}
+
+void AxiXbar::retired(InFlightMap& in_flight, std::uint32_t mgr, axi::IdT id) {
+    if (auto it = in_flight.find(order_key(mgr, id));
+        it != in_flight.end() && it->second.count > 0) {
+        --it->second.count;
+    }
+}
+
+void AxiXbar::arbitrate_aw(std::uint32_t sub) {
+    if (arbs_[sub].writes_granted() >= config_.max_outstanding_writes_per_sub) { return; }
+    arbs_[sub].grant_aw(
+        mgrs_, *subs_[sub],
+        [this, sub](std::uint32_t m, const axi::AwFlit& head) {
+            return route(head.addr) == sub && in_order(w_in_flight_, m, head.id, sub);
+        },
+        [this, sub](std::uint32_t m, const axi::AwFlit& f) {
+            issued(w_in_flight_, m, f.addr, f.id, sub);
+            w_route_[m].push_back(sub);
+        });
 }
 
 void AxiXbar::forward_w(std::uint32_t sub) {
-    if (w_serve_[sub].empty() || !subs_[sub]->w.can_push()) { return; }
-    WGrant& grant = w_serve_[sub].front();
-    const std::uint32_t mgr = grant.mgr;
-    // The manager must currently be sending *this* burst (its own W stream
-    // is in AW order across all subordinates).
-    const bool data_ready = mgrs_[mgr]->w.can_pop() && !w_route_[mgr].empty() &&
-                            w_route_[mgr].front() == sub;
-    if (!data_ready) {
-        bool others_waiting = false;
-        for (std::uint32_t m = 0; m < num_managers(); ++m) {
-            if (m != mgr && mgrs_[m]->w.can_pop()) { others_waiting = true; }
-        }
-        if (others_waiting) { ++w_stalls_[sub]; }
-        return;
-    }
-    axi::WFlit f = mgrs_[mgr]->w.pop();
-    subs_[sub]->w.push(f);
-    --grant.beats_left;
-    if (grant.beats_left == 0) {
-        REALM_ENSURES(f.last, name() + ": W burst finished without WLAST");
-        w_serve_[sub].pop_front();
-        w_route_[mgr].pop_front();
-    } else {
-        REALM_ENSURES(!f.last, name() + ": premature WLAST through xbar");
-    }
+    // The granted manager must currently be sending *this* burst: its own W
+    // stream is in AW order across all subordinates.
+    arbs_[sub].forward_w(
+        mgrs_, *subs_[sub],
+        [this, sub](std::uint32_t m) {
+            return !w_route_[m].empty() && w_route_[m].front() == sub;
+        },
+        [this](std::uint32_t m) { w_route_[m].pop_front(); });
 }
 
 void AxiXbar::arbitrate_ar(std::uint32_t sub) {
-    if (!subs_[sub]->ar.can_push()) { return; }
-    const auto requesting = [this, sub](std::uint32_t m) {
-        if (!mgrs_[m]->ar.can_pop()) { return false; }
-        const axi::ArFlit& head = mgrs_[m]->ar.front();
-        if (route(head.addr) != sub) { return false; }
-        const auto it = r_in_flight_.find(order_key(m, head.id));
-        if (it != r_in_flight_.end() && it->second.count > 0 && it->second.port != sub) {
-            ++ordering_stalls_;
-            return false;
-        }
-        return true;
-    };
-    int winner = -1;
-    if (config_.arbitration == XbarArbitration::kQosPriority) {
-        winner = pick_by_qos(requesting,
-                             [this](std::uint32_t m) { return mgrs_[m]->ar.front().qos; },
-                             ar_arb_[sub]);
-    } else {
-        winner = ar_arb_[sub].pick(requesting);
-    }
-    if (winner < 0) { return; }
-    const auto mgr = static_cast<std::uint32_t>(winner);
-    ar_arb_[sub].commit(mgr);
-    axi::ArFlit f = mgrs_[mgr]->ar.pop();
-    if (!map_.decode(f.addr)) { ++decode_errors_; }
-    auto& fl = r_in_flight_[order_key(mgr, f.id)];
-    fl.port = sub;
-    ++fl.count;
-    f.id = f.id * num_managers() + mgr;
-    subs_[sub]->ar.push(f);
-    ++ar_grants_[mgr];
+    arbs_[sub].grant_ar(
+        mgrs_, *subs_[sub],
+        [this, sub](std::uint32_t m, const axi::ArFlit& head) {
+            return route(head.addr) == sub && in_order(r_in_flight_, m, head.id, sub);
+        },
+        [this, sub](std::uint32_t m, const axi::ArFlit& f) {
+            issued(r_in_flight_, m, f.addr, f.id, sub);
+        });
 }
 
 void AxiXbar::route_b(std::uint32_t mgr) {
@@ -168,10 +127,7 @@ void AxiXbar::route_b(std::uint32_t mgr) {
     b_arb_[mgr].commit(sub);
     axi::BFlit f = subs_[sub]->b.pop();
     f.id /= num_managers();
-    if (auto it = w_in_flight_.find(order_key(mgr, f.id));
-        it != w_in_flight_.end() && it->second.count > 0) {
-        --it->second.count;
-    }
+    retired(w_in_flight_, mgr, f.id);
     mgrs_[mgr]->b.push(f);
 }
 
@@ -185,12 +141,7 @@ void AxiXbar::route_r(std::uint32_t mgr) {
     r_arb_[mgr].commit(sub);
     axi::RFlit f = subs_[sub]->r.pop();
     f.id /= num_managers();
-    if (f.last) {
-        if (auto it = r_in_flight_.find(order_key(mgr, f.id));
-            it != r_in_flight_.end() && it->second.count > 0) {
-            --it->second.count;
-        }
-    }
+    if (f.last) { retired(r_in_flight_, mgr, f.id); }
     mgrs_[mgr]->r.push(f);
 }
 
@@ -211,8 +162,8 @@ void AxiXbar::update_activity() {
     // The crossbar is a pure shuttle: with no request flit on any manager
     // port and no response flit on any subordinate port, every datapath is
     // provably a no-op (granted-but-dataless write reservations included —
-    // they progress only on W pushes, and `w_stalls_` needs another
-    // manager's non-empty W link).
+    // they progress only on W pushes, and a W stall needs another manager's
+    // non-empty W link).
     for (const axi::AxiChannel* ch : mgrs_) {
         if (!ch->requests_empty()) { return; }
     }

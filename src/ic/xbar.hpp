@@ -2,17 +2,21 @@
 /// \brief Full AXI4 crossbar: M managers x S subordinates.
 ///
 /// Modeled after burst-based open-source crossbars (e.g. the PULP
-/// `axi_xbar` [19]): address decode per manager, round-robin arbitration
-/// per subordinate at **burst granularity**, W-channel reservation at
-/// AW-grant time, ID widening for stateless response routing, and AXI4
-/// same-ID ordering stalls. One component, so a request crosses in one
-/// cycle and a response in one cycle (the RTL's mostly-combinational
-/// datapath plus one register cut).
+/// `axi_xbar` [19], a demux per manager in front of a mux per
+/// subordinate). Each subordinate port arbitrates through the
+/// `BurstArbiter` that `AxiMux` uses: round-robin at **burst
+/// granularity**, W-channel reservation at AW-grant time and ID widening
+/// for stateless response routing. The crossbar adds address decode per
+/// manager, a cap on outstanding writes per subordinate, and AXI4 same-ID
+/// ordering stalls. One component, so a request crosses in one cycle and a
+/// response in one cycle (the RTL's mostly-combinational datapath plus one
+/// register cut).
 #pragma once
 
 #include "axi/channel.hpp"
 #include "ic/addr_map.hpp"
 #include "ic/arb.hpp"
+#include "ic/mux.hpp"
 
 #include "sim/component.hpp"
 
@@ -24,17 +28,6 @@
 
 namespace realm::ic {
 
-/// Arbitration policy of the crossbar's per-subordinate request arbiters.
-enum class XbarArbitration : std::uint8_t {
-    kRoundRobin, ///< the paper's (and PULP axi_xbar's) fairness-oblivious RR
-    /// Strict priority on the AxQOS field (RR among equal priorities) — the
-    /// CoreLink QoS-400 / AXI-ICRT style baseline the paper's related work
-    /// discusses. Starves low-priority managers under saturation, which is
-    /// exactly why AXI-REALM uses credits instead; `bench_baseline_qos`
-    /// demonstrates the difference.
-    kQosPriority,
-};
-
 struct XbarConfig {
     /// Subordinate index receiving traffic to unmapped addresses (typically
     /// an `ErrorSlave`); decoding an unmapped address without a default
@@ -42,7 +35,6 @@ struct XbarConfig {
     std::optional<std::uint32_t> default_port;
     /// Write bursts a subordinate port may have granted-but-incomplete.
     std::uint32_t max_outstanding_writes_per_sub = 8;
-    XbarArbitration arbitration = XbarArbitration::kRoundRobin;
 };
 
 class AxiXbar : public sim::Component {
@@ -62,48 +54,38 @@ public:
 
     /// \name Introspection for fairness tests and benches
     ///@{
-    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const { return aw_grants_.at(mgr); }
-    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const { return ar_grants_.at(mgr); }
+    /// Grants per manager, summed over the subordinates.
+    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const;
+    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const;
     [[nodiscard]] std::uint64_t w_stall_cycles(std::uint32_t sub) const {
-        return w_stalls_.at(sub);
+        return arbs_.at(sub).w_stall_cycles();
     }
     [[nodiscard]] std::uint64_t decode_errors() const noexcept { return decode_errors_; }
     [[nodiscard]] std::uint64_t ordering_stalls() const noexcept { return ordering_stalls_; }
     ///@}
 
 private:
-    struct WGrant {
-        std::uint32_t mgr = 0;
-        std::uint32_t beats_left = 0;
-    };
     struct InFlight {
         std::uint32_t port = 0;
         std::uint32_t count = 0;
     };
-    /// Key for per-manager per-ID ordering maps.
+    /// Per-manager per-ID in-flight state, keyed by `order_key`.
+    using InFlightMap = std::unordered_map<std::uint64_t, InFlight>;
     [[nodiscard]] static std::uint64_t order_key(std::uint32_t mgr, axi::IdT id) noexcept {
         return (std::uint64_t{mgr} << 32) | id;
     }
 
     [[nodiscard]] std::uint32_t route(axi::Addr addr);
-    /// Strict-priority selection on AxQOS with round-robin among equals.
-    template <typename Requesting, typename QosOf>
-    [[nodiscard]] int pick_by_qos(const Requesting& requesting, const QosOf& qos_of,
-                                  const RoundRobinArbiter& rr) const {
-        int best = -1;
-        int best_qos = -1;
-        for (std::uint32_t i = 0; i < num_managers(); ++i) {
-            // Scan in RR order so equal priorities still rotate.
-            const std::uint32_t m = (rr.last_winner() + 1 + i) % num_managers();
-            if (!requesting(m)) { continue; }
-            const int q = qos_of(m);
-            if (q > best_qos) {
-                best_qos = q;
-                best = static_cast<int>(m);
-            }
-        }
-        return best;
-    }
+    /// AXI4 same-ID ordering: false (an ordering stall) while `id` of `mgr`
+    /// is in flight to a subordinate other than `sub`.
+    [[nodiscard]] bool in_order(const InFlightMap& in_flight, std::uint32_t mgr, axi::IdT id,
+                                std::uint32_t sub);
+    /// Books a granted request to `sub` in flight (and counts a decode
+    /// error when `addr` is unmapped).
+    void issued(InFlightMap& in_flight, std::uint32_t mgr, axi::Addr addr, axi::IdT id,
+                std::uint32_t sub);
+    /// Books one transaction of `id` back from flight.
+    static void retired(InFlightMap& in_flight, std::uint32_t mgr, axi::IdT id);
     void arbitrate_aw(std::uint32_t sub);
     void forward_w(std::uint32_t sub);
     void arbitrate_ar(std::uint32_t sub);
@@ -116,18 +98,13 @@ private:
     AddrMap map_;
     XbarConfig config_;
 
-    std::vector<RoundRobinArbiter> aw_arb_; ///< per subordinate
-    std::vector<RoundRobinArbiter> ar_arb_; ///< per subordinate
-    std::vector<std::deque<WGrant>> w_serve_; ///< per subordinate: granted write order
+    std::vector<BurstArbiter> arbs_; ///< per subordinate
     std::vector<std::deque<std::uint32_t>> w_route_; ///< per manager: target sub per AW
-    std::unordered_map<std::uint64_t, InFlight> w_in_flight_; ///< ordering (writes)
-    std::unordered_map<std::uint64_t, InFlight> r_in_flight_; ///< ordering (reads)
+    InFlightMap w_in_flight_; ///< ordering (writes)
+    InFlightMap r_in_flight_; ///< ordering (reads)
     std::vector<RoundRobinArbiter> b_arb_; ///< per manager, over subordinates
     std::vector<RoundRobinArbiter> r_arb_; ///< per manager, over subordinates
 
-    std::vector<std::uint64_t> aw_grants_;
-    std::vector<std::uint64_t> ar_grants_;
-    std::vector<std::uint64_t> w_stalls_;
     std::uint64_t decode_errors_ = 0;
     std::uint64_t ordering_stalls_ = 0;
 };

@@ -121,8 +121,8 @@ public:
     /// (the flit is then held and retried, preserving the lane order). AW
     /// travels before its data; W continuation beats take priority over new
     /// reads; an AW or AR whose ID has in-flight transactions toward a
-    /// *different* node stalls until they retire (the same rule
-    /// `ic::AxiDemux` enforces). Every packet additionally needs end-to-end
+    /// *different* node stalls until they retire (the crossbar's same-ID
+    /// rule, `ic::AxiXbar`). Every packet additionally needs end-to-end
     /// credits from the target subordinate's pool; a credit-starved head
     /// holds its lane exactly like link backpressure.
     template <typename RouteFn>
@@ -377,7 +377,7 @@ private:
         return total;
     }
 
-    /// Same-ID ordering at the ingress (same rule as `ic::AxiDemux`): a
+    /// Same-ID ordering at the ingress (the crossbar's rule, `ic::AxiXbar`): a
     /// flat array scanned linearly — managers use a handful of distinct
     /// AXI IDs, and entries are recycled once their count drains.
     struct InFlight {

@@ -371,7 +371,7 @@ std::uint64_t config_hash(const ScenarioConfig& cfg) {
     d.mix(cfg.soc.dram.banks);
     d.mix(cfg.soc.dram.row_bytes);
     mix_realm(d, cfg.soc.realm);
-    d.mix(static_cast<std::uint64_t>(cfg.soc.arbitration));
+    d.mix(std::uint64_t{0}); // was the crossbar arbitration policy; kept so hashes stay put
 
     d.mix(cfg.boot_plans.size());
     for (const RegionPlan& p : cfg.boot_plans) {
@@ -423,7 +423,7 @@ std::uint64_t config_hash(const ScenarioConfig& cfg) {
         d.mix(irq.dma.max_outstanding_writes);
         d.mix(irq.dma.w_stall_cycles);
         d.mix(irq.dma.reserve_before_data);
-        d.mix(irq.dma.qos);
+        d.mix(std::uint8_t{0}); // was the DMA's AxQOS; kept so hashes stay put
         d.mix(irq.src);
         d.mix(irq.dst);
         d.mix(irq.bytes);

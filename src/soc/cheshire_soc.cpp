@@ -68,7 +68,6 @@ CheshireSoc::CheshireSoc(sim::SimContext& ctx, SocConfig config)
     }
     ic::XbarConfig xcfg;
     xcfg.default_port = kErrPort;
-    xcfg.arbitration = cfg_.arbitration;
     xbar_ = std::make_unique<ic::AxiXbar>(
         ctx, "xbar", std::move(mgrs),
         std::vector<axi::AxiChannel*>{llc_up_.get(), spm_ch_.get(), cfg_ch_.get(),

@@ -47,9 +47,6 @@ struct SocConfig {
     mem::LlcConfig llc;
     mem::DramTiming dram;
     rt::RealmUnitConfig realm; ///< template applied to every REALM unit
-    /// Crossbar arbitration policy (kQosPriority gives the related-work
-    /// baseline; see `bench_baseline_qos`).
-    ic::XbarArbitration arbitration = ic::XbarArbitration::kRoundRobin;
 };
 
 class CheshireSoc {

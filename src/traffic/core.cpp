@@ -43,10 +43,8 @@ void CoreModel::drain_stores() {
         if (!port_.can_send_aw()) { return; }
         const std::uint32_t beats = (ps.op.bytes + cfg_.bus_bytes - 1) / cfg_.bus_bytes;
         const axi::Addr addr = ps.op.addr & ~axi::Addr{cfg_.bus_bytes - 1};
-        axi::AwFlit aw = axi::make_aw(cfg_.write_id, addr, beats,
-                                      axi::size_of_bus(cfg_.bus_bytes), ps.issued_at);
-        aw.qos = cfg_.qos;
-        port_.send_aw(aw);
+        port_.send_aw(axi::make_aw(cfg_.write_id, addr, beats,
+                                   axi::size_of_bus(cfg_.bus_bytes), ps.issued_at));
         ps.aw_sent = true;
         ps.beats_left = beats;
         return; // AW and first W in distinct cycles keeps the model simple
@@ -120,10 +118,8 @@ void CoreModel::advance_program() {
         }
         const std::uint32_t beats = (current_->bytes + cfg_.bus_bytes - 1) / cfg_.bus_bytes;
         const axi::Addr addr = current_->addr & ~axi::Addr{cfg_.bus_bytes - 1};
-        axi::ArFlit ar = axi::make_ar(cfg_.read_id, addr, beats,
-                                      axi::size_of_bus(cfg_.bus_bytes), now());
-        ar.qos = cfg_.qos;
-        port_.send_ar(ar);
+        port_.send_ar(
+            axi::make_ar(cfg_.read_id, addr, beats, axi::size_of_bus(cfg_.bus_bytes), now()));
         waiting_load_ = true;
         load_issued_at_ = now();
         load_beats_left_ = beats;

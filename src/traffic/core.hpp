@@ -25,9 +25,6 @@ struct CoreConfig {
     axi::IdT read_id = 0;
     axi::IdT write_id = 0;
     std::uint32_t store_buffer_depth = 4;
-    /// AxQOS stamped on every transaction (only meaningful on QoS-arbitrated
-    /// interconnects, see `ic::XbarArbitration::kQosPriority`).
-    std::uint8_t qos = 0;
 };
 
 class CoreModel : public sim::Component {

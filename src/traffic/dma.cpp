@@ -92,18 +92,14 @@ void DmaEngine::issue_reads() {
     slot.read_issued_at = now();
     if (first_activity_ == sim::kNoCycle) { first_activity_ = now(); }
 
-    axi::ArFlit ar =
-        axi::make_ar(slot_idx, slot.src, beats, axi::size_of_bus(cfg_.bus_bytes), now());
-    ar.qos = cfg_.qos;
-    port_.send_ar(ar);
+    port_.send_ar(
+        axi::make_ar(slot_idx, slot.src, beats, axi::size_of_bus(cfg_.bus_bytes), now()));
 
     if (cfg_.reserve_before_data && port_.can_send_aw()) {
         // Malicious/cut-through mode: claim write bandwidth before the data
         // exists. With `w_stall_cycles` this starves the interconnect.
-        axi::AwFlit aw = axi::make_aw(slot_idx, slot.dst, beats,
-                                      axi::size_of_bus(cfg_.bus_bytes), now());
-        aw.qos = cfg_.qos;
-        port_.send_aw(aw);
+        port_.send_aw(
+            axi::make_aw(slot_idx, slot.dst, beats, axi::size_of_bus(cfg_.bus_bytes), now()));
         slot.aw_sent = true;
         slot.write_issued_at = now();
         write_order_.push_back(slot_idx);
@@ -141,10 +137,8 @@ void DmaEngine::issue_writes() {
     if (it == slots_.end()) { return; }
     const auto slot_idx = static_cast<std::uint32_t>(it - slots_.begin());
     Slot& slot = *it;
-    axi::AwFlit aw = axi::make_aw(slot_idx, slot.dst, slot.beats,
-                                  axi::size_of_bus(cfg_.bus_bytes), now());
-    aw.qos = cfg_.qos;
-    port_.send_aw(aw);
+    port_.send_aw(
+        axi::make_aw(slot_idx, slot.dst, slot.beats, axi::size_of_bus(cfg_.bus_bytes), now()));
     slot.aw_sent = true;
     slot.write_issued_at = now();
     slot.state = SlotState::kWriting;

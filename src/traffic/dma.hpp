@@ -32,8 +32,6 @@ struct DmaConfig {
     /// Issue AW as soon as the chunk *starts* reading instead of when its
     /// data is complete (cut-through). Well-behaved DMAs keep this off.
     bool reserve_before_data = false;
-    /// AxQOS stamped on every transaction (QoS-arbitrated interconnects).
-    std::uint8_t qos = 0;
 };
 
 /// One copy descriptor. With `loop` the job restarts for continuous

@@ -199,10 +199,7 @@ void InjectorEngine::issue() {
         const auto id = static_cast<std::uint32_t>(it - write_slot_.begin());
         std::uint32_t beats = cur_write_beats_;
         const axi::Addr addr = next_addr(true, beats);
-        axi::AwFlit aw = axi::make_aw(id, addr, beats,
-                                      axi::size_of_bus(cfg_.bus_bytes), now());
-        aw.qos = cfg_.qos;
-        port_.send_aw(aw);
+        port_.send_aw(axi::make_aw(id, addr, beats, axi::size_of_bus(cfg_.bus_bytes), now()));
         *it = WSlot::kStreaming;
         w_queue_.push_back({id, beats, 0, now() + params_.head_delay});
         ++writes_issued_;
@@ -215,10 +212,7 @@ void InjectorEngine::issue() {
         const auto id = static_cast<std::uint32_t>(it - read_left_.begin());
         std::uint32_t beats = cur_read_beats_;
         const axi::Addr addr = next_addr(false, beats);
-        axi::ArFlit ar = axi::make_ar(id, addr, beats,
-                                      axi::size_of_bus(cfg_.bus_bytes), now());
-        ar.qos = cfg_.qos;
-        port_.send_ar(ar);
+        port_.send_ar(axi::make_ar(id, addr, beats, axi::size_of_bus(cfg_.bus_bytes), now()));
         *it = beats;
         ++reads_issued_;
         cur_read_beats_ =

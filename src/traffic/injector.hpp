@@ -118,7 +118,6 @@ struct InjectorConfig {
     /// Seeds the random-walk / mix RNG; traffic is a pure function of
     /// (genome, seed, port timing), bit-identical on replay.
     std::uint64_t seed = 1;
-    std::uint8_t qos = 0;
 };
 
 /// Executes one genome on a manager port, forever (interference engines run

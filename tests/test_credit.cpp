@@ -304,7 +304,7 @@ TEST(FlowControlResume, DelayedPointIsNeverServedFromAnInstantDump) {
     // credit-return delay): a dump produced with instantaneous returns
     // must not satisfy a delayed point, and vice versa — a resume alias
     // here would silently report the wrong round-trip numbers.
-    const std::string path = "flow_ab_resume.json";
+    const std::string path = test::scratch_path("flow_ab_resume.json");
     Sweep instant;
     instant.name = "flow-ab";
     ScenarioConfig cfg = cell_config("ring-dos-smoke", "1atk/hog/budget");

@@ -6,6 +6,8 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
+#include "test_util.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -43,7 +45,7 @@ std::string write_baseline(const std::vector<ScenarioResult>& results,
 class DiffFixture : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = "diff_baseline_test.json";
+    std::string path_ = test::scratch_path("diff_baseline_test.json");
 };
 
 TEST_F(DiffFixture, LoadByLabelRoundTrips) {

@@ -5,6 +5,7 @@
 #include "scenario/scenario.hpp"
 
 #include "same_result.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -107,7 +108,7 @@ void expect_rewrite_identical(const std::string& path, const Sweep& sweep,
 class DumpFixture : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = "dump_test.json";
+    std::string path_ = test::scratch_path("dump_test.json");
 };
 
 TEST_F(DumpFixture, PrettyPrintedDumpResumesEveryPoint) {

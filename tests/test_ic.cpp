@@ -1,10 +1,9 @@
 /// Unit tests for the interconnect: arbiter, mux (W reservation + fairness),
-/// demux (routing + ordering), and the full crossbar.
+/// and the full crossbar (routing, same-ID ordering, burst arbitration).
 #include "axi/builder.hpp"
 #include "axi/channel.hpp"
 #include "ic/addr_map.hpp"
 #include "ic/arb.hpp"
-#include "ic/demux.hpp"
 #include "ic/mux.hpp"
 #include "ic/xbar.hpp"
 #include "mem/axi_mem_slave.hpp"
@@ -12,6 +11,8 @@
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 namespace realm::ic {
 namespace {
@@ -135,73 +136,6 @@ TEST_F(MuxFixture, FairReadArbitrationUnderLoad) {
     EXPECT_GT(recv0, 100);
     EXPECT_GT(recv1, 100);
     EXPECT_NEAR(recv0, recv1, 4);
-}
-
-class DemuxFixture : public ::testing::Test {
-protected:
-    DemuxFixture() {
-        AddrMap map;
-        map.add(0x0000, 0x1000, 0, "s0").add(0x1000, 0x1000, 1, "s1");
-        demux = std::make_unique<AxiDemux>(ctx, "demux", up,
-                                           std::vector<axi::AxiChannel*>{&s0, &s1, &err},
-                                           map, /*error_port=*/2U);
-        slave0 = std::make_unique<mem::AxiMemSlave>(
-            ctx, "mem0", s0, std::make_unique<mem::SramBackend>(1, 1),
-            mem::AxiMemSlaveConfig{8, 8, 0});
-        slave1 = std::make_unique<mem::AxiMemSlave>(
-            ctx, "mem1", s1, std::make_unique<mem::SramBackend>(6, 6),
-            mem::AxiMemSlaveConfig{8, 8, 0x1000});
-        error = std::make_unique<mem::ErrorSlave>(ctx, "err", err);
-    }
-
-    sim::SimContext ctx;
-    axi::AxiChannel up{ctx, "up"};
-    axi::AxiChannel s0{ctx, "s0"};
-    axi::AxiChannel s1{ctx, "s1"};
-    axi::AxiChannel err{ctx, "err"};
-    std::unique_ptr<AxiDemux> demux;
-    std::unique_ptr<mem::AxiMemSlave> slave0;
-    std::unique_ptr<mem::AxiMemSlave> slave1;
-    std::unique_ptr<mem::ErrorSlave> error;
-};
-
-TEST_F(DemuxFixture, RoutesByAddress) {
-    push_write_burst(ctx, up, 1, 0x0100, 1, 8, 0x11);
-    (void)collect_b(ctx, up);
-    push_write_burst(ctx, up, 1, 0x1100, 1, 8, 0x22);
-    (void)collect_b(ctx, up);
-    EXPECT_EQ(static_cast<mem::SramBackend&>(slave0->backend()).store().read_u8(0x100), 0x11);
-    EXPECT_EQ(static_cast<mem::SramBackend&>(slave1->backend()).store().read_u8(0x100), 0x22);
-}
-
-TEST_F(DemuxFixture, UnmappedGoesToErrorPort) {
-    axi::ManagerView mgr{up};
-    mgr.send_ar(axi::make_ar(1, 0x5000, 1, 3));
-    const axi::RFlit r = collect_read_burst(ctx, up, 1);
-    EXPECT_EQ(r.resp, axi::Resp::kDecErr);
-    EXPECT_EQ(demux->decode_errors(), 1U);
-}
-
-TEST_F(DemuxFixture, SameIdToDifferentPortStalls) {
-    // Same ID first to the slow subordinate then to the fast one: the demux
-    // must hold the second read so responses cannot reorder.
-    axi::ManagerView mgr{up};
-    mgr.send_ar(axi::make_ar(7, 0x1000, 1, 3)); // slow (6-cycle) subordinate
-    ctx.step();
-    mgr.send_ar(axi::make_ar(7, 0x0000, 1, 3)); // fast subordinate
-    const axi::RFlit first = collect_read_burst(ctx, up, 1);
-    EXPECT_GT(demux->ordering_stalls(), 0U);
-    (void)first;
-    (void)collect_read_burst(ctx, up, 1);
-}
-
-TEST_F(DemuxFixture, DifferentIdsProceedConcurrently) {
-    axi::ManagerView mgr{up};
-    mgr.send_ar(axi::make_ar(1, 0x1000, 1, 3)); // slow
-    ctx.step();
-    mgr.send_ar(axi::make_ar(2, 0x0000, 1, 3)); // fast, different ID
-    step_until(ctx, [&] { return mgr.has_r(); });
-    EXPECT_EQ(mgr.peek_r().id, 2U) << "fast read with a different ID may overtake";
 }
 
 class XbarFixture : public ::testing::Test {
@@ -332,86 +266,71 @@ TEST_F(XbarFixture, GrantCountsBalanceUnderSymmetricLoad) {
     EXPECT_NEAR(static_cast<double>(g0), static_cast<double>(g1), 3.0);
 }
 
-} // namespace
-} // namespace realm::ic
-
-namespace realm::ic {
-namespace {
-
-class QosXbarFixture : public ::testing::Test {
+/// One manager in front of a 1-cycle and a 6-cycle subordinate, whose
+/// first words hold different values so a test can tell the reads apart.
+class XbarOrdering : public ::testing::Test {
 protected:
-    QosXbarFixture() {
+    XbarOrdering() {
         AddrMap map;
-        map.add(0x0000, 0x10000, 0, "s0");
-        XbarConfig xcfg;
-        xcfg.arbitration = XbarArbitration::kQosPriority;
-        xbar = std::make_unique<AxiXbar>(ctx, "xbar",
-                                         std::vector<axi::AxiChannel*>{&m0, &m1},
-                                         std::vector<axi::AxiChannel*>{&s0}, map, xcfg);
-        // Slow subordinate so requests queue at the crossbar.
-        slave = std::make_unique<mem::AxiMemSlave>(
-            ctx, "mem", s0, std::make_unique<mem::SramBackend>(4, 4),
-            mem::AxiMemSlaveConfig{1, 1, 0});
+        map.add(0x0000, 0x1000, 0, "fast").add(0x1000, 0x1000, 1, "slow");
+        xbar = std::make_unique<AxiXbar>(ctx, "xbar", std::vector<axi::AxiChannel*>{&m0},
+                                         std::vector<axi::AxiChannel*>{&fast, &slow}, map);
+        fast_mem = std::make_unique<mem::AxiMemSlave>(
+            ctx, "fast", fast, std::make_unique<mem::SramBackend>(1, 1),
+            mem::AxiMemSlaveConfig{8, 8, 0});
+        slow_mem = std::make_unique<mem::AxiMemSlave>(
+            ctx, "slow", slow, std::make_unique<mem::SramBackend>(6, 6),
+            mem::AxiMemSlaveConfig{8, 8, 0x1000});
+        static_cast<mem::SramBackend&>(fast_mem->backend()).store().write_u64(0, kFastWord);
+        static_cast<mem::SramBackend&>(slow_mem->backend()).store().write_u64(0, kSlowWord);
     }
 
+    /// Issues a read of `id` to the slow subordinate, then one of `next_id`
+    /// to the fast one a cycle later.
+    void read_slow_then_fast(axi::IdT id, axi::IdT next_id) {
+        axi::ManagerView mgr{m0};
+        mgr.send_ar(axi::make_ar(id, 0x1000, 1, 3));
+        ctx.step();
+        mgr.send_ar(axi::make_ar(next_id, 0x0000, 1, 3));
+    }
+
+    static std::uint64_t word(const axi::RFlit& r) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, r.data.bytes.data(), sizeof v);
+        return v;
+    }
+
+    static constexpr std::uint64_t kFastWord = 111;
+    static constexpr std::uint64_t kSlowWord = 222;
     sim::SimContext ctx;
     axi::AxiChannel m0{ctx, "m0"};
-    axi::AxiChannel m1{ctx, "m1"};
-    axi::AxiChannel s0{ctx, "s0"};
+    axi::AxiChannel fast{ctx, "fast"};
+    axi::AxiChannel slow{ctx, "slow"};
     std::unique_ptr<AxiXbar> xbar;
-    std::unique_ptr<mem::AxiMemSlave> slave;
+    std::unique_ptr<mem::AxiMemSlave> fast_mem;
+    std::unique_ptr<mem::AxiMemSlave> slow_mem;
 };
 
-TEST_F(QosXbarFixture, HighPriorityWinsContendedGrants) {
-    axi::ManagerView v0{m0};
-    axi::ManagerView v1{m1};
-    int served0 = 0;
-    int served1 = 0;
-    for (int cycle = 0; cycle < 600; ++cycle) {
-        if (v0.can_send_ar()) {
-            axi::ArFlit ar = axi::make_ar(0, 0x0, 1, 3);
-            ar.qos = 0;
-            v0.send_ar(ar);
-        }
-        if (v1.can_send_ar()) {
-            axi::ArFlit ar = axi::make_ar(0, 0x8, 1, 3);
-            ar.qos = 7;
-            v1.send_ar(ar);
-        }
-        if (v0.has_r()) {
-            (void)v0.recv_r();
-            ++served0;
-        }
-        if (v1.has_r()) {
-            (void)v1.recv_r();
-            ++served1;
-        }
-        ctx.step();
-    }
-    EXPECT_GT(served1, 5 * std::max(served0, 1))
-        << "strict priority must dominate the oversubscribed subordinate";
+TEST_F(XbarOrdering, SameIdToAnotherSubordinateWaitsAndReturnsInIssueOrder) {
+    // The second read may not leave before the first one's response is
+    // back, or the fast subordinate's data would overtake.
+    read_slow_then_fast(7, 7);
+    const axi::RFlit first = collect_read_burst(ctx, m0, 1);
+    const axi::RFlit second = collect_read_burst(ctx, m0, 1);
+    EXPECT_EQ(word(first), kSlowWord);
+    EXPECT_EQ(word(second), kFastWord);
+    EXPECT_GT(xbar->ordering_stalls(), 0U);
 }
 
-TEST_F(QosXbarFixture, EqualPrioritiesStillRotate) {
-    axi::ManagerView v0{m0};
-    axi::ManagerView v1{m1};
-    int served0 = 0;
-    int served1 = 0;
-    for (int cycle = 0; cycle < 600; ++cycle) {
-        if (v0.can_send_ar()) { v0.send_ar(axi::make_ar(0, 0x0, 1, 3)); }
-        if (v1.can_send_ar()) { v1.send_ar(axi::make_ar(0, 0x8, 1, 3)); }
-        if (v0.has_r()) {
-            (void)v0.recv_r();
-            ++served0;
-        }
-        if (v1.has_r()) {
-            (void)v1.recv_r();
-            ++served1;
-        }
-        ctx.step();
-    }
-    EXPECT_GT(served0, 10);
-    EXPECT_NEAR(served0, served1, 3) << "equal QoS must degrade to round-robin";
+TEST_F(XbarOrdering, DifferentIdsMayOvertake) {
+    read_slow_then_fast(1, 2);
+    const axi::RFlit first = collect_read_burst(ctx, m0, 1);
+    const axi::RFlit second = collect_read_burst(ctx, m0, 1);
+    EXPECT_EQ(first.id, 2U) << "the fast read with another ID returns first";
+    EXPECT_EQ(word(first), kFastWord);
+    EXPECT_EQ(second.id, 1U);
+    EXPECT_EQ(word(second), kSlowWord);
+    EXPECT_EQ(xbar->ordering_stalls(), 0U);
 }
 
 } // namespace

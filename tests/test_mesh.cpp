@@ -303,8 +303,8 @@ TEST_F(MeshFixture, BothManagersReachBothSubordinates) {
 
 TEST_F(MeshFixture, SameIdOrderingAcrossNodesPreserved) {
     // Same ID to the slow then the fast subordinate: the NI must stall the
-    // second AR until the first retires (the demux rule, now over XY paths
-    // of different length).
+    // second AR until the first retires (the crossbar's same-ID rule, now
+    // over XY paths of different length).
     axi::ManagerView mgr{mesh->manager_port(0)};
     mgr.send_ar(axi::make_ar(5, 0x1'0000, 1, 3)); // slow node 5, 3 hops
     ctx.step();

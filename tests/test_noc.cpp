@@ -102,7 +102,7 @@ TEST_F(RingFixture, RoundTripConstantOnUnidirectionalRing) {
 
 TEST_F(RingFixture, SameIdOrderingAcrossNodesPreserved) {
     // Same ID to the slow then the fast subordinate: responses must come
-    // back in order (the NI stalls like a demux would).
+    // back in order (the NI stalls like the crossbar would).
     axi::ManagerView mgr{ring->manager_port(0)};
     mgr.send_ar(axi::make_ar(5, 0x1'0000, 1, 3)); // slow node 3
     ctx.step();

@@ -4,6 +4,8 @@
 #include "scenario/report.hpp"
 #include "scenario/search.hpp"
 
+#include "test_util.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -447,7 +449,7 @@ TEST(SearchReport, GridReportsAreUntouchedWhenSearchIsOff) {
 
 TEST(ReportRendering, WriteReportFileRoundTrips) {
     const auto [sweep, results] = matrix_fixture();
-    const std::string path = "report_roundtrip.md";
+    const std::string path = test::scratch_path("report_roundtrip.md");
     ASSERT_TRUE(write_report_file(path, sweep, results));
     std::ifstream in{path};
     ASSERT_TRUE(in.good());

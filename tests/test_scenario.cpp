@@ -9,6 +9,7 @@
 #include "sim/rng.hpp"
 
 #include "same_result.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -360,7 +361,7 @@ TEST(Resume, RunResumedSkipsMatchingPointsAndRerunsChangedOnes) {
     Sweep sweep = quick_smoke_sweep();
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};
     const auto first = runner.run(sweep);
-    const std::string path = "scenario_resume_skip.json";
+    const std::string path = test::scratch_path("scenario_resume_skip.json");
     ASSERT_TRUE(write_json_file(path, sweep, first));
 
     // Unchanged sweep: every point is served from the dump.
@@ -392,7 +393,7 @@ TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {
     sweep.points.resize(2);
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};
     const auto plain = runner.run(sweep);
-    const std::string path = "scenario_resume_monitored.json";
+    const std::string path = test::scratch_path("scenario_resume_monitored.json");
     ASSERT_TRUE(write_json_file(path, sweep, plain));
 
     Sweep monitored = sweep;
@@ -498,6 +499,42 @@ TEST(MeshDosSmoke, TickAllMatchesTheActivitySchedulerWithMoreTicks) {
     for (std::size_t i = 0; i < activity.size(); ++i) {
         EXPECT_TRUE(test::same_result(activity[i], tick_all[i], FieldKind::kKernel));
         EXPECT_LT(activity[i].ticks_executed, tick_all[i].ticks_executed) << activity[i].label;
+    }
+}
+
+TEST(MeshDosSmoke, ProfiledRunMatchesAndAttributesEveryPoint) {
+    // The profiler is host-side observability: a profiled run simulates
+    // exactly what the plain run does, tick counts included. Every point
+    // must carry non-trivial attribution rows naming each component type
+    // `weight_model_from_profile` weighs, so renaming one fails here
+    // instead of silently sending the balanced partitioner back to its
+    // static model.
+    const Sweep sweep = make_sweep("mesh-dos-smoke");
+    Sweep profiled = sweep;
+    for (SweepPoint& p : profiled.points) { p.config.profile = true; }
+    const ScenarioRunner runner{RunnerOptions{.threads = 4}};
+    const std::vector<ScenarioResult> plain = runner.run(sweep);
+    const std::vector<ScenarioResult> traced = runner.run(profiled);
+    ASSERT_EQ(plain.size(), traced.size());
+    for (std::size_t i = 0; i < traced.size(); ++i) {
+        const ScenarioResult& r = traced[i];
+        EXPECT_TRUE(test::same_result(plain[i], r, FieldKind::kHost)) << r.label;
+        ASSERT_FALSE(r.profile.empty()) << r.label;
+        std::uint64_t nanos = 0;
+        std::string types;
+        for (const ProfileRow& row : r.profile) {
+            EXPECT_GT(row.ticks, 0U) << r.label << ": " << row.type;
+            EXPECT_GT(row.components, 0U) << r.label << ": " << row.type;
+            nanos += row.nanos;
+            types += row.type + " ";
+        }
+        EXPECT_GT(nanos, 0U) << r.label;
+        const auto has = [&](const char* type) { return types.find(type) != std::string::npos; };
+        for (const char* weighed : {"Router", "MemSlave", "AxiMux", "RealmUnit"}) {
+            EXPECT_TRUE(has(weighed)) << r.label << ": no " << weighed << " in " << types;
+        }
+        EXPECT_TRUE(has("DmaEngine") || has("InjectorEngine") || has("CoreModel"))
+            << r.label << ": no manager in " << types;
     }
 }
 

@@ -11,6 +11,7 @@
 #include "scenario/search.hpp"
 
 #include "same_result.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -58,7 +59,7 @@ std::vector<std::string> history_labels(const SearchOutcome& o) {
 class SearchFixture : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = "search_checkpoint_test.json";
+    std::string path_ = test::scratch_path("search_checkpoint_test.json");
 };
 
 TEST_F(SearchFixture, FixedSeedGivesIdenticalHistoryAndWinner) {

@@ -1,5 +1,6 @@
 /// \file
-/// \brief Shared helpers for driving AXI channels by hand in unit tests.
+/// \brief Shared helpers for driving AXI channels by hand in unit tests, and
+///        for naming their scratch files.
 #pragma once
 
 #include "axi/builder.hpp"
@@ -8,10 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <functional>
+#include <string>
 
 namespace realm::test {
+
+/// A path for a scratch file called `name`: in gtest's temp directory and
+/// prefixed with the process id, so concurrent copies of one test binary
+/// never write the same file.
+inline std::string scratch_path(const std::string& name) {
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
 
 /// Steps `ctx` until `pred` holds, failing the test after `max_cycles`.
 inline void step_until(sim::SimContext& ctx, const std::function<bool()>& pred,
