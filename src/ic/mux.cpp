@@ -41,6 +41,8 @@ void AxiMux::route_r() {
 }
 
 void AxiMux::tick() {
+    // One subordinate and no ID ordering of its own: every head may win,
+    // and a grant needs no bookkeeping beyond the arbiter's.
     const auto any = [](std::uint32_t, const auto&) { return true; };
     const auto none = [](std::uint32_t, const auto&) {};
     arb_.grant_aw(ups_, down_.channel(), any, none);

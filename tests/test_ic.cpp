@@ -22,6 +22,13 @@ using test::collect_read_burst;
 using test::push_write_burst;
 using test::step_until;
 
+/// The first 64-bit word of a read beat's data.
+std::uint64_t first_word(const axi::RFlit& r) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, r.data.bytes.data(), sizeof v);
+    return v;
+}
+
 TEST(AddrMap, FirstMatchDecode) {
     AddrMap map;
     map.add(0x1000, 0x1000, 0, "a").add(0x2000, 0x1000, 1, "b");
@@ -188,11 +195,8 @@ TEST_F(XbarFixture, ReadDataRoutedToIssuer) {
     v1.send_ar(axi::make_ar(4, 0x1020, 1, 3));
     const axi::RFlit r0 = collect_read_burst(ctx, m0, 1);
     const axi::RFlit r1 = collect_read_burst(ctx, m1, 1);
-    std::uint64_t v = 0;
-    std::memcpy(&v, r0.data.bytes.data(), 8);
-    EXPECT_EQ(v, 111U);
-    std::memcpy(&v, r1.data.bytes.data(), 8);
-    EXPECT_EQ(v, 222U);
+    EXPECT_EQ(first_word(r0), 111U);
+    EXPECT_EQ(first_word(r1), 222U);
     EXPECT_EQ(r0.id, 4U);
     EXPECT_EQ(r1.id, 4U);
 }
@@ -294,12 +298,6 @@ protected:
         mgr.send_ar(axi::make_ar(next_id, 0x0000, 1, 3));
     }
 
-    static std::uint64_t word(const axi::RFlit& r) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, r.data.bytes.data(), sizeof v);
-        return v;
-    }
-
     static constexpr std::uint64_t kFastWord = 111;
     static constexpr std::uint64_t kSlowWord = 222;
     sim::SimContext ctx;
@@ -317,8 +315,8 @@ TEST_F(XbarOrdering, SameIdToAnotherSubordinateWaitsAndReturnsInIssueOrder) {
     read_slow_then_fast(7, 7);
     const axi::RFlit first = collect_read_burst(ctx, m0, 1);
     const axi::RFlit second = collect_read_burst(ctx, m0, 1);
-    EXPECT_EQ(word(first), kSlowWord);
-    EXPECT_EQ(word(second), kFastWord);
+    EXPECT_EQ(first_word(first), kSlowWord);
+    EXPECT_EQ(first_word(second), kFastWord);
     EXPECT_GT(xbar->ordering_stalls(), 0U);
 }
 
@@ -327,9 +325,9 @@ TEST_F(XbarOrdering, DifferentIdsMayOvertake) {
     const axi::RFlit first = collect_read_burst(ctx, m0, 1);
     const axi::RFlit second = collect_read_burst(ctx, m0, 1);
     EXPECT_EQ(first.id, 2U) << "the fast read with another ID returns first";
-    EXPECT_EQ(word(first), kFastWord);
+    EXPECT_EQ(first_word(first), kFastWord);
     EXPECT_EQ(second.id, 1U);
-    EXPECT_EQ(word(second), kSlowWord);
+    EXPECT_EQ(first_word(second), kSlowWord);
     EXPECT_EQ(xbar->ordering_stalls(), 0U);
 }
 
