@@ -121,8 +121,9 @@ public:
     ///        default column-stripe partition. Any map yields bit-identical
     ///        simulated results — a tile's components always co-shard and
     ///        every inter-tile path is edge-registered — so the choice is
-    ///        purely a host-side load-balancing decision (see
-    ///        scenario/partition.hpp for the profile-guided builder).
+    ///        purely a host-side load-balancing decision
+    ///        (`ScenarioConfig::tile_shards` passes one through; the
+    ///        partition-invariance tests fuzz it).
     NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             NodeId cols, ic::AddrMap node_map,
             std::vector<NodeId> subordinate_nodes,

@@ -18,6 +18,7 @@
 #include "sim/context.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,24 @@ inline std::uint64_t parse_unsigned_flag(
         std::exit(2);
     }
     return n;
+}
+
+/// The value of a real-valued flag: a finite decimal number in [lo, hi).
+/// NaN, infinities, hex, a leading `+`, trailing text and values that
+/// overflow a double print "FLAG expects WHAT, got 'VALUE'" and exit 2.
+/// Built on `std::from_chars` in general format, which rejects hex;
+/// `strtod` would accept all of these, and NaN fails every range check.
+inline double parse_real_flag(const char* flag, const char* value, const char* what,
+                              double lo = 0.0,
+                              double hi = std::numeric_limits<double>::infinity()) {
+    const char* const end = value + std::strlen(value);
+    double x = 0.0;
+    const auto [stop, ec] = std::from_chars(value, end, x, std::chars_format::general);
+    if (ec != std::errc{} || stop != end || !std::isfinite(x) || x < lo || x >= hi) {
+        std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, what, value);
+        std::exit(2);
+    }
+    return x;
 }
 
 struct BenchOptions {
@@ -82,12 +101,6 @@ struct BenchOptions {
     /// NoC point (semantic — changes results and the config hash). On the
     /// mesh this is also the sharded kernel's barrier batch length.
     std::optional<std::uint32_t> link_latency;
-    /// `--partition stripe|balanced`: tile -> shard policy for mesh points
-    /// (host-side only; bit-identical either way).
-    std::optional<PartitionPolicy> partition;
-    /// `--partition-profile PATH`: feed a previous `--profile --json` dump's
-    /// cycle-attribution rows to the balanced partitioner's weight model.
-    std::string partition_profile_path;
     /// `--profile`: arm the cycle-attribution profiler on every point; the
     /// per-(type, shard) wall-time table lands in the JSON dump and the
     /// markdown report. Host-side observability only (excluded from
@@ -137,36 +150,19 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
         } else if (arg == "--diff") {
             opts.diff_path = need_value("--diff");
         } else if (arg == "--diff-threshold") {
-            const char* value = need_value("--diff-threshold");
-            char* end = nullptr;
-            opts.diff_threshold = std::strtod(value, &end);
-            if (end == value || *end != '\0' || opts.diff_threshold < 0.0) {
-                std::fprintf(stderr, "--diff-threshold expects a non-negative "
-                                     "fraction, got '%s'\n", value);
-                std::exit(2);
-            }
+            opts.diff_threshold = parse_real_flag(
+                "--diff-threshold", need_value("--diff-threshold"), "a non-negative fraction");
         } else if (arg == "--diff-slack") {
             opts.diff_slack = parse_unsigned_flag("--diff-slack", need_value("--diff-slack"),
                                                   "a cycle count");
         } else if (arg == "--speed-threshold") {
-            const char* value = need_value("--speed-threshold");
-            char* end = nullptr;
-            opts.speed_threshold = std::strtod(value, &end);
-            if (end == value || *end != '\0' || opts.speed_threshold < 0.0 ||
-                opts.speed_threshold >= 1.0) {
-                std::fprintf(stderr, "--speed-threshold expects a fraction in "
-                                     "[0, 1), got '%s'\n", value);
-                std::exit(2);
-            }
+            opts.speed_threshold =
+                parse_real_flag("--speed-threshold", need_value("--speed-threshold"),
+                                "a fraction in [0, 1)", 0.0, 1.0);
         } else if (arg == "--speed-slack") {
-            const char* value = need_value("--speed-slack");
-            char* end = nullptr;
-            opts.speed_slack = std::strtod(value, &end);
-            if (end == value || *end != '\0' || opts.speed_slack < 0.0) {
-                std::fprintf(stderr, "--speed-slack expects a non-negative "
-                                     "cycles/sec count, got '%s'\n", value);
-                std::exit(2);
-            }
+            opts.speed_slack =
+                parse_real_flag("--speed-slack", need_value("--speed-slack"),
+                                "a non-negative cycles/sec count");
         } else if (arg == "--shards") {
             opts.shards = static_cast<unsigned>(parse_unsigned_flag(
                 "--shards", need_value("--shards"), "a count in [1, 64]", 1, 64));
@@ -200,14 +196,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             }
         } else if (arg == "--mon-bw" || arg == "--mon-held" || arg == "--mon-occ") {
             const std::string flag = arg;
-            const char* value = need_value(flag.c_str());
-            char* end = nullptr;
-            const double f = std::strtod(value, &end);
-            if (end == value || *end != '\0' || f < 0.0) {
-                std::fprintf(stderr, "%s expects a non-negative number, got '%s'\n",
-                             flag.c_str(), value);
-                std::exit(2);
-            }
+            const double f = parse_real_flag(flag.c_str(), need_value(flag.c_str()),
+                                             "a non-negative number");
             if (flag == "--mon-bw") {
                 opts.mon_bw = f;
             } else if (flag == "--mon-held") {
@@ -219,20 +209,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             opts.link_latency = static_cast<std::uint32_t>(
                 parse_unsigned_flag("--link-latency", need_value("--link-latency"),
                                     "a cycle count in [1, 64]", 1, 64));
-        } else if (arg == "--partition") {
-            const std::string v = need_value("--partition");
-            if (v == "stripe") {
-                opts.partition = PartitionPolicy::kStripe;
-            } else if (v == "balanced") {
-                opts.partition = PartitionPolicy::kBalanced;
-            } else {
-                std::fprintf(stderr,
-                             "unknown partition policy '%s' (stripe|balanced)\n",
-                             v.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--partition-profile") {
-            opts.partition_profile_path = need_value("--partition-profile");
         } else if (arg == "--routing") {
             const std::string v = need_value("--routing");
             const auto policy = noc::parse_routing_policy(v);
@@ -255,8 +231,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                         "[--speed-threshold F] [--speed-slack C] "
                         "[--scheduler tick-all|activity] "
                         "[--routing xy|yx|o1turn|west-first] [--link-latency L] "
-                        "[--partition stripe|balanced] "
-                        "[--partition-profile PROFILE.json] [--profile] "
+                        "[--profile] "
                         "[--monitors] [--mon-timeout C] [--mon-stall C] "
                         "[--mon-window C] [--mon-bw F] [--mon-held F] [--mon-occ F] "
                         "[--list]\n",
@@ -291,19 +266,6 @@ auto load_or_exit(F&& load) {
 /// Applies CLI overrides (scheduler, shards, mesh routing policy) to every
 /// point.
 inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
-    // Loaded once per sweep: the rows feed every balanced point's weight
-    // model (empty when the flag is absent or the file is missing).
-    const std::vector<ProfileRow> profile_rows =
-        opts.partition_profile_path.empty()
-            ? std::vector<ProfileRow>{}
-            : load_or_exit(
-                  [&] { return load_profile_rows(opts.partition_profile_path); });
-    if (!opts.partition_profile_path.empty() && profile_rows.empty()) {
-        std::fprintf(stderr, "warning: --partition-profile %s has no profile "
-                             "rows; balanced partition falls back to the "
-                             "static weight model\n",
-                     opts.partition_profile_path.c_str());
-    }
     for (SweepPoint& p : sweep.points) {
         if (opts.scheduler_forced) { p.config.scheduler = opts.scheduler; }
         if (opts.shards_forced) { p.config.shards = opts.shards; }
@@ -314,8 +276,6 @@ inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
             p.config.topology.ring.link_latency = *opts.link_latency;
             p.config.topology.mesh.link_latency = *opts.link_latency;
         }
-        if (opts.partition.has_value()) { p.config.partition = *opts.partition; }
-        if (!profile_rows.empty()) { p.config.partition_profile = profile_rows; }
         if (opts.profile) { p.config.profile = true; }
         if (opts.monitors) { p.config.monitors.enabled = true; }
         if (opts.mon_timeout) {

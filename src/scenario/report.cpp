@@ -43,6 +43,10 @@ bool parse_dos_cell_label(const std::string& label, DosCellLabel& out) {
 
 namespace {
 
+/// Row cap of the per-manager distribution table: the victim plus the
+/// loudest managers of each point.
+constexpr std::size_t kReportManagers = 8;
+
 /// Appends `v` to `order` unless already present (first-appearance order).
 template <typename T>
 void note_order(std::vector<T>& order, const T& v) {
@@ -192,7 +196,7 @@ void write_flat_report(std::ostream& os, const Sweep& sweep,
 
 /// Monitoring-plane sections: rendered only when at least one point carries
 /// monitor telemetry, so reports of unmonitored sweeps stay byte-identical.
-void write_monitor_report(std::ostream& os, const Sweep& sweep,
+void write_monitor_report(std::ostream& os,
                           const std::vector<ScenarioResult>& results) {
     bool any = false;
     for (const ScenarioResult& r : results) { any = any || r.mon_enabled; }
@@ -257,14 +261,9 @@ void write_monitor_report(std::ostream& os, const Sweep& sweep,
           "ttd [cyc] |\n";
     os << "|---|---|---|---|---|---|---|---|---|\n";
     std::size_t omitted = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult& r = results[i];
+    for (const ScenarioResult& r : results) {
         if (!r.mon_enabled) { continue; }
         const std::size_t managers = r.mgr_p99.size();
-        const std::size_t cap = std::max<std::size_t>(
-            1, i < sweep.points.size()
-                   ? sweep.points[i].config.monitors.report_managers
-                   : 8);
         // Victim first, then the loudest managers by P99 (stable by index).
         std::vector<std::size_t> order;
         for (std::size_t m = 1; m < managers; ++m) { order.push_back(m); }
@@ -273,9 +272,9 @@ void write_monitor_report(std::ostream& os, const Sweep& sweep,
                              return r.mgr_p99[a] > r.mgr_p99[b];
                          });
         order.insert(order.begin(), 0);
-        if (order.size() > cap) {
-            omitted += order.size() - cap;
-            order.resize(cap);
+        if (order.size() > kReportManagers) {
+            omitted += order.size() - kReportManagers;
+            order.resize(kReportManagers);
         }
         for (const std::size_t m : order) {
             if (m >= managers) { continue; }
@@ -310,9 +309,8 @@ void write_monitor_report(std::ostream& os, const Sweep& sweep,
         }
     }
     if (omitted > 0) {
-        os << "\nShowing the victim plus the highest-P99 managers per point "
-              "(row cap is the `report_managers` display knob); "
-           << omitted << " manager rows omitted.\n";
+        os << "\nShowing the victim plus the highest-P99 managers per point (row cap "
+           << kReportManagers << "); " << omitted << " manager rows omitted.\n";
     }
 }
 
@@ -427,7 +425,7 @@ void write_report(std::ostream& os, const Sweep& sweep,
     } else {
         write_flat_report(os, sweep, results);
     }
-    write_monitor_report(os, sweep, results);
+    write_monitor_report(os, results);
     write_partition_report(os, results);
     write_profile_report(os, results);
 

@@ -515,14 +515,6 @@ load_json_results_by_label(const std::string& path) {
     return cache;
 }
 
-std::vector<ProfileRow> load_profile_rows(const std::string& path) {
-    std::vector<ProfileRow> rows;
-    for (const DumpPoint& p : read_dump(path)) {
-        rows.insert(rows.end(), p.result.profile.begin(), p.result.profile.end());
-    }
-    return rows;
-}
-
 DiffReport diff_against_baseline(const std::string& baseline_path,
                                  const std::vector<ScenarioResult>& results,
                                  double rel_threshold, std::uint64_t abs_slack,

@@ -77,7 +77,7 @@ public:
 };
 
 /// \name Dump loaders
-/// All three parse a previous `write_json` dump with the same rules: a
+/// Both parse a previous `write_json` dump with the same rules: a
 /// missing file yields nothing (resume then runs every point); a file that
 /// ends early yields exactly the points completed before the end (a search
 /// checkpoint killed mid-write); anything else that is not valid JSON of
@@ -95,12 +95,6 @@ load_json_results(const std::string& path);
 /// of the differ).
 [[nodiscard]] std::unordered_map<std::string, ScenarioResult>
 load_json_results_by_label(const std::string& path);
-
-/// The cycle-attribution profile rows of a `--profile --json` dump,
-/// concatenated across points (the balanced partitioner's weight model
-/// aggregates per component type, so merging points is the intended use).
-[[nodiscard]] std::vector<ProfileRow>
-load_profile_rows(const std::string& path);
 ///@}
 
 /// \name Report-to-report regression diffing

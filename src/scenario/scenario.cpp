@@ -331,8 +331,8 @@ void mix_noc(ConfigDigest& d, const NocTopologyConfig& noc) {
     d.mix(noc.credit_return_delay);
     // Pipelined links (v8): link_latency changes every flit's arrival cycle,
     // so it is semantic on both NoC fabrics. The batching it enables is not
-    // (bit-identical for every shard count / partition), so `partition`,
-    // `tile_shards`, and `partition_profile` stay out of the hash.
+    // (bit-identical for every shard count and tile map), so `tile_shards`
+    // stays out of the hash.
     d.mix(noc.link_latency);
     d.mix(static_cast<std::uint64_t>(noc.routing));
     mix_realm(d, noc.realm);
@@ -438,7 +438,7 @@ std::uint64_t config_hash(const ScenarioConfig& cfg) {
     }
     // Monitoring plane (v6): the monitor hop changes timing and the verdicts
     // land in the result, so the enable flag and every threshold are
-    // semantic. `report_managers` is a host-side display knob and stays out.
+    // semantic.
     d.mix(cfg.monitors.enabled);
     d.mix(cfg.monitors.thresholds.timeout_cycles);
     d.mix(cfg.monitors.thresholds.stall_cycles);

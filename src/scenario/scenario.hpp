@@ -80,9 +80,6 @@ struct MonitorConfig {
     bool enabled = false;
     /// Detection/pathology thresholds; hashed when `enabled`.
     mon::TxnMonitorConfig thresholds{};
-    /// Row cap for the per-manager distribution table in `--report`.
-    /// Host-side display knob only — *excluded* from `config_hash`.
-    std::uint32_t report_managers = 8;
 };
 
 /// DRAM span seeded with `value(offset) = offset * multiplier` (u64 every
@@ -105,23 +102,6 @@ struct ProfileRow {
 
     bool operator==(const ProfileRow&) const = default;
 };
-
-/// How the mesh fabric's tiles are distributed over the spatial shards.
-/// Host-side load-balancing only: every partition yields bit-identical
-/// simulated results (all inter-tile paths are edge-registered), so the
-/// policy is *excluded* from `config_hash` like `shard_workers`.
-enum class PartitionPolicy : std::uint8_t {
-    kStripe,   ///< contiguous column stripes (the historical default)
-    kBalanced, ///< greedy weight balance over per-tile cost estimates
-};
-
-[[nodiscard]] constexpr const char* to_string(PartitionPolicy p) noexcept {
-    switch (p) {
-    case PartitionPolicy::kStripe: return "stripe";
-    case PartitionPolicy::kBalanced: return "balanced";
-    }
-    return "?";
-}
 
 /// A complete experiment description.
 struct ScenarioConfig {
@@ -167,18 +147,13 @@ struct ScenarioConfig {
     /// for every value, so it is *excluded* from `config_hash`. Tests force
     /// > 1 to exercise the concurrent barrier path on single-core hosts.
     unsigned shard_workers = 0;
-    /// Tile -> shard assignment policy for the mesh fabric (ignored
-    /// elsewhere). Host-side only and *excluded* from `config_hash`: any
-    /// partition is bit-identical (see `noc::NocMesh::shard_of_node`).
-    PartitionPolicy partition = PartitionPolicy::kStripe;
-    /// Explicit tile -> shard map override (one entry per mesh node, each
-    /// < `shards`). Overrides `partition` when non-empty; used by the
-    /// partition-invariance tests to pin pathological maps. Unhashed.
+    /// Explicit tile -> shard map for the mesh fabric (one entry per mesh
+    /// node, each < `shards`; ignored elsewhere). Empty keeps the column
+    /// stripes; the partition-invariance tests pin scattered and
+    /// pathological maps here. Host-side only and *excluded* from
+    /// `config_hash`: any map is bit-identical (see
+    /// `noc::NocMesh::shard_of_node`).
     std::vector<unsigned> tile_shards;
-    /// Profile rows (from a previous `profile` run of a comparable config)
-    /// driving the balanced partitioner's per-tile weight model; empty
-    /// falls back to the static tile-degree model. Unhashed.
-    std::vector<ProfileRow> partition_profile;
     /// Per-point RNG seed; sweep factories fill this via `sim::derive_seed`
     /// so parallel runs are reproducible regardless of thread count.
     std::uint64_t seed = 0;

@@ -1,6 +1,5 @@
 #include "scenario/topology.hpp"
 
-#include "scenario/partition.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/check.hpp"
 
@@ -347,9 +346,7 @@ public:
                                   cfg.topology.mesh.cols, std::move(map),
                                   std::move(subs), std::move(mgrs),
                                   cfg.topology.mesh.flow(),
-                                  cfg.topology.mesh.routing,
-                                  mesh_tile_shards(cfg, resolve(cfg.topology.mesh),
-                                                   c.shards()));
+                                  cfg.topology.mesh.routing, cfg.tile_shards);
                           }},
           lookahead_{cfg.topology.mesh.link_latency} {}
 

@@ -7,6 +7,7 @@
 #include "mon/quantile.hpp"
 #include "mon/txn_monitor.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/context.hpp"
 
@@ -513,6 +514,40 @@ TEST(MonitoredScenario, NoAttackCellsProduceZeroFalsePositives) {
             EXPECT_EQ(res.mgr_flagged[0], 0U);
             EXPECT_EQ(res.mon_first_detect, 0U);
         }
+    }
+}
+
+TEST(MonitoredScenario, MeshSmokeScoresEveryCellExactly) {
+    // Every cell of the monitored mesh smoke: each attack cell catches every
+    // hostile manager and misses none, the no-attack baselines stay clean,
+    // and the victim is never flagged.
+    Sweep sweep = make_sweep("mesh-dos-smoke");
+    for (SweepPoint& p : sweep.points) { p.config.monitors.enabled = true; }
+    const std::vector<ScenarioResult> results =
+        ScenarioRunner{RunnerOptions{.threads = 4}}.run(sweep);
+    ASSERT_EQ(results.size(), 10U);
+    for (const ScenarioResult& r : results) {
+        SCOPED_TRACE(r.label);
+        ASSERT_TRUE(r.mon_enabled);
+        const std::size_t managers = r.mgr_p99.size();
+        ASSERT_GT(managers, 0U);
+        for (const std::vector<std::uint64_t>* column :
+             {&r.mgr_p50, &r.mgr_p999, &r.mgr_flagged, &r.mgr_signals, &r.mgr_hostile,
+              &r.mgr_detect, &r.mgr_occ_milli}) {
+            EXPECT_EQ(column->size(), managers);
+        }
+        std::uint64_t hostile = 0;
+        for (const std::uint64_t h : r.mgr_hostile) { hostile += h; }
+        if (r.label.rfind("0atk", 0) == 0) {
+            EXPECT_EQ(hostile, 0U);
+            EXPECT_EQ(r.mon_false_positives, 0U);
+        } else {
+            EXPECT_GT(hostile, 0U);
+            EXPECT_EQ(r.mon_true_positives, hostile);
+            EXPECT_EQ(r.mon_false_negatives, 0U);
+            EXPECT_GT(r.mon_first_detect, 0U);
+        }
+        EXPECT_EQ(r.mgr_flagged[0], 0U) << "victim flagged";
     }
 }
 

@@ -203,34 +203,33 @@ TEST(ReportRendering, NonMatrixSweepsFallBackToFlatTableWithBaseline) {
 
 // --- Monitoring-plane sections -----------------------------------------------
 
-/// One attack cell (hostile dma1 flagged via occupancy) and one clean cell,
-/// three managers each, with a row cap of 2 to exercise the loudest-first
-/// ordering and the omission footer.
+/// One attack cell (hostile dma8 flagged via occupancy) and one clean cell,
+/// ten managers each: past the report's 8-row cap, so the loudest-first
+/// ordering and the omission footer both show.
 std::pair<Sweep, std::vector<ScenarioResult>> monitored_fixture() {
     auto [sweep, results] = matrix_fixture();
     sweep.points.resize(2);
     results.resize(2);
     sweep.points[1].label = "0atk/hog/none";
     results[1].label = "0atk/hog/none";
-    for (SweepPoint& p : sweep.points) {
-        p.config.monitors.enabled = true;
-        p.config.monitors.report_managers = 2;
-    }
+    for (SweepPoint& p : sweep.points) { p.config.monitors.enabled = true; }
     for (ScenarioResult& r : results) {
         r.mon_enabled = true;
-        r.mgr_p50 = {40, 9, 11};
-        r.mgr_p99 = {160, 30, 90};
-        r.mgr_p999 = {200, 33, 120};
-        r.mgr_occ_milli = {850, 400, 1990};
-        r.mgr_flagged = {0, 0, 0};
-        r.mgr_signals = {0, 0, 0};
-        r.mgr_hostile = {0, 0, 0};
-        r.mgr_detect = {0, 0, 0};
+        // The core, then dma0..dma8: dma8 is the loudest and dma0 and dma1
+        // the quietest.
+        r.mgr_p50 = {40, 9, 9, 10, 10, 10, 10, 10, 10, 11};
+        r.mgr_p99 = {160, 30, 31, 50, 51, 52, 53, 54, 55, 90};
+        r.mgr_p999 = {200, 33, 34, 60, 61, 62, 63, 64, 65, 120};
+        r.mgr_occ_milli = {850, 400, 400, 500, 500, 500, 500, 500, 500, 1990};
+        r.mgr_flagged.assign(10, 0);
+        r.mgr_signals.assign(10, 0);
+        r.mgr_hostile.assign(10, 0);
+        r.mgr_detect.assign(10, 0);
     }
-    results[0].mgr_hostile[2] = 1;
-    results[0].mgr_flagged[2] = 1;
-    results[0].mgr_signals[2] = mon::kSignalOccupancy;
-    results[0].mgr_detect[2] = 1024;
+    results[0].mgr_hostile[9] = 1;
+    results[0].mgr_flagged[9] = 1;
+    results[0].mgr_signals[9] = mon::kSignalOccupancy;
+    results[0].mgr_detect[9] = 1024;
     results[0].mon_true_positives = 1;
     results[0].mon_first_detect = 1024;
     return {sweep, results};
@@ -363,13 +362,17 @@ TEST(ReportRendering, MonitoredSweepsRenderCoverageAndDistributions) {
         report.find("| `1atk/hog/none` | core | 40 | 160 | 200 | 0.85 | no | - | – |"),
         std::string::npos)
         << "the victim row always renders first";
-    EXPECT_NE(
-        report.find("| `1atk/hog/none` | dma1 | 11 | 90 | 120 | 1.99 | yes | occ | 1024 |"),
-        std::string::npos)
-        << "the loudest (highest-P99) DMA fills the capped second row";
+    const std::size_t loudest =
+        report.find("| `1atk/hog/none` | dma8 | 11 | 90 | 120 | 1.99 | yes | occ | 1024 |");
+    EXPECT_NE(loudest, std::string::npos) << "the loudest (highest-P99) DMA renders";
+    const std::size_t last_shown = report.find("| `1atk/hog/none` | dma2 | 10 | 50 |");
+    EXPECT_NE(last_shown, std::string::npos) << "the quietest of the eight rows";
+    EXPECT_LT(loudest, last_shown) << "managers render loudest first";
     EXPECT_EQ(report.find("| dma0 |"), std::string::npos)
-        << "the quiet DMA falls to the report_managers cap";
-    EXPECT_NE(report.find("2 manager rows omitted"), std::string::npos);
+        << "the quietest DMAs fall to the 8-row cap";
+    EXPECT_EQ(report.find("| dma1 |"), std::string::npos);
+    EXPECT_NE(report.find("4 manager rows omitted"), std::string::npos)
+        << "two rows per point";
 }
 
 TEST(ReportRendering, UnmonitoredResultsRenderNoMonitorSections) {

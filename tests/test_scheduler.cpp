@@ -346,9 +346,7 @@ TEST(SchedulerEquivalence, DosAttackTopologyBitIdentical) {
 /// forced so the concurrent barrier path runs even on single-core hosts.
 scenario::ScenarioConfig
 small_mesh_point(noc::RoutingPolicy routing, unsigned shards,
-                 std::uint32_t link_latency = 1,
-                 scenario::PartitionPolicy partition =
-                     scenario::PartitionPolicy::kStripe) {
+                 std::uint32_t link_latency = 1) {
     scenario::Sweep sweep = scenario::make_sweep("mesh-contention");
     scenario::ScenarioConfig cfg = sweep.points.at(4).config; // 3x4 hog
     cfg.victim.stream.bytes = 0x400;
@@ -356,7 +354,6 @@ small_mesh_point(noc::RoutingPolicy routing, unsigned shards,
     cfg.topology.mesh.link_latency = link_latency;
     cfg.shards = shards;
     cfg.shard_workers = shards > 1 ? 2 : 0;
-    cfg.partition = partition;
     return cfg;
 }
 
@@ -451,9 +448,12 @@ TEST(ShardedKernel, LookaheadBatchingMatchesTickAllScheduler) {
     EXPECT_TRUE(test::same_result(naive, sharded, FieldKind::kKernel));
 }
 
-TEST(ShardedKernel, BalancedPartitionBitIdentical) {
-    // The greedy balanced partition scatters tiles off the column stripes;
-    // results must not move, at every link latency.
+TEST(ShardedKernel, ScatteredTileMapBitIdentical) {
+    // An explicit tile map that puts every pair of neighbouring tiles on
+    // different shards, so every mesh link crosses a shard edge; results
+    // must not move, at every link latency. The column stripes give the
+    // 3x4 mesh at most 4 busy shards, so at 8 shards every shard ticking
+    // proves `tile_shards` reached the mesh.
     for (const std::uint32_t latency : {1U, 2U, 4U}) {
         const scenario::ScenarioResult ref = scenario::run_scenario(
             small_mesh_point(noc::RoutingPolicy::kXY, 1, latency));
@@ -461,12 +461,40 @@ TEST(ShardedKernel, BalancedPartitionBitIdentical) {
         for (const unsigned shards : {2U, 8U}) {
             SCOPED_TRACE(testing::Message() << "link_latency=" << latency
                                             << " shards=" << shards);
-            EXPECT_TRUE(test::same_result(
-                ref,
-                scenario::run_scenario(small_mesh_point(
-                    noc::RoutingPolicy::kXY, shards, latency,
-                    scenario::PartitionPolicy::kBalanced)),
-                FieldKind::kKernel));
+            scenario::ScenarioConfig cfg =
+                small_mesh_point(noc::RoutingPolicy::kXY, shards, latency);
+            const unsigned rows = cfg.topology.mesh.rows;
+            const unsigned cols = cfg.topology.mesh.cols;
+            ASSERT_EQ(rows * cols, 12U);
+            // Row-major node n = r * cols + c goes to (n + r) % shards: east
+            // neighbours differ by 1 and south neighbours by cols + 1 = 5, so
+            // neither shares a shard at 2 or 8 shards.
+            std::vector<bool> used(shards, false);
+            for (unsigned r = 0; r < rows; ++r) {
+                for (unsigned c = 0; c < cols; ++c) {
+                    cfg.tile_shards.push_back((r * cols + c + r) % shards);
+                    used[cfg.tile_shards.back()] = true;
+                }
+            }
+            for (unsigned n = 0; n < rows * cols; ++n) {
+                if (n % cols + 1 < cols) {
+                    ASSERT_NE(cfg.tile_shards[n], cfg.tile_shards[n + 1]) << n;
+                }
+                if (n + cols < rows * cols) {
+                    ASSERT_NE(cfg.tile_shards[n], cfg.tile_shards[n + cols]) << n;
+                }
+            }
+            ASSERT_EQ(static_cast<unsigned>(std::count(used.begin(), used.end(), true)),
+                      shards);
+
+            const scenario::ScenarioResult sharded = scenario::run_scenario(cfg);
+            EXPECT_TRUE(test::same_result(ref, sharded, FieldKind::kKernel));
+            if (shards == 8) {
+                ASSERT_EQ(sharded.shard_ticks_executed.size(), 8U);
+                for (unsigned s = 0; s < shards; ++s) {
+                    EXPECT_GT(sharded.shard_ticks_executed[s], 0U) << "shard " << s;
+                }
+            }
         }
     }
 }
