@@ -64,9 +64,9 @@ void AxiTracer::tick() {
 }
 
 void AxiTracer::update_activity() {
-    // Same conservative contract as the latency probe: only buffered flits
-    // create work, and the push hooks wake us; a held flit (backpressure)
-    // forbids sleeping because draining raises no wake.
+    // Conservative idle contract: only buffered flits create work, and the
+    // push hooks wake us; a held flit (backpressure) forbids sleeping
+    // because draining raises no wake.
     if (!up_.channel().requests_empty()) { return; }
     if (!down_.channel().responses_empty()) { return; }
     idle_forever();

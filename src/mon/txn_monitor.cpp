@@ -292,7 +292,7 @@ void TxnMonitor::finalize() {
 }
 
 void TxnMonitor::update_activity() {
-    // Like the probe: never sleep while a flit is buffered in the hop
+    // Like the tracer: never sleep while a flit is buffered in the hop
     // (downstream backpressure clears without a wake hook), and rely on the
     // push hooks for new work. Beyond that, the monitor has deadline-driven
     // work of its own -- pending timeout checks and an open W-production gap

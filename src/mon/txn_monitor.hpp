@@ -2,10 +2,10 @@
 /// \brief Per-manager online transaction monitor (the monitoring plane's FSM).
 ///
 /// A TxnMonitor is a pass-through component spliced between a manager (traffic
-/// model) and the fabric port it drives, in the style of AxiLatencyProbe: it
-/// forwards at most one flit per channel per cycle and adds exactly one cycle
-/// per hop each way. While forwarding it tracks every outstanding AW/AR burst
-/// online and maintains per-tenant counters:
+/// model) and the fabric port it drives, like `axi::AxiTracer` and
+/// `axi::AxiChecker`: it forwards at most one flit per channel per cycle and
+/// adds exactly one cycle per hop each way. While forwarding it tracks every
+/// outstanding AW/AR burst online and maintains per-tenant counters:
 ///
 ///  - **timeouts**: a burst outstanding longer than `timeout_cycles` (flagged
 ///    once per burst; late completions still record their latency);

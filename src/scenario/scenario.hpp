@@ -74,8 +74,8 @@ struct InterferenceConfig {
 /// Online transaction-monitoring & telemetry plane (src/mon/). When enabled,
 /// every manager port — the victim core and each interference DMA — gets a
 /// pass-through `mon::TxnMonitor` spliced in front of its fabric port. The
-/// monitor hop adds one cycle each way (like `AxiLatencyProbe`), so the flag
-/// is result-affecting and hashed.
+/// monitor hop adds one cycle each way, as every pipeline stage does, so the
+/// flag is result-affecting and hashed.
 struct MonitorConfig {
     bool enabled = false;
     /// Detection/pathology thresholds; hashed when `enabled`.

@@ -1,5 +1,5 @@
 /// \file
-/// \brief Running latency statistic used by monitors, probes and traffic
+/// \brief Running latency statistic used by the M&R unit and the traffic
 ///        models. Quantiles come from `mon::QuantileSketch` instead.
 #pragma once
 

@@ -2,6 +2,7 @@
 /// loading and `diff_against_baseline` semantics (threshold + slack, new
 /// points, timeout/boot health regressions) — the machinery behind
 /// `scenario_sweep --diff BASELINE.json`.
+#include "scenario/cli.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -135,6 +136,26 @@ TEST_F(DiffFixture, SelfDiffOfARealSweepDumpIsClean) {
     const DiffReport diff = diff_against_baseline(path_, results, 0.0, 0);
     EXPECT_EQ(diff.compared, 2U);
     EXPECT_TRUE(diff.ok());
+}
+
+TEST_F(DiffFixture, QuarteredBaselineTripsTheGate) {
+    // `--diff` at its default threshold (10 %) and slack (50 cycles): clean
+    // against the ring smoke's own dump, exit code 4 against the same dump
+    // with every worst-case latency quartered.
+    const Sweep sweep = make_sweep("ring-dos-smoke");
+    const auto results = ScenarioRunner{RunnerOptions{.threads = 2}}.run(sweep);
+    BenchOptions opts;
+    opts.diff_path = path_;
+    ASSERT_TRUE(write_json_file(path_, sweep, results));
+    EXPECT_EQ(check_diff(opts, sweep, results), 0);
+
+    std::vector<ScenarioResult> doctored = results;
+    for (ScenarioResult& r : doctored) {
+        r.load_lat_max /= 4;
+        r.store_lat_max /= 4;
+    }
+    ASSERT_TRUE(write_json_file(path_, sweep, doctored));
+    EXPECT_EQ(check_diff(opts, sweep, results), 4);
 }
 
 } // namespace

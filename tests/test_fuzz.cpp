@@ -7,10 +7,10 @@
 ///   - the DMA's copied block is byte-identical at the destination;
 ///   - regulated managers never exceed budget/period bandwidth.
 #include "axi/checker.hpp"
-#include "axi/probe.hpp"
 #include "ic/xbar.hpp"
 #include "mem/axi_mem_slave.hpp"
 #include "mem/error_slave.hpp"
+#include "mon/txn_monitor.hpp"
 #include "realm/realm_unit.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/search.hpp"
@@ -32,16 +32,16 @@ namespace realm {
 namespace {
 
 struct ManagerChain {
-    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> probe
-    std::unique_ptr<axi::AxiChannel> probe_out;   // probe -> realm
+    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> monitor
+    std::unique_ptr<axi::AxiChannel> mon_out;     // monitor -> realm
     std::unique_ptr<axi::AxiChannel> realm_down;  // realm -> checker (resp passthrough)
     std::unique_ptr<axi::AxiChannel> chk_out;     // checker -> xbar
-    std::unique_ptr<axi::AxiLatencyProbe> probe;
+    std::unique_ptr<mon::TxnMonitor> monitor;
     std::unique_ptr<axi::AxiChecker> checker;
     std::unique_ptr<rt::RealmUnit> realm;
 };
 
-/// Topology: manager -> latency probe -> REALM -> checker -> xbar -> SRAMs.
+/// Topology: manager -> transaction monitor -> REALM -> checker -> xbar -> SRAMs.
 class FuzzBench {
 public:
     FuzzBench(std::uint32_t num_managers, const rt::RealmUnitConfig& rcfg) {
@@ -54,18 +54,18 @@ public:
             auto chain = std::make_unique<ManagerChain>();
             const std::string n = "m" + std::to_string(m);
             chain->mgr_side = std::make_unique<axi::AxiChannel>(ctx, n + ".port");
-            chain->probe_out = std::make_unique<axi::AxiChannel>(ctx, n + ".probe");
+            chain->mon_out = std::make_unique<axi::AxiChannel>(ctx, n + ".mon");
             chain->realm_down =
                 std::make_unique<axi::AxiChannel>(ctx, n + ".down", 2, true);
             chain->chk_out = std::make_unique<axi::AxiChannel>(ctx, n + ".chk");
-            chain->probe = std::make_unique<axi::AxiLatencyProbe>(
-                ctx, n + ".probe", *chain->mgr_side, *chain->probe_out);
+            chain->monitor = std::make_unique<mon::TxnMonitor>(
+                ctx, n + ".mon", *chain->mgr_side, *chain->mon_out);
             // Checker constructed before the REALM unit so the unit's
             // response-passthrough sees same-cycle pushes.
             chain->checker = std::make_unique<axi::AxiChecker>(
                 ctx, n + ".chk", *chain->realm_down, *chain->chk_out, true);
             chain->realm = std::make_unique<rt::RealmUnit>(ctx, n + ".realm",
-                                                           *chain->probe_out,
+                                                           *chain->mon_out,
                                                            *chain->realm_down, rcfg);
             xbar_mgrs.push_back(chain->chk_out.get());
             chains.push_back(std::move(chain));
@@ -150,8 +150,8 @@ TEST_P(FuzzSweep, RandomTrafficKeepsAllInvariants) {
     EXPECT_EQ(core0.loads_retired() + core0.stores_retired(), 300U);
     EXPECT_EQ(core1.loads_retired() + core1.stores_retired(), 300U);
     for (const auto& chain : bench.chains) {
-        EXPECT_EQ(chain->probe->aw_count(), chain->probe->write_latency().count());
-        EXPECT_EQ(chain->probe->ar_count(), chain->probe->read_latency().count());
+        EXPECT_EQ(chain->monitor->aw_count(), chain->monitor->write_sketch().count());
+        EXPECT_EQ(chain->monitor->ar_count(), chain->monitor->read_sketch().count());
     }
     // Invariant 3: the copy arrived intact despite fragmentation + budget
     // isolation along the way.

@@ -23,7 +23,10 @@
 namespace realm::scenario {
 namespace {
 
-void expect_matches_golden(const std::string& name) {
+/// Runs sweep `name` and expects every point to match its golden; the
+/// fresh results go to `fresh_out` when a test checks more.
+void expect_matches_golden(const std::string& name,
+                           std::vector<ScenarioResult>* fresh_out = nullptr) {
     const Sweep sweep = make_sweep(name);
     const auto golden = load_json_results(std::string{REALM_GOLDEN_DIR} + "/" + name + ".json");
     // A missing file loads as empty, so the count is checked first.
@@ -38,6 +41,7 @@ void expect_matches_golden(const std::string& name) {
                                       FieldKind::kKernel))
             << name << ": " << fresh[i].label;
     }
+    if (fresh_out != nullptr) { *fresh_out = fresh; }
 }
 
 TEST(NocGolden, RingDosSmoke) { expect_matches_golden("ring-dos-smoke"); }
@@ -49,7 +53,15 @@ TEST(NocGolden, MeshRoutingDosSmoke) { expect_matches_golden("mesh-routing-dos-s
 TEST(XbarGolden, XbarDosSmoke) { expect_matches_golden("xbar-dos-smoke"); }
 TEST(XbarGolden, Fig6b) { expect_matches_golden("fig6b"); }
 TEST(XbarGolden, AblationDos) { expect_matches_golden("ablation-dos"); }
-TEST(XbarGolden, AblationThrottle) { expect_matches_golden("ablation-throttle"); }
+TEST(XbarGolden, AblationThrottle) {
+    std::vector<ScenarioResult> r;
+    expect_matches_golden("ablation-throttle", &r);
+    ASSERT_EQ(r.size(), 2U);
+    // Throttling turns hard isolation into early backpressure: with it on
+    // (point 1) the budgeted DMA stalls more and sits hard-isolated less.
+    EXPECT_GT(r[1].dma_throttle_stalls, r[0].dma_throttle_stalls);
+    EXPECT_LT(r[1].dma_isolation_cycles, r[0].dma_isolation_cycles);
+}
 TEST(XbarGolden, AblationPeriod) { expect_matches_golden("ablation-period"); }
 TEST(XbarGolden, RandomMix) { expect_matches_golden("random-mix"); }
 

@@ -391,70 +391,3 @@ TEST(Isolation, MultipleCausesIndependent) {
 
 } // namespace
 } // namespace realm::rt
-
-// --- BurstEqualizer (ABE baseline) --------------------------------------------
-
-#include "mem/axi_mem_slave.hpp"
-#include "realm/burst_equalizer.hpp"
-
-namespace realm::rt {
-namespace {
-
-TEST(BurstEqualizer, FragmentsAndCompletesRoundTrips) {
-    sim::SimContext ctx;
-    axi::AxiChannel up{ctx, "up"};
-    axi::AxiChannel down{ctx, "down"};
-    mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(1, 1),
-                           mem::AxiMemSlaveConfig{8, 8, 0}};
-    BurstEqualizer abe{ctx, "abe", up, down, BurstEqualizerConfig{4, 4}};
-
-    // 16-beat read -> 4 children downstream, one upstream completion.
-    axi::ManagerView mgr{up};
-    mgr.send_ar(axi::make_ar(1, 0x0, 16, 3));
-    int beats = 0;
-    while (beats < 16) {
-        ASSERT_TRUE(ctx.run_until([&] { return mgr.has_r(); }, 10000));
-        const axi::RFlit r = mgr.recv_r();
-        ++beats;
-        EXPECT_EQ(r.last, beats == 16);
-    }
-    EXPECT_EQ(abe.splitter().fragments_created(), 4U);
-
-    // 8-beat write -> 2 children, one coalesced B.
-    mgr.send_aw(axi::make_aw(2, 0x100, 8, 3));
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(ctx.run_until([&] { return mgr.can_send_w(); }, 10000));
-        axi::WFlit w;
-        w.last = i == 7;
-        mgr.send_w(w);
-    }
-    ASSERT_TRUE(ctx.run_until([&] { return mgr.has_b(); }, 10000));
-    EXPECT_EQ(mgr.recv_b().id, 2U);
-    ASSERT_TRUE(ctx.run_until([&] { return abe.outstanding() == 0; }, 100));
-}
-
-TEST(BurstEqualizer, OutstandingCapEnforced) {
-    sim::SimContext ctx;
-    axi::AxiChannel up{ctx, "up"};
-    axi::AxiChannel down{ctx, "down"};
-    mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(30, 30),
-                           mem::AxiMemSlaveConfig{8, 8, 0}};
-    BurstEqualizer abe{ctx, "abe", up, down, BurstEqualizerConfig{16, 2}};
-    axi::ManagerView mgr{up};
-    // Three reads against a slow memory; the third must wait for the cap.
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(ctx.run_until([&] { return mgr.can_send_ar(); }, 1000));
-        mgr.send_ar(axi::make_ar(1, static_cast<axi::Addr>(i) * 0x100, 1, 3));
-    }
-    ctx.run(10);
-    EXPECT_LE(abe.outstanding(), 2U);
-    int beats = 0;
-    while (beats < 3) {
-        ASSERT_TRUE(ctx.run_until([&] { return mgr.has_r(); }, 10000));
-        (void)mgr.recv_r();
-        ++beats;
-    }
-}
-
-} // namespace
-} // namespace realm::rt

@@ -2,11 +2,10 @@
 /// fast-forward semantics, and bit-identical equivalence with the naive
 /// tick-all loop on the Figure 6 SoC topology.
 #include "axi/checker.hpp"
-#include "axi/probe.hpp"
 #include "axi/trace.hpp"
 #include "mem/axi_mem_slave.hpp"
+#include "mon/txn_monitor.hpp"
 #include "noc/routing.hpp"
-#include "realm/burst_equalizer.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/component.hpp"
@@ -227,57 +226,16 @@ TEST(SchedulerEquivalence, Fig6TopologyBitIdentical) {
     EXPECT_LT(fast.ticks_executed, naive.ticks_executed);
 }
 
-TEST(SchedulerEquivalence, BurstEqualizerBitIdenticalAndSleeps) {
-    // The ABE baseline now opts into the activity contract: a DMA pushes a
-    // finite copy through the equalizer into an SRAM slave, then everything
-    // idles for a long tail. Both schedulers must agree bit for bit, and
-    // the activity kernel must skip the quiescent stretch.
-    struct Run {
-        std::uint64_t bytes_written = 0;
-        std::uint64_t chunks = 0;
-        std::uint64_t fragments = 0;
-        double read_lat_mean = 0;
-        std::uint64_t ticks_executed = 0;
-        Cycle fast_forwarded = 0;
-    };
-    const auto run_one = [](Scheduler scheduler) {
-        SimContext ctx;
-        ctx.set_scheduler(scheduler);
-        axi::AxiChannel up{ctx, "up"};
-        axi::AxiChannel down{ctx, "down"};
-        rt::BurstEqualizer abe{ctx, "abe", up, down, rt::BurstEqualizerConfig{8, 2}};
-        mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(1, 1),
-                               mem::AxiMemSlaveConfig{8, 8, 0}};
-        traffic::DmaConfig dcfg;
-        dcfg.burst_beats = 64;
-        traffic::DmaEngine dma{ctx, "dma", up, dcfg};
-        dma.push_job(traffic::DmaJob{0x0, 0x8000, 0x2000, false});
-        ctx.run(200'000); // finite copy plus a long idle tail
-        return Run{dma.bytes_written(), dma.chunks_completed(),
-                   abe.splitter().fragments_created(), dma.read_latency().mean(),
-                   ctx.ticks_executed(), ctx.fast_forwarded_cycles()};
-    };
-    const Run naive = run_one(Scheduler::kTickAll);
-    const Run fast = run_one(Scheduler::kActivity);
-    EXPECT_EQ(naive.bytes_written, 0x2000U);
-    EXPECT_EQ(fast.bytes_written, naive.bytes_written);
-    EXPECT_EQ(fast.chunks, naive.chunks);
-    EXPECT_EQ(fast.fragments, naive.fragments);
-    EXPECT_EQ(fast.read_lat_mean, naive.read_lat_mean);
-    EXPECT_LT(fast.ticks_executed, naive.ticks_executed / 10)
-        << "the equalizer pipeline must sleep through the idle tail";
-    EXPECT_GT(fast.fast_forwarded, 150'000U);
-}
-
 TEST(SchedulerEquivalence, InstrumentedChainBitIdenticalAndSleeps) {
-    // Probe, tracer, and checker now opt into the idle contract: a fully
-    // instrumented hop (DMA -> checker -> probe -> tracer -> SRAM) must
+    // Checker, monitor, and tracer opt into the idle contract: a fully
+    // instrumented hop (DMA -> checker -> monitor -> tracer -> SRAM) must
     // agree bit for bit across schedulers and still fast-forward the
     // quiescent tail — observability must not cost idle cycles.
     struct Run {
         std::uint64_t bytes_written = 0;
-        std::uint64_t probe_reads = 0;
-        std::uint64_t probe_writes = 0;
+        std::uint64_t mon_reads = 0;
+        std::uint64_t mon_writes = 0;
+        std::uint64_t read_lat_count = 0;
         double read_lat_mean = 0;
         std::uint64_t trace_total = 0;
         std::uint64_t checked_writes = 0;
@@ -293,7 +251,7 @@ TEST(SchedulerEquivalence, InstrumentedChainBitIdenticalAndSleeps) {
         axi::AxiChannel c{ctx, "c"};
         axi::AxiChannel d{ctx, "d"};
         axi::AxiChecker checker{ctx, "chk", a, b};
-        axi::AxiLatencyProbe probe{ctx, "probe", b, c};
+        mon::TxnMonitor monitor{ctx, "mon", b, c};
         axi::AxiTracer tracer{ctx, "trace", c, d};
         mem::AxiMemSlave slave{ctx, "mem", d, std::make_unique<mem::SramBackend>(1, 1),
                                mem::AxiMemSlaveConfig{8, 8, 0}};
@@ -302,18 +260,19 @@ TEST(SchedulerEquivalence, InstrumentedChainBitIdenticalAndSleeps) {
         traffic::DmaEngine dma{ctx, "dma", a, dcfg};
         dma.push_job(traffic::DmaJob{0x0, 0x8000, 0x2000, false});
         ctx.run(200'000); // finite copy plus a long idle tail
-        return Run{dma.bytes_written(),     probe.ar_count(),
-                   probe.aw_count(),        probe.read_latency().mean(),
-                   tracer.total_recorded(), checker.completed_writes(),
-                   checker.completed_reads(), ctx.ticks_executed(),
-                   ctx.fast_forwarded_cycles()};
+        return Run{dma.bytes_written(),          monitor.ar_count(),
+                   monitor.aw_count(),           monitor.read_sketch().count(),
+                   monitor.read_sketch().mean(), tracer.total_recorded(),
+                   checker.completed_writes(),   checker.completed_reads(),
+                   ctx.ticks_executed(),         ctx.fast_forwarded_cycles()};
     };
     const Run naive = run_one(Scheduler::kTickAll);
     const Run fast = run_one(Scheduler::kActivity);
     EXPECT_EQ(naive.bytes_written, 0x2000U);
     EXPECT_EQ(fast.bytes_written, naive.bytes_written);
-    EXPECT_EQ(fast.probe_reads, naive.probe_reads);
-    EXPECT_EQ(fast.probe_writes, naive.probe_writes);
+    EXPECT_EQ(fast.mon_reads, naive.mon_reads);
+    EXPECT_EQ(fast.mon_writes, naive.mon_writes);
+    EXPECT_EQ(fast.read_lat_count, naive.read_lat_count);
     EXPECT_EQ(fast.read_lat_mean, naive.read_lat_mean);
     EXPECT_EQ(fast.trace_total, naive.trace_total);
     EXPECT_EQ(fast.checked_writes, naive.checked_writes);
