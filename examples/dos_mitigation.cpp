@@ -13,10 +13,14 @@
 ///
 /// Acts 1 and 2 are declarative scenario runs; act 3 drives the register
 /// interface by hand (isolation is a runtime intervention, not a config).
+/// Exits 1 unless the write buffer lowers the victim's worst store latency
+/// with no crossbar W-stall cycles left, and the isolated attacker moves no
+/// data.
 #include "scenario/scenario.hpp"
 #include "soc/cheshire_soc.hpp"
 #include "traffic/dma.hpp"
 
+#include <cstdint>
 #include <cstdio>
 
 using namespace realm;
@@ -96,9 +100,17 @@ int main() {
     ctx.run_until([&] { return soc.dsa_realm(0).fully_isolated(); }, 1'000'000);
     std::printf("  DSA unit state: %s (outstanding drained, new traffic blocked)\n",
                 rt::to_string(soc.dsa_realm(0).state()));
-    const std::uint64_t before = attacker.bytes_read();
+    const std::uint64_t before = attacker.bytes_read() + attacker.bytes_written();
     ctx.run(5000);
+    const std::uint64_t moved = attacker.bytes_read() + attacker.bytes_written() - before;
     std::printf("  attacker progress while isolated: %llu bytes\n",
-                static_cast<unsigned long long>(attacker.bytes_read() - before));
-    return 0;
+                static_cast<unsigned long long>(moved));
+
+    const bool mitigated = guarded.store_lat_max < attack.store_lat_max &&
+                           guarded.xbar_w_stalls == 0 && moved == 0;
+    if (!mitigated) {
+        std::fputs("error: the write buffer or isolation failed to contain the attacker\n",
+                   stderr);
+    }
+    return mitigated ? 0 : 1;
 }

@@ -15,7 +15,8 @@
 /// everywhere: the undefended cell wrecks the victim's tail latency, the
 /// budgeted cell restores it. That is Figure 1 of the paper, executable —
 /// with the routing-freedom axis the paper's evaluation methodology calls
-/// for.
+/// for. Exits 1 unless every budgeted cell's worst-case victim latency is
+/// below its undefended twin's.
 #include "noc/routing.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/report.hpp"
@@ -31,7 +32,9 @@ using namespace realm::scenario;
 
 namespace {
 
-void print_rows(const char* fabric, const char* routing,
+/// Prints an undefended / budgeted pair of results; returns whether the
+/// budget lowered the victim's worst-case latency.
+bool print_rows(const char* fabric, const char* routing,
                 const std::vector<ScenarioResult>& results) {
     for (const ScenarioResult& r : results) {
         std::printf("%-10s %-12s %-18s %10.2f %10llu %12.2f %10llu\n", fabric,
@@ -39,6 +42,12 @@ void print_rows(const char* fabric, const char* routing,
                     static_cast<unsigned long long>(worst_case_victim_latency(r)),
                     r.dma_read_bw, static_cast<unsigned long long>(r.fabric_hops));
     }
+    if (worst_case_victim_latency(results.at(1)) < worst_case_victim_latency(results.at(0))) {
+        return true;
+    }
+    std::fprintf(stderr, "error: %s/%s: the budget did not lower the worst case\n", fabric,
+                 routing);
+    return false;
 }
 
 } // namespace
@@ -49,6 +58,7 @@ int main() {
                 "cell", "lat_mean", "lat_max", "dma[B/cyc]", "hops");
 
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};
+    bool bounded = true;
     const std::pair<const char*, const char*> fabrics[] = {
         {"crossbar", "xbar-dos-smoke"},
         {"ring", "ring-dos-smoke"},
@@ -64,7 +74,7 @@ int main() {
         if (pair.points[0].config.topology.kind != TopologyKind::kMesh) {
             // Only the mesh has a routing policy to vary; the crossbar and
             // the single-path ring say so instead of printing a fake axis.
-            print_rows(fabric, "n/a", runner.run(pair));
+            bounded = print_rows(fabric, "n/a", runner.run(pair)) && bounded;
             continue;
         }
         for (const noc::RoutingPolicy routing : noc::kAllRoutingPolicies) {
@@ -72,7 +82,7 @@ int main() {
             for (SweepPoint& p : variant.points) {
                 p.config.topology.mesh.routing = routing;
             }
-            print_rows(fabric, noc::to_string(routing), runner.run(variant));
+            bounded = print_rows(fabric, noc::to_string(routing), runner.run(variant)) && bounded;
         }
     }
 
@@ -83,5 +93,5 @@ int main() {
     std::puts("regulation bounds the victim's tail. Full matrices: scenario_sweep");
     std::puts("mesh-routing-dos-matrix --report PATH.md renders the per-policy");
     std::puts("attacker x mode tables; --diff BASELINE.json gates regressions.");
-    return 0;
+    return bounded ? 0 : 1;
 }

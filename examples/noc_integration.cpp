@@ -5,10 +5,12 @@
 /// a 6-node unidirectional ring here — `TopologyKind::kRing` with per-node
 /// role assignment — and regulates a bulk DMA's long bursts in front of its
 /// manager port. Regulation is interconnect-agnostic: the `ScenarioConfig`
-/// differs from the crossbar ones only in its `topology` field.
+/// differs from the crossbar ones only in its `topology` field. Exits 1
+/// unless regulation lowers the victim's worst-case load latency.
 #include "scenario/scenario.hpp"
 #include "scenario/topology.hpp"
 
+#include <cstdint>
 #include <cstdio>
 
 using namespace realm;
@@ -55,8 +57,10 @@ ScenarioConfig ring_scenario(bool regulate_dsa) {
 int main() {
     std::puts("== REALM over a 6-node ring NoC (Figure 1b) ==\n");
 
+    std::uint64_t worst[2] = {};
     for (const bool regulated : {false, true}) {
         const ScenarioResult res = run_scenario(ring_scenario(regulated));
+        worst[regulated ? 1 : 0] = res.load_lat_max;
         std::printf("%-28s load latency mean %.1f, max %llu cycles\n",
                     regulated ? "fragmented + budgeted DSA" : "uncontrolled (128-beat DMA)",
                     res.load_lat_mean,
@@ -70,5 +74,9 @@ int main() {
 
     std::puts("the same REALM unit regulates a NoC exactly as it does a crossbar —");
     std::puts("the paper's implementation-agnostic claim, now one ScenarioConfig field.");
+    if (worst[1] >= worst[0]) {
+        std::fputs("error: regulation did not lower the worst-case load latency\n", stderr);
+        return 1;
+    }
     return 0;
 }

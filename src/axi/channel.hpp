@@ -46,15 +46,6 @@ public:
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-    /// Drops all in-flight flits (reset).
-    void clear() noexcept {
-        aw.clear();
-        w.clear();
-        b.clear();
-        ar.clear();
-        r.clear();
-    }
-
     /// True when no flit is buffered on any channel.
     [[nodiscard]] bool idle() const noexcept {
         return aw.empty() && w.empty() && b.empty() && ar.empty() && r.empty();
@@ -121,13 +112,10 @@ public:
     explicit SubordinateView(AxiChannel& ch) noexcept : ch_{&ch} {}
 
     [[nodiscard]] bool has_aw() const noexcept { return ch_->aw.can_pop(); }
-    [[nodiscard]] const AwFlit& peek_aw() const { return ch_->aw.front(); }
     AwFlit recv_aw() { return ch_->aw.pop(); }
     [[nodiscard]] bool has_w() const noexcept { return ch_->w.can_pop(); }
-    [[nodiscard]] const WFlit& peek_w() const { return ch_->w.front(); }
     WFlit recv_w() { return ch_->w.pop(); }
     [[nodiscard]] bool has_ar() const noexcept { return ch_->ar.can_pop(); }
-    [[nodiscard]] const ArFlit& peek_ar() const { return ch_->ar.front(); }
     ArFlit recv_ar() { return ch_->ar.pop(); }
 
     [[nodiscard]] bool can_send_b() const noexcept { return ch_->b.can_push(); }

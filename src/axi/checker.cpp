@@ -14,15 +14,6 @@ AxiChecker::AxiChecker(sim::SimContext& ctx, std::string name, AxiChannel& upstr
     downstream.wake_manager_on_response(*this);
 }
 
-void AxiChecker::reset() {
-    w_queue_.clear();
-    awaiting_b_.clear();
-    r_remaining_.clear();
-    violations_.clear();
-    completed_writes_ = 0;
-    completed_reads_ = 0;
-}
-
 void AxiChecker::violation(const std::string& message) {
     violations_.push_back('[' + std::to_string(now()) + "] " + name() + ": " + message);
     if (throw_on_violation_) {

@@ -36,7 +36,6 @@ public:
     AxiChecker(sim::SimContext& ctx, std::string name, AxiChannel& upstream,
                AxiChannel& downstream, bool throw_on_violation = true);
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] std::uint64_t violation_count() const noexcept { return violations_.size(); }

@@ -14,12 +14,6 @@ AxiTracer::AxiTracer(sim::SimContext& ctx, std::string name, AxiChannel& upstrea
     downstream.wake_manager_on_response(*this);
 }
 
-void AxiTracer::reset() {
-    records_.clear();
-    total_ = 0;
-    dropped_ = 0;
-}
-
 void AxiTracer::record(TraceRecord r) {
     ++total_;
     if (records_.size() >= capacity_) {

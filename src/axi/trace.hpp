@@ -47,7 +47,6 @@ public:
     AxiTracer(sim::SimContext& ctx, std::string name, AxiChannel& upstream,
               AxiChannel& downstream, std::size_t capacity = 65536);
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {

@@ -13,14 +13,6 @@ AxiToReg::AxiToReg(sim::SimContext& ctx, std::string name, axi::AxiChannel& chan
     channel.wake_subordinate_on_request(*this);
 }
 
-void AxiToReg::reset() {
-    write_pending_ = false;
-    err_read_beats_ = 0;
-    reads_ = 0;
-    writes_ = 0;
-    errors_ = 0;
-}
-
 void AxiToReg::tick() {
     step_datapath();
     // Sleep when only a new request flit (or the W data of a pending write,

@@ -22,7 +22,6 @@ public:
     AxiToReg(sim::SimContext& ctx, std::string name, axi::AxiChannel& channel,
              RegTarget& target, axi::Addr base = 0);
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }

@@ -53,15 +53,6 @@ public:
         return inner_->reg_access(req);
     }
 
-    /// System reset releases the claim.
-    void reset() noexcept {
-        claimed_ = false;
-        owner_ = 0;
-        claims_ = 0;
-        handovers_ = 0;
-        rejected_ = 0;
-    }
-
     /// \name Introspection
     ///@{
     [[nodiscard]] bool claimed() const noexcept { return claimed_; }

@@ -51,14 +51,6 @@ public:
         return std::nullopt;
     }
 
-    /// The rule covering `addr`, if any (for diagnostics).
-    [[nodiscard]] const AddrRule* rule_for(axi::Addr addr) const noexcept {
-        for (const AddrRule& r : rules_) {
-            if (r.contains(addr)) { return &r; }
-        }
-        return nullptr;
-    }
-
     [[nodiscard]] const std::vector<AddrRule>& rules() const noexcept { return rules_; }
 
 private:

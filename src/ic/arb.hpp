@@ -40,8 +40,6 @@ public:
         last_ = winner;
     }
 
-    void reset() noexcept { last_ = num_ - 1; }
-
     [[nodiscard]] std::uint32_t size() const noexcept { return num_; }
 
 private:

@@ -20,8 +20,6 @@ AxiMux::AxiMux(sim::SimContext& ctx, std::string name, std::vector<axi::AxiChann
     downstream.wake_manager_on_response(*this);
 }
 
-void AxiMux::reset() { arb_.reset(); }
-
 void AxiMux::route_b() {
     if (!down_.has_b()) { return; }
     const std::uint32_t mgr = down_.peek_b().id % num_managers();

@@ -17,7 +17,6 @@
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -41,15 +40,6 @@ public:
           ar_rr_{num_managers},
           aw_grants_(num_managers, 0),
           ar_grants_(num_managers, 0) {}
-
-    void reset() {
-        aw_rr_.reset();
-        ar_rr_.reset();
-        w_order_.clear();
-        std::fill(aw_grants_.begin(), aw_grants_.end(), 0);
-        std::fill(ar_grants_.begin(), ar_grants_.end(), 0);
-        w_stall_cycles_ = 0;
-    }
 
     /// Grants one AW burst to `down`: the first manager after the last
     /// winner whose head passes `eligible(m, head)`. `on_grant(m, flit)`
@@ -165,7 +155,6 @@ public:
     AxiMux(sim::SimContext& ctx, std::string name,
            std::vector<axi::AxiChannel*> upstreams, axi::AxiChannel& downstream);
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] std::uint32_t num_managers() const noexcept {

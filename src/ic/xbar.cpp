@@ -27,17 +27,6 @@ AxiXbar::AxiXbar(sim::SimContext& ctx, std::string name, std::vector<axi::AxiCha
     }
 }
 
-void AxiXbar::reset() {
-    for (auto& a : arbs_) { a.reset(); }
-    for (auto& q : w_route_) { q.clear(); }
-    w_in_flight_.clear();
-    r_in_flight_.clear();
-    for (auto& a : b_arb_) { a.reset(); }
-    for (auto& a : r_arb_) { a.reset(); }
-    decode_errors_ = 0;
-    ordering_stalls_ = 0;
-}
-
 std::uint64_t AxiXbar::aw_grants(std::uint32_t mgr) const {
     std::uint64_t total = 0;
     for (const BurstArbiter& a : arbs_) { total += a.aw_grants(mgr); }

@@ -42,7 +42,6 @@ public:
     AxiXbar(sim::SimContext& ctx, std::string name, std::vector<axi::AxiChannel*> managers,
             std::vector<axi::AxiChannel*> subordinates, AddrMap map, XbarConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] std::uint32_t num_managers() const noexcept {

@@ -21,15 +21,6 @@ AxiMemSlave::AxiMemSlave(sim::SimContext& ctx, std::string name, axi::AxiChannel
     channel.wake_subordinate_on_request(*this);
 }
 
-void AxiMemSlave::reset() {
-    read_jobs_.clear();
-    write_jobs_.clear();
-    backend_->reset_timing();
-    reads_served_ = 0;
-    writes_served_ = 0;
-    beats_served_ = 0;
-}
-
 void AxiMemSlave::accept_requests() {
     if (port_.has_ar() && read_jobs_.size() < config_.max_outstanding_reads) {
         ReadJob job;
@@ -59,7 +50,6 @@ void AxiMemSlave::serve_reads() {
     beat.last = job.next_beat + 1 == desc.beats();
     beat.resp = axi::Resp::kOkay;
     port_.send_r(beat);
-    ++beats_served_;
     ++job.next_beat;
     if (beat.last) {
         ++reads_served_;
@@ -76,7 +66,6 @@ void AxiMemSlave::serve_writes() {
         axi::WFlit beat = port_.recv_w();
         const axi::Addr addr = axi::beat_address(desc, job.beats_seen) - config_.base;
         backend_->write(addr, std::span{beat.data.bytes.data(), desc.beat_bytes()}, beat.strb);
-        ++beats_served_;
         ++job.beats_seen;
         if (job.beats_seen == desc.beats()) {
             REALM_ENSURES(beat.last, name() + ": W burst longer than AWLEN");

@@ -36,13 +36,11 @@ public:
     AxiMemSlave(sim::SimContext& ctx, std::string name, axi::AxiChannel& channel,
                 std::unique_ptr<MemoryBackend> backend, AxiMemSlaveConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] MemoryBackend& backend() noexcept { return *backend_; }
     [[nodiscard]] std::uint64_t reads_served() const noexcept { return reads_served_; }
     [[nodiscard]] std::uint64_t writes_served() const noexcept { return writes_served_; }
-    [[nodiscard]] std::uint64_t beats_served() const noexcept { return beats_served_; }
 
 private:
     struct ReadJob {
@@ -71,7 +69,6 @@ private:
 
     std::uint64_t reads_served_ = 0;
     std::uint64_t writes_served_ = 0;
-    std::uint64_t beats_served_ = 0;
 };
 
 } // namespace realm::mem

@@ -9,13 +9,6 @@ DramBackend::DramBackend(DramTiming timing)
       open_row_(timing.banks, -1),
       bank_free_at_(timing.banks, 0) {}
 
-void DramBackend::reset_timing() {
-    std::fill(open_row_.begin(), open_row_.end(), std::int64_t{-1});
-    std::fill(bank_free_at_.begin(), bank_free_at_.end(), sim::Cycle{0});
-    row_hits_ = 0;
-    row_misses_ = 0;
-}
-
 sim::Cycle DramBackend::access_latency(axi::Addr addr, std::uint32_t beats, bool /*is_write*/,
                                        sim::Cycle now) {
     const axi::Addr stripe = addr / timing_.row_bytes;

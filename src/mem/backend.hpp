@@ -26,10 +26,6 @@ public:
     /// write beat to response (write).
     virtual sim::Cycle access_latency(axi::Addr addr, std::uint32_t beats, bool is_write,
                                       sim::Cycle now) = 0;
-
-    /// Post-reset hook (row buffers etc.). Storage contents are preserved,
-    /// matching hardware reset behaviour.
-    virtual void reset_timing() {}
 };
 
 /// Fixed-latency on-chip SRAM / scratchpad.
@@ -76,7 +72,6 @@ public:
     }
     sim::Cycle access_latency(axi::Addr addr, std::uint32_t beats, bool is_write,
                               sim::Cycle now) override;
-    void reset_timing() override;
 
     [[nodiscard]] SparseMemory& store() noexcept { return store_; }
     [[nodiscard]] std::uint64_t row_hits() const noexcept { return row_hits_; }

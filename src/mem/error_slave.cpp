@@ -7,12 +7,6 @@ ErrorSlave::ErrorSlave(sim::SimContext& ctx, std::string name, axi::AxiChannel& 
     channel.wake_subordinate_on_request(*this);
 }
 
-void ErrorSlave::reset() {
-    writes_.clear();
-    reads_.clear();
-    errors_ = 0;
-}
-
 void ErrorSlave::tick() {
     if (port_.has_aw()) {
         const axi::AwFlit aw = port_.recv_aw();

@@ -18,7 +18,6 @@ class ErrorSlave : public sim::Component {
 public:
     ErrorSlave(sim::SimContext& ctx, std::string name, axi::AxiChannel& channel);
 
-    void reset() override;
     void tick() override;
 
     [[nodiscard]] std::uint64_t errors_returned() const noexcept { return errors_; }

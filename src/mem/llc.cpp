@@ -24,23 +24,6 @@ Llc::Llc(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
     downstream.wake_manager_on_response(*this);
 }
 
-void Llc::reset() {
-    std::fill(tags_.begin(), tags_.end(), WayState{});
-    std::fill(data_.begin(), data_.end(), std::uint8_t{0});
-    read_jobs_.clear();
-    write_jobs_.clear();
-    b_queue_.clear();
-    read_stream_free_at_ = 0;
-    next_init_at_ = 0;
-    miss_state_ = MissState::kIdle;
-    use_tick_ = 0;
-    hits_ = 0;
-    misses_ = 0;
-    writebacks_ = 0;
-    reads_served_ = 0;
-    writes_served_ = 0;
-}
-
 int Llc::find_way(std::uint32_t set, std::uint64_t tag) const noexcept {
     for (std::uint32_t w = 0; w < config_.ways; ++w) {
         const WayState& ws = tags_[std::size_t{set} * config_.ways + w];

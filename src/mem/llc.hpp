@@ -41,9 +41,6 @@ struct LlcConfig {
     sim::Cycle request_interval = 1;
     std::uint32_t max_outstanding = 8;
 
-    [[nodiscard]] std::uint64_t capacity_bytes() const noexcept {
-        return std::uint64_t{line_bytes} * ways * sets;
-    }
     [[nodiscard]] std::uint32_t line_beats() const noexcept { return line_bytes / bus_bytes; }
 };
 
@@ -54,7 +51,6 @@ public:
     Llc(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
         axi::AxiChannel& downstream, LlcConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     /// Installs every line covering [base, base+bytes) as valid and clean,

@@ -39,9 +39,6 @@ public:
     /// Number of pages currently allocated (introspection).
     [[nodiscard]] std::size_t page_count() const noexcept { return pages_.size(); }
 
-    /// Drops all contents.
-    void clear() noexcept { pages_.clear(); }
-
 private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 

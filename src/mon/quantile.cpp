@@ -42,14 +42,6 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     max_ = std::max(max_, other.max_);
 }
 
-void QuantileSketch::reset() {
-    counts_.fill(0);
-    count_ = 0;
-    sum_ = 0;
-    min_ = ~std::uint64_t{0};
-    max_ = 0;
-}
-
 std::uint64_t QuantileSketch::quantile(double q) const {
     if (count_ == 0) { return 0; }
     q = std::clamp(q, 0.0, 1.0);

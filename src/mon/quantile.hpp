@@ -47,9 +47,6 @@ public:
     /// associative, so per-shard sketches merge bit-identically in any order.
     void merge(const QuantileSketch& other);
 
-    /// Drop all samples.
-    void reset();
-
     /// Nearest-rank quantile, q in [0, 1]. Returns the upper edge of the
     /// bucket holding the rank-q sample, clamped to the exact maximum: the
     /// result is >= the exact quantile and < exact * (1 + kRelativeErrorBound).

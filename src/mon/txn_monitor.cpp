@@ -21,44 +21,6 @@ TxnMonitor::TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& 
     occ_last_cycle_ = now();
 }
 
-void TxnMonitor::reset() {
-    write_open_.clear();
-    read_open_.clear();
-    r_bytes_per_beat_.clear();
-    w_bursts_.clear();
-    last_w_cycle_ = now();
-    w_gap_flagged_ = false;
-    read_sketch_.reset();
-    write_sketch_.reset();
-    aw_count_ = 0;
-    ar_count_ = 0;
-    bytes_read_ = 0;
-    bytes_written_ = 0;
-    timeouts_ = 0;
-    orphan_responses_ = 0;
-    orphan_requests_ = 0;
-    stall_events_ = 0;
-    w_gap_events_ = 0;
-    held_cycles_ = 0;
-    next_timeout_deadline_ = sim::kNoCycle;
-    for (int i = 0; i < 3; ++i) {
-        held_streak_start_[i] = sim::kNoCycle;
-        held_streak_reported_[i] = false;
-    }
-    attach_cycle_ = now();
-    window_start_ = now();
-    window_bytes_ = 0;
-    window_held_ = 0;
-    occ_count_ = 0;
-    occ_last_cycle_ = now();
-    window_occ_ = 0;
-    occ_integral_total_ = 0;
-    occ_avg_milli_ = 0;
-    signals_ = kSignalNone;
-    first_detect_ = sim::kNoCycle;
-    finalized_ = false;
-}
-
 void TxnMonitor::tick() {
     roll_windows();
     forward_flits();

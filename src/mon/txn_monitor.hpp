@@ -72,7 +72,6 @@ public:
     TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
                axi::AxiChannel& downstream, TxnMonitorConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     /// Close the books at harvest: evaluates the trailing partial window and
@@ -103,10 +102,6 @@ public:
     [[nodiscard]] std::uint64_t stall_events() const noexcept { return stall_events_; }
     [[nodiscard]] std::uint64_t w_gap_events() const noexcept { return w_gap_events_; }
     [[nodiscard]] std::uint64_t held_cycles() const noexcept { return held_cycles_; }
-    /// Time-integral of outstanding bursts since attach (burst-cycles).
-    [[nodiscard]] std::uint64_t occupancy_integral() const noexcept {
-        return occ_integral_total_ + window_occ_;
-    }
     /// Mean outstanding bursts since attach, in 1/1000ths (set by finalize()).
     [[nodiscard]] std::uint64_t occupancy_milli() const noexcept { return occ_avg_milli_; }
     ///@}

@@ -58,22 +58,10 @@ public:
 
     /// Total slots in the slab (the high-water mark of acquisitions).
     [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
-    [[nodiscard]] std::size_t in_use() const noexcept {
-        return slots_.size() - free_.size();
-    }
 
     /// Grows the slab so at least `capacity` slots exist.
     void reserve(Slot capacity) {
         while (slots_.size() < capacity) { grow(); }
-    }
-
-    /// Frees every slot (the owning containers drop their indices first).
-    void clear() {
-        free_.clear();
-        free_.reserve(slots_.size());
-        for (Slot s = static_cast<Slot>(slots_.size()); s > 0; --s) {
-            free_.push_back(s - 1);
-        }
     }
 
 private:

@@ -149,12 +149,4 @@ NocRouter::NocRouter(sim::SimContext& ctx, std::string name, NodeId node,
     }
 }
 
-void NocRouter::reset() {
-    ni_.reset();
-    injected_ = 0;
-    ejected_ = 0;
-    forwarded_ = 0;
-    stalls_ = 0;
-}
-
 } // namespace realm::noc

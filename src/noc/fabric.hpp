@@ -167,8 +167,6 @@ private:
 /// has priority over injection on every fabric.
 class NocRouter : public sim::Component {
 public:
-    void reset() override;
-
     /// NI bookkeeping (reorder-stash introspection for invariant checks).
     [[nodiscard]] const NocNi& ni() const noexcept { return ni_; }
     [[nodiscard]] NodeId id() const noexcept { return id_; }

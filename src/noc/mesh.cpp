@@ -28,16 +28,6 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
     }
 }
 
-void MeshRouter::reset() {
-    NocRouter::reset();
-    req_rr_ = 0;
-    rsp_rr_ = 0;
-    req_vc_rr_.fill(0);
-    rsp_vc_rr_.fill(0);
-    req_out_used_.fill(false);
-    rsp_out_used_.fill(false);
-}
-
 NocLink* MeshRouter::route_out(bool request_net, NodeId dest,
                                std::uint32_t flits, std::uint8_t vc) {
     const HopSet hops = permitted_hops(routing_, cols_, id_, dest, vc);

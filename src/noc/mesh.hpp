@@ -66,7 +66,6 @@ public:
     MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id, NocFabric& fabric,
                NodeId cols, const Ports& ports, RoutingPolicy routing);
 
-    void reset() override;
     void tick() override;
 
 private:

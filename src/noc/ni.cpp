@@ -29,25 +29,6 @@ NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
     rsp_next_ = first_response_slot();
 }
 
-void NocNi::reset() {
-    w_routes_.clear();
-    w_in_flight_.clear();
-    r_in_flight_.clear();
-    rsp_next_ = first_response_slot();
-    std::fill(req_seq_.begin(), req_seq_.end(), 0);
-    std::fill(rsp_seq_.begin(), rsp_seq_.end(), 0);
-    for (Reorder& ro : req_reorder_) {
-        ro.expected = 0;
-        ro.stash.clear();
-    }
-    for (Reorder& ro : rsp_reorder_) {
-        ro.expected = 0;
-        ro.stash.clear();
-    }
-    arena_.clear(); // every stash index was just dropped
-    rsp_stash_srcs_.clear();
-}
-
 void NocNi::update_rsp_stash_index(NodeId src) {
     const bool nonempty = !rsp_reorder(src).stash.empty();
     const auto it =

@@ -79,8 +79,6 @@ public:
           RoutingPolicy routing = RoutingPolicy::kXY,
           bool deferred_credits = false);
 
-    void reset();
-
     /// \name Ejection (packets whose dest is the local node)
     ///@{
     /// Accepts a request packet: in-order packets are delivered into the

@@ -37,11 +37,6 @@ struct NocPacket {
     std::uint16_t seq = 0;  ///< per-(src, dest, network) injection order
     std::variant<axi::AwFlit, axi::WFlit, axi::BFlit, axi::ArFlit, axi::RFlit> flit;
 
-    [[nodiscard]] bool is_request() const noexcept {
-        return std::holds_alternative<axi::AwFlit>(flit) ||
-               std::holds_alternative<axi::WFlit>(flit) ||
-               std::holds_alternative<axi::ArFlit>(flit);
-    }
     /// True for the beats that carry bus data (and therefore serialize into
     /// multi-flit worms under credited flow control).
     [[nodiscard]] bool data_carrying() const noexcept {

@@ -20,12 +20,6 @@ enum class IsolationCause : std::uint8_t {
 
 class IsolationBlock {
 public:
-    void reset() noexcept {
-        causes_ = 0;
-        outstanding_reads_ = 0;
-        outstanding_writes_ = 0;
-    }
-
     /// \name Cause management
     ///@{
     void raise(IsolationCause cause) noexcept { causes_ |= static_cast<std::uint8_t>(cause); }
@@ -55,10 +49,6 @@ public:
     void on_write_accepted() noexcept { ++outstanding_writes_; }
     void on_write_completed() noexcept {
         if (outstanding_writes_ > 0) { --outstanding_writes_; }
-    }
-    [[nodiscard]] std::uint32_t outstanding_reads() const noexcept { return outstanding_reads_; }
-    [[nodiscard]] std::uint32_t outstanding_writes() const noexcept {
-        return outstanding_writes_;
     }
     [[nodiscard]] std::uint32_t outstanding() const noexcept {
         return outstanding_reads_ + outstanding_writes_;

@@ -11,18 +11,6 @@ MonitorRegulationUnit::MonitorRegulationUnit(std::uint32_t num_regions)
     REALM_EXPECTS(num_regions >= 1, "M&R unit needs at least one region");
 }
 
-void MonitorRegulationUnit::reset(sim::Cycle now) {
-    for (RegionState& r : regions_) {
-        const RegionConfig cfg = r.config;
-        r = RegionState{};
-        r.config = cfg;
-        r.credit = static_cast<std::int64_t>(cfg.budget_bytes);
-        r.period_start = now;
-    }
-    unmatched_txns_ = 0;
-    isolation_cycles_ = 0;
-}
-
 void MonitorRegulationUnit::configure_region(std::uint32_t index, const RegionConfig& config,
                                              sim::Cycle now) {
     RegionState& r = regions_.at(index);

@@ -111,8 +111,6 @@ public:
     void note_isolated_cycle() noexcept { ++isolation_cycles_; }
     ///@}
 
-    void reset(sim::Cycle now);
-
 private:
     std::vector<RegionState> regions_;
     bool throttle_enabled_ = false;

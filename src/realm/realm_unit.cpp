@@ -20,22 +20,6 @@ RealmUnit::RealmUnit(sim::SimContext& ctx, std::string name, axi::AxiChannel& up
     downstream.wake_manager_on_response(*this);
 }
 
-void RealmUnit::reset() {
-    splitter_.reset();
-    wbuf_.reset();
-    iso_.reset();
-    mr_.reset(now());
-    pending_fragmentation_.reset();
-    pending_enabled_.reset();
-    read_meta_.clear();
-    write_meta_.clear();
-    isolation_stalls_ = 0;
-    throttle_stalls_ = 0;
-    capacity_stalls_ = 0;
-    reads_accepted_ = 0;
-    writes_accepted_ = 0;
-}
-
 RealmState RealmUnit::state() const noexcept {
     if (!cfg_.enabled) { return RealmState::kBypass; }
     if (iso_.cause_active(IsolationCause::kUser)) {
@@ -170,9 +154,7 @@ void RealmUnit::accept_requests() {
             // counted above
         } else if (iso_.outstanding() >= mr_.allowed_outstanding(cfg_.max_pending)) {
             ++throttle_stalls_;
-        } else if (!splitter_.can_accept_read()) {
-            ++capacity_stalls_;
-        } else {
+        } else if (splitter_.can_accept_read()) {
             const axi::ArFlit f = up_.recv_ar();
             const auto region = mr_.region_of(f.addr);
             mr_.charge(f.addr, f.descriptor().total_bytes());
@@ -188,9 +170,7 @@ void RealmUnit::accept_requests() {
             // counted above
         } else if (iso_.outstanding() >= mr_.allowed_outstanding(cfg_.max_pending)) {
             ++throttle_stalls_;
-        } else if (!splitter_.can_accept_write()) {
-            ++capacity_stalls_;
-        } else {
+        } else if (splitter_.can_accept_write()) {
             const axi::AwFlit f = up_.recv_aw();
             const auto region = mr_.region_of(f.addr);
             mr_.charge(f.addr, f.descriptor().total_bytes());

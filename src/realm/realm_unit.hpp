@@ -62,7 +62,6 @@ public:
     RealmUnit(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
               axi::AxiChannel& downstream, RealmUnitConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     /// \name Runtime configuration (driven by the protected register file)
@@ -106,7 +105,6 @@ public:
     ///@{
     [[nodiscard]] std::uint64_t isolation_stalls() const noexcept { return isolation_stalls_; }
     [[nodiscard]] std::uint64_t throttle_stalls() const noexcept { return throttle_stalls_; }
-    [[nodiscard]] std::uint64_t capacity_stalls() const noexcept { return capacity_stalls_; }
     [[nodiscard]] std::uint64_t reads_accepted() const noexcept { return reads_accepted_; }
     [[nodiscard]] std::uint64_t writes_accepted() const noexcept { return writes_accepted_; }
     ///@}
@@ -142,7 +140,6 @@ private:
 
     std::uint64_t isolation_stalls_ = 0;
     std::uint64_t throttle_stalls_ = 0;
-    std::uint64_t capacity_stalls_ = 0;
     std::uint64_t reads_accepted_ = 0;
     std::uint64_t writes_accepted_ = 0;
 };

@@ -12,16 +12,6 @@ GranularBurstSplitter::GranularBurstSplitter(std::uint32_t granularity_beats,
     REALM_EXPECTS(max_parents_ >= 1, "splitter needs at least one parent slot");
 }
 
-void GranularBurstSplitter::reset() {
-    reads_.clear();
-    writes_.clear();
-    child_ar_queue_.clear();
-    reads_in_flight_ = 0;
-    writes_in_flight_ = 0;
-    fragments_created_ = 0;
-    passed_intact_ = 0;
-}
-
 void GranularBurstSplitter::set_granularity(std::uint32_t beats) {
     REALM_EXPECTS(beats >= 1 && beats <= axi::kMaxBurstBeats,
                   "splitter granularity out of [1,256]");

@@ -33,8 +33,6 @@ public:
     explicit GranularBurstSplitter(std::uint32_t granularity_beats = axi::kMaxBurstBeats,
                                    std::uint32_t max_parents = 8);
 
-    void reset();
-
     /// \name Configuration
     ///@{
     void set_granularity(std::uint32_t beats);

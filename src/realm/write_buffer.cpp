@@ -9,12 +9,6 @@ WriteBuffer::WriteBuffer(std::uint32_t depth_beats, bool enabled)
     REALM_EXPECTS(depth_ >= 1, "write buffer depth must be at least one beat");
 }
 
-void WriteBuffer::reset() {
-    entries_.clear();
-    beats_.clear();
-    cut_through_ = 0;
-}
-
 void WriteBuffer::queue_children(const axi::AwFlit& parent,
                                  std::span<const axi::BurstDescriptor> children) {
     REALM_EXPECTS(!children.empty(), "write must have at least one child");

@@ -36,8 +36,6 @@ public:
     /// \param enabled      disabled = pure cut-through (ablation mode).
     explicit WriteBuffer(std::uint32_t depth_beats = 16, bool enabled = true);
 
-    void reset();
-
     /// \name Upstream side
     ///@{
     /// Queues the child bursts of an accepted parent write.
@@ -66,7 +64,6 @@ public:
     [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
     [[nodiscard]] bool enabled() const noexcept { return enabled_; }
     [[nodiscard]] std::uint64_t cut_through_bursts() const noexcept { return cut_through_; }
-    [[nodiscard]] std::size_t pending_entries() const noexcept { return entries_.size(); }
     [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
     ///@}
 

@@ -14,6 +14,11 @@ namespace realm::sim {
 /// A clocked hardware block. Each simulation cycle the kernel calls
 /// `tick()` exactly once, in construction order.
 ///
+/// Lifecycle: a component is built, with its context and the rest of the
+/// topology, before the first step; it then runs and is destroyed. Nothing
+/// rewinds it, so the constructor alone defines its reset state (the SoC
+/// leaves reset once, as in the paper's boot flow).
+///
 /// Model style: components are Moore machines communicating through
 /// registered `Link`s, so evaluation order between components never changes
 /// observable behaviour (only capacity visibility, which is benign and
@@ -39,7 +44,7 @@ public:
     Component(const Component&) = delete;
     Component& operator=(const Component&) = delete;
 
-    /// Block instance name, used in logs and contract messages.
+    /// Block instance name, used in contract and checker messages.
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
     /// The owning simulation context.
@@ -48,9 +53,6 @@ public:
 
     /// Current cycle, convenience shorthand.
     [[nodiscard]] Cycle now() const noexcept { return ctx_->now(); }
-
-    /// Returns the block to its post-reset state.
-    virtual void reset() {}
 
     /// Evaluates one clock cycle.
     virtual void tick() = 0;
@@ -89,11 +91,6 @@ protected:
     void idle_until(Cycle cycle) noexcept { wake_at_ = cycle; }
     /// Declares the component dormant until someone calls `wake()`.
     void idle_forever() noexcept { wake_at_ = kNoCycle; }
-
-    /// Cycle-stamped log line attributed to this component.
-    void log(LogLevel level, const std::string& message) const {
-        if (ctx_->log_enabled(level)) { ctx_->log(level, name_, message); }
-    }
 
 private:
     friend class SimContext; // writes shard_ at registration

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <iostream>
 #include <thread>
 
 namespace realm::sim {
@@ -108,21 +107,16 @@ void SimContext::unregister_component(Component& c) noexcept {
 }
 
 void SimContext::set_shards(unsigned n) {
+    // Nothing has ticked, staged or registered yet, so the per-shard state
+    // is sized once, here, and never repartitioned under a running design.
+    REALM_EXPECTS(components_.empty() && now_ == 0,
+                  "set_shards must come before the first component and the first step");
     shards_ = std::max(1U, n);
     build_shard_ = std::min(build_shard_, shards_ - 1);
+    shard_ticks_executed_.assign(shards_, 0);
+    shard_ticks_skipped_.assign(shards_, 0);
+    edge_dirty_.resize(shards_);
     partition_dirty_ = true;
-}
-
-void SimContext::reset() {
-    now_ = 0;
-    next_active_hint_.store(0, std::memory_order_relaxed);
-    std::fill(shard_ticks_executed_.begin(), shard_ticks_executed_.end(), 0);
-    std::fill(shard_ticks_skipped_.begin(), shard_ticks_skipped_.end(), 0);
-    fast_forwarded_ = 0;
-    for (Component* c : components_) {
-        c->wake(0); // forget idle declarations made against the old timeline
-        c->reset();
-    }
 }
 
 std::uint64_t SimContext::ticks_executed() const noexcept {
@@ -156,28 +150,7 @@ void SimContext::ensure_partition() {
     if (!partition_dirty_) { return; }
     const unsigned n = shards_;
     shard_lists_.assign(n, {});
-    for (Component* c : components_) {
-        shard_lists_[std::min(c->shard_, n - 1)].push_back(c);
-    }
-    // Counters survive repartitioning (components register incrementally
-    // while a scenario is being built). When the shard count shrinks,
-    // trailing per-shard state folds into shard 0 instead of being dropped:
-    // totals stay exact and pending edge flushes are never stranded.
-    if (n < shard_ticks_executed_.size()) {
-        for (std::size_t s = n; s < shard_ticks_executed_.size(); ++s) {
-            shard_ticks_executed_[0] += shard_ticks_executed_[s];
-            shard_ticks_skipped_[0] += shard_ticks_skipped_[s];
-        }
-    }
-    shard_ticks_executed_.resize(n, 0);
-    shard_ticks_skipped_.resize(n, 0);
-    if (n < edge_dirty_.size()) {
-        for (std::size_t s = n; s < edge_dirty_.size(); ++s) {
-            edge_dirty_[0].insert(edge_dirty_[0].end(), edge_dirty_[s].begin(),
-                                  edge_dirty_[s].end());
-        }
-    }
-    edge_dirty_.resize(n);
+    for (Component* c : components_) { shard_lists_[c->shard_].push_back(c); }
     if (profiler_ != nullptr) {
         // Resolve each component's (type, shard) bucket once, here, so the
         // profiled tick loop is a plain indexed increment. Counts rebuild
@@ -447,28 +420,6 @@ bool SimContext::run_until(const std::function<bool()>& done, Cycle max_cycles) 
         step_batch(std::min<Cycle>(lookahead_, end - now_));
     }
     return done();
-}
-
-namespace {
-const char* level_name(LogLevel level) {
-    switch (level) {
-    case LogLevel::kNone: return "none";
-    case LogLevel::kError: return "error";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kTrace: return "trace";
-    }
-    return "?";
-}
-} // namespace
-
-void SimContext::log(LogLevel level, const std::string& who, const std::string& message) const {
-    if (!log_enabled(level)) { return; }
-    // now() (not now_): components log from inside a batch walk, where the
-    // thread-local tick clock holds the cycle actually being evaluated.
-    std::cerr << '[' << now() << "] " << level_name(level) << ' ' << who << ": " << message
-              << '\n';
 }
 
 } // namespace realm::sim

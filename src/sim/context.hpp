@@ -9,16 +9,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace realm::sim {
 
 class Component;
 class Profiler;
-
-/// Severity levels for the cycle-stamped simulation log.
-enum class LogLevel { kNone = 0, kError, kWarn, kInfo, kDebug, kTrace };
 
 /// Scheduling policy of the run loop.
 enum class Scheduler {
@@ -70,6 +66,11 @@ protected:
 /// which fixes the intra-cycle evaluation order and makes runs fully
 /// deterministic) and must outlive no longer than the context.
 ///
+/// Lifecycle: build the context, set its shards, scheduler and profiler,
+/// build every component, then step or run it, then destroy it. Time only
+/// moves forward and nothing rewinds a context or its components: a new
+/// run builds a new context.
+///
 /// With the default `Scheduler::kActivity`, components that declared
 /// themselves idle (see `Component::idle_until`) are skipped — still in
 /// registration order for the active ones, so runs remain bit-identical to
@@ -112,9 +113,6 @@ public:
 
     /// Removes a component (called from Component's destructor).
     void unregister_component(Component& c) noexcept;
-
-    /// Resets simulation time to zero and calls `reset()` on every component.
-    void reset();
 
     /// Advances the simulation by exactly one cycle (no fast-forward; idle
     /// components are still skipped under `kActivity`). A single-cycle
@@ -181,9 +179,11 @@ public:
 
     /// \name Sharded execution
     ///@{
-    /// Partitions execution into `n` spatial shards (>= 1). Call before
-    /// building the topology so components pick up their shard tags; the
-    /// tags themselves come from `set_build_shard`.
+    /// Partitions execution into `n` spatial shards (>= 1). Must come
+    /// before the first component registers and the first step (a
+    /// `ContractViolation` otherwise), so components pick up their shard
+    /// tags at construction; the tags themselves come from
+    /// `set_build_shard`.
     void set_shards(unsigned n);
     [[nodiscard]] unsigned shards() const noexcept { return shards_; }
     /// Shard tag applied to components registered from now on (clamped to
@@ -226,17 +226,6 @@ public:
         partition_dirty_ = true;
     }
     [[nodiscard]] Profiler* profiler() const noexcept { return profiler_; }
-    ///@}
-
-    /// \name Logging
-    ///@{
-    void set_log_level(LogLevel level) noexcept { log_level_ = level; }
-    [[nodiscard]] LogLevel log_level() const noexcept { return log_level_; }
-    [[nodiscard]] bool log_enabled(LogLevel level) const noexcept {
-        return static_cast<int>(level) <= static_cast<int>(log_level_);
-    }
-    /// Writes a cycle-stamped line to stderr if `level` is enabled.
-    void log(LogLevel level, const std::string& who, const std::string& message) const;
     ///@}
 
     /// Number of registered components (introspection for tests).
@@ -294,7 +283,6 @@ private:
     inline static thread_local const SimContext* tl_tick_ctx_ = nullptr;
     inline static thread_local Cycle tl_tick_now_ = 0;
     std::vector<Component*> components_;
-    LogLevel log_level_ = LogLevel::kNone;
     Scheduler scheduler_ = Scheduler::kActivity;
     /// Earliest cycle at which any component may need evaluation, maintained
     /// incrementally by `step()` and `note_wake` so the run loop never has

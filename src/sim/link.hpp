@@ -6,7 +6,6 @@
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/context.hpp"
-#include "sim/ring.hpp"
 #include "sim/types.hpp"
 
 #include <array>
@@ -133,14 +132,6 @@ public:
         return v;
     }
 
-    /// Discards all buffered flits (reset).
-    void clear() noexcept {
-        head_ = 0;
-        size_ = 0;
-        recent_ = 0;
-        last_push_cycle_ = kNoCycle;
-    }
-
     /// Scheduler wake-up wiring (activity-aware kernel): component woken
     /// whenever a flit is pushed — wire the consumer here so it may declare
     /// itself idle while the link is empty. (Producers never sleep while
@@ -150,8 +141,6 @@ public:
     /// Drain hook: invoked after every successful pop. The NoC's credited
     /// flow control uses this to return end-to-end credits when a staged
     /// flit leaves the network-interface buffer toward its subordinate.
-    /// Note `clear()` bypasses the hook — credit state must be reset
-    /// alongside the link by whoever owns both.
     void set_on_pop(PopHook hook) noexcept { on_pop_ = hook; }
 
     /// \name Introspection
@@ -169,17 +158,14 @@ private:
     /// the most recent push cycle when that cycle has not elapsed yet (all
     /// ready entries sit at the head — stamps are monotone in a FIFO).
     /// While the clock sits at `last_push_cycle_`, pops only ever remove
-    /// ready entries, so `recent_ <= size_` holds in monotone operation;
-    /// the clamp covers a context reset rewinding the clock under the link
-    /// (stale `recent_`/`last_push_cycle_` from the old timeline), where
-    /// the conservative answer is "nothing new is ready".
+    /// ready entries, and the clock never moves back, so `recent_ <= size_`.
     [[nodiscard]] std::size_t ready_size() const noexcept {
         // Empty first: the single most common outcome across a fabric's
         // links, and the only one that avoids chasing `ctx_` for the clock.
         const std::size_t n = size_;
         if (n == 0 || timing_ == Timing::kPassthrough) { return n; }
         if (last_push_cycle_ < ctx_->now()) { return n; }
-        return recent_ <= n ? n - recent_ : 0;
+        return n - recent_;
     }
 
     [[nodiscard]] T& slot(std::size_t pos) noexcept {
@@ -208,54 +194,6 @@ private:
     std::array<T, kInlineCapacity> inline_{};
     std::unique_ptr<T[]> heap_;
     std::string name_;
-};
-
-/// FIFO whose entries become poppable at an arbitrary future cycle; completion
-/// stays in push order (the head blocks younger entries). Used to model
-/// fixed/variable-latency service pipelines, e.g. SRAM access or DRAM banks.
-/// Backed by a contiguous `FlatRing` (entries keep their individual ready
-/// stamps — unlike `Link`, readiness here is not monotone with push order).
-template <typename T>
-class TimedQueue {
-public:
-    explicit TimedQueue(const SimContext& ctx, std::string name = {})
-        : ctx_{&ctx}, name_{std::move(name)} {}
-
-    /// Enqueues `value`, poppable no earlier than `ready_at`.
-    void push(T value, Cycle ready_at) {
-        entries_.push_back(Entry{std::move(value), ready_at});
-    }
-
-    [[nodiscard]] bool can_pop() const noexcept {
-        return !entries_.empty() && entries_.front().ready_at <= ctx_->now();
-    }
-
-    [[nodiscard]] const T& front() const {
-        REALM_EXPECTS(can_pop(), "front of not-ready timed queue " + name_);
-        return entries_.front().value;
-    }
-
-    T pop() {
-        REALM_EXPECTS(can_pop(), "pop from not-ready timed queue " + name_);
-        T v = std::move(entries_.front().value);
-        entries_.pop_front();
-        return v;
-    }
-
-    void clear() noexcept { entries_.clear(); }
-
-    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-
-private:
-    struct Entry {
-        T value;
-        Cycle ready_at;
-    };
-
-    const SimContext* ctx_;
-    std::string name_;
-    FlatRing<Entry> entries_;
 };
 
 } // namespace realm::sim

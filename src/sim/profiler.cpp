@@ -43,11 +43,6 @@ std::uint32_t Profiler::intern(const std::type_info& type, unsigned shard) {
     return static_cast<std::uint32_t>(keys_.size() - 1);
 }
 
-void Profiler::reset() {
-    keys_.clear();
-    buckets_.clear();
-}
-
 std::vector<Profiler::Row> Profiler::rows() const {
     std::vector<Row> rows;
     rows.reserve(keys_.size());

@@ -63,9 +63,6 @@ public:
         return buckets_[index];
     }
 
-    /// Drops all samples and bucket definitions.
-    void reset();
-
     /// Aggregated samples, heaviest (by nanos) first. Demangles type names;
     /// call at harvest time, not on the hot path.
     [[nodiscard]] std::vector<Row> rows() const;

@@ -63,11 +63,6 @@ public:
         return buf_[(head_ + i) & mask_];
     }
 
-    void clear() noexcept {
-        head_ = 0;
-        size_ = 0;
-    }
-
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
     [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }

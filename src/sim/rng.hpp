@@ -83,11 +83,6 @@ public:
         return uniform(0, denominator - 1) < numerator;
     }
 
-    /// Uniform double in [0, 1).
-    double uniform01() noexcept {
-        return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
-    }
-
 private:
     static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
         return (x << k) | (x >> (64 - k));

@@ -22,8 +22,6 @@ public:
         max_ = std::max(max_, value);
     }
 
-    void reset() noexcept { *this = LatencyStat{}; }
-
     [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
     [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
     [[nodiscard]] Cycle min() const noexcept { return count_ == 0 ? 0 : min_; }

@@ -70,7 +70,6 @@ public:
     [[nodiscard]] bool realm_present() const noexcept { return cfg_.realm_present; }
     [[nodiscard]] rt::RealmUnit& core_realm() { return *realm_units_.at(0); }
     [[nodiscard]] rt::RealmUnit& dsa_realm(std::size_t i) { return *realm_units_.at(1 + i); }
-    [[nodiscard]] std::size_t num_realm_units() const noexcept { return realm_units_.size(); }
     ///@}
 
     /// \name Subordinates & infrastructure

@@ -11,14 +11,6 @@ ConfigMaster::ConfigMaster(sim::SimContext& ctx, std::string name, axi::AxiChann
                            axi::IdT tid)
     : Component{ctx, std::move(name)}, port_{port}, tid_{tid} {}
 
-void ConfigMaster::reset() {
-    script_.clear();
-    results_.clear();
-    in_flight_ = false;
-    phase_ = Phase::kIdle;
-    unexpected_ = 0;
-}
-
 void ConfigMaster::tick() {
     switch (phase_) {
     case Phase::kIdle: {

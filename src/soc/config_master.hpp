@@ -37,7 +37,6 @@ public:
     ConfigMaster(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
                  axi::IdT tid = 0xC0);
 
-    void reset() override;
     void tick() override;
 
     /// Appends an access to the script.
@@ -47,9 +46,6 @@ public:
     }
     void push_write(axi::Addr addr, std::uint32_t wdata, bool expect_error = false) {
         push(ConfigOp{addr, true, wdata, expect_error});
-    }
-    void push_read(axi::Addr addr, bool expect_error = false) {
-        push(ConfigOp{addr, false, 0, expect_error});
     }
 
     [[nodiscard]] bool done() const noexcept { return script_.empty() && !in_flight_; }

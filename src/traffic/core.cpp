@@ -15,27 +15,6 @@ CoreModel::CoreModel(sim::SimContext& ctx, std::string name, axi::AxiChannel& po
     REALM_EXPECTS(cfg_.store_buffer_depth >= 1, "store buffer needs at least one slot");
 }
 
-void CoreModel::reset() {
-    workload_->restart();
-    current_.reset();
-    compute_left_ = 0;
-    waiting_load_ = false;
-    load_beats_left_ = 0;
-    store_buffer_.clear();
-    stores_awaiting_b_.clear();
-    program_done_ = false;
-    done_ = false;
-    finish_cycle_ = 0;
-    load_lat_.reset();
-    store_lat_.reset();
-    load_sketch_.reset();
-    loads_ = 0;
-    stores_ = 0;
-    compute_cycles_ = 0;
-    load_stalls_ = 0;
-    store_stalls_ = 0;
-}
-
 void CoreModel::drain_stores() {
     if (store_buffer_.empty()) { return; }
     PendingStore& ps = store_buffer_.front();
@@ -126,7 +105,6 @@ void CoreModel::advance_program() {
         current_.reset();
     } else {
         if (store_buffer_.size() >= cfg_.store_buffer_depth) {
-            ++store_stalls_;
             return; // retire stalls until the buffer drains
         }
         PendingStore ps;

@@ -32,7 +32,6 @@ public:
     CoreModel(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
               Workload& workload, CoreConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     /// Program finished and all outstanding transactions retired.
@@ -51,7 +50,6 @@ public:
     [[nodiscard]] std::uint64_t stores_retired() const noexcept { return stores_; }
     [[nodiscard]] std::uint64_t compute_cycles() const noexcept { return compute_cycles_; }
     [[nodiscard]] std::uint64_t load_stall_cycles() const noexcept { return load_stalls_; }
-    [[nodiscard]] std::uint64_t store_stall_cycles() const noexcept { return store_stalls_; }
     ///@}
 
 private:
@@ -90,7 +88,6 @@ private:
     std::uint64_t stores_ = 0;
     std::uint64_t compute_cycles_ = 0;
     std::uint64_t load_stalls_ = 0;
-    std::uint64_t store_stalls_ = 0;
 };
 
 } // namespace realm::traffic

@@ -20,23 +20,6 @@ DmaEngine::DmaEngine(sim::SimContext& ctx, std::string name, axi::AxiChannel& po
     }
 }
 
-void DmaEngine::reset() {
-    jobs_.clear();
-    job_offset_ = 0;
-    stop_requested_ = false;
-    for (Slot& s : slots_) {
-        s.state = SlotState::kFree;
-        s.aw_sent = false;
-    }
-    write_order_.clear();
-    bytes_read_ = 0;
-    bytes_written_ = 0;
-    chunks_done_ = 0;
-    read_lat_.reset();
-    write_lat_.reset();
-    first_activity_ = sim::kNoCycle;
-}
-
 void DmaEngine::push_job(const DmaJob& job) {
     REALM_EXPECTS(job.bytes > 0, "DMA job must move at least one byte");
     REALM_EXPECTS(job.bytes % cfg_.bus_bytes == 0, "DMA job must be bus-aligned in size");

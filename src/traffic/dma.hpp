@@ -48,7 +48,6 @@ public:
     DmaEngine(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
               DmaConfig config = {});
 
-    void reset() override;
     void tick() override;
 
     /// Enqueues a copy job (FIFO).

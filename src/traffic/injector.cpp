@@ -79,25 +79,6 @@ InjectorEngine::InjectorEngine(sim::SimContext& ctx, std::string name,
     redraw_kind();
 }
 
-void InjectorEngine::reset() {
-    rng_.reseed(cfg_.seed);
-    start_cycle_ = sim::kNoCycle;
-    std::fill(read_left_.begin(), read_left_.end(), 0U);
-    std::fill(write_slot_.begin(), write_slot_.end(), WSlot::kFree);
-    w_queue_.clear();
-    next_w_at_ = 0;
-    read_offset_ = 0;
-    write_offset_ = 0;
-    cur_read_beats_ = params_.read_beats;
-    cur_write_beats_ = params_.write_beats;
-    bytes_read_ = 0;
-    bytes_written_ = 0;
-    reads_issued_ = 0;
-    writes_issued_ = 0;
-    redraw_kind();
-    wake();
-}
-
 void InjectorEngine::redraw_kind() {
     next_is_write_ = rng_.chance(params_.write_ratio16, 16);
 }

@@ -129,10 +129,7 @@ public:
     InjectorEngine(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
                    InjectorConfig config = {});
 
-    void reset() override;
     void tick() override;
-
-    [[nodiscard]] const InjectorParams& params() const noexcept { return params_; }
 
     /// \name Statistics
     ///@{

@@ -40,9 +40,6 @@ public:
     /// Next operation, or nullopt when the program finished.
     virtual std::optional<MemOp> next() = 0;
 
-    /// Restarts the stream from the beginning.
-    virtual void restart() = 0;
-
     /// Total operations the stream will produce (0 = unknown/unbounded).
     [[nodiscard]] virtual std::uint64_t total_ops() const { return 0; }
 };
@@ -59,7 +56,6 @@ public:
         if (pos_ >= ops_->size()) { return std::nullopt; }
         return (*ops_)[pos_++];
     }
-    void restart() override { pos_ = 0; }
     [[nodiscard]] std::uint64_t total_ops() const override { return ops_->size(); }
 
 private:
@@ -84,11 +80,6 @@ public:
     explicit StreamWorkload(Config cfg) : cfg_{cfg} {}
 
     std::optional<MemOp> next() override;
-    void restart() override {
-        offset_ = 0;
-        iteration_ = 0;
-        op_index_ = 0;
-    }
     [[nodiscard]] std::uint64_t total_ops() const override {
         return (cfg_.bytes / cfg_.stride_bytes) * cfg_.repeat;
     }
@@ -116,10 +107,6 @@ public:
     explicit RandomWorkload(Config cfg) : cfg_{cfg}, rng_{cfg.seed} {}
 
     std::optional<MemOp> next() override;
-    void restart() override {
-        rng_.reseed(cfg_.seed);
-        issued_ = 0;
-    }
     [[nodiscard]] std::uint64_t total_ops() const override { return cfg_.num_ops; }
 
 private:
@@ -142,10 +129,6 @@ public:
     explicit PointerChaseWorkload(Config cfg);
 
     std::optional<MemOp> next() override;
-    void restart() override {
-        hop_ = 0;
-        cursor_ = 0;
-    }
     [[nodiscard]] std::uint64_t total_ops() const override { return cfg_.hops; }
 
     /// The permutation backing the chain; tests use it to pre-load memory.

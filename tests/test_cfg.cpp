@@ -71,16 +71,6 @@ TEST(BusGuard, ForeignClaimAttemptRejected) {
     EXPECT_EQ(guard.owner(), 1U);
 }
 
-TEST(BusGuard, ResetReleasesClaim) {
-    EchoTarget inner;
-    BusGuard guard{inner};
-    (void)guard.reg_access(RegReq{BusGuard::kGuardOffset, true, 0, 1});
-    guard.reset();
-    EXPECT_FALSE(guard.claimed());
-    const RegRsp r = guard.reg_access(RegReq{BusGuard::kGuardOffset, false, 0, 7});
-    EXPECT_EQ(r.rdata, BusGuard::kUnclaimed);
-}
-
 /// Fixture with two REALM units in front of memories, driven through the
 /// register file by direct RegReq calls.
 class RegFileFixture : public ::testing::Test {

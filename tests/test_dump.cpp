@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace realm::scenario {
@@ -216,6 +218,47 @@ TEST_F(DumpFixture, CorruptTokenFailsWithFileAndOffset) {
     EXPECT_THROW((void)load_json_results_by_label(path_), MalformedDump);
     // A resume from a corrupt dump fails before simulating anything.
     EXPECT_THROW((void)ScenarioRunner{}.run_resumed(sweep, path_), MalformedDump);
+}
+
+TEST_F(DumpFixture, RandomEditsEitherLoadOrFailAsMalformed) {
+    // Seeded one-character edits of a real dump: a byte replaced by, or an
+    // insertion of, a JSON-significant character, or a short deletion. The
+    // reader either loads the result (an edit it reads leniently, or a
+    // truncation that keeps the complete points) or throws `MalformedDump`;
+    // any other exception, or a crash, is a reader bug.
+    const std::string text = dump(make_sweep("ring-dos-smoke"), ring_smoke());
+    constexpr std::string_view kSignificant = "{}[]\":,.-+eE019tfnx\\ \n";
+    constexpr int kEdits = 2000;
+    std::mt19937 rng{20261018U};
+    std::uniform_int_distribution<std::size_t> offset{0, text.size() - 1};
+    std::uniform_int_distribution<std::size_t> pick{0, kSignificant.size() - 1};
+    std::uniform_int_distribution<int> kind{0, 2};
+    std::uniform_int_distribution<std::size_t> span{1, 4};
+    int loads = 0;
+    int malformed = 0;
+    for (int i = 0; i < kEdits; ++i) {
+        std::string edited = text;
+        const std::size_t at = offset(rng);
+        switch (kind(rng)) {
+        case 0: edited[at] = kSignificant[pick(rng)]; break;
+        case 1: edited.insert(at, 1, kSignificant[pick(rng)]); break;
+        default: edited.erase(at, span(rng)); break;
+        }
+        write_file(path_, edited);
+        try {
+            (void)load_json_results(path_);
+            ++loads;
+        } catch (const MalformedDump&) {
+            ++malformed;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "edit " << i << " at byte " << at << ": " << e.what();
+        } catch (...) {
+            ADD_FAILURE() << "edit " << i << " at byte " << at << ": unknown exception";
+        }
+    }
+    // Both outcomes occur, so the edits reach past the first token.
+    EXPECT_GT(loads, 0);
+    EXPECT_GT(malformed, 0);
 }
 
 TEST_F(DumpFixture, ProfileRowsLoadBack) {

@@ -1,5 +1,4 @@
-/// Unit tests for the simulation kernel: links, timed queues, context, RNG,
-/// statistics.
+/// Unit tests for the simulation kernel: links, context, RNG, statistics.
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/context.hpp"
@@ -74,45 +73,11 @@ TEST(Link, FifoOrderPreserved) {
     for (int i = 0; i < 5; ++i) { EXPECT_EQ(link.pop(), i); }
 }
 
-TEST(Link, ClearDropsContents) {
-    SimContext ctx;
-    Link<int> link{ctx, 4, "l"};
-    link.push(1);
-    link.clear();
-    ctx.step();
-    EXPECT_FALSE(link.can_pop());
-    EXPECT_EQ(link.occupancy(), 0U);
-}
-
-TEST(TimedQueue, HonorsReadyCycle) {
-    SimContext ctx;
-    TimedQueue<int> q{ctx, "q"};
-    q.push(1, 3);
-    EXPECT_FALSE(q.can_pop());
-    ctx.run(3);
-    ASSERT_TRUE(q.can_pop());
-    EXPECT_EQ(q.pop(), 1);
-}
-
-TEST(TimedQueue, HeadBlocksYoungerEntries) {
-    SimContext ctx;
-    TimedQueue<int> q{ctx, "q"};
-    q.push(1, 10);
-    q.push(2, 0); // ready earlier but behind the head
-    ctx.run(5);
-    EXPECT_FALSE(q.can_pop()) << "completion must stay in order";
-    ctx.run(5);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-}
-
 class CountingComponent : public Component {
 public:
     using Component::Component;
-    void reset() override { resets_ = resets_ + 1; }
     void tick() override { ++ticks_; }
     int ticks_ = 0;
-    int resets_ = 0;
 };
 
 TEST(SimContext, TicksComponentsInOrder) {
@@ -123,15 +88,6 @@ TEST(SimContext, TicksComponentsInOrder) {
     EXPECT_EQ(a.ticks_, 5);
     EXPECT_EQ(b.ticks_, 5);
     EXPECT_EQ(ctx.now(), 5U);
-}
-
-TEST(SimContext, ResetRewindsTimeAndComponents) {
-    SimContext ctx;
-    CountingComponent a{ctx, "a"};
-    ctx.run(3);
-    ctx.reset();
-    EXPECT_EQ(ctx.now(), 0U);
-    EXPECT_EQ(a.resets_, 1);
 }
 
 TEST(SimContext, RunUntilStopsOnPredicate) {
