@@ -16,7 +16,8 @@ Llc::Llc(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
       down_{downstream},
       config_{config},
       tags_(std::size_t{config.sets} * config.ways),
-      data_(std::size_t{config.sets} * config.ways * config.line_bytes) {
+      data_{std::make_unique_for_overwrite<std::uint8_t[]>(
+          std::size_t{config.sets} * config.ways * config.line_bytes)} {
     REALM_EXPECTS(config_.line_bytes % config_.bus_bytes == 0,
                   "LLC line must be a whole number of bus beats");
     REALM_EXPECTS((config_.sets & (config_.sets - 1)) == 0, "LLC sets must be a power of two");
@@ -47,7 +48,7 @@ std::uint32_t Llc::victim_way(std::uint32_t set) const noexcept {
 }
 
 std::uint8_t* Llc::line_data(std::uint32_t set, std::uint32_t way) noexcept {
-    return data_.data() + (std::size_t{set} * config_.ways + way) * config_.line_bytes;
+    return data_.get() + (std::size_t{set} * config_.ways + way) * config_.line_bytes;
 }
 
 bool Llc::contains(axi::Addr addr) const noexcept {

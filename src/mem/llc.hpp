@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -138,7 +139,12 @@ private:
     LlcConfig config_;
 
     std::vector<WayState> tags_;       ///< sets x ways
-    std::vector<std::uint8_t> data_;   ///< sets x ways x line_bytes
+    /// sets x ways x line_bytes, left uninitialised: no byte of a way is read
+    /// before `warm_range` or a refill writes the whole line and sets the way
+    /// `valid`. Hits go through `find_way`, which checks `valid`, and a
+    /// writeback reads only a valid, dirty way. `tags_` stays zeroed because
+    /// `valid` is read.
+    std::unique_ptr<std::uint8_t[]> data_;
     std::uint64_t use_tick_ = 0;
 
     std::deque<ReadJob> read_jobs_;

@@ -1,12 +1,13 @@
 /// \file
-/// \brief Named scenario sweeps: every bench table in this repo as a
+/// \brief Named scenario sweeps: every experiment table in this repo as a
 ///        declarative list of `ScenarioConfig`s, buildable by name.
 ///
 /// A sweep bundles the experiment points of one figure/table (baseline
-/// included), the heading and footnotes its bench prints, and the index of
-/// the point that serves as the 100 %-performance reference. Benches,
-/// tests, and the JSON emitter all consume the same structure, so a new
-/// experiment is one factory function here — no new harness code.
+/// included), the heading and footnotes `scenario_sweep` and `--report`
+/// print, and the index of the point that serves as the 100 %-performance
+/// reference. Benches, tests, and the JSON emitter all consume the same
+/// structure, so a new experiment is one factory function here — no new
+/// harness code.
 #pragma once
 
 #include "scenario/scenario.hpp"
@@ -27,7 +28,7 @@ struct SweepPoint {
 /// A named family of scenario points (typically one figure or table).
 struct Sweep {
     std::string name;
-    std::string title;               ///< heading line printed by benches
+    std::string title;               ///< heading line of the table and report
     std::vector<std::string> notes;  ///< trailing commentary lines
     /// Point whose `run_cycles` is the 100 % performance reference.
     std::optional<std::size_t> baseline_index;

@@ -247,7 +247,8 @@ namespace {
 struct Json {
     char kind = 0;
     bool complete = false;
-    std::size_t at = 0; ///< byte offset, for error messages
+    std::size_t at = 0;     ///< byte offset, for error messages
+    std::size_t key_at = 0; ///< byte offset of an object member's key
     std::string key;
     std::string text;
     std::vector<Json> items;
@@ -290,6 +291,8 @@ public:
                 do {
                     Json& item = v.items.emplace_back();
                     if (v.kind == '{') {
+                        if (!more()) { throw Truncated{}; }
+                        item.key_at = pos_;
                         item.key = string();
                         expect(':');
                     }
@@ -410,34 +413,50 @@ void read_value(const JsonParser& in, const Json& j, std::vector<T>& items) {
     for (std::size_t k = 0; k < items.size(); ++k) { read_value(in, j.items[k], items[k]); }
 }
 
-/// Reads object `obj` into `s` through its field table; members outside
-/// the table go to `other(member)`.
+/// Reads object `obj` into `s` through its field table, which must hold
+/// exactly the table keys `write_fields` writes for what was read. Members
+/// outside the table go to `other(member)`, which returns false for a key
+/// it does not know either. An unknown, repeated or missing key throws
+/// `MalformedDump`, and so does a key the writer leaves out for this
+/// object (a monitor key without `"mon_enabled": true`).
 template <typename S, std::size_t N, typename F>
 void read_fields(const JsonParser& in, const Json& obj, S& s,
                  const std::array<Field<S>, N>& fields, F&& other) {
     if (obj.kind != '{') { in.fail(obj.at, "expected an object"); }
-    for (const Json& m : obj.items) {
+    std::array<const Json*, N> found{};
+    for (auto m = obj.items.begin(); m != obj.items.end(); ++m) {
+        const auto same_key = [&](const Json& prior) { return prior.key == m->key; };
+        if (std::any_of(obj.items.begin(), m, same_key)) {
+            in.fail(m->key_at, "repeated key \"" + m->key + '"');
+        }
         const auto f = std::find_if(fields.begin(), fields.end(),
-                                    [&](const Field<S>& row) { return m.key == row.key; });
+                                    [&](const Field<S>& row) { return m->key == row.key; });
         if (f == fields.end()) {
-            other(m);
+            if (!other(*m)) { in.fail(m->key_at, "unknown key \"" + m->key + '"'); }
             continue;
         }
+        found[static_cast<std::size_t>(f - fields.begin())] = &*m;
         std::visit(
             [&](auto member) {
                 if constexpr (std::is_member_function_pointer_v<decltype(member)>) {
                     double derived = 0; // recomputed on write; only checked here
-                    read_value(in, m, derived);
+                    read_value(in, *m, derived);
                 } else {
-                    read_value(in, m, s.*member);
+                    read_value(in, *m, s.*member);
                 }
             },
             f->member);
     }
+    for (std::size_t k = 0; k < N; ++k) {
+        if ((found[k] != nullptr) == written(s, fields[k].when)) { continue; }
+        const std::string key = std::string{'"'} + fields[k].key + '"';
+        if (found[k] == nullptr) { in.fail(obj.at, "missing key " + key); }
+        in.fail(found[k]->key_at, "key " + key + " is not written for this point");
+    }
 }
 
 void read_value(const JsonParser& in, const Json& j, ProfileRow& row) {
-    read_fields(in, j, row, kProfileRowFields, [](const Json&) {});
+    read_fields(in, j, row, kProfileRowFields, [](const Json&) { return false; });
 }
 
 /// One point of a dump; `has_hash` is false for points written past the
@@ -475,9 +494,11 @@ std::vector<DumpPoint> read_dump(const std::string& path) {
         for (const Json& item : member.items) {
             if (!item.complete) { break; }
             DumpPoint& p = points.emplace_back();
+            bool has_label = false;
             read_fields(in, item, p.result, kResultFields, [&](const Json& m) {
                 if (m.key == kLabelKey) {
                     read_value(in, m, p.result.label);
+                    has_label = true;
                 } else if (m.key == kHashKey) {
                     const char* end = m.text.data() + m.text.size();
                     const auto [stop, ec] = std::from_chars(
@@ -488,8 +509,14 @@ std::vector<DumpPoint> read_dump(const std::string& path) {
                         in.fail(m.at, "expected a 0x-prefixed hex config_hash");
                     }
                     p.has_hash = true;
+                } else {
+                    return false;
                 }
+                return true;
             });
+            if (!has_label) {
+                in.fail(item.at, std::string{"missing key \""} + kLabelKey + '"');
+            }
         }
     }
     return points;

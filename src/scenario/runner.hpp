@@ -82,8 +82,11 @@ public:
 /// ends early yields exactly the points completed before the end (a search
 /// checkpoint killed mid-write); anything else that is not valid JSON of
 /// the right types throws `MalformedDump`. Formatting is free, so a
-/// re-indented dump loads like the original. Keys missing from a point keep
-/// their defaults and unknown keys are skipped.
+/// re-indented dump loads like the original. A complete point must hold
+/// each key `write_json` writes for it exactly once: `label`, every
+/// always-written result key, and the monitor keys when `mon_enabled` is
+/// true. `config_hash` and `profile` may be absent. An unknown, repeated or
+/// missing key throws `MalformedDump` naming the key and its byte offset.
 ///@{
 /// Results keyed by `config_hash` — the resume key, stable across label
 /// renames. Points without a hash are skipped.

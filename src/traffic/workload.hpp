@@ -39,9 +39,6 @@ public:
 
     /// Next operation, or nullopt when the program finished.
     virtual std::optional<MemOp> next() = 0;
-
-    /// Total operations the stream will produce (0 = unknown/unbounded).
-    [[nodiscard]] virtual std::uint64_t total_ops() const { return 0; }
 };
 
 /// Replay of a pre-recorded operation list (the output format of trace
@@ -56,7 +53,6 @@ public:
         if (pos_ >= ops_->size()) { return std::nullopt; }
         return (*ops_)[pos_++];
     }
-    [[nodiscard]] std::uint64_t total_ops() const override { return ops_->size(); }
 
 private:
     std::shared_ptr<const std::vector<MemOp>> ops_;
@@ -80,9 +76,6 @@ public:
     explicit StreamWorkload(Config cfg) : cfg_{cfg} {}
 
     std::optional<MemOp> next() override;
-    [[nodiscard]] std::uint64_t total_ops() const override {
-        return (cfg_.bytes / cfg_.stride_bytes) * cfg_.repeat;
-    }
 
 private:
     Config cfg_;
@@ -107,7 +100,6 @@ public:
     explicit RandomWorkload(Config cfg) : cfg_{cfg}, rng_{cfg.seed} {}
 
     std::optional<MemOp> next() override;
-    [[nodiscard]] std::uint64_t total_ops() const override { return cfg_.num_ops; }
 
 private:
     Config cfg_;
@@ -129,7 +121,6 @@ public:
     explicit PointerChaseWorkload(Config cfg);
 
     std::optional<MemOp> next() override;
-    [[nodiscard]] std::uint64_t total_ops() const override { return cfg_.hops; }
 
     /// The permutation backing the chain; tests use it to pre-load memory.
     [[nodiscard]] const std::vector<std::uint64_t>& chain() const noexcept { return chain_; }

@@ -199,6 +199,9 @@ TEST_F(DumpFixture, CorruptTokenFailsWithFileAndOffset) {
         {", \"seed\"", " \"seed\"", 1},
         {"\"load_lat_mean\": ", "\"load_lat_mean\": 1e", 17},
         {"\"label\": \"", "\"label\": \"\\q", 11},
+        // A renamed key is unknown; it used to load as a missing key.
+        {"\"load_lat_max\"", "\"load_lat_mzx\"", 0},
+        {"\"ops\": ", "\"seed\": 1, \"ops\": ", 0},
     };
     for (const Corruption& c : cases) {
         SCOPED_TRACE(c.bad);
@@ -259,6 +262,81 @@ TEST_F(DumpFixture, RandomEditsEitherLoadOrFailAsMalformed) {
     // Both outcomes occur, so the edits reach past the first token.
     EXPECT_GT(loads, 0);
     EXPECT_GT(malformed, 0);
+
+    // Renaming a key of a point always fails, naming the new key or the
+    // old one: the new key is unknown or repeats another, and the old one
+    // goes missing.
+    std::vector<std::pair<std::size_t, std::size_t>> keys; // [first, end) of each name
+    for (std::size_t end = text.find("\": ", text.find("\n    {")); end != std::string::npos;
+         end = text.find("\": ", end + 1)) {
+        keys.emplace_back(text.rfind('"', end - 1) + 1, end);
+    }
+    constexpr std::string_view kKeyChars = "abcdefghijklmnopqrstuvwxyz_0123456789";
+    std::uniform_int_distribution<std::size_t> which{0, keys.size() - 1};
+    std::uniform_int_distribution<std::size_t> letter{0, kKeyChars.size() - 1};
+    for (int i = 0; i < 500; ++i) {
+        const auto [first, end] = keys[which(rng)];
+        std::string edited = text;
+        const std::size_t at = first + offset(rng) % (end - first);
+        while (edited[at] == text[at]) { edited[at] = kKeyChars[letter(rng)]; }
+        write_file(path_, edited);
+        const std::string old_key = text.substr(first, end - first);
+        const std::string new_key = edited.substr(first, end - first);
+        SCOPED_TRACE(old_key + " -> " + new_key);
+        try {
+            (void)load_json_results(path_);
+            ADD_FAILURE() << "a renamed key loaded";
+        } catch (const MalformedDump& e) {
+            const std::string what = e.what();
+            EXPECT_TRUE(what.find('"' + new_key + '"') != std::string::npos ||
+                        what.find('"' + old_key + '"') != std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST_F(DumpFixture, MissingKeysFailAtTheirPoint) {
+    // A point must hold every key the writer writes for it. A missing key
+    // fails at the point's opening brace; `config_hash` and `profile` are
+    // optional.
+    const Sweep sweep = make_sweep("ring-dos-smoke");
+    const std::string text = dump(sweep, ring_smoke());
+    const std::size_t point = text.find("{\"label\"");
+    const auto erase = [&](const std::string& t, std::string_view from, std::string_view to) {
+        const std::size_t at = t.find(from, point);
+        return t.substr(0, at) + t.substr(t.find(to, at + from.size()));
+    };
+    const auto expect_error = [&](const std::string& edited, std::size_t at,
+                                  const std::string& what) {
+        write_file(path_, edited);
+        try {
+            (void)load_json_results(path_);
+            ADD_FAILURE() << "no error for " << what;
+        } catch (const MalformedDump& e) {
+            EXPECT_EQ(e.what(), path_ + ": byte " + std::to_string(at) + ": " + what);
+        }
+    };
+    expect_error(erase(text, ", \"load_lat_max\"", ", \"load_lat_p99\""), point,
+                 "missing key \"load_lat_max\"");
+    expect_error(erase(text, "\"label\"", "\"config_hash\""), point,
+                 "missing key \"label\"");
+
+    // Without its config hash a point still loads by label.
+    write_file(path_, erase(text, "\"config_hash\"", "\"seed\""));
+    EXPECT_EQ(load_json_results_by_label(path_).size(), sweep.points.size());
+
+    // The monitor keys come all together with `"mon_enabled": true`, or
+    // not at all.
+    std::vector<ScenarioResult> results = ring_smoke();
+    results[0].mon_enabled = true;
+    const std::string monitored = dump(sweep, results);
+    write_file(path_, monitored);
+    EXPECT_EQ(load_json_results(path_).size(), sweep.points.size());
+    expect_error(erase(monitored, ", \"mgr_p99\"", ", \"mgr_p999\""), point,
+                 "missing key \"mgr_p99\"");
+    const std::string unflagged = erase(monitored, ", \"mon_enabled\"", ", \"mon_lat_p50\"");
+    expect_error(unflagged, unflagged.find("\"mon_lat_p50\""),
+                 "key \"mon_lat_p50\" is not written for this point");
 }
 
 TEST_F(DumpFixture, ProfileRowsLoadBack) {
