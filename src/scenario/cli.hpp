@@ -4,10 +4,8 @@
 ///        `--diff BASELINE.json [--diff-threshold F] [--diff-slack N]`
 ///        `[--speed-threshold F] [--speed-slack C]`,
 ///        `--scheduler tick-all|activity`, `--shards N`,
-///        `--routing xy|yx|o1turn|west-first`, `--profile`, `--list`, and the
-///        monitoring plane: `--monitors` with `--mon-timeout C`,
-///        `--mon-stall C`, `--mon-window C`, `--mon-bw F`, `--mon-held F`,
-///        `--mon-occ F`.
+///        `--routing xy|yx|o1turn|west-first`, `--link-latency L`,
+///        `--profile`, `--monitors` and `--list`.
 #pragma once
 
 #include "noc/routing.hpp"
@@ -103,20 +101,12 @@ struct BenchOptions {
     std::optional<std::uint32_t> link_latency;
     /// `--profile`: arm the cycle-attribution profiler on every point; the
     /// per-(type, shard) wall-time table lands in the JSON dump and the
-    /// markdown report. Host-side observability only (excluded from
-    /// `config_hash`), so it composes with `--resume` — though reused
-    /// points carry no profile, having never re-run.
+    /// markdown report. Host-side observability only (a host-only config
+    /// field), so it composes with `--resume` — though reused points carry
+    /// no profile, having never re-run.
     bool profile = false;
     /// `--monitors`: enable the transaction-monitoring plane on every point.
     bool monitors = false;
-    /// Threshold overrides applied to every point (with or without
-    /// `--monitors`, so a sweep that enables monitors itself is tunable too).
-    std::optional<sim::Cycle> mon_timeout;
-    std::optional<sim::Cycle> mon_stall;
-    std::optional<sim::Cycle> mon_window;
-    std::optional<double> mon_bw;
-    std::optional<double> mon_held;
-    std::optional<double> mon_occ;
     /// Non-flag arguments, in order (e.g. sweep names for `scenario_sweep`).
     std::vector<std::string> positional;
 };
@@ -182,29 +172,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             opts.profile = true;
         } else if (arg == "--monitors") {
             opts.monitors = true;
-        } else if (arg == "--mon-timeout" || arg == "--mon-stall" ||
-                   arg == "--mon-window") {
-            const std::string flag = arg;
-            const sim::Cycle n = parse_unsigned_flag(
-                flag.c_str(), need_value(flag.c_str()), "a positive cycle count", 1);
-            if (flag == "--mon-timeout") {
-                opts.mon_timeout = n;
-            } else if (flag == "--mon-stall") {
-                opts.mon_stall = n;
-            } else {
-                opts.mon_window = n;
-            }
-        } else if (arg == "--mon-bw" || arg == "--mon-held" || arg == "--mon-occ") {
-            const std::string flag = arg;
-            const double f = parse_real_flag(flag.c_str(), need_value(flag.c_str()),
-                                             "a non-negative number");
-            if (flag == "--mon-bw") {
-                opts.mon_bw = f;
-            } else if (flag == "--mon-held") {
-                opts.mon_held = f;
-            } else {
-                opts.mon_occ = f;
-            }
         } else if (arg == "--link-latency") {
             opts.link_latency = static_cast<std::uint32_t>(
                 parse_unsigned_flag("--link-latency", need_value("--link-latency"),
@@ -231,10 +198,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                         "[--speed-threshold F] [--speed-slack C] "
                         "[--scheduler tick-all|activity] "
                         "[--routing xy|yx|o1turn|west-first] [--link-latency L] "
-                        "[--profile] "
-                        "[--monitors] [--mon-timeout C] [--mon-stall C] "
-                        "[--mon-window C] [--mon-bw F] [--mon-held F] [--mon-occ F] "
-                        "[--list]\n",
+                        "[--profile] [--monitors] [--list]\n",
                         argv[0], accept_positional ? "[sweep...] " : "");
             std::exit(0);
         } else if (accept_positional && !arg.empty() && arg[0] != '-') {
@@ -263,8 +227,7 @@ auto load_or_exit(F&& load) {
     }
 }
 
-/// Applies CLI overrides (scheduler, shards, mesh routing policy) to every
-/// point.
+/// Applies the flags that override config fields to every point.
 inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
     for (SweepPoint& p : sweep.points) {
         if (opts.scheduler_forced) { p.config.scheduler = opts.scheduler; }
@@ -278,20 +241,6 @@ inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
         }
         if (opts.profile) { p.config.profile = true; }
         if (opts.monitors) { p.config.monitors.enabled = true; }
-        if (opts.mon_timeout) {
-            p.config.monitors.thresholds.timeout_cycles = *opts.mon_timeout;
-        }
-        if (opts.mon_stall) {
-            p.config.monitors.thresholds.stall_cycles = *opts.mon_stall;
-        }
-        if (opts.mon_window) {
-            p.config.monitors.thresholds.window_cycles = *opts.mon_window;
-        }
-        if (opts.mon_bw) { p.config.monitors.thresholds.bw_threshold = *opts.mon_bw; }
-        if (opts.mon_held) {
-            p.config.monitors.thresholds.held_threshold = *opts.mon_held;
-        }
-        if (opts.mon_occ) { p.config.monitors.thresholds.occ_threshold = *opts.mon_occ; }
     }
 }
 

@@ -3,6 +3,7 @@
 #include "scenario/report.hpp" // worst_case_victim_latency
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <charconv>
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
 namespace realm::scenario {
@@ -488,8 +490,26 @@ std::vector<DumpPoint> read_dump(const std::string& path) {
     }
     if (doc.kind == 0) { return points; }
     if (doc.kind != '{') { in.fail(doc.at, "expected an object"); }
+    // The keys `write_json` writes, each exactly once; a dump cut short may
+    // lack those after the cut.
+    constexpr std::array kTopKeys = {"sweep", "title", "baseline_index", "points"};
+    std::array<bool, kTopKeys.size()> seen{};
     for (const Json& member : doc.items) {
-        if (member.key != "points" || member.kind == 0) { continue; }
+        if (member.kind == 0) { continue; } // the input ended before its value
+        const auto k = static_cast<std::size_t>(
+            std::find(kTopKeys.begin(), kTopKeys.end(), member.key) - kTopKeys.begin());
+        if (k == kTopKeys.size() || std::exchange(seen[k], true)) {
+            in.fail(member.key_at, (k == kTopKeys.size() ? "unknown key \"" : "repeated key \"") +
+                                       member.key + '"');
+        }
+        std::string text;        // "sweep" and "title"
+        std::uint64_t index = 0; // "baseline_index", or null
+        if (member.complete && k < 2) {
+            read_value(in, member, text);
+        } else if (member.complete && k == 2 && (member.kind != '#' || member.text != "null")) {
+            read_value(in, member, index);
+        }
+        if (k < 3) { continue; }
         if (member.kind != '[') { in.fail(member.at, "expected an array"); }
         for (const Json& item : member.items) {
             if (!item.complete) { break; }
@@ -517,6 +537,11 @@ std::vector<DumpPoint> read_dump(const std::string& path) {
             if (!has_label) {
                 in.fail(item.at, std::string{"missing key \""} + kLabelKey + '"');
             }
+        }
+    }
+    for (std::size_t k = 0; k < kTopKeys.size(); ++k) {
+        if (doc.complete && !seen[k]) {
+            in.fail(doc.at, "missing key \"" + std::string{kTopKeys[k]} + '"');
         }
     }
     return points;

@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include "scenario/config_fields.hpp"
 #include "sim/check.hpp"
 #include "sim/profiler.hpp"
 
@@ -177,9 +178,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     res.load_lat_mean = core.load_latency().mean();
     res.load_lat_min = core.load_latency().min();
     res.load_lat_max = core.load_latency().max();
-    // P99 comes from the fixed-memory sketch: <= 3.125% overestimate
-    // (QuantileSketch::kRelativeErrorBound).
-    res.load_lat_p99 = core.load_sketch().quantile(0.99);
+    // <= 3.125% overestimate (QuantileSketch::kRelativeErrorBound).
+    res.load_lat_p99 = core.load_latency().quantile(0.99);
     res.store_lat_mean = core.store_latency().mean();
     res.store_lat_max = core.store_latency().max();
 
@@ -272,196 +272,53 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
 
 namespace {
 
-/// FNV-1a accumulator over the semantic fields of a config. Every field that
-/// can change a run's result must be mixed in; cosmetic fields (name, label)
-/// must not be. `kVersion` is bumped whenever the config layout or the run
-/// semantics change, invalidating stale caches wholesale.
+/// FNV-1a over the semantic fields `walk_config` visits, each as one
+/// little-endian u64: a vector's size, an optional's presence, a double's
+/// bits, and any other value cast. `kVersion` is bumped only when run
+/// semantics change under an unchanged field layout; a new field already
+/// changes every hash.
 class ConfigDigest {
 public:
-    static constexpr std::uint64_t kVersion = 8; ///< v8: pipelined links
-                                                 ///< (`link_latency`) on the
-                                                 ///< NoC fabrics
+    static constexpr std::uint64_t kVersion = 8; ///< v8: pipelined NoC links
 
     ConfigDigest() { mix(kVersion); }
 
-    template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
-    void mix(T v) noexcept {
-        const auto word = static_cast<std::uint64_t>(v);
+    template <typename V>
+    void operator()(const FieldPath& /*at*/, const V& v, ConfigKind kind) {
+        if (kind == ConfigKind::kHostOnly) { return; }
+        if constexpr (detail::kIsVector<V>) {
+            mix(v.size());
+        } else if constexpr (detail::kIsOptional<V>) {
+            mix(v.has_value());
+        } else if constexpr (std::is_floating_point_v<V>) {
+            mix(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_same_v<V, std::string>) {
+            REALM_EXPECTS(false, "a string config field names something, so it is host-only");
+        } else {
+            mix(static_cast<std::uint64_t>(v)); // bool, enum or integer
+        }
+    }
+
+    void operator()(const RetiredField& /*gone*/) noexcept { mix(0); }
+
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+private:
+    void mix(std::uint64_t word) noexcept {
         for (int i = 0; i < 8; ++i) {
             h_ ^= (word >> (8 * i)) & 0xFF;
             h_ *= 0x100000001b3ULL;
         }
     }
-    void mix(double v) noexcept { mix(std::bit_cast<std::uint64_t>(v)); }
 
-    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
-private:
     std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
-
-void mix_realm(ConfigDigest& d, const rt::RealmUnitConfig& r) {
-    d.mix(r.enabled);
-    d.mix(r.fragment_beats);
-    d.mix(r.max_pending);
-    d.mix(r.write_buffer_depth);
-    d.mix(r.write_buffer_enabled);
-    d.mix(r.throttle_enabled);
-    d.mix(r.num_regions);
-}
-
-void mix_noc(ConfigDigest& d, const NocTopologyConfig& noc) {
-    d.mix(noc.nodes.size());
-    for (const RingNodeSpec& n : noc.nodes) {
-        d.mix(static_cast<std::uint64_t>(n.role));
-        d.mix(n.realm);
-        d.mix(n.realm_config.has_value());
-        if (n.realm_config) { mix_realm(d, *n.realm_config); }
-    }
-    d.mix(noc.mem_base);
-    d.mix(noc.mem_span_bytes);
-    d.mix(noc.mem_stride);
-    d.mix(noc.mem_access_latency);
-    d.mix(noc.mem_max_outstanding);
-    // Flow-control and routing fields (v4): different transport knobs or
-    // routing policies must never alias in a resume cache.
-    d.mix(noc.flits_per_packet);
-    d.mix(noc.vc_depth);
-    d.mix(noc.e2e_credits);
-    d.mix(noc.credit_return_delay);
-    // Pipelined links (v8): link_latency changes every flit's arrival cycle,
-    // so it is semantic on both NoC fabrics. The batching it enables is not
-    // (bit-identical for every shard count and tile map), so `tile_shards`
-    // stays out of the hash.
-    d.mix(noc.link_latency);
-    d.mix(static_cast<std::uint64_t>(noc.routing));
-    mix_realm(d, noc.realm);
-}
 
 } // namespace
 
 std::uint64_t config_hash(const ScenarioConfig& cfg) {
     ConfigDigest d;
-
-    d.mix(static_cast<std::uint64_t>(cfg.topology.kind));
-    d.mix(cfg.topology.ring.num_nodes);
-    mix_noc(d, cfg.topology.ring);
-    d.mix(cfg.topology.mesh.rows);
-    d.mix(cfg.topology.mesh.cols);
-    mix_noc(d, cfg.topology.mesh);
-
-    d.mix(cfg.soc.bus_bytes);
-    d.mix(cfg.soc.num_dsa);
-    d.mix(cfg.soc.realm_present);
-    d.mix(cfg.soc.cfg_base);
-    d.mix(cfg.soc.cfg_size);
-    d.mix(cfg.soc.spm_base);
-    d.mix(cfg.soc.spm_size);
-    d.mix(cfg.soc.dram_base);
-    d.mix(cfg.soc.dram_size);
-    d.mix(cfg.soc.llc.line_bytes);
-    d.mix(cfg.soc.llc.ways);
-    d.mix(cfg.soc.llc.sets);
-    d.mix(cfg.soc.llc.bus_bytes);
-    d.mix(cfg.soc.llc.hit_latency);
-    d.mix(cfg.soc.llc.request_interval);
-    d.mix(cfg.soc.llc.max_outstanding);
-    d.mix(cfg.soc.dram.row_hit);
-    d.mix(cfg.soc.dram.row_miss);
-    d.mix(cfg.soc.dram.banks);
-    d.mix(cfg.soc.dram.row_bytes);
-    mix_realm(d, cfg.soc.realm);
-    d.mix(std::uint64_t{0}); // was the crossbar arbitration policy; kept so hashes stay put
-
-    d.mix(cfg.boot_plans.size());
-    for (const RegionPlan& p : cfg.boot_plans) {
-        d.mix(p.budget_bytes);
-        d.mix(p.period_cycles);
-        d.mix(p.fragment_beats);
-    }
-    d.mix(cfg.throttle_dsa);
-    d.mix(cfg.monitor_llc_on_core);
-
-    d.mix(static_cast<std::uint64_t>(cfg.victim.kind));
-    const traffic::SusanConfig& su = cfg.victim.susan;
-    d.mix(su.width);
-    d.mix(su.height);
-    d.mix(su.mask_radius);
-    d.mix(su.threshold);
-    d.mix(su.image_base);
-    d.mix(su.out_base);
-    d.mix(su.lut_base);
-    d.mix(su.filter_cache_bytes);
-    d.mix(su.filter_line_bytes);
-    d.mix(su.compute_quarter_cycles_per_tap);
-    d.mix(su.filtered_load_quarter_cycles);
-    d.mix(su.image_seed);
-    d.mix(su.max_ops);
-    const traffic::StreamWorkload::Config& st = cfg.victim.stream;
-    d.mix(st.base);
-    d.mix(st.bytes);
-    d.mix(st.op_bytes);
-    d.mix(st.stride_bytes);
-    d.mix(st.compute_cycles);
-    d.mix(st.store_ratio16);
-    d.mix(st.repeat);
-    const traffic::RandomWorkload::Config& rd = cfg.victim.random;
-    d.mix(rd.base);
-    d.mix(rd.bytes);
-    d.mix(rd.op_bytes);
-    d.mix(rd.compute_cycles);
-    d.mix(rd.store_ratio16);
-    d.mix(rd.num_ops);
-    // rd.seed is overwritten by cfg.seed in run_scenario; cfg.seed is mixed.
-
-    d.mix(cfg.interference.size());
-    for (const InterferenceConfig& irq : cfg.interference) {
-        d.mix(irq.dma.bus_bytes);
-        d.mix(irq.dma.burst_beats);
-        d.mix(irq.dma.num_buffers);
-        d.mix(irq.dma.max_outstanding_reads);
-        d.mix(irq.dma.max_outstanding_writes);
-        d.mix(irq.dma.w_stall_cycles);
-        d.mix(irq.dma.reserve_before_data);
-        d.mix(std::uint8_t{0}); // was the DMA's AxQOS; kept so hashes stay put
-        d.mix(irq.src);
-        d.mix(irq.dst);
-        d.mix(irq.bytes);
-        d.mix(irq.loop);
-        d.mix(irq.hostile);
-        // Injector genomes (v7): a searched point is one genome away from
-        // its grid sibling, so every gene byte is semantic.
-        d.mix(irq.genome.has_value());
-        if (irq.genome) {
-            for (const std::uint8_t gene : irq.genome->genes) { d.mix(gene); }
-        }
-    }
-    // Monitoring plane (v6): the monitor hop changes timing and the verdicts
-    // land in the result, so the enable flag and every threshold are
-    // semantic.
-    d.mix(cfg.monitors.enabled);
-    d.mix(cfg.monitors.thresholds.timeout_cycles);
-    d.mix(cfg.monitors.thresholds.stall_cycles);
-    d.mix(cfg.monitors.thresholds.window_cycles);
-    d.mix(cfg.monitors.thresholds.bw_threshold);
-    d.mix(cfg.monitors.thresholds.held_threshold);
-    d.mix(cfg.monitors.thresholds.occ_threshold);
-    d.mix(cfg.preload.size());
-    for (const PreloadSpan& span : cfg.preload) {
-        d.mix(span.base);
-        d.mix(span.bytes);
-        d.mix(span.multiplier);
-        d.mix(span.warm);
-    }
-
-    d.mix(cfg.warmup_cycles);
-    d.mix(cfg.max_cycles);
-    d.mix(cfg.cooldown_cycles);
-    d.mix(static_cast<std::uint64_t>(cfg.scheduler));
-    // Mixed although results are shard-invariant: a resume cache keyed on
-    // the hash must distinguish the points of a shard-scaling sweep.
-    d.mix(cfg.shards);
-    d.mix(cfg.seed);
+    walk_config(cfg, d);
     return d.value();
 }
 

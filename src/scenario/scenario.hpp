@@ -66,8 +66,7 @@ struct InterferenceConfig {
     /// from this genome instead of the DMA engine: `src`/`dst`/`bytes`
     /// become the read/write walk windows, `dma`/`loop` are ignored, and
     /// the engine's RNG is seeded from the scenario seed and the
-    /// interference index. Genome bytes are hashed (config digest v7), so
-    /// searched points resume exactly like grid points.
+    /// interference index.
     std::optional<traffic::InjectorGenome> genome;
 };
 
@@ -78,7 +77,7 @@ struct InterferenceConfig {
 /// flag is result-affecting and hashed.
 struct MonitorConfig {
     bool enabled = false;
-    /// Detection/pathology thresholds; hashed when `enabled`.
+    /// Detection/pathology thresholds.
     mon::TxnMonitorConfig thresholds{};
 };
 
@@ -143,15 +142,13 @@ struct ScenarioConfig {
     /// results are bit-identical for every value (see sim/context.hpp).
     unsigned shards = 1;
     /// Worker-thread override for the sharded kernel (0 = autodetect from
-    /// `hardware_concurrency()`). Host-side only — results are bit-identical
-    /// for every value, so it is *excluded* from `config_hash`. Tests force
-    /// > 1 to exercise the concurrent barrier path on single-core hosts.
+    /// `hardware_concurrency()`). Tests force > 1 to exercise the concurrent
+    /// barrier path on single-core hosts.
     unsigned shard_workers = 0;
     /// Explicit tile -> shard map for the mesh fabric (one entry per mesh
     /// node, each < `shards`; ignored elsewhere). Empty keeps the column
     /// stripes; the partition-invariance tests pin scattered and
-    /// pathological maps here. Host-side only and *excluded* from
-    /// `config_hash`: any map is bit-identical (see
+    /// pathological maps here. Any map runs bit-identically (see
     /// `noc::NocMesh::shard_of_node`).
     std::vector<unsigned> tile_shards;
     /// Per-point RNG seed; sweep factories fill this via `sim::derive_seed`
@@ -159,9 +156,8 @@ struct ScenarioConfig {
     std::uint64_t seed = 0;
     /// Arms the cycle-attribution profiler (`sim::Profiler`): the run's wall
     /// time is charged to (component type, shard) buckets and returned in
-    /// `ScenarioResult::profile`. Host-side observability only — ticking the
-    /// profiled loop is bit-identical to the plain one — so it is *excluded*
-    /// from `config_hash`, like `shard_workers`.
+    /// `ScenarioResult::profile`. The profiled loop ticks bit-identically to
+    /// the plain one.
     bool profile = false;
 };
 
@@ -378,11 +374,11 @@ inline constexpr auto kResultFields = [] {
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& cfg,
                                           std::string label = {});
 
-/// Stable 64-bit digest of every result-affecting field of a config (labels
-/// and names excluded). Two configs hash equal iff a run of one reproduces
-/// the other bit for bit, so sweep runners can skip points whose hash is
-/// already present in a previous `--json` dump (sweep-level resume). The
-/// digest is versioned: extending `ScenarioConfig` bumps it for everyone.
+/// Stable 64-bit digest of every semantic field of a config, as the
+/// `kConfigFields` tables (config_fields.hpp) declare them. Two configs hash
+/// equal iff a run of one reproduces the other bit for bit, so sweep runners
+/// can skip points whose hash is already present in a previous `--json` dump
+/// (sweep-level resume).
 [[nodiscard]] std::uint64_t config_hash(const ScenarioConfig& cfg);
 
 } // namespace realm::scenario

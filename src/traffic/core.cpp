@@ -63,7 +63,6 @@ void CoreModel::collect_responses() {
         if (r.last) {
             REALM_ENSURES(load_beats_left_ == 0, name() + ": RLAST before final beat");
             load_lat_.record(now() - load_issued_at_);
-            load_sketch_.record(now() - load_issued_at_);
             waiting_load_ = false;
             ++loads_;
         }

@@ -41,11 +41,10 @@ public:
 
     /// \name Statistics
     ///@{
-    [[nodiscard]] const sim::LatencyStat& load_latency() const noexcept { return load_lat_; }
+    /// Load latencies: exact count, sum, min and max, and quantiles that
+    /// overestimate by at most `mon::QuantileSketch::kRelativeErrorBound`.
+    [[nodiscard]] const mon::QuantileSketch& load_latency() const noexcept { return load_lat_; }
     [[nodiscard]] const sim::LatencyStat& store_latency() const noexcept { return store_lat_; }
-    /// Fixed-memory load-latency distribution: quantiles overestimate by at
-    /// most `mon::QuantileSketch::kRelativeErrorBound` (3.125%).
-    [[nodiscard]] const mon::QuantileSketch& load_sketch() const noexcept { return load_sketch_; }
     [[nodiscard]] std::uint64_t loads_retired() const noexcept { return loads_; }
     [[nodiscard]] std::uint64_t stores_retired() const noexcept { return stores_; }
     [[nodiscard]] std::uint64_t compute_cycles() const noexcept { return compute_cycles_; }
@@ -81,9 +80,8 @@ private:
     bool done_ = false;
     sim::Cycle finish_cycle_ = 0;
 
-    sim::LatencyStat load_lat_;
+    mon::QuantileSketch load_lat_;
     sim::LatencyStat store_lat_;
-    mon::QuantileSketch load_sketch_;
     std::uint64_t loads_ = 0;
     std::uint64_t stores_ = 0;
     std::uint64_t compute_cycles_ = 0;

@@ -1,7 +1,5 @@
 #include "traffic/workload.hpp"
 
-#include "sim/check.hpp"
-
 namespace realm::traffic {
 
 std::optional<MemOp> StreamWorkload::next() {
@@ -29,30 +27,6 @@ std::optional<MemOp> RandomWorkload::next() {
     op.bytes = cfg_.op_bytes;
     op.compute_cycles = cfg_.compute_cycles;
     op.kind = rng_.chance(cfg_.store_ratio16, 16) ? MemOp::Kind::kStore : MemOp::Kind::kLoad;
-    return op;
-}
-
-PointerChaseWorkload::PointerChaseWorkload(Config cfg) : cfg_{cfg} {
-    REALM_EXPECTS(cfg_.slots >= 2, "pointer chase needs at least two slots");
-    // Sattolo's algorithm: a single cycle visiting every slot.
-    chain_.resize(cfg_.slots);
-    for (std::uint64_t i = 0; i < cfg_.slots; ++i) { chain_[i] = i; }
-    sim::Rng rng{cfg_.seed};
-    for (std::uint64_t i = cfg_.slots - 1; i > 0; --i) {
-        const std::uint64_t j = rng.uniform(0, i - 1);
-        std::swap(chain_[i], chain_[j]);
-    }
-}
-
-std::optional<MemOp> PointerChaseWorkload::next() {
-    if (hop_ >= cfg_.hops) { return std::nullopt; }
-    ++hop_;
-    MemOp op;
-    op.kind = MemOp::Kind::kLoad;
-    op.addr = cfg_.base + cursor_ * 8;
-    op.bytes = 8;
-    op.compute_cycles = 0;
-    cursor_ = chain_[cursor_];
     return op;
 }
 

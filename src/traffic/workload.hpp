@@ -3,9 +3,9 @@
 ///
 /// A workload is the interconnect-visible access stream of a program: the
 /// loads/stores that miss the core's private caches, with the compute
-/// cycles between them. Synthetic generators cover streaming, random, and
-/// dependency-chained patterns; `SusanTraceGenerator` (susan.hpp) generates
-/// the trace of a real MiBench image kernel.
+/// cycles between them. Synthetic generators cover streaming and random
+/// patterns; `SusanTraceGenerator` (susan.hpp) generates the trace of a real
+/// MiBench image kernel.
 #pragma once
 
 #include "axi/types.hpp"
@@ -105,31 +105,6 @@ private:
     Config cfg_;
     sim::Rng rng_;
     std::uint64_t issued_ = 0;
-};
-
-/// Dependent-load chain (each address comes from the previous load):
-/// latency-bound traffic, the worst case for contended interconnects.
-class PointerChaseWorkload : public Workload {
-public:
-    struct Config {
-        axi::Addr base = 0;
-        std::uint64_t slots = 1024;     ///< chain length (8-byte slots)
-        std::uint32_t hops = 4096;      ///< loads to issue
-        std::uint64_t seed = 7;
-    };
-
-    explicit PointerChaseWorkload(Config cfg);
-
-    std::optional<MemOp> next() override;
-
-    /// The permutation backing the chain; tests use it to pre-load memory.
-    [[nodiscard]] const std::vector<std::uint64_t>& chain() const noexcept { return chain_; }
-
-private:
-    Config cfg_;
-    std::vector<std::uint64_t> chain_;
-    std::uint32_t hop_ = 0;
-    std::uint64_t cursor_ = 0;
 };
 
 } // namespace realm::traffic

@@ -202,6 +202,11 @@ TEST_F(DumpFixture, CorruptTokenFailsWithFileAndOffset) {
         // A renamed key is unknown; it used to load as a missing key.
         {"\"load_lat_max\"", "\"load_lat_mzx\"", 0},
         {"\"ops\": ", "\"seed\": 1, \"ops\": ", 0},
+        // Renamed, the points array used to load as a dump without points.
+        {"\"points\"", "\"poi6ts\"", 0},
+        {"\"sweep\": \"ring-dos-smoke\"", "\"sweep\": 1", 9},
+        {"\"baseline_index\": ", "\"baseline_index\": \"0\", \"x\": ", 18},
+        {"\"title\": ", "\"title\": \"t\", \"title\": ", 14},
     };
     for (const Corruption& c : cases) {
         SCOPED_TRACE(c.bad);
@@ -263,11 +268,10 @@ TEST_F(DumpFixture, RandomEditsEitherLoadOrFailAsMalformed) {
     EXPECT_GT(loads, 0);
     EXPECT_GT(malformed, 0);
 
-    // Renaming a key of a point always fails, naming the new key or the
-    // old one: the new key is unknown or repeats another, and the old one
-    // goes missing.
+    // Renaming any key always fails, naming the new key or the old one: the
+    // new key is unknown or repeats another, and the old one goes missing.
     std::vector<std::pair<std::size_t, std::size_t>> keys; // [first, end) of each name
-    for (std::size_t end = text.find("\": ", text.find("\n    {")); end != std::string::npos;
+    for (std::size_t end = text.find("\": "); end != std::string::npos;
          end = text.find("\": ", end + 1)) {
         keys.emplace_back(text.rfind('"', end - 1) + 1, end);
     }
@@ -296,9 +300,9 @@ TEST_F(DumpFixture, RandomEditsEitherLoadOrFailAsMalformed) {
 }
 
 TEST_F(DumpFixture, MissingKeysFailAtTheirPoint) {
-    // A point must hold every key the writer writes for it. A missing key
-    // fails at the point's opening brace; `config_hash` and `profile` are
-    // optional.
+    // A point must hold every key the writer writes for it, and so must the
+    // dump. A missing key fails at its object's opening brace; a point's
+    // `config_hash` and `profile` are optional.
     const Sweep sweep = make_sweep("ring-dos-smoke");
     const std::string text = dump(sweep, ring_smoke());
     const std::size_t point = text.find("{\"label\"");
@@ -320,6 +324,9 @@ TEST_F(DumpFixture, MissingKeysFailAtTheirPoint) {
                  "missing key \"load_lat_max\"");
     expect_error(erase(text, "\"label\"", "\"config_hash\""), point,
                  "missing key \"label\"");
+    const std::size_t title = text.find("\"title\"");
+    expect_error(text.substr(0, title) + text.substr(text.find("\"baseline_index\"")), 0,
+                 "missing key \"title\"");
 
     // Without its config hash a point still loads by label.
     write_file(path_, erase(text, "\"config_hash\"", "\"seed\""));

@@ -192,22 +192,6 @@ scenario::ScenarioConfig smoke_attack_cell() {
     return scenario::ScenarioConfig{};
 }
 
-TEST(InjectorScenario, ConfigHashSeparatesGenomes) {
-    const scenario::ScenarioConfig base = smoke_attack_cell();
-    traffic::InjectorGenome a;
-    traffic::InjectorGenome b;
-    b.genes[0] = 1;
-    const scenario::ScenarioConfig ca = scenario::genome_scenario(base, a);
-    const scenario::ScenarioConfig cb = scenario::genome_scenario(base, b);
-    EXPECT_NE(scenario::config_hash(base), scenario::config_hash(ca))
-        << "genome presence must be hashed";
-    EXPECT_NE(scenario::config_hash(ca), scenario::config_hash(cb))
-        << "every gene byte must be hashed";
-    EXPECT_EQ(scenario::config_hash(ca),
-              scenario::config_hash(scenario::genome_scenario(base, a)))
-        << "hashing must be deterministic";
-}
-
 TEST(InjectorScenario, SearchedAttackersKeepDetectorFalsePositiveFree) {
     // Detection-coverage pass: genome attackers inherit `hostile=true` from
     // the DoS cell, so any flagged *benign* manager (the victim) is a false

@@ -594,35 +594,6 @@ TEST(MeshRunner, MatrixPointThreadInvariantOn24Nodes) {
     }
 }
 
-TEST(MeshConfigHash, MeshFieldsAreSemantic) {
-    const ScenarioConfig base = small_mesh_point(0);
-    ScenarioConfig c = base;
-    c.topology.mesh.rows = 4;
-    c.topology.mesh.cols = 2; // same node count, different shape
-    EXPECT_NE(scenario::config_hash(base), scenario::config_hash(c));
-    c = base;
-    c.topology.kind = TopologyKind::kRing;
-    EXPECT_NE(scenario::config_hash(base), scenario::config_hash(c));
-}
-
-TEST(MeshConfigHash, RoutingPoliciesNeverAlias) {
-    // config_hash v4 mixes the routing knob: the same cell under two
-    // policies must never be served from one `--resume` cache entry.
-    const ScenarioConfig base = small_mesh_point(0);
-    std::vector<std::uint64_t> hashes;
-    for (const RoutingPolicy policy : kPolicies) {
-        ScenarioConfig c = base;
-        c.topology.mesh.routing = policy;
-        hashes.push_back(scenario::config_hash(c));
-    }
-    for (std::size_t i = 0; i < hashes.size(); ++i) {
-        for (std::size_t j = i + 1; j < hashes.size(); ++j) {
-            EXPECT_NE(hashes[i], hashes[j])
-                << to_string(kPolicies[i]) << " vs " << to_string(kPolicies[j]);
-        }
-    }
-}
-
 // --- Routing policies at scenario scale --------------------------------------
 
 /// The named cell of `mesh-routing-dos-smoke` under one policy.

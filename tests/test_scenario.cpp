@@ -3,6 +3,7 @@
 /// derivation, thread-count-invariant parallel sweeps, the crossbar, ring
 /// and mesh DoS smokes, and the JSON emitter.
 #include "scenario/cli.hpp"
+#include "scenario/config_fields.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -16,8 +17,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -262,86 +265,105 @@ TEST(SharedSusanTrace, AnotherConfigInBetweenChangesNoResult) {
     EXPECT_NE(middle.ops, first.ops);
 }
 
-// --- Config digest (sweep-level resume) --------------------------------------
+// --- Config field tables (config_hash) --------------------------------------
 
-TEST(ConfigHash, StableAndSensitiveToSemanticFields) {
-    const ScenarioConfig base = tiny_scenario();
-    EXPECT_EQ(config_hash(base), config_hash(base)) << "digest must be deterministic";
-
-    ScenarioConfig renamed = base;
-    renamed.name = "cosmetic";
-    EXPECT_EQ(config_hash(base), config_hash(renamed))
-        << "names are presentational, not semantic";
-
-    ScenarioConfig c = base;
-    c.seed ^= 1;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    c = base;
-    c.scheduler = sim::Scheduler::kTickAll;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    c = base;
-    c.topology.kind = TopologyKind::kRing;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    c = base;
-    c.boot_plans[1].budget_bytes += 1;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    c = base;
-    c.victim.random.num_ops += 1;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    // Shard count is result-identical but still hashed: a shard-sweep's
-    // points must not alias each other in a resume cache (each point's
-    // host-speed numbers are what the sweep exists to compare).
-    c = base;
-    c.shards += 1;
-    EXPECT_NE(config_hash(base), config_hash(c));
-    // ... while the worker override is pure host policy and must NOT split
-    // the cache.
-    c = base;
-    c.shard_workers = 7;
-    EXPECT_EQ(config_hash(base), config_hash(c));
-
-    ScenarioConfig ring = make_sweep("ring-dos-smoke").points[0].config;
-    ScenarioConfig ring2 = ring;
-    ring2.topology.ring.num_nodes = 12;
-    ring2.topology.ring.nodes = make_ring_roles(12, 1, 2);
-    EXPECT_NE(config_hash(ring), config_hash(ring2));
+/// `at` as code spells it: `soc.llc.ways`, `interference[0].genome.genes[3]`.
+std::string dotted(const FieldPath& at) {
+    const std::string head = at.parent == nullptr ? "" : dotted(*at.parent);
+    if (at.key == nullptr) { return head + '[' + std::to_string(at.index) + ']'; }
+    return head.empty() ? at.key : head + '.' + at.key;
 }
 
-TEST(ConfigHash, MonitorKnobsAreSemantic) {
-    const ScenarioConfig base = tiny_scenario();
+/// Sets `v` from its path: a vector to two elements, an optional to a
+/// value, a string to the path, anything else to a number drawn from it.
+/// With `other`: one element, no value, a longer string, the next number.
+template <typename V>
+void fill(const FieldPath& at, V& v, bool other) {
+    std::uint64_t x = 0;
+    for (const char c : dotted(at)) { x = x * 131 + static_cast<unsigned char>(c); }
+    x += other ? 1 : 0;
+    if constexpr (detail::kIsVector<V>) {
+        v.resize(other ? 1 : 2);
+    } else if constexpr (detail::kIsOptional<V>) {
+        v = other ? V{} : V{std::in_place};
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        v = dotted(at) + (other ? "~" : "");
+    } else if constexpr (std::is_floating_point_v<V>) {
+        v = static_cast<double>(x % 1000) / 8;
+    } else if constexpr (std::is_same_v<V, bool>) {
+        v = (x & 1) != 0;
+    } else {
+        v = static_cast<V>(x % 251); // enum or integer
+    }
+}
 
-    // The monitor hop adds one cycle each way, so enabling it changes
-    // results: a monitored point must never alias an unmonitored one in a
-    // resume cache.
-    ScenarioConfig c = base;
-    c.monitors.enabled = true;
-    EXPECT_NE(config_hash(base), config_hash(c));
+/// The config every vector of which holds two elements and every optional
+/// a value, and every other field a number drawn from its path, so that the
+/// pinned digest below moves when a field is dropped, moved or retyped.
+ScenarioConfig full_config() {
+    ScenarioConfig cfg;
+    walk_config(cfg, [](const FieldPath& at, auto& v, ConfigKind) { fill(at, v, false); });
+    return cfg;
+}
 
-    // Every detection threshold is result-affecting (verdicts, counters).
-    const ScenarioConfig mon_base = c;
-    c.monitors.thresholds.timeout_cycles += 1;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
-    c = mon_base;
-    c.monitors.thresholds.stall_cycles += 1;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
-    c = mon_base;
-    c.monitors.thresholds.window_cycles += 1;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
-    c = mon_base;
-    c.monitors.thresholds.bw_threshold += 0.5;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
-    c = mon_base;
-    c.monitors.thresholds.held_threshold += 0.05;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
-    c = mon_base;
-    c.monitors.thresholds.occ_threshold += 0.25;
-    EXPECT_NE(config_hash(mon_base), config_hash(c));
+TEST(ConfigFields, EverySemanticFieldMovesTheHashAndNoHostOnlyFieldDoes) {
+    // One case per field the walk visits, vector sizes and optional
+    // presence included; a member without a table entry does not build.
+    const ScenarioConfig base = full_config();
+    const std::uint64_t hash = config_hash(base);
+    std::vector<std::string> host_only;
+    for (std::size_t k = 0;; ++k) {
+        ScenarioConfig c = base;
+        std::size_t seen = 0;
+        std::string path;
+        ConfigKind kind{};
+        walk_config(c, [&](const FieldPath& at, auto& v, ConfigKind field_kind) {
+            if (seen++ != k) { return; }
+            fill(at, v, true);
+            path = dotted(at);
+            kind = field_kind;
+        });
+        if (path.empty()) { break; } // past the last field
+        if (kind == ConfigKind::kSemantic) {
+            EXPECT_NE(config_hash(c), hash) << path << " is semantic but leaves the hash";
+        } else {
+            host_only.push_back(path);
+            EXPECT_EQ(config_hash(c), hash) << path << " is host-only but moves the hash";
+        }
+    }
+    // Tagging a field host-only claims every value runs bit-identically;
+    // the list is spelled out so that claim is never made in passing.
+    EXPECT_EQ(host_only, (std::vector<std::string>{"name", "victim.random.seed",
+                                                   "shard_workers", "tile_shards",
+                                                   "tile_shards[0]", "tile_shards[1]",
+                                                   "profile"}));
+}
 
-    // Detector ground truth must split attack cells from benign twins.
-    ScenarioConfig hostile = base;
-    ASSERT_FALSE(hostile.interference.empty());
-    hostile.interference[0].hostile = true;
-    EXPECT_NE(config_hash(base), config_hash(hostile));
+TEST(ConfigFields, HashesStayPut) {
+    // Goldens and `--resume` caches are keyed by `config_hash`. These two
+    // digests move whenever a field is added, dropped, reordered or
+    // retagged, and so do those keys: change them with the goldens, on purpose.
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x72c8ccb057e216a4ULL);
+    EXPECT_EQ(config_hash(full_config()), 0xb43af1140f9ddc90ULL);
+}
+
+TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
+    // Changes no single-field mutation makes.
+    ScenarioConfig mesh = make_sweep("mesh-dos-smoke").points[0].config;
+    std::set<std::uint64_t> hashes;
+    for (const noc::RoutingPolicy policy : noc::kAllRoutingPolicies) {
+        mesh.topology.mesh.routing = policy;
+        hashes.insert(config_hash(mesh));
+    }
+    EXPECT_EQ(hashes.size(), noc::kAllRoutingPolicies.size()) << "routing policies alias";
+    ScenarioConfig transposed = mesh;
+    std::swap(transposed.topology.mesh.rows, transposed.topology.mesh.cols);
+    EXPECT_NE(config_hash(transposed), config_hash(mesh)) << "same node count, other shape";
+    ScenarioConfig ring = make_sweep("ring-dos-smoke").points[0].config;
+    const std::uint64_t ring_hash = config_hash(ring);
+    ring.topology.ring.num_nodes = 12;
+    ring.topology.ring.nodes = make_ring_roles(12, 1, 2);
+    EXPECT_NE(config_hash(ring), ring_hash) << "ring resized with its roles";
 }
 
 // --- Resume ------------------------------------------------------------------
@@ -581,10 +603,9 @@ TEST(BenchArgsDeathTest, UnsignedFlagsRejectASignAndValuesOutOfRange) {
     // 2^64 - 1. Each flag also keeps its own range.
     const std::vector<std::pair<std::string, std::string>> bad = {
         {"--threads", "-1"},        {"--diff-slack", "-1"},
-        {"--mon-timeout", "-1"},    {"--mon-stall", "-1"},
-        {"--mon-window", "-1"},     {"--mon-stall", "0"},
-        {"--shards", "65"},         {"--threads", "4294967296"},
-        {"--link-latency", "+4"},   {"--diff-slack", "18446744073709551616"},
+        {"--link-latency", "0"},    {"--shards", "65"},
+        {"--threads", "4294967296"}, {"--link-latency", "+4"},
+        {"--diff-slack", "18446744073709551616"},
     };
     for (const auto& [flag, value] : bad) {
         EXPECT_EXIT(parse_args({"bench", flag, value}), ::testing::ExitedWithCode(2),
@@ -602,10 +623,9 @@ TEST(BenchArgsDeathTest, RealFlagsRejectNanInfAndHex) {
         {"--diff-threshold", "1e400"}, {"--diff-threshold", "0x10"},
         {"--diff-threshold", "-0.1"}, {"--speed-threshold", "nan"},
         {"--speed-threshold", "1"},   {"--speed-slack", "nan"},
-        {"--speed-slack", "inf"},     {"--mon-bw", "nan"},
-        {"--mon-bw", "inf"},          {"--mon-held", "-nan"},
-        {"--mon-occ", "infinity"},    {"--mon-occ", "0x1p3"},
-        {"--mon-held", "1.5x"},       {"--mon-bw", ""},
+        {"--speed-slack", "inf"},     {"--speed-slack", "-nan"},
+        {"--diff-threshold", "infinity"}, {"--speed-slack", "0x1p3"},
+        {"--diff-threshold", "1.5x"}, {"--speed-slack", ""},
     };
     for (const auto& [flag, value] : bad) {
         EXPECT_EXIT(parse_args({"bench", flag, value}), ::testing::ExitedWithCode(2),
@@ -619,15 +639,14 @@ TEST(BenchArgs, RealFlagsKeepTheirRanges) {
     EXPECT_EQ(parse_args({"bench", "--diff-threshold", "2.5"}).diff_threshold, 2.5);
     EXPECT_EQ(parse_args({"bench", "--speed-threshold", "0.9"}).speed_threshold, 0.9);
     EXPECT_EQ(parse_args({"bench", "--speed-slack", "1e5"}).speed_slack, 100000.0);
-    EXPECT_EQ(parse_args({"bench", "--mon-occ", "1.5"}).mon_occ, std::optional<double>{1.5});
 }
 
 TEST(BenchArgs, UnsignedFlagsKeepTheirRanges) {
     EXPECT_EQ(parse_args({"bench", "--threads", "0"}).runner.threads, 0U)
         << "--threads 0 still means autodetect";
     EXPECT_EQ(parse_args({"bench", "--diff-slack", "0"}).diff_slack, 0U);
-    EXPECT_EQ(parse_args({"bench", "--mon-timeout", "18446744073709551615"}).mon_timeout,
-              std::optional<sim::Cycle>{18446744073709551615ULL});
+    EXPECT_EQ(parse_args({"bench", "--diff-slack", "18446744073709551615"}).diff_slack,
+              18446744073709551615ULL);
     EXPECT_EQ(parse_args({"bench", "--shards", "64"}).shards, 64U);
 }
 
