@@ -253,10 +253,9 @@ void BM_RingNocCycle(benchmark::State& state) {
     // scenario point, stepped cycle by cycle (substrate cost per node).
     sim::SimContext ctx;
     scenario::ScenarioConfig cfg;
-    cfg.topology.kind = scenario::TopologyKind::kRing;
-    cfg.topology.ring.num_nodes = static_cast<std::uint8_t>(state.range(0));
-    cfg.topology.ring.nodes = scenario::make_ring_roles(
-        static_cast<std::uint8_t>(state.range(0)), 1, 2);
+    auto& ring = cfg.fabric.emplace<scenario::RingTopologyConfig>();
+    ring.num_nodes = static_cast<std::uint8_t>(state.range(0));
+    ring.nodes = scenario::make_ring_roles(ring.num_nodes, 1, 2);
     auto topo = scenario::make_topology(ctx, cfg);
     traffic::DmaConfig dcfg;
     dcfg.burst_beats = 64;
@@ -277,10 +276,10 @@ void BM_MeshNocCycle(benchmark::State& state) {
     const auto [rows, cols] = kDims[state.range(0)];
     sim::SimContext ctx;
     scenario::ScenarioConfig cfg;
-    cfg.topology.kind = scenario::TopologyKind::kMesh;
-    cfg.topology.mesh.rows = rows;
-    cfg.topology.mesh.cols = cols;
-    cfg.topology.mesh.nodes = scenario::make_mesh_roles(rows, cols, 1, 2);
+    auto& mesh = cfg.fabric.emplace<scenario::MeshTopologyConfig>();
+    mesh.rows = rows;
+    mesh.cols = cols;
+    mesh.nodes = scenario::make_mesh_roles(rows, cols, 1, 2);
     auto topo = scenario::make_topology(ctx, cfg);
     traffic::DmaConfig dcfg;
     dcfg.burst_beats = 64;
@@ -330,10 +329,10 @@ void BM_ShardedMeshCycle(benchmark::State& state) {
     sim::SimContext ctx;
     ctx.set_shards(shards);
     scenario::ScenarioConfig cfg;
-    cfg.topology.kind = scenario::TopologyKind::kMesh;
-    cfg.topology.mesh.rows = 16;
-    cfg.topology.mesh.cols = 16;
-    cfg.topology.mesh.nodes = scenario::make_mesh_roles(16, 16, 8, 2);
+    auto& mesh = cfg.fabric.emplace<scenario::MeshTopologyConfig>();
+    mesh.rows = 16;
+    mesh.cols = 16;
+    mesh.nodes = scenario::make_mesh_roles(16, 16, 8, 2);
     auto topo = scenario::make_topology(ctx, cfg);
     std::vector<std::unique_ptr<traffic::DmaEngine>> dmas;
     traffic::DmaConfig dcfg;
@@ -363,11 +362,11 @@ void BM_ShardBarrier(benchmark::State& state) {
     sim::SimContext ctx;
     ctx.set_shards(4);
     scenario::ScenarioConfig cfg;
-    cfg.topology.kind = scenario::TopologyKind::kMesh;
-    cfg.topology.mesh.rows = 16;
-    cfg.topology.mesh.cols = 16;
-    cfg.topology.mesh.nodes = scenario::make_mesh_roles(16, 16, 8, 2);
-    cfg.topology.mesh.link_latency = latency;
+    auto& mesh = cfg.fabric.emplace<scenario::MeshTopologyConfig>();
+    mesh.rows = 16;
+    mesh.cols = 16;
+    mesh.nodes = scenario::make_mesh_roles(16, 16, 8, 2);
+    mesh.link_latency = latency;
     auto topo = scenario::make_topology(ctx, cfg);
     ctx.set_lookahead(topo->lookahead());
     std::vector<std::unique_ptr<traffic::DmaEngine>> dmas;

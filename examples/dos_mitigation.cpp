@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <variant>
 
 using namespace realm;
 using namespace realm::scenario;
@@ -40,7 +41,7 @@ traffic::DmaConfig attacker_config() {
 ScenarioConfig attack_scenario(bool write_buffer_enabled) {
     ScenarioConfig cfg;
     cfg.name = write_buffer_enabled ? "dos/wbuf-on" : "dos/wbuf-off";
-    cfg.soc.realm.write_buffer_enabled = write_buffer_enabled;
+    std::get<soc::SocConfig>(cfg.fabric).realm.write_buffer_enabled = write_buffer_enabled;
     cfg.preload.push_back(PreloadSpan{kDram, 0x10000, 1, /*warm=*/true});
     // Victim-side monitoring needs a region over the LLC span.
     cfg.monitor_llc_on_core = true;

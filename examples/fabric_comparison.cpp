@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <utility>
+#include <variant>
 #include <vector>
 
 using namespace realm;
@@ -71,7 +72,7 @@ int main() {
         Sweep pair;
         pair.name = sweep.name;
         pair.points = {sweep.points.at(4), sweep.points.at(5)};
-        if (pair.points[0].config.topology.kind != TopologyKind::kMesh) {
+        if (!std::holds_alternative<MeshTopologyConfig>(pair.points[0].config.fabric)) {
             // Only the mesh has a routing policy to vary; the crossbar and
             // the single-path ring say so instead of printing a fake axis.
             bounded = print_rows(fabric, "n/a", runner.run(pair)) && bounded;
@@ -80,7 +81,7 @@ int main() {
         for (const noc::RoutingPolicy routing : noc::kAllRoutingPolicies) {
             Sweep variant = pair;
             for (SweepPoint& p : variant.points) {
-                p.config.topology.mesh.routing = routing;
+                std::get<MeshTopologyConfig>(p.config.fabric).routing = routing;
             }
             bounded = print_rows(fabric, noc::to_string(routing), runner.run(variant)) && bounded;
         }

@@ -2,10 +2,10 @@
 /// \brief Figure 1b of the paper: REALM units in front of a NoC.
 ///
 /// The same scenario engine that drives the crossbar SoC experiments builds
-/// a 6-node unidirectional ring here — `TopologyKind::kRing` with per-node
+/// a 6-node unidirectional ring here — a `RingTopologyConfig` with per-node
 /// role assignment — and regulates a bulk DMA's long bursts in front of its
 /// manager port. Regulation is interconnect-agnostic: the `ScenarioConfig`
-/// differs from the crossbar ones only in its `topology` field. Exits 1
+/// differs from the crossbar ones only in its `fabric` field. Exits 1
 /// unless regulation lowers the victim's worst-case load latency.
 #include "scenario/scenario.hpp"
 #include "scenario/topology.hpp"
@@ -24,9 +24,9 @@ namespace {
 ScenarioConfig ring_scenario(bool regulate_dsa) {
     ScenarioConfig cfg;
     cfg.name = regulate_dsa ? "ring/regulated" : "ring/uncontrolled";
-    cfg.topology.kind = TopologyKind::kRing;
-    cfg.topology.ring.num_nodes = 6;
-    cfg.topology.ring.nodes = make_ring_roles(6, /*num_attackers=*/1);
+    auto& ring = cfg.fabric.emplace<RingTopologyConfig>();
+    ring.num_nodes = 6;
+    ring.nodes = make_ring_roles(6, /*num_attackers=*/1);
 
     cfg.victim.kind = VictimConfig::Kind::kStream;
     cfg.victim.stream = {.base = 0x0, .bytes = 0x2000, .op_bytes = 8,

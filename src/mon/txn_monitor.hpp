@@ -43,8 +43,8 @@
 
 namespace realm::mon {
 
-/// Detection / pathology thresholds. All fields are result-affecting and
-/// hashed into `config_hash` when monitors are enabled.
+/// Detection / pathology thresholds. They affect results only when monitors
+/// are enabled, but `config_hash` mixes them either way.
 struct TxnMonitorConfig {
     /// Outstanding burst age that counts as a timeout.
     sim::Cycle timeout_cycles = 50'000;

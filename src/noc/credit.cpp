@@ -34,10 +34,14 @@ void assign_slots(const std::vector<NodeId>& nodes, std::vector<NodeId>& slot_of
 
 } // namespace
 
-CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
-                       std::vector<NodeId> manager_nodes, const NocFlowConfig& fc)
+CreditBook::CreditBook(const sim::SimContext& ctx, NodeId num_nodes,
+                       std::vector<NodeId> subordinate_nodes,
+                       std::vector<NodeId> manager_nodes, const NocFlowConfig& fc,
+                       bool deferred)
     : subs_{std::move(subordinate_nodes)}, mgrs_{std::move(manager_nodes)},
       sub_slot_(num_nodes, kNoSlot), mgr_slot_(num_nodes, kNoSlot) {
+    REALM_EXPECTS(!deferred || fc.credit_return_delay >= 1,
+                  "deferred credit returns require credit_return_delay >= 1");
     std::sort(mgrs_.begin(), mgrs_.end());
     assign_slots(subs_, sub_slot_, "subordinate");
     assign_slots(mgrs_, mgr_slot_, "manager");
@@ -47,8 +51,10 @@ CreditBook::CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
     req_.reserve(pools);
     rsp_.reserve(pools);
     for (std::size_t i = 0; i < pools; ++i) {
-        req_.emplace_back(fc.e2e_credits);
-        rsp_.emplace_back(fc.e2e_credits);
+        req_.emplace_back(fc.e2e_credits)
+            .configure_return(ctx, fc.credit_return_delay, deferred);
+        rsp_.emplace_back(fc.e2e_credits)
+            .configure_return(ctx, fc.credit_return_delay, deferred);
     }
 }
 
@@ -155,15 +161,11 @@ void NocLink::flush_edge(sim::Cycle /*now*/) {
 
 std::size_t staging_depth(const NocFlowConfig& fc) { return fc.e2e_credits; }
 
-void wire_credit_returns(const sim::SimContext& ctx, axi::AxiChannel& egress,
-                         CreditPool& pool, const NocFlowConfig& fc,
-                         bool deferred) {
-    REALM_EXPECTS(!deferred || fc.credit_return_delay >= 1,
-                  "deferred credit returns require credit_return_delay >= 1");
+void wire_credit_returns(axi::AxiChannel& egress, CreditPool& pool,
+                         const NocFlowConfig& fc) {
     const std::uint32_t data_flits = fc.packet_flits(/*data_carrying=*/true);
     // The policy lives in the pool; the links carry only {trampoline, pool,
     // flit count} — no allocation, no type erasure (see sim::PopHook).
-    pool.configure_return(ctx, fc.credit_return_delay, deferred);
     egress.aw.set_on_pop({&CreditPool::return_hook, &pool, 1});
     egress.ar.set_on_pop({&CreditPool::return_hook, &pool, 1});
     egress.w.set_on_pop({&CreditPool::return_hook, &pool, data_flits});

@@ -154,7 +154,6 @@ public:
     void stage_release(sim::Cycle ready_at, std::uint32_t flits) {
         staged_.push_back(Pending{ready_at, flits});
     }
-    [[nodiscard]] bool stage_empty() const noexcept { return staged_.empty(); }
     /// Commits staged releases (kernel barrier; single-threaded).
     void flush_edge(sim::Cycle /*now*/) override {
         for (const Pending& p : staged_) {
@@ -176,9 +175,10 @@ public:
         }
     }
 
-    /// \name Typed credit-return policy (the drain hook of the staging links)
+    /// \name Credit-return policy (the staging links' drain hook and the
+    ///       NI's response delivery both return through it)
     ///@{
-    /// Fixes how drained staging flits come back to this pool: immediately
+    /// Fixes how returned flits come back to this pool: immediately
     /// (`delay == 0`), after `delay` cycles on the response network, or —
     /// with `deferred` (mesh fabrics) — staged and committed at the
     /// cycle-edge barrier so the hook is safe to fire from any shard.
@@ -281,8 +281,14 @@ public:
     /// \param subordinate_nodes  nodes hosting a subordinate, and
     /// \param manager_nodes      nodes hosting a manager: each below
     ///                           `num_nodes` and listed once (asserted).
-    CreditBook(NodeId num_nodes, std::vector<NodeId> subordinate_nodes,
-               std::vector<NodeId> manager_nodes, const NocFlowConfig& fc);
+    /// \param deferred           every pool returns credits after
+    ///        `fc.credit_return_delay` cycles, staged for the cycle-edge
+    ///        flush when set (see `CreditPool::configure_return`) — required
+    ///        when the fabric is spatially sharded, where a pool's taker may
+    ///        tick on another shard; requires a delay of at least 1.
+    CreditBook(const sim::SimContext& ctx, NodeId num_nodes,
+               std::vector<NodeId> subordinate_nodes, std::vector<NodeId> manager_nodes,
+               const NocFlowConfig& fc, bool deferred);
 
     /// Pool for requests from manager node `src` toward subordinate node
     /// `dest`.
@@ -539,14 +545,10 @@ private:
 [[nodiscard]] std::size_t staging_depth(const NocFlowConfig& fc);
 
 /// Wires the end-to-end credit returns of one per-source staging channel:
-/// the pool's flits come back as the egress mux drains the lanes — after
-/// `credit_return_delay` cycles on the response network when configured.
-/// With `deferred` (mesh fabrics), returns are staged into the pool and
-/// committed at the cycle-edge barrier so they are safe to fire from any
-/// shard; requires `credit_return_delay >= 1`.
-void wire_credit_returns(const sim::SimContext& ctx, axi::AxiChannel& egress,
-                         CreditPool& pool, const NocFlowConfig& fc,
-                         bool deferred = false);
+/// the pool's flits come back, under its return policy (see `CreditBook`),
+/// as the egress mux drains the lanes.
+void wire_credit_returns(axi::AxiChannel& egress, CreditPool& pool,
+                         const NocFlowConfig& fc);
 
 /// Flits currently staged in one per-source egress channel's request lanes,
 /// weighted by worm length (a staged W beat holds its whole worm's buffer

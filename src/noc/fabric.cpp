@@ -15,15 +15,15 @@ NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_no
                      ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
                      std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
                      bool deferred_credits, const LinkPlan& links)
-    : name_{std::move(name)}, flow_{flow}, deferred_credits_{deferred_credits},
-      map_{std::move(node_map)}, link_plan_{links}, links_(links.count) {
+    : name_{std::move(name)}, flow_{flow}, map_{std::move(node_map)}, link_plan_{links},
+      links_(links.count) {
     REALM_EXPECTS(num_nodes >= 2, "a NoC needs at least two nodes");
     flow_.validate();
     // Left uninitialised: a slot is built when a flit lands in it.
     link_slots_ = std::make_unique_for_overwrite<NocLink::Slot[]>(
         links.count * NocLink::slots_needed(flow_, links.num_vcs));
-    book_ = std::make_unique<CreditBook>(num_nodes, std::move(subordinate_nodes),
-                                         std::move(manager_nodes), flow_);
+    book_ = std::make_unique<CreditBook>(ctx, num_nodes, std::move(subordinate_nodes),
+                                         std::move(manager_nodes), flow_, deferred_credits);
     for (const NodeId m : book_->managers()) {
         mgr_ports_.push_back(std::make_unique<axi::AxiChannel>(
             ctx, name_ + ".mgr" + std::to_string(m)));
@@ -58,8 +58,7 @@ void NocFabric::build_egress(sim::SimContext& ctx) {
             egress_[slot].push_back(std::make_unique<axi::AxiChannel>(
                 ctx, name_ + ".eg" + std::to_string(s) + "_" + std::to_string(m),
                 staging_depth(flow_)));
-            wire_credit_returns(ctx, *egress_[slot].back(), book_->req(s, m), flow_,
-                                deferred_credits_);
+            wire_credit_returns(*egress_[slot].back(), book_->req(s, m), flow_);
             lanes.push_back(egress_[slot].back().get());
         }
         sub_ports_.push_back(std::make_unique<axi::AxiChannel>(
@@ -133,8 +132,7 @@ NocRouter::NocRouter(sim::SimContext& ctx, std::string name, NodeId node,
       id_{node},
       map_{&fabric.map_},
       local_mgr_{nullptr},
-      ni_{ctx, this->name(), node, fabric.flow_, fabric.book_.get(), routing,
-          fabric.deferred_credits_} {
+      ni_{ctx, this->name(), node, fabric.flow_, fabric.book_.get(), routing} {
     if (const NodeId slot = fabric.book_->manager_slot(node); slot != CreditBook::kNoSlot) {
         local_mgr_ = fabric.mgr_ports_[slot].get();
         local_mgr_->wake_subordinate_on_request(*this);

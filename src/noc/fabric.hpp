@@ -107,9 +107,8 @@ protected:
     ///        once (asserted by the `CreditBook`). Egress lanes, credit
     ///        pools and NI pair state exist only between the two sets.
     /// \param deferred_credits  stage every credit return for the
-    ///        cycle-edge flush instead of releasing it inline — required
-    ///        when the fabric is spatially sharded, where the released
-    ///        pool's taker may tick on another shard.
+    ///        cycle-edge flush instead of releasing it inline (see
+    ///        `CreditBook`).
     /// \param links             every link `add_link` will build.
     NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
               ic::AddrMap node_map,
@@ -135,7 +134,6 @@ private:
 
     std::string name_;
     NocFlowConfig flow_;
-    bool deferred_credits_;
     ic::AddrMap map_;
     std::unique_ptr<CreditBook> book_;
     /// Per manager slot (see `CreditBook::manager_slot`).

@@ -121,7 +121,7 @@ public:
     ///        simulated results — a tile's components always co-shard and
     ///        every inter-tile path is edge-registered — so the choice is
     ///        purely a host-side load-balancing decision
-    ///        (`ScenarioConfig::tile_shards` passes one through; the
+    ///        (`MeshTopologyConfig::tile_shards` passes one through; the
     ///        partition-invariance tests fuzz it).
     NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             NodeId cols, ic::AddrMap node_map,

@@ -7,13 +7,10 @@
 namespace realm::noc {
 
 NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
-             const NocFlowConfig& fc, CreditBook* book, RoutingPolicy routing,
-             bool deferred_credits)
-    : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book},
-      routing_{routing}, deferred_credits_{deferred_credits}, self_{self} {
+             const NocFlowConfig& fc, CreditBook* book, RoutingPolicy routing)
+    : ctx_{&ctx}, owner_{std::move(owner)}, fc_{fc}, book_{book}, routing_{routing},
+      self_{self} {
     REALM_EXPECTS(book_ != nullptr, owner_ + ": NoC NI needs a credit book");
-    REALM_EXPECTS(!deferred_credits_ || fc_.credit_return_delay >= 1,
-                  owner_ + ": deferred credit returns need delay >= 1");
     // A manager NI talks to every subordinate, a subordinate NI to every
     // manager; a pass-through node keeps no pair state at all.
     const std::size_t subs = book_->manager_slot(self_) == CreditBook::kNoSlot
@@ -89,23 +86,6 @@ bool NocNi::try_eject_request(const NocPacket& pkt,
     return true;
 }
 
-void NocNi::release_response_credits(const NocPacket& pkt) {
-    // The response credits stay in flight until the delivery into the
-    // manager channel actually happens (which may lag the arrival when the
-    // packet sat in the reorder stash).
-    CreditPool& pool = book_->rsp(pkt.dest, pkt.src);
-    if (deferred_credits_) {
-        // The pool's taker (the subordinate NI at pkt.src) may tick on a
-        // different shard: stage the return for the cycle-edge flush.
-        if (pool.stage_empty()) { ctx_->note_edge_dirty(pool); }
-        pool.stage_release(ctx_->now() + fc_.credit_return_delay, pkt.flits);
-    } else if (fc_.credit_return_delay == 0) {
-        pool.release(pkt.flits);
-    } else {
-        pool.release_at(ctx_->now() + fc_.credit_return_delay, pkt.flits);
-    }
-}
-
 bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
     if (const auto* b = std::get_if<axi::BFlit>(&pkt.flit)) {
         if (!mgr.b.can_push()) { return false; }
@@ -126,7 +106,10 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
         }
         mgr.r.push(*r);
     }
-    release_response_credits(pkt);
+    // The response credits stay in flight until the delivery into the
+    // manager channel actually happens (which may lag the arrival when the
+    // packet sat in the reorder stash).
+    book_->rsp(pkt.dest, pkt.src).return_credits(pkt.flits);
     return true;
 }
 

@@ -17,8 +17,10 @@
 /// provisioned. Responses draw on a separate pool per (manager,
 /// subordinate) pair, bounding in-flight responses toward any manager;
 /// those credits return when the response ejects into the local manager
-/// channel. With `credit_return_delay > 0` every return additionally rides
-/// the response network for that many cycles before the injector sees it.
+/// channel. Every pool returns credits under the policy the fabric gave it
+/// (see `CreditBook`): with `credit_return_delay > 0` a return additionally
+/// rides the response network for that many cycles before the injector
+/// sees it.
 ///
 /// **Ordering under multi-path routing.** Adaptive and randomized mesh
 /// policies (O1TURN, west-first) can deliver two worms of one (src, dest)
@@ -70,14 +72,9 @@ public:
     /// \param routing    Routing policy of the fabric — the NI assigns each
     ///                   worm's route class / VC at injection (kXY for the
     ///                   ring and every other single-path fabric).
-    /// \param deferred_credits  Stage credit releases for the cycle-edge
-    ///                   flush instead of releasing inline — required when
-    ///                   the fabric is spatially sharded (mesh), where the
-    ///                   released pool's taker may live on another shard.
     NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
           const NocFlowConfig& fc, CreditBook* book,
-          RoutingPolicy routing = RoutingPolicy::kXY,
-          bool deferred_credits = false);
+          RoutingPolicy routing = RoutingPolicy::kXY);
 
     /// \name Ejection (packets whose dest is the local node)
     ///@{
@@ -350,12 +347,10 @@ private:
     /// Pushes one in-order request packet into its egress lane (space
     /// asserted — the injector held credits for it).
     void deliver_request(const NocPacket& pkt, axi::AxiChannel& ch);
-    /// Delivers one in-order response packet to the local manager; returns
-    /// false on manager-channel backpressure.
+    /// Delivers one in-order response packet to the local manager and
+    /// returns its end-to-end credits; returns false on manager-channel
+    /// backpressure.
     bool deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr);
-    /// Returns the response's end-to-end credits (staged for the edge
-    /// flush when the fabric is sharded).
-    void release_response_credits(const NocPacket& pkt);
 
     /// Where the first response scan starts: the lowest manager slot above
     /// node 0, so the scans visit managers in the order a round-robin over
@@ -418,7 +413,6 @@ private:
     NocFlowConfig fc_;
     CreditBook* book_; ///< fabric-owned end-to-end pools
     RoutingPolicy routing_;
-    bool deferred_credits_;
     NodeId self_;
 
     /// Ingress W routing: destination and beats still to send per accepted

@@ -24,6 +24,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace realm::scenario {
@@ -92,7 +93,7 @@ struct BenchOptions {
     /// sim/context.hpp). 1 keeps the single-thread kernel.
     unsigned shards = 1;
     bool shards_forced = false; ///< --shards given on the command line
-    /// `--routing`: force one mesh routing policy on every point (handy for
+    /// `--routing`: force one routing policy on every mesh point (handy for
     /// re-running a whole matrix under one policy without a new sweep).
     std::optional<noc::RoutingPolicy> routing;
     /// `--link-latency L`: force a uniform L-cycle link pipeline on every
@@ -227,17 +228,18 @@ auto load_or_exit(F&& load) {
     }
 }
 
-/// Applies the flags that override config fields to every point.
+/// Applies the flags that override config fields to every point whose
+/// fabric has that field: `--routing` to the mesh points, `--link-latency`
+/// to the NoC points.
 inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
     for (SweepPoint& p : sweep.points) {
         if (opts.scheduler_forced) { p.config.scheduler = opts.scheduler; }
         if (opts.shards_forced) { p.config.shards = opts.shards; }
-        if (opts.routing.has_value()) {
-            p.config.topology.mesh.routing = *opts.routing;
-        }
-        if (opts.link_latency.has_value()) {
-            p.config.topology.ring.link_latency = *opts.link_latency;
-            p.config.topology.mesh.link_latency = *opts.link_latency;
+        auto* mesh = std::get_if<MeshTopologyConfig>(&p.config.fabric);
+        if (opts.routing.has_value() && mesh != nullptr) { mesh->routing = *opts.routing; }
+        NocTopologyConfig* noc = noc_config(p.config.fabric);
+        if (opts.link_latency.has_value() && noc != nullptr) {
+            noc->link_latency = *opts.link_latency;
         }
         if (opts.profile) { p.config.profile = true; }
         if (opts.monitors) { p.config.monitors.enabled = true; }

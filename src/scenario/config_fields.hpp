@@ -15,6 +15,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace realm::scenario {
@@ -74,7 +75,6 @@ template <> inline constexpr auto kConfigFields<NocTopologyConfig> = std::tuple{
     ConfigField{"e2e_credits", &NocTopologyConfig::e2e_credits},
     ConfigField{"credit_return_delay", &NocTopologyConfig::credit_return_delay},
     ConfigField{"link_latency", &NocTopologyConfig::link_latency},
-    ConfigField{"routing", &NocTopologyConfig::routing},
     ConfigField{"realm", &NocTopologyConfig::realm},
 };
 template <> inline constexpr auto kConfigFields<RingTopologyConfig> = std::tuple{
@@ -84,12 +84,10 @@ template <> inline constexpr auto kConfigFields<RingTopologyConfig> = std::tuple
 template <> inline constexpr auto kConfigFields<MeshTopologyConfig> = std::tuple{
     ConfigField{"rows", &MeshTopologyConfig::rows},
     ConfigField{"cols", &MeshTopologyConfig::cols},
+    ConfigField{"routing", &MeshTopologyConfig::routing},
+    // Every map runs the same (see `noc::NocMesh::shard_of_node`).
+    ConfigField{"tile_shards", &MeshTopologyConfig::tile_shards, ConfigKind::kHostOnly},
     ConfigBase<NocTopologyConfig>{},
-};
-template <> inline constexpr auto kConfigFields<TopologyConfig> = std::tuple{
-    ConfigField{"kind", &TopologyConfig::kind},
-    ConfigField{"ring", &TopologyConfig::ring},
-    ConfigField{"mesh", &TopologyConfig::mesh},
 };
 template <> inline constexpr auto kConfigFields<mem::LlcConfig> = std::tuple{
     ConfigField{"line_bytes", &mem::LlcConfig::line_bytes},
@@ -213,8 +211,7 @@ template <> inline constexpr auto kConfigFields<ScenarioConfig> = [] {
     constexpr ConfigKind host = ConfigKind::kHostOnly;
     return std::tuple{
         ConfigField{"name", &S::name, host}, // a label: results carry it, runs ignore it
-        ConfigField{"topology", &S::topology},
-        ConfigField{"soc", &S::soc},
+        ConfigField{"fabric", &S::fabric},
         ConfigField{"boot_plans", &S::boot_plans},
         ConfigField{"throttle_dsa", &S::throttle_dsa},
         ConfigField{"monitor_llc_on_core", &S::monitor_llc_on_core},
@@ -230,11 +227,18 @@ template <> inline constexpr auto kConfigFields<ScenarioConfig> = [] {
         // sweep's points must not share one resume-cache entry.
         ConfigField{"shards", &S::shards},
         ConfigField{"shard_workers", &S::shard_workers, host}, // every count runs the same
-        ConfigField{"tile_shards", &S::tile_shards, host},     // every map runs the same
         ConfigField{"seed", &S::seed},
         ConfigField{"profile", &S::profile, host}, // times the ticks, changes none
     };
 }();
+
+/// The key of each alternative of a walked variant, in index order: the
+/// walk puts the active alternative's fields under it.
+template <typename V>
+inline constexpr auto kAlternativeKeys = std::array<const char*, 0>{};
+
+template <>
+inline constexpr auto kAlternativeKeys<FabricConfig> = std::array{"xbar", "ring", "mesh"};
 
 /// Where a visited field sits: its key (or, where `key` is null, its index
 /// in the enclosing vector or array) under its parent's place.
@@ -252,6 +256,8 @@ template <typename T> inline constexpr bool kIsOptional = false;
 template <typename T> inline constexpr bool kIsOptional<std::optional<T>> = true;
 template <typename T> inline constexpr bool kIsArray = false;
 template <typename T, std::size_t N> inline constexpr bool kIsArray<std::array<T, N>> = true;
+template <typename T> inline constexpr bool kIsVariant = false;
+template <typename... T> inline constexpr bool kIsVariant<std::variant<T...>> = true;
 
 /// Converts to any member type, so `S{AnyMember{}...}` compiles for as many
 /// of them as `S` has members (a base class counts as one).
@@ -304,17 +310,18 @@ inline constexpr std::size_t kSameMemberPairs = std::apply(
 
 /// Walks `v`, a struct with a `kConfigFields` table or, under its path `at`,
 /// any field of one, in table order. `visit(path, value, kind)` sees each
-/// number, bool, enum and string, each vector before its elements and each
-/// optional before its value; structs and arrays are walked through. A
-/// field under a host-only one is host-only too. A visitor that takes a
-/// `RetiredField` sees those.
+/// number, bool, enum and string, each vector before its elements, each
+/// optional before its value and each variant before its active
+/// alternative, which the walk puts under that alternative's key; structs
+/// and arrays are walked through. A field under a host-only one is
+/// host-only too. A visitor that takes a `RetiredField` sees those.
 template <typename V, typename Visit>
 void walk_config(V& v, Visit&& visit, const FieldPath* at = nullptr,
                  ConfigKind kind = ConfigKind::kSemantic) {
     using namespace detail;
     using U = std::remove_const_t<V>;
     if constexpr (std::is_class_v<U> && !kIsVector<U> && !kIsOptional<U> && !kIsArray<U> &&
-                  !std::is_same_v<U, std::string>) {
+                  !kIsVariant<U> && !std::is_same_v<U, std::string>) {
         static_assert(member_count<U>() == kTabled<U> && kSameMemberPairs<U> == kTabled<U>,
                       "each member of a walked config struct needs exactly one table entry");
         const auto walk_entry = [&]<typename E>(const E& e) {
@@ -340,6 +347,11 @@ void walk_config(V& v, Visit&& visit, const FieldPath* at = nullptr,
             }
         } else if constexpr (kIsOptional<U>) {
             if (v) { walk_config(*v, visit, at, kind); }
+        } else if constexpr (kIsVariant<U>) {
+            static_assert(kAlternativeKeys<U>.size() == std::variant_size_v<U>,
+                          "each alternative of a walked variant needs one key");
+            const FieldPath alternative{at, kAlternativeKeys<U>[v.index()]};
+            std::visit([&](auto& a) { walk_config(a, visit, &alternative, kind); }, v);
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <utility>
+#include <variant>
 
 namespace realm::scenario {
 
@@ -32,8 +33,9 @@ struct Fig6Knobs {
 
 ScenarioConfig fig6_point(const Fig6Knobs& k) {
     ScenarioConfig cfg;
-    cfg.soc.llc.max_outstanding = 4;
-    cfg.soc.llc.request_interval = k.llc_request_interval;
+    auto& xbar = std::get<soc::SocConfig>(cfg.fabric);
+    xbar.llc.max_outstanding = 4;
+    xbar.llc.request_interval = k.llc_request_interval;
 
     cfg.victim.kind = VictimConfig::Kind::kSusan;
     cfg.victim.susan.width = 64;
@@ -153,7 +155,7 @@ Sweep make_ablation_period() {
 
 ScenarioConfig throttle_point(bool throttle) {
     ScenarioConfig cfg;
-    cfg.soc.llc.max_outstanding = 4;
+    std::get<soc::SocConfig>(cfg.fabric).llc.max_outstanding = 4;
     cfg.preload.push_back(PreloadSpan{kDram, 0x20000, 1, true});
     cfg.boot_plans.push_back(RegionPlan{1ULL << 30, 1ULL << 20, 256}); // core: free
     cfg.boot_plans.push_back(RegionPlan{4096, 2000, 8});               // DMA: budgeted
@@ -190,8 +192,9 @@ Sweep make_ablation_throttle() {
 
 ScenarioConfig dos_point(bool write_buffer_enabled) {
     ScenarioConfig cfg;
-    cfg.soc.realm.write_buffer_enabled = write_buffer_enabled;
-    cfg.soc.realm.write_buffer_depth = 16;
+    auto& xbar = std::get<soc::SocConfig>(cfg.fabric);
+    xbar.realm.write_buffer_enabled = write_buffer_enabled;
+    xbar.realm.write_buffer_depth = 16;
     cfg.preload.push_back(PreloadSpan{kDram, 0x10000, 1, true});
     // No boot script: the attack needs no regulation programmed, only the
     // write buffer's structural protection.
@@ -234,7 +237,7 @@ Sweep make_random_mix() {
     s.baseline_index = 0;
     for (const std::uint32_t frag : {256U, 16U, 1U}) {
         ScenarioConfig cfg;
-        cfg.soc.llc.max_outstanding = 4;
+        std::get<soc::SocConfig>(cfg.fabric).llc.max_outstanding = 4;
         cfg.preload.push_back(PreloadSpan{kDram, 0x20000, 3, true});
         cfg.boot_plans.push_back(RegionPlan{1ULL << 30, 1ULL << 20, 256});
         cfg.boot_plans.push_back(RegionPlan{4000, 1000, frag});
@@ -324,18 +327,33 @@ constexpr const char* dos_defense_name(DosDefense d) {
     return "?";
 }
 
+/// A ring of `num_nodes` nodes, roles not yet placed.
+FabricConfig ring_fabric(noc::NodeId num_nodes) {
+    RingTopologyConfig ring;
+    ring.num_nodes = num_nodes;
+    return ring;
+}
+
+/// A `rows` x `cols` mesh under `routing`, roles not yet placed.
+FabricConfig mesh_fabric(noc::NodeId rows, noc::NodeId cols,
+                         noc::RoutingPolicy routing = noc::RoutingPolicy::kXY) {
+    MeshTopologyConfig mesh;
+    mesh.rows = rows;
+    mesh.cols = cols;
+    mesh.routing = routing;
+    return mesh;
+}
+
 struct DosKnobs {
-    TopologyKind fabric = TopologyKind::kRing;
-    noc::NodeId num_nodes = 24;  ///< ring size (ignored by mesh/crossbar)
-    noc::NodeId mesh_rows = 4;   ///< mesh dimensions (kMesh only)
-    noc::NodeId mesh_cols = 6;
+    /// The fabric and its shape (ring size, mesh dimensions and routing);
+    /// `dos_point` places the roles.
+    FabricConfig fabric;
     noc::NodeId attackers = 1;
     DosAttack attack = DosAttack::kHog;
     DosDefense defense = DosDefense::kNone;
     std::uint64_t victim_bytes = 0x1000;
-    /// Mesh routing policy (kMesh only); labelled only by the routing
-    /// sweeps so the legacy matrices keep their labels (and resume keys).
-    noc::RoutingPolicy routing = noc::RoutingPolicy::kXY;
+    /// Labels the mesh's routing policy; only the routing sweeps do, so the
+    /// other matrices keep their labels (and resume keys).
     bool label_routing = false;
 };
 
@@ -348,32 +366,21 @@ struct DosKnobs {
 /// base. Cell labels and traffic knobs are identical across fabrics, so the
 /// three matrices compare one regulation story on three interconnects.
 ScenarioConfig dos_point(const DosKnobs& k) {
-    const bool xbar = k.fabric == TopologyKind::kCheshire;
-    const axi::Addr fabric_base = xbar ? 0x8000'0000 : 0x0;
+    ScenarioConfig cfg;
+    cfg.fabric = k.fabric;
+    NocTopologyConfig* const noc = noc_config(cfg.fabric);
+    auto* const xbar = std::get_if<soc::SocConfig>(&cfg.fabric);
+    const axi::Addr fabric_base = xbar != nullptr ? 0x8000'0000 : 0x0;
     const axi::Addr kShared = fabric_base;
     const axi::Addr kSpill = fabric_base + 0x10'0000;
 
-    ScenarioConfig cfg;
-    cfg.topology.kind = k.fabric;
-    std::vector<RingNodeSpec>* nodes = nullptr;
-    switch (k.fabric) {
-    case TopologyKind::kRing:
-        cfg.topology.ring.num_nodes = k.num_nodes;
-        cfg.topology.ring.nodes = make_ring_roles(k.num_nodes, k.attackers, 2);
-        nodes = &cfg.topology.ring.nodes;
-        break;
-    case TopologyKind::kMesh:
-        cfg.topology.mesh.rows = k.mesh_rows;
-        cfg.topology.mesh.cols = k.mesh_cols;
-        cfg.topology.mesh.routing = k.routing;
-        cfg.topology.mesh.nodes =
-            make_mesh_roles(k.mesh_rows, k.mesh_cols, k.attackers, 2);
-        nodes = &cfg.topology.mesh.nodes;
-        break;
-    case TopologyKind::kCheshire:
-        cfg.soc.num_dsa = std::max<std::uint32_t>(k.attackers, 1);
-        cfg.soc.llc.max_outstanding = 4;
-        break;
+    if (auto* ring = std::get_if<RingTopologyConfig>(&cfg.fabric)) {
+        ring->nodes = make_ring_roles(ring->num_nodes, k.attackers, 2);
+    } else if (auto* mesh = std::get_if<MeshTopologyConfig>(&cfg.fabric)) {
+        mesh->nodes = make_mesh_roles(mesh->rows, mesh->cols, k.attackers, 2);
+    } else {
+        xbar->num_dsa = std::max<std::uint32_t>(k.attackers, 1);
+        xbar->llc.max_outstanding = 4;
     }
     // Defense "none" exposes the structural W-reservation vector too: the
     // write buffer is the unit's always-on protection, so strip it from the
@@ -383,18 +390,16 @@ ScenarioConfig dos_point(const DosKnobs& k) {
     // configuration; the crossbar SoC has one unit template, so there the
     // strip applies to every unit (noted per sweep).
     if (k.defense == DosDefense::kNone) {
-        if (nodes != nullptr) {
-            rt::RealmUnitConfig unprotected = k.fabric == TopologyKind::kMesh
-                                                  ? cfg.topology.mesh.realm
-                                                  : cfg.topology.ring.realm;
+        if (noc != nullptr) {
+            rt::RealmUnitConfig unprotected = noc->realm;
             unprotected.write_buffer_enabled = false;
-            for (auto& node : *nodes) {
+            for (auto& node : noc->nodes) {
                 if (node.role == RingRole::kInterference) {
                     node.realm_config = unprotected;
                 }
             }
         } else {
-            cfg.soc.realm.write_buffer_enabled = false;
+            xbar->realm.write_buffer_enabled = false;
         }
     }
 
@@ -447,7 +452,7 @@ ScenarioConfig dos_point(const DosKnobs& k) {
     // unit i. The NoC fabrics place one unit per attacker; the crossbar SoC
     // builds `num_dsa` units, one even without an attacker, and its boot
     // script programs every unit it builds.
-    const std::uint32_t attacker_units = xbar ? cfg.soc.num_dsa : k.attackers;
+    const std::uint32_t attacker_units = xbar != nullptr ? xbar->num_dsa : k.attackers;
     const auto plan_attackers = [&](const RegionPlan& plan) {
         cfg.boot_plans.push_back(RegionPlan{1ULL << 30, 1ULL << 20, 256}); // victim
         for (std::uint32_t i = 0; i < attacker_units; ++i) { cfg.boot_plans.push_back(plan); }
@@ -476,7 +481,8 @@ std::string dos_cell_label(const DosKnobs& k) {
     if (k.label_routing) {
         std::snprintf(buf, sizeof buf, "%uatk/%s/%s/%s",
                       static_cast<unsigned>(k.attackers), dos_attack_name(k.attack),
-                      dos_defense_name(k.defense), noc::to_string(k.routing));
+                      dos_defense_name(k.defense),
+                      noc::to_string(std::get<MeshTopologyConfig>(k.fabric).routing));
     } else {
         std::snprintf(buf, sizeof buf, "%uatk/%s/%s",
                       static_cast<unsigned>(k.attackers), dos_attack_name(k.attack),
@@ -530,20 +536,9 @@ void for_each_smoke_cell(Emit&& emit) {
     }
 }
 
-/// Smoke-grid knobs on one fabric (small fabrics, small victim working set).
-DosKnobs smoke_knobs(TopologyKind fabric, std::uint8_t ring_nodes,
-                     std::uint8_t mesh_rows, std::uint8_t mesh_cols,
-                     std::uint8_t attackers, DosAttack attack, DosDefense defense) {
-    DosKnobs k{.fabric = fabric, .num_nodes = ring_nodes, .mesh_rows = mesh_rows,
-               .mesh_cols = mesh_cols, .attackers = attackers, .attack = attack,
-               .defense = defense};
-    k.victim_bytes = 0x800;
-    return k;
-}
-
 /// The full 3x3x4 DoS matrix (attackers x attack mode x defense) on one
 /// fabric; every fabric runs the same cells with the same labels.
-Sweep make_dos_matrix(TopologyKind fabric, std::string name, std::string title,
+Sweep make_dos_matrix(const FabricConfig& fabric, std::string name, std::string title,
                       std::vector<std::string> notes) {
     Sweep s;
     s.name = std::move(name);
@@ -558,21 +553,44 @@ Sweep make_dos_matrix(TopologyKind fabric, std::string name, std::string title,
     return s;
 }
 
-/// CI-sized 2x2x2 cross-section of the matrix on one fabric.
-Sweep make_dos_smoke(TopologyKind fabric, std::string name, std::string title,
-                     std::vector<std::string> notes, std::uint8_t ring_nodes = 8,
-                     std::uint8_t mesh_rows = 2, std::uint8_t mesh_cols = 4) {
+/// CI-sized 2x2x2 cross-section of the matrix on one (small) fabric, with
+/// a small victim working set.
+Sweep make_dos_smoke(const FabricConfig& fabric, std::string name, std::string title,
+                     std::vector<std::string> notes) {
     Sweep s;
     s.name = std::move(name);
     s.title = std::move(title);
     s.notes = std::move(notes);
     for_each_smoke_cell([&](std::uint8_t attackers, DosAttack attack,
                             DosDefense defense) {
-        const DosKnobs k = smoke_knobs(fabric, ring_nodes, mesh_rows, mesh_cols,
-                                       attackers, attack, defense);
+        const DosKnobs k{.fabric = fabric, .attackers = attackers, .attack = attack,
+                         .defense = defense, .victim_bytes = 0x800};
         s.points.push_back({dos_cell_label(k), dos_point(k)});
     });
     return s;
+}
+
+/// The solo / hog / budget triple of a contention sweep on `k`'s fabric:
+/// no attacker, `attackers` 256-beat hogs, and the same hogs budgeted,
+/// labelled `<size> solo<tail>`, `<size> hog<n><tail>` and
+/// `<size> budget<n><tail>`, where `<n>` is the attacker count when
+/// `count_in_label` is set and empty otherwise.
+void push_contention_triple(Sweep& s, DosKnobs k, noc::NodeId attackers,
+                            const std::string& size, const std::string& tail = "",
+                            bool count_in_label = false) {
+    const std::string n = count_in_label ? std::to_string(attackers) : "";
+    k.attackers = 0;
+    s.points.push_back({size + " solo" + tail, dos_point(k)});
+    k.attackers = attackers;
+    k.attack = DosAttack::kHog;
+    s.points.push_back({size + " hog" + n + tail, dos_point(k)});
+    k.defense = DosDefense::kBudget;
+    s.points.push_back({size + " budget" + n + tail, dos_point(k)});
+}
+
+/// `rows` x `cols`, as the mesh contention labels spell a size.
+std::string mesh_size(noc::NodeId rows, noc::NodeId cols) {
+    return std::to_string(rows) + "x" + std::to_string(cols);
 }
 
 Sweep make_ring_contention() {
@@ -583,19 +601,9 @@ Sweep make_ring_contention() {
                "same attackers budgeted to 0.5 B/cycle each. Idle hops cost nothing",
                "under the activity-aware kernel, so rings scale to dozens of nodes."};
     s.baseline_index = 0;
-    for (const std::uint8_t nodes : {std::uint8_t{6}, std::uint8_t{12}, std::uint8_t{24},
-                                     std::uint8_t{48}}) {
-        char label[32];
-        DosKnobs solo{.num_nodes = nodes, .attackers = 0};
-        std::snprintf(label, sizeof label, "N=%u solo", static_cast<unsigned>(nodes));
-        s.points.push_back({label, dos_point(solo)});
-        DosKnobs hog{.num_nodes = nodes, .attackers = 2, .attack = DosAttack::kHog};
-        std::snprintf(label, sizeof label, "N=%u hog", static_cast<unsigned>(nodes));
-        s.points.push_back({label, dos_point(hog)});
-        DosKnobs def = hog;
-        def.defense = DosDefense::kBudget;
-        std::snprintf(label, sizeof label, "N=%u budget", static_cast<unsigned>(nodes));
-        s.points.push_back({label, dos_point(def)});
+    for (const noc::NodeId nodes : {6, 12, 24, 48}) {
+        push_contention_triple(s, DosKnobs{.fabric = ring_fabric(nodes)}, 2,
+                               "N=" + std::to_string(nodes));
     }
     return s;
 }
@@ -609,26 +617,10 @@ Sweep make_mesh_contention() {
                "budgeted. XY routing spreads the flows over multiple paths, so the",
                "contention the victim sees concentrates at the memory-column merge."};
     s.baseline_index = 0;
-    const std::pair<std::uint8_t, std::uint8_t> sizes[] = {
-        {2, 3}, {3, 4}, {4, 6}, {6, 8}};
+    const std::pair<noc::NodeId, noc::NodeId> sizes[] = {{2, 3}, {3, 4}, {4, 6}, {6, 8}};
     for (const auto& [rows, cols] : sizes) {
-        char label[32];
-        DosKnobs solo{.fabric = TopologyKind::kMesh, .mesh_rows = rows,
-                      .mesh_cols = cols, .attackers = 0};
-        std::snprintf(label, sizeof label, "%ux%u solo", static_cast<unsigned>(rows),
-                      static_cast<unsigned>(cols));
-        s.points.push_back({label, dos_point(solo)});
-        DosKnobs hog = solo;
-        hog.attackers = 2;
-        hog.attack = DosAttack::kHog;
-        std::snprintf(label, sizeof label, "%ux%u hog", static_cast<unsigned>(rows),
-                      static_cast<unsigned>(cols));
-        s.points.push_back({label, dos_point(hog)});
-        DosKnobs def = hog;
-        def.defense = DosDefense::kBudget;
-        std::snprintf(label, sizeof label, "%ux%u budget", static_cast<unsigned>(rows),
-                      static_cast<unsigned>(cols));
-        s.points.push_back({label, dos_point(def)});
+        push_contention_triple(s, DosKnobs{.fabric = mesh_fabric(rows, cols)}, 2,
+                               mesh_size(rows, cols));
     }
     return s;
 }
@@ -654,38 +646,17 @@ Sweep make_mesh_contention_large() {
     };
     const LargeSize sizes[] = {{16, 16, 128}, {32, 32, 256}};
     for (const auto& [rows, cols, attackers] : sizes) {
-        char label[48];
-        DosKnobs solo{.fabric = TopologyKind::kMesh, .mesh_rows = rows,
-                      .mesh_cols = cols, .attackers = 0};
-        solo.victim_bytes = 0x800;
-        std::snprintf(label, sizeof label, "%ux%u solo", static_cast<unsigned>(rows),
-                      static_cast<unsigned>(cols));
-        ScenarioConfig cfg = dos_point(solo);
-        cfg.max_cycles = 600'000;
-        s.points.push_back({label, cfg});
-        DosKnobs hog = solo;
-        hog.attackers = attackers;
-        hog.attack = DosAttack::kHog;
-        std::snprintf(label, sizeof label, "%ux%u hog%u", static_cast<unsigned>(rows),
-                      static_cast<unsigned>(cols), static_cast<unsigned>(attackers));
-        cfg = dos_point(hog);
-        cfg.max_cycles = 600'000;
-        s.points.push_back({label, cfg});
-        DosKnobs def = hog;
-        def.defense = DosDefense::kBudget;
-        std::snprintf(label, sizeof label, "%ux%u budget%u",
-                      static_cast<unsigned>(rows), static_cast<unsigned>(cols),
-                      static_cast<unsigned>(attackers));
-        cfg = dos_point(def);
-        cfg.max_cycles = 600'000;
-        s.points.push_back({label, cfg});
+        push_contention_triple(
+            s, DosKnobs{.fabric = mesh_fabric(rows, cols), .victim_bytes = 0x800}, attackers,
+            mesh_size(rows, cols), "", /*count_in_label=*/true);
     }
+    for (SweepPoint& p : s.points) { p.config.max_cycles = 600'000; }
     return s;
 }
 
 Sweep make_ring_dos_matrix() {
     return make_dos_matrix(
-        TopologyKind::kRing, "ring-dos-matrix",
+        ring_fabric(24), "ring-dos-matrix",
         "Multi-manager DoS matrix on a 24-node ring: attackers x attack mode x defense",
         {"cells report the worst-case victim latency (load_lat_max /",
          "store_lat_max in the JSON dump); 'none' also strips the attackers'",
@@ -694,7 +665,7 @@ Sweep make_ring_dos_matrix() {
 
 Sweep make_mesh_dos_matrix() {
     return make_dos_matrix(
-        TopologyKind::kMesh, "mesh-dos-matrix",
+        mesh_fabric(4, 6), "mesh-dos-matrix",
         "Multi-manager DoS matrix on a 4x6 mesh: attackers x attack mode x defense",
         {"same cells as ring-dos-matrix on a 24-node XY-routed mesh; multi-path",
          "contention concentrates at the memory nodes' merge routers, the regime",
@@ -703,7 +674,7 @@ Sweep make_mesh_dos_matrix() {
 
 Sweep make_xbar_dos_matrix() {
     return make_dos_matrix(
-        TopologyKind::kCheshire, "xbar-dos-matrix",
+        soc::SocConfig{}, "xbar-dos-matrix",
         "Multi-manager DoS matrix on the Cheshire crossbar: "
         "attackers x attack mode x defense",
         {"same cells as ring-dos-matrix on the crossbar SoC (attackers on DSA",
@@ -713,7 +684,7 @@ Sweep make_xbar_dos_matrix() {
 }
 
 Sweep make_ring_dos_smoke() {
-    return make_dos_smoke(TopologyKind::kRing, "ring-dos-smoke",
+    return make_dos_smoke(ring_fabric(8), "ring-dos-smoke",
                           "Ring DoS matrix, CI-sized: 8 nodes, 2x2x2 cells",
                           {"small cross-section of ring-dos-matrix for CI and tests."});
 }
@@ -726,7 +697,7 @@ Sweep make_ring_dos_smoke() {
 /// flow-control bug would deadlock. CI runs these next to the default
 /// smokes precisely because the bounds are enforced by assertion: a credit
 /// leak or buffer overrun aborts the run instead of skewing a number.
-Sweep make_credit_smoke(TopologyKind fabric, std::string name, std::string title) {
+Sweep make_credit_smoke(const FabricConfig& fabric, std::string name, std::string title) {
     Sweep s = make_dos_smoke(
         fabric, std::move(name), std::move(title),
         {"tight credited flow control: flits_per_packet 4, vc_depth 4 (one",
@@ -734,9 +705,7 @@ Sweep make_credit_smoke(TopologyKind fabric, std::string name, std::string title
          "serialization and credit back-pressure; every buffer bound",
          "asserted, deadlock-free required."});
     for (SweepPoint& p : s.points) {
-        NocTopologyConfig& noc = fabric == TopologyKind::kMesh
-                                     ? static_cast<NocTopologyConfig&>(p.config.topology.mesh)
-                                     : static_cast<NocTopologyConfig&>(p.config.topology.ring);
+        NocTopologyConfig& noc = *noc_config(p.config.fabric);
         noc.flits_per_packet = 4;
         noc.vc_depth = 4;
         noc.e2e_credits = 8;
@@ -746,36 +715,35 @@ Sweep make_credit_smoke(TopologyKind fabric, std::string name, std::string title
 }
 
 Sweep make_ring_credit_smoke() {
-    return make_credit_smoke(TopologyKind::kRing, "ring-credit-dos-smoke",
+    return make_credit_smoke(ring_fabric(8), "ring-credit-dos-smoke",
                              "Ring DoS smoke under tight credits: 8 nodes, "
                              "vc_depth=4, e2e_credits=8");
 }
 
 Sweep make_mesh_credit_smoke() {
-    return make_credit_smoke(TopologyKind::kMesh, "mesh-credit-dos-smoke",
+    return make_credit_smoke(mesh_fabric(2, 4), "mesh-credit-dos-smoke",
                              "Mesh DoS smoke under tight credits: 2x4 mesh, "
                              "vc_depth=4, e2e_credits=8");
 }
 
 Sweep make_mesh_dos_smoke() {
-    return make_dos_smoke(TopologyKind::kMesh, "mesh-dos-smoke",
+    return make_dos_smoke(mesh_fabric(2, 4), "mesh-dos-smoke",
                           "Mesh DoS matrix, CI-sized: 2x4 mesh, 2x2x2 cells",
                           {"small cross-section of mesh-dos-matrix for CI and tests."});
 }
 
 Sweep make_xbar_dos_smoke() {
-    return make_dos_smoke(TopologyKind::kCheshire, "xbar-dos-smoke",
+    return make_dos_smoke(soc::SocConfig{}, "xbar-dos-smoke",
                           "Crossbar DoS matrix, CI-sized: 2x2x2 cells",
                           {"small cross-section of xbar-dos-matrix for CI and tests."});
 }
 
 Sweep make_mesh_search_smoke() {
     return make_dos_smoke(
-        TopologyKind::kMesh, "mesh-search-smoke",
+        mesh_fabric(4, 4), "mesh-search-smoke",
         "Mesh DoS matrix for adversarial search, CI-sized: 4x4 mesh, 2x2x2 cells",
         {"the mesh-dos-smoke cells on a square 4x4 mesh — the enumerated grid",
-         "the scenario_search bench compares its searched attackers against."},
-        8, 4, 4);
+         "the scenario_search bench compares its searched attackers against."});
 }
 
 // ---------------------------------------------------------------------------
@@ -801,10 +769,8 @@ Sweep make_mesh_routing_dos_matrix() {
     for (const noc::RoutingPolicy routing : noc::kAllRoutingPolicies) {
         for_each_matrix_cell([&](std::uint8_t attackers, DosAttack attack,
                                  DosDefense defense) {
-            DosKnobs k{.fabric = TopologyKind::kMesh, .attackers = attackers,
-                       .attack = attack, .defense = defense};
-            k.routing = routing;
-            k.label_routing = true;
+            const DosKnobs k{.fabric = mesh_fabric(4, 6, routing), .attackers = attackers,
+                             .attack = attack, .defense = defense, .label_routing = true};
             ScenarioConfig cfg = dos_point(k);
             // The undefended 9-attacker cells are legitimately an order of
             // magnitude slower under the multi-path policies (reorder
@@ -828,11 +794,9 @@ Sweep make_mesh_routing_dos_smoke() {
     for (const noc::RoutingPolicy routing : noc::kAllRoutingPolicies) {
         for_each_smoke_cell([&](std::uint8_t attackers, DosAttack attack,
                                 DosDefense defense) {
-            DosKnobs k = smoke_knobs(TopologyKind::kMesh, /*ring_nodes=*/8,
-                                     /*mesh_rows=*/2, /*mesh_cols=*/4, attackers,
-                                     attack, defense);
-            k.routing = routing;
-            k.label_routing = true;
+            const DosKnobs k{.fabric = mesh_fabric(2, 4, routing), .attackers = attackers,
+                             .attack = attack, .defense = defense,
+                             .victim_bytes = 0x800, .label_routing = true};
             s.points.push_back({dos_cell_label(k), dos_point(k)});
         });
     }
@@ -850,29 +814,12 @@ Sweep make_mesh_routing_contention() {
                "with the routing policy as an extra axis. The flat report",
                "carries the policy in the point label."};
     s.baseline_index = 0;
-    const std::pair<std::uint8_t, std::uint8_t> sizes[] = {{2, 3}, {4, 6}};
+    const std::pair<noc::NodeId, noc::NodeId> sizes[] = {{2, 3}, {4, 6}};
     for (const noc::RoutingPolicy routing : noc::kAllRoutingPolicies) {
         for (const auto& [rows, cols] : sizes) {
-            char label[48];
-            DosKnobs solo{.fabric = TopologyKind::kMesh, .mesh_rows = rows,
-                          .mesh_cols = cols, .attackers = 0, .routing = routing};
-            std::snprintf(label, sizeof label, "%ux%u solo %s",
-                          static_cast<unsigned>(rows), static_cast<unsigned>(cols),
-                          noc::to_string(routing));
-            s.points.push_back({label, dos_point(solo)});
-            DosKnobs hog = solo;
-            hog.attackers = 2;
-            hog.attack = DosAttack::kHog;
-            std::snprintf(label, sizeof label, "%ux%u hog %s",
-                          static_cast<unsigned>(rows), static_cast<unsigned>(cols),
-                          noc::to_string(routing));
-            s.points.push_back({label, dos_point(hog)});
-            DosKnobs def = hog;
-            def.defense = DosDefense::kBudget;
-            std::snprintf(label, sizeof label, "%ux%u budget %s",
-                          static_cast<unsigned>(rows), static_cast<unsigned>(cols),
-                          noc::to_string(routing));
-            s.points.push_back({label, dos_point(def)});
+            push_contention_triple(s, DosKnobs{.fabric = mesh_fabric(rows, cols, routing)}, 2,
+                                   mesh_size(rows, cols),
+                                   std::string{" "} + noc::to_string(routing));
         }
     }
     return s;

@@ -273,10 +273,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
 namespace {
 
 /// FNV-1a over the semantic fields `walk_config` visits, each as one
-/// little-endian u64: a vector's size, an optional's presence, a double's
-/// bits, and any other value cast. `kVersion` is bumped only when run
-/// semantics change under an unchanged field layout; a new field already
-/// changes every hash.
+/// little-endian u64: a vector's size, an optional's presence, a variant's
+/// index, a double's bits, and any other value cast. `kVersion` is bumped
+/// only when run semantics change under an unchanged field layout; a new
+/// field already changes every hash.
 class ConfigDigest {
 public:
     static constexpr std::uint64_t kVersion = 8; ///< v8: pipelined NoC links
@@ -290,6 +290,8 @@ public:
             mix(v.size());
         } else if constexpr (detail::kIsOptional<V>) {
             mix(v.has_value());
+        } else if constexpr (detail::kIsVariant<V>) {
+            mix(v.index());
         } else if constexpr (std::is_floating_point_v<V>) {
             mix(std::bit_cast<std::uint64_t>(v));
         } else if constexpr (std::is_same_v<V, std::string>) {

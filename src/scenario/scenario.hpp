@@ -106,11 +106,10 @@ struct ProfileRow {
 struct ScenarioConfig {
     std::string name = "scenario";
 
-    /// Fabric selector: the Cheshire crossbar SoC (default) or a ring NoC
-    /// with per-node roles and REALM placement (see topology.hpp).
-    TopologyConfig topology{};
-    /// Crossbar SoC parameters (used when `topology.kind == kCheshire`).
-    soc::SocConfig soc{};
+    /// The fabric the scenario builds: the Cheshire crossbar SoC (default),
+    /// or a ring or mesh NoC with per-node roles and REALM placement (see
+    /// topology.hpp).
+    FabricConfig fabric{};
     /// Boot-flow regulation; empty skips the boot script entirely.
     std::vector<RegionPlan> boot_plans;
     /// Enables the throttling unit on every DSA-side REALM unit after boot.
@@ -120,7 +119,8 @@ struct ScenarioConfig {
     bool monitor_llc_on_core = false;
 
     VictimConfig victim{};
-    /// Interference DMAs, attached to DSA ports 0..n-1 (n <= soc.num_dsa).
+    /// Interference DMAs, attached to the fabric's interference ports
+    /// 0..n-1 (the crossbar's DSA ports, n <= `num_dsa`).
     std::vector<InterferenceConfig> interference;
     /// Monitoring & telemetry plane (per-manager monitors + detection).
     MonitorConfig monitors{};
@@ -145,12 +145,6 @@ struct ScenarioConfig {
     /// `hardware_concurrency()`). Tests force > 1 to exercise the concurrent
     /// barrier path on single-core hosts.
     unsigned shard_workers = 0;
-    /// Explicit tile -> shard map for the mesh fabric (one entry per mesh
-    /// node, each < `shards`; ignored elsewhere). Empty keeps the column
-    /// stripes; the partition-invariance tests pin scattered and
-    /// pathological maps here. Any map runs bit-identically (see
-    /// `noc::NocMesh::shard_of_node`).
-    std::vector<unsigned> tile_shards;
     /// Per-point RNG seed; sweep factories fill this via `sim::derive_seed`
     /// so parallel runs are reproducible regardless of thread count.
     std::uint64_t seed = 0;

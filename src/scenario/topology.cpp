@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace realm::scenario {
 
@@ -60,8 +62,8 @@ namespace {
 
 class CheshireTopology final : public TopologyHandle {
 public:
-    CheshireTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
-        : ctx_{&ctx}, soc_cfg_{cfg.soc}, soc_{ctx, cfg.soc} {}
+    CheshireTopology(sim::SimContext& ctx, const soc::SocConfig& cfg)
+        : ctx_{&ctx}, soc_cfg_{cfg}, soc_{ctx, cfg} {}
 
     axi::AxiChannel& victim_port() override { return soc_.core_port(); }
     std::size_t num_interference_ports() const override { return soc_cfg_.num_dsa; }
@@ -313,15 +315,14 @@ private:
 
 class RingTopology final : public NocTopologyBase {
 public:
-    RingTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
-        : NocTopologyBase{ctx, cfg.topology.ring, resolve(cfg.topology.ring),
+    RingTopology(sim::SimContext& ctx, const RingTopologyConfig& cfg)
+        : NocTopologyBase{ctx, cfg, resolve(cfg),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
                                  std::vector<noc::NodeId> subs,
                                  std::vector<noc::NodeId> mgrs) {
                               return std::make_unique<noc::NocRing>(
-                                  c, "ring", cfg.topology.ring.num_nodes,
-                                  std::move(map), std::move(subs), std::move(mgrs),
-                                  cfg.topology.ring.flow());
+                                  c, "ring", cfg.num_nodes, std::move(map),
+                                  std::move(subs), std::move(mgrs), cfg.flow());
                           }} {}
 
 private:
@@ -336,19 +337,17 @@ private:
 
 class MeshTopology final : public NocTopologyBase {
 public:
-    MeshTopology(sim::SimContext& ctx, const ScenarioConfig& cfg)
-        : NocTopologyBase{ctx, cfg.topology.mesh, resolve(cfg.topology.mesh),
+    MeshTopology(sim::SimContext& ctx, const MeshTopologyConfig& cfg)
+        : NocTopologyBase{ctx, cfg, resolve(cfg),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
                                  std::vector<noc::NodeId> subs,
                                  std::vector<noc::NodeId> mgrs) {
                               return std::make_unique<noc::NocMesh>(
-                                  c, "mesh", cfg.topology.mesh.rows,
-                                  cfg.topology.mesh.cols, std::move(map),
-                                  std::move(subs), std::move(mgrs),
-                                  cfg.topology.mesh.flow(),
-                                  cfg.topology.mesh.routing, cfg.tile_shards);
+                                  c, "mesh", cfg.rows, cfg.cols, std::move(map),
+                                  std::move(subs), std::move(mgrs), cfg.flow(),
+                                  cfg.routing, cfg.tile_shards);
                           }},
-          lookahead_{cfg.topology.mesh.link_latency} {}
+          lookahead_{cfg.link_latency} {}
 
     // The mesh guarantees `link_latency` cycles on every cross-shard path:
     // neighbor links pipeline flits and wakes by exactly that much, and the
@@ -372,14 +371,17 @@ private:
 
 std::unique_ptr<TopologyHandle> make_topology(sim::SimContext& ctx,
                                               const ScenarioConfig& cfg) {
-    switch (cfg.topology.kind) {
-    case TopologyKind::kCheshire:
-        return std::make_unique<CheshireTopology>(ctx, cfg);
-    case TopologyKind::kRing: return std::make_unique<RingTopology>(ctx, cfg);
-    case TopologyKind::kMesh: return std::make_unique<MeshTopology>(ctx, cfg);
-    }
-    REALM_EXPECTS(false, "unknown topology kind");
-    return nullptr;
+    return std::visit(
+        [&]<typename F>(const F& fabric) -> std::unique_ptr<TopologyHandle> {
+            if constexpr (std::is_same_v<F, soc::SocConfig>) {
+                return std::make_unique<CheshireTopology>(ctx, fabric);
+            } else if constexpr (std::is_same_v<F, RingTopologyConfig>) {
+                return std::make_unique<RingTopology>(ctx, fabric);
+            } else {
+                return std::make_unique<MeshTopology>(ctx, fabric);
+            }
+        },
+        cfg.fabric);
 }
 
 } // namespace realm::scenario

@@ -3,15 +3,16 @@
 ///
 /// The paper's Figure 1b argues REALM regulation is interconnect-agnostic —
 /// the same unit drops in front of a NoC manager port unchanged. This module
-/// makes that claim executable at scenario scale: a `TopologyConfig` selects
-/// the Cheshire-like crossbar SoC (`kCheshire`), an N-node ring NoC
-/// (`kRing`), or an R x C 2D mesh with a pluggable routing policy
-/// (`kMesh`, XY / YX / O1TURN / west-first; see noc/routing.hpp) — the NoC
-/// fabrics with per-node role assignment and optional REALM placement per
-/// manager node — and a `TopologyHandle` presents all of them behind one
-/// interface — victim port, interference ports, memory preconditioning,
-/// boot/config path, and observable counters — so `run_scenario` and
-/// `ScenarioResult` work unchanged across fabrics.
+/// makes that claim executable at scenario scale: a `FabricConfig` holds the
+/// parameters of exactly one fabric — the Cheshire-like crossbar SoC
+/// (`soc::SocConfig`), an N-node ring NoC (`RingTopologyConfig`), or an
+/// R x C 2D mesh with a pluggable routing policy (`MeshTopologyConfig`, XY /
+/// YX / O1TURN / west-first; see noc/routing.hpp) — the NoC fabrics with
+/// per-node role assignment and optional REALM placement per manager node —
+/// and a `TopologyHandle` presents all of them behind one interface — victim
+/// port, interference ports, memory preconditioning, boot/config path, and
+/// observable counters — so `run_scenario` and `ScenarioResult` work
+/// unchanged across fabrics.
 #pragma once
 
 #include "axi/channel.hpp"
@@ -27,28 +28,14 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace realm::scenario {
 
 struct ScenarioConfig; // scenario.hpp includes this header
 struct RegionPlan;
-
-/// Which fabric a scenario instantiates.
-enum class TopologyKind : std::uint8_t {
-    kCheshire, ///< crossbar SoC of Figure 5 (`soc::CheshireSoc`)
-    kRing,     ///< N-node unidirectional ring NoC of Figure 1b
-    kMesh,     ///< R x C 2D mesh, routing policy per `NocTopologyConfig`
-};
-
-[[nodiscard]] constexpr const char* to_string(TopologyKind k) noexcept {
-    switch (k) {
-    case TopologyKind::kCheshire: return "cheshire";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kMesh: return "mesh";
-    }
-    return "?";
-}
 
 /// What one NoC node hosts (ring and mesh share the role vocabulary).
 enum class RingRole : std::uint8_t {
@@ -117,11 +104,6 @@ struct NocTopologyConfig {
     std::uint32_t link_latency = 1;
     ///@}
 
-    /// Mesh routing policy (see noc/routing.hpp): deterministic XY
-    /// (default) / YX dimension order, per-worm randomized O1TURN, or
-    /// turn-model adaptive west-first. Ignored by the single-path ring.
-    noc::RoutingPolicy routing = noc::RoutingPolicy::kXY;
-
     [[nodiscard]] noc::NocFlowConfig flow() const noexcept {
         return noc::NocFlowConfig{flits_per_packet, vc_depth, e2e_credits,
                                   credit_return_delay, link_latency};
@@ -142,19 +124,38 @@ struct RingTopologyConfig : NocTopologyConfig {
 struct MeshTopologyConfig : NocTopologyConfig {
     noc::NodeId rows = 2;
     noc::NodeId cols = 3;
+    /// Routing policy (see noc/routing.hpp): deterministic XY (default) /
+    /// YX dimension order, per-worm randomized O1TURN, or turn-model
+    /// adaptive west-first.
+    noc::RoutingPolicy routing = noc::RoutingPolicy::kXY;
+    /// Explicit tile -> shard map (one entry per node, each below the
+    /// scenario's `shards`). Empty keeps the column stripes; the
+    /// partition-invariance tests pin scattered and pathological maps here.
+    /// Any map runs bit-identically (see `noc::NocMesh::shard_of_node`).
+    std::vector<unsigned> tile_shards;
 
     [[nodiscard]] std::uint32_t num_nodes() const noexcept {
         return static_cast<std::uint32_t>(rows) * cols;
     }
 };
 
-/// Fabric selector carried by `ScenarioConfig`. For `kCheshire` the SoC
-/// parameters stay in `ScenarioConfig::soc` (unchanged legacy layout).
-struct TopologyConfig {
-    TopologyKind kind = TopologyKind::kCheshire;
-    RingTopologyConfig ring{};
-    MeshTopologyConfig mesh{};
-};
+/// The fabric a scenario builds, with its parameters: the crossbar SoC of
+/// Figure 5 (`soc::CheshireSoc`, the default), the ring NoC of Figure 1b,
+/// or a 2D mesh. A point carries only the fabric it builds.
+using FabricConfig = std::variant<soc::SocConfig, RingTopologyConfig, MeshTopologyConfig>;
+
+/// The NoC parameters of `fabric`, or nullptr on the crossbar.
+[[nodiscard]] inline NocTopologyConfig* noc_config(FabricConfig& fabric) {
+    return std::visit(
+        []<typename F>(F& f) -> NocTopologyConfig* {
+            if constexpr (std::is_base_of_v<NocTopologyConfig, F>) {
+                return &f;
+            } else {
+                return nullptr;
+            }
+        },
+        fabric);
+}
 
 /// Canonical ring layout: victim at node 0, `num_memories` memory nodes
 /// spread evenly over the ring, `num_attackers` interference nodes filling
@@ -249,7 +250,7 @@ public:
     ///@}
 };
 
-/// Builds the fabric selected by `cfg.topology` inside `ctx`.
+/// Builds the fabric `cfg.fabric` holds inside `ctx`.
 [[nodiscard]] std::unique_ptr<TopologyHandle> make_topology(sim::SimContext& ctx,
                                                             const ScenarioConfig& cfg);
 

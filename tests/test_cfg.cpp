@@ -83,8 +83,9 @@ protected:
             slaves[idx] = std::make_unique<mem::AxiMemSlave>(
                 ctx, "mem" + std::to_string(i), *downs[idx],
                 std::make_unique<mem::SramBackend>(1, 1), mem::AxiMemSlaveConfig{8, 8, 0});
-            units[idx] = std::make_unique<rt::RealmUnit>(ctx, "u" + std::to_string(i),
-                                                         *ups[idx], *downs[idx]);
+            std::string unit = "u"; // appended: `"u" + to_string` trips GCC 12's -Wrestrict
+            unit += std::to_string(i);
+            units[idx] = std::make_unique<rt::RealmUnit>(ctx, unit, *ups[idx], *downs[idx]);
         }
         regfile = std::make_unique<RealmRegFile>(
             std::vector<rt::RealmUnit*>{units[0].get(), units[1].get()});

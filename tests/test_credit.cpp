@@ -33,7 +33,6 @@ using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
 using scenario::Sweep;
 using scenario::SweepPoint;
-using scenario::TopologyKind;
 
 // --- CreditPool --------------------------------------------------------------
 
@@ -252,7 +251,7 @@ TEST(CreditReturnDelay, DelayedReturnsCompleteAndBoundSoloThroughput) {
     // the uncontended cell, where the victim is the only credit consumer
     // and a slower loop can only cost cycles.
     ScenarioConfig contended = cell_config("ring-dos-smoke", "2atk/hog/none");
-    contended.topology.ring.credit_return_delay = 16;
+    scenario::noc_config(contended.fabric)->credit_return_delay = 16;
     const ScenarioResult delayed = run_scenario(contended, "delay16");
     EXPECT_TRUE(delayed.boot_ok);
     EXPECT_FALSE(delayed.timed_out);
@@ -261,7 +260,7 @@ TEST(CreditReturnDelay, DelayedReturnsCompleteAndBoundSoloThroughput) {
 
     ScenarioConfig solo = cell_config("ring-contention", "N=6 solo");
     const ScenarioResult solo_instant = run_scenario(solo, "solo-delay0");
-    solo.topology.ring.credit_return_delay = 16;
+    scenario::noc_config(solo.fabric)->credit_return_delay = 16;
     const ScenarioResult solo_delayed = run_scenario(solo, "solo-delay16");
     ASSERT_FALSE(solo_instant.timed_out);
     ASSERT_FALSE(solo_delayed.timed_out);
@@ -279,7 +278,7 @@ TEST(CreditReturnDelay, ConservationHoldsEveryCycleUnderDelayedReturns) {
     // are part of the in-flight count, and whole-fabric conservation is
     // asserted on every cycle of a contended run (not sampled).
     ScenarioConfig cfg = cell_config("mesh-dos-smoke", "2atk/wstall/none");
-    cfg.topology.mesh.credit_return_delay = 8;
+    scenario::noc_config(cfg.fabric)->credit_return_delay = 8;
     step_and_check_invariants(cfg, 10000);
 }
 
@@ -299,7 +298,7 @@ TEST(FlowControlResume, DelayedPointIsNeverServedFromAnInstantDump) {
     ASSERT_TRUE(scenario::write_json_file(path, instant, runner.run(instant)));
 
     Sweep delayed = instant;
-    delayed.points[0].config.topology.ring.credit_return_delay = 8;
+    scenario::noc_config(delayed.points[0].config.fabric)->credit_return_delay = 8;
     std::size_t reused = ~std::size_t{0};
     (void)runner.run_resumed(delayed, path, &reused);
     EXPECT_EQ(reused, 0U) << "delayed point aliased an instant-return dump";

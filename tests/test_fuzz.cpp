@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 namespace realm {
@@ -52,7 +53,8 @@ public:
         std::vector<axi::AxiChannel*> xbar_mgrs;
         for (std::uint32_t m = 0; m < num_managers; ++m) {
             auto chain = std::make_unique<ManagerChain>();
-            const std::string n = "m" + std::to_string(m);
+            std::string n = "m"; // appended: `"m" + to_string` trips GCC 12's -Wrestrict
+            n += std::to_string(m);
             chain->mgr_side = std::make_unique<axi::AxiChannel>(ctx, n + ".port");
             chain->mon_out = std::make_unique<axi::AxiChannel>(ctx, n + ".mon");
             chain->realm_down =
@@ -185,9 +187,10 @@ scenario::ScenarioConfig mesh4x4_genome_cell(const traffic::InjectorGenome& g) {
     for (scenario::SweepPoint& p : sweep.points) {
         if (p.config.interference.empty()) { continue; }
         scenario::ScenarioConfig cfg = p.config;
-        cfg.topology.mesh.rows = 4;
-        cfg.topology.mesh.cols = 4;
-        cfg.topology.mesh.nodes = scenario::make_mesh_roles(4, 4, 2, 2);
+        auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+        mesh.rows = 4;
+        mesh.cols = 4;
+        mesh.nodes = scenario::make_mesh_roles(4, 4, 2, 2);
         cfg.monitors.enabled = true;
         cfg.victim.stream.repeat = 1;
         return scenario::genome_scenario(cfg, g);

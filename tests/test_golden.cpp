@@ -8,7 +8,12 @@
 /// simulated field fails here. Tick counters are kernel fields and are not
 /// compared. A change that means to move these results rewrites the files
 /// with `scenario_sweep NAME --threads 1 --json tests/golden/NAME.json` and
-/// says so.
+/// says so. A change that moves only `config_hash` (a config layout change)
+/// rewrites only each point's `"config_hash"` value, old hash to new by
+/// sweep and point index, and leaves every other byte as it was: re-running
+/// the sweeps would also rewrite wall times and tick counters. Masking the
+/// hash values, the files must then diff empty against their previous
+/// version.
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"

@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <variant>
 
 namespace realm::noc {
 namespace {
@@ -462,7 +463,6 @@ using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
 using scenario::Sweep;
 using scenario::SweepPoint;
-using scenario::TopologyKind;
 
 TEST(MeshRoles, CanonicalLayoutMatchesTheRingSpread) {
     const auto mesh_specs = scenario::make_mesh_roles(2, 4, 2, 2);
@@ -487,8 +487,9 @@ TEST(MeshRegistry, SameDosCellsOnAllThreeFabrics) {
     for (std::size_t i = 0; i < ring.points.size(); ++i) {
         EXPECT_EQ(mesh.points[i].label, ring.points[i].label);
         EXPECT_EQ(xbar.points[i].label, ring.points[i].label);
-        EXPECT_EQ(mesh.points[i].config.topology.kind, TopologyKind::kMesh);
-        EXPECT_EQ(xbar.points[i].config.topology.kind, TopologyKind::kCheshire);
+        EXPECT_TRUE(
+            std::holds_alternative<scenario::MeshTopologyConfig>(mesh.points[i].config.fabric));
+        EXPECT_TRUE(std::holds_alternative<soc::SocConfig>(xbar.points[i].config.fabric));
         // Identical traffic knobs per cell: same attackers, same victim.
         EXPECT_EQ(mesh.points[i].config.interference.size(),
                   ring.points[i].config.interference.size());
@@ -496,9 +497,10 @@ TEST(MeshRegistry, SameDosCellsOnAllThreeFabrics) {
                   ring.points[i].config.victim.stream.bytes);
     }
     // 24 nodes on both NoC fabrics.
-    EXPECT_EQ(mesh.points[0].config.topology.mesh.rows *
-              mesh.points[0].config.topology.mesh.cols, 24);
-    EXPECT_EQ(ring.points[0].config.topology.ring.num_nodes, 24);
+    EXPECT_EQ(std::get<scenario::MeshTopologyConfig>(mesh.points[0].config.fabric).num_nodes(),
+              24U);
+    EXPECT_EQ(std::get<scenario::RingTopologyConfig>(ring.points[0].config.fabric).num_nodes,
+              24);
 }
 
 TEST(MeshRegistry, KnowsTheMeshSweeps) {
@@ -561,9 +563,10 @@ TEST(MeshSchedulerEquivalence, LargeIdleMeshFastForwards) {
     // A 4x6 mesh whose traffic drains early: the idle tail must
     // fast-forward once every router, mux, and memory declares idle.
     ScenarioConfig cfg = small_mesh_point(0);
-    cfg.topology.mesh.rows = 4;
-    cfg.topology.mesh.cols = 6;
-    cfg.topology.mesh.nodes = scenario::make_mesh_roles(4, 6, 1, 2);
+    auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+    mesh.rows = 4;
+    mesh.cols = 6;
+    mesh.nodes = scenario::make_mesh_roles(4, 6, 1, 2);
     cfg.interference[0].loop = false; // finite copy, then quiescence
     cfg.cooldown_cycles = 500'000;
     const ScenarioResult res = scenario::run_scenario(cfg, "idle-mesh");
@@ -617,7 +620,7 @@ TEST(MeshRoutingRegistry, RoutingSweepsCoverEveryPolicyWithMatchingCells) {
             const SweepPoint& p = matrix.points[k * base.points.size() + i];
             EXPECT_EQ(p.label,
                       base.points[i].label + "/" + to_string(policy));
-            EXPECT_EQ(p.config.topology.mesh.routing, policy);
+            EXPECT_EQ(std::get<scenario::MeshTopologyConfig>(p.config.fabric).routing, policy);
             // Identical traffic knobs per cell: only the policy varies.
             EXPECT_EQ(p.config.interference.size(),
                       base.points[i].config.interference.size());

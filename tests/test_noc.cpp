@@ -261,8 +261,8 @@ TEST(NocFabricLinks, EveryDeclaredLinkAndNoMoreIsBuilt) {
 class NiResponseScan : public ::testing::Test {
 protected:
     void build(std::vector<NodeId> managers) {
-        book = std::make_unique<CreditBook>(4, std::vector<NodeId>{3},
-                                            std::move(managers), fc);
+        book = std::make_unique<CreditBook>(ctx, 4, std::vector<NodeId>{3},
+                                            std::move(managers), fc, /*deferred=*/false);
         ni = std::make_unique<NocNi>(ctx, "ni3", 3, fc, book.get());
         for (const NodeId m : book->managers()) {
             lanes.push_back(std::make_unique<axi::AxiChannel>(
@@ -367,7 +367,6 @@ TEST_F(RingFixture, BackpressureDoesNotDeadlock) {
 using scenario::RingRole;
 using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
-using scenario::TopologyKind;
 
 TEST(RingRoles, CanonicalLayoutAssignsEveryRole) {
     const auto specs = scenario::make_ring_roles(8, 2, 2);
@@ -419,7 +418,9 @@ TEST(RingTopology, RealmPlacementRegulatesTheAttacker) {
 
 TEST(RingTopology, VictimWithoutRealmAttachesDirectly) {
     ScenarioConfig cfg = small_ring_point(0);
-    for (auto& node : cfg.topology.ring.nodes) { node.realm = false; }
+    for (auto& node : std::get<scenario::RingTopologyConfig>(cfg.fabric).nodes) {
+        node.realm = false;
+    }
     const ScenarioResult res = run_scenario(cfg, "no-realm");
     EXPECT_FALSE(res.timed_out);
     EXPECT_GT(res.ops, 0U);
@@ -448,8 +449,9 @@ TEST(RingSchedulerEquivalence, LargeIdleRingFastForwards) {
     // A 32-node ring whose traffic drains early: the idle tail must
     // fast-forward once every node, mux, and memory declares idle.
     ScenarioConfig cfg = small_ring_point(0);
-    cfg.topology.ring.num_nodes = 32;
-    cfg.topology.ring.nodes = scenario::make_ring_roles(32, 1, 2);
+    auto& ring = std::get<scenario::RingTopologyConfig>(cfg.fabric);
+    ring.num_nodes = 32;
+    ring.nodes = scenario::make_ring_roles(32, 1, 2);
     cfg.interference[0].loop = false; // finite copy, then quiescence
     cfg.cooldown_cycles = 500'000;
     const ScenarioResult res = scenario::run_scenario(cfg, "idle-ring");

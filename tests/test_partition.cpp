@@ -2,7 +2,7 @@
 ///
 /// The sharded mesh kernel promises that the tile -> shard map is a pure
 /// host-side load-balancing decision: *any* map — the default column
-/// stripes or an adversarially scrambled `ScenarioConfig::tile_shards` —
+/// stripes or an adversarially scrambled `MeshTopologyConfig::tile_shards` —
 /// produces bit-identical simulated results, at every link latency. The
 /// fuzz test below drives a 4x4 mesh DoS cell (monitors on, so the
 /// telemetry plane is compared too) under randomized and pathological maps
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 namespace realm {
@@ -29,10 +30,11 @@ scenario::ScenarioConfig mesh4x4_cell(std::uint32_t link_latency) {
     for (scenario::SweepPoint& p : sweep.points) {
         if (p.config.interference.empty()) { continue; }
         scenario::ScenarioConfig cfg = p.config;
-        cfg.topology.mesh.rows = 4;
-        cfg.topology.mesh.cols = 4;
-        cfg.topology.mesh.nodes = scenario::make_mesh_roles(4, 4, 2, 2);
-        cfg.topology.mesh.link_latency = link_latency;
+        auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+        mesh.rows = 4;
+        mesh.cols = 4;
+        mesh.nodes = scenario::make_mesh_roles(4, 4, 2, 2);
+        mesh.link_latency = link_latency;
         cfg.monitors.enabled = true;
         cfg.victim.stream.repeat = 1;
         return cfg;
@@ -55,7 +57,7 @@ TEST_P(PartitionInvariance, RandomTileMapsAreBitIdentical) {
         scenario::ScenarioConfig cfg = mesh4x4_cell(latency);
         cfg.shards = shards;
         cfg.shard_workers = 2; // concurrent barrier even on small hosts
-        cfg.tile_shards = std::move(map);
+        std::get<scenario::MeshTopologyConfig>(cfg.fabric).tile_shards = std::move(map);
         SCOPED_TRACE(testing::Message() << what << " link_latency=" << latency
                                         << " shards=" << shards);
         EXPECT_TRUE(test::same_result(ref, scenario::run_scenario(cfg),

@@ -22,6 +22,7 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace realm::scenario {
@@ -57,7 +58,7 @@ TEST(Registry, KnowsTheRingSweeps) {
         const Sweep sweep = make_sweep(name);
         EXPECT_FALSE(sweep.points.empty());
         for (const SweepPoint& p : sweep.points) {
-            EXPECT_EQ(p.config.topology.kind, TopologyKind::kRing) << p.label;
+            EXPECT_TRUE(std::holds_alternative<RingTopologyConfig>(p.config.fabric)) << p.label;
         }
     }
     // The DoS matrix crosses 3 attacker counts x 3 modes x 4 defenses on a
@@ -66,7 +67,7 @@ TEST(Registry, KnowsTheRingSweeps) {
     const Sweep matrix = make_sweep("ring-dos-matrix");
     EXPECT_EQ(matrix.points.size(), 40U);
     for (const SweepPoint& p : matrix.points) {
-        EXPECT_EQ(p.config.topology.ring.num_nodes, 24U);
+        EXPECT_EQ(std::get<RingTopologyConfig>(p.config.fabric).num_nodes, 24U);
     }
 }
 
@@ -129,8 +130,7 @@ TEST(Preload, SpanRunningPastAMeshMemoryNodeFailsNamingTheSpan) {
     // The last word starts inside the node's 128 KiB and ends 4 bytes past
     // it, in store bytes no bus address reaches.
     ScenarioConfig cfg = make_sweep("mesh-dos-smoke").points[0].config;
-    const MeshTopologyConfig& mesh = cfg.topology.mesh;
-    ASSERT_EQ(cfg.topology.kind, TopologyKind::kMesh);
+    const auto& mesh = std::get<MeshTopologyConfig>(cfg.fabric);
     const axi::Addr end = mesh.mem_base + mesh.mem_span_bytes;
     cfg.preload.push_back(PreloadSpan{end - 0x1004, 0x1008, 1, false});
     const std::string what = setup_violation(cfg);
@@ -146,8 +146,8 @@ TEST(NocBoot, PlanListOfTheWrongLengthFailsNamingBothCounts) {
     // A third plan used to be dropped and a single plan left the attacker
     // unregulated, both silently; the crossbar rejects either list too.
     ScenarioConfig cfg = make_sweep("ring-dos-smoke").points[0].config;
-    ASSERT_EQ(cfg.topology.kind, TopologyKind::kRing);
-    ASSERT_EQ(std::count_if(cfg.topology.ring.nodes.begin(), cfg.topology.ring.nodes.end(),
+    const auto& nodes = std::get<RingTopologyConfig>(cfg.fabric).nodes;
+    ASSERT_EQ(std::count_if(nodes.begin(), nodes.end(),
                             [](const RingNodeSpec& n) { return n.role == RingRole::kInterference; }),
               1);
     cfg.boot_plans.assign(3, RegionPlan{});
@@ -267,22 +267,33 @@ TEST(SharedSusanTrace, AnotherConfigInBetweenChangesNoResult) {
 
 // --- Config field tables (config_hash) --------------------------------------
 
-/// `at` as code spells it: `soc.llc.ways`, `interference[0].genome.genes[3]`.
+/// `at` as code spells it: `fabric.xbar.llc.ways`, `interference[0].genome.genes[3]`.
 std::string dotted(const FieldPath& at) {
     const std::string head = at.parent == nullptr ? "" : dotted(*at.parent);
     if (at.key == nullptr) { return head + '[' + std::to_string(at.index) + ']'; }
     return head.empty() ? at.key : head + '.' + at.key;
 }
 
+/// Makes alternative `i` of `v` the active one, default-constructed.
+template <typename Variant>
+void emplace_alternative(Variant& v, std::size_t i) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((I == i ? (void)v.template emplace<I>() : void()), ...);
+    }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+}
+
 /// Sets `v` from its path: a vector to two elements, an optional to a
-/// value, a string to the path, anything else to a number drawn from it.
-/// With `other`: one element, no value, a longer string, the next number.
+/// value, a string to the path, anything else but a variant to a number
+/// drawn from it. With `other`: one element, no value, a longer string,
+/// the next number, a variant's next alternative.
 template <typename V>
 void fill(const FieldPath& at, V& v, bool other) {
     std::uint64_t x = 0;
     for (const char c : dotted(at)) { x = x * 131 + static_cast<unsigned char>(c); }
     x += other ? 1 : 0;
-    if constexpr (detail::kIsVector<V>) {
+    if constexpr (detail::kIsVariant<V>) {
+        if (other) { emplace_alternative(v, (v.index() + 1) % std::variant_size_v<V>); }
+    } else if constexpr (detail::kIsVector<V>) {
         v.resize(other ? 1 : 2);
     } else if constexpr (detail::kIsOptional<V>) {
         v = other ? V{} : V{std::in_place};
@@ -297,54 +308,67 @@ void fill(const FieldPath& at, V& v, bool other) {
     }
 }
 
-/// The config every vector of which holds two elements and every optional
-/// a value, and every other field a number drawn from its path, so that the
-/// pinned digest below moves when a field is dropped, moved or retyped.
-ScenarioConfig full_config() {
+/// The config that builds alternative `fabric` of `FabricConfig`, every
+/// vector of which holds two elements and every optional a value, and every
+/// other field a number drawn from its path, so that the pinned digests
+/// below move when a field is dropped, moved or retyped.
+ScenarioConfig full_config(std::size_t fabric) {
     ScenarioConfig cfg;
+    emplace_alternative(cfg.fabric, fabric);
     walk_config(cfg, [](const FieldPath& at, auto& v, ConfigKind) { fill(at, v, false); });
     return cfg;
 }
 
 TEST(ConfigFields, EverySemanticFieldMovesTheHashAndNoHostOnlyFieldDoes) {
-    // One case per field the walk visits, vector sizes and optional
-    // presence included; a member without a table entry does not build.
-    const ScenarioConfig base = full_config();
-    const std::uint64_t hash = config_hash(base);
-    std::vector<std::string> host_only;
-    for (std::size_t k = 0;; ++k) {
-        ScenarioConfig c = base;
-        std::size_t seen = 0;
-        std::string path;
-        ConfigKind kind{};
-        walk_config(c, [&](const FieldPath& at, auto& v, ConfigKind field_kind) {
-            if (seen++ != k) { return; }
-            fill(at, v, true);
-            path = dotted(at);
-            kind = field_kind;
-        });
-        if (path.empty()) { break; } // past the last field
-        if (kind == ConfigKind::kSemantic) {
-            EXPECT_NE(config_hash(c), hash) << path << " is semantic but leaves the hash";
-        } else {
-            host_only.push_back(path);
-            EXPECT_EQ(config_hash(c), hash) << path << " is host-only but moves the hash";
+    // One case per field the walk visits on each fabric, vector sizes,
+    // optional presence and the fabric's alternative included; a member
+    // without a table entry does not build.
+    for (std::size_t fabric = 0; fabric < std::variant_size_v<FabricConfig>; ++fabric) {
+        const std::string key = kAlternativeKeys<FabricConfig>[fabric];
+        SCOPED_TRACE(key);
+        const ScenarioConfig base = full_config(fabric);
+        const std::uint64_t hash = config_hash(base);
+        std::vector<std::string> host_only;
+        for (std::size_t k = 0;; ++k) {
+            ScenarioConfig c = base;
+            std::size_t seen = 0;
+            std::string path;
+            ConfigKind kind{};
+            walk_config(c, [&](const FieldPath& at, auto& v, ConfigKind field_kind) {
+                if (seen++ != k) { return; }
+                fill(at, v, true);
+                path = dotted(at);
+                kind = field_kind;
+            });
+            if (path.empty()) { break; } // past the last field
+            if (kind == ConfigKind::kSemantic) {
+                EXPECT_NE(config_hash(c), hash) << path << " is semantic but leaves the hash";
+            } else {
+                host_only.push_back(path);
+                EXPECT_EQ(config_hash(c), hash) << path << " is host-only but moves the hash";
+            }
         }
+        // Tagging a field host-only claims every value runs bit-identically;
+        // the list is spelled out so that claim is never made in passing.
+        std::vector<std::string> expected{"name"};
+        if (key == "mesh") {
+            for (const char* tail : {"", "[0]", "[1]"}) {
+                expected.push_back(std::string{"fabric.mesh.tile_shards"} + tail);
+            }
+        }
+        expected.insert(expected.end(), {"victim.random.seed", "shard_workers", "profile"});
+        EXPECT_EQ(host_only, expected);
     }
-    // Tagging a field host-only claims every value runs bit-identically;
-    // the list is spelled out so that claim is never made in passing.
-    EXPECT_EQ(host_only, (std::vector<std::string>{"name", "victim.random.seed",
-                                                   "shard_workers", "tile_shards",
-                                                   "tile_shards[0]", "tile_shards[1]",
-                                                   "profile"}));
 }
 
 TEST(ConfigFields, HashesStayPut) {
-    // Goldens and `--resume` caches are keyed by `config_hash`. These two
+    // Goldens and `--resume` caches are keyed by `config_hash`. These
     // digests move whenever a field is added, dropped, reordered or
     // retagged, and so do those keys: change them with the goldens, on purpose.
-    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x72c8ccb057e216a4ULL);
-    EXPECT_EQ(config_hash(full_config()), 0xb43af1140f9ddc90ULL);
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x4766bae8e8ec9297ULL);
+    EXPECT_EQ(config_hash(full_config(0)), 0x9206d8f6cafe5369ULL);
+    EXPECT_EQ(config_hash(full_config(1)), 0xcbf7d7a17cce3f02ULL);
+    EXPECT_EQ(config_hash(full_config(2)), 0xefa2dfcf63ed2200ULL);
 }
 
 TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
@@ -352,17 +376,19 @@ TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
     ScenarioConfig mesh = make_sweep("mesh-dos-smoke").points[0].config;
     std::set<std::uint64_t> hashes;
     for (const noc::RoutingPolicy policy : noc::kAllRoutingPolicies) {
-        mesh.topology.mesh.routing = policy;
+        std::get<MeshTopologyConfig>(mesh.fabric).routing = policy;
         hashes.insert(config_hash(mesh));
     }
     EXPECT_EQ(hashes.size(), noc::kAllRoutingPolicies.size()) << "routing policies alias";
     ScenarioConfig transposed = mesh;
-    std::swap(transposed.topology.mesh.rows, transposed.topology.mesh.cols);
+    auto& shape = std::get<MeshTopologyConfig>(transposed.fabric);
+    std::swap(shape.rows, shape.cols);
     EXPECT_NE(config_hash(transposed), config_hash(mesh)) << "same node count, other shape";
     ScenarioConfig ring = make_sweep("ring-dos-smoke").points[0].config;
     const std::uint64_t ring_hash = config_hash(ring);
-    ring.topology.ring.num_nodes = 12;
-    ring.topology.ring.nodes = make_ring_roles(12, 1, 2);
+    auto& resized = std::get<RingTopologyConfig>(ring.fabric);
+    resized.num_nodes = 12;
+    resized.nodes = make_ring_roles(12, 1, 2);
     EXPECT_NE(config_hash(ring), ring_hash) << "ring resized with its roles";
 }
 
@@ -596,6 +622,28 @@ TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
         EXPECT_NE(config_hash(forced.points[i].config), config_hash(base.points[i].config))
             << base.points[i].label;
     }
+}
+
+TEST(FabricOverride, FlagsForAFieldTheFabricLacksLeaveEveryConfigHash) {
+    // `--routing` sets only a mesh's policy and `--link-latency` only a
+    // NoC's links. A point whose fabric has no such field runs unchanged,
+    // so its hash stays and a `--resume` cache serves it.
+    const auto expect_unchanged = [](const std::string& name, const std::string& flag,
+                                     const std::string& value) {
+        const Sweep base = make_sweep(name);
+        Sweep forced = base;
+        apply_overrides(parse_args({"scenario_sweep", name, flag, value},
+                                   /*accept_positional=*/true),
+                        forced);
+        ASSERT_EQ(forced.points.size(), base.points.size());
+        for (std::size_t i = 0; i < base.points.size(); ++i) {
+            EXPECT_EQ(config_hash(forced.points[i].config), config_hash(base.points[i].config))
+                << name << ' ' << flag << ' ' << value << ": " << base.points[i].label;
+        }
+    };
+    expect_unchanged("ring-dos-smoke", "--routing", "yx");
+    expect_unchanged("xbar-dos-smoke", "--routing", "yx");
+    expect_unchanged("xbar-dos-smoke", "--link-latency", "4");
 }
 
 TEST(BenchArgsDeathTest, UnsignedFlagsRejectASignAndValuesOutOfRange) {

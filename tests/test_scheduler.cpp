@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <variant>
 
 namespace realm {
 namespace {
@@ -299,8 +300,9 @@ small_mesh_point(noc::RoutingPolicy routing, unsigned shards,
     scenario::Sweep sweep = scenario::make_sweep("mesh-contention");
     scenario::ScenarioConfig cfg = sweep.points.at(4).config; // 3x4 hog
     cfg.victim.stream.bytes = 0x400;
-    cfg.topology.mesh.routing = routing;
-    cfg.topology.mesh.link_latency = link_latency;
+    auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+    mesh.routing = routing;
+    mesh.link_latency = link_latency;
     cfg.shards = shards;
     cfg.shard_workers = shards > 1 ? 2 : 0;
     return cfg;
@@ -344,11 +346,12 @@ TEST(ShardedKernel, OddWidthMeshBitIdentical) {
     // (including a shard owning two columns and another owning one).
     scenario::Sweep sweep = scenario::make_sweep("mesh-contention");
     scenario::ScenarioConfig cfg = sweep.points.at(1).config; // 2x3 hog
-    cfg.topology.mesh.rows = 3;
-    cfg.topology.mesh.cols = 5;
-    cfg.topology.mesh.nodes = scenario::make_mesh_roles(3, 5, 2, 2);
+    auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+    mesh.rows = 3;
+    mesh.cols = 5;
+    mesh.nodes = scenario::make_mesh_roles(3, 5, 2, 2);
+    mesh.routing = noc::RoutingPolicy::kO1Turn;
     cfg.victim.stream.bytes = 0x400;
-    cfg.topology.mesh.routing = noc::RoutingPolicy::kO1Turn;
     const scenario::ScenarioResult ref = scenario::run_scenario(cfg);
     ASSERT_FALSE(ref.timed_out);
     ASSERT_GT(ref.fabric_hops, 0U);
@@ -412,8 +415,9 @@ TEST(ShardedKernel, ScatteredTileMapBitIdentical) {
                                             << " shards=" << shards);
             scenario::ScenarioConfig cfg =
                 small_mesh_point(noc::RoutingPolicy::kXY, shards, latency);
-            const unsigned rows = cfg.topology.mesh.rows;
-            const unsigned cols = cfg.topology.mesh.cols;
+            auto& mesh = std::get<scenario::MeshTopologyConfig>(cfg.fabric);
+            const unsigned rows = mesh.rows;
+            const unsigned cols = mesh.cols;
             ASSERT_EQ(rows * cols, 12U);
             // Row-major node n = r * cols + c goes to (n + r) % shards: east
             // neighbours differ by 1 and south neighbours by cols + 1 = 5, so
@@ -421,16 +425,16 @@ TEST(ShardedKernel, ScatteredTileMapBitIdentical) {
             std::vector<bool> used(shards, false);
             for (unsigned r = 0; r < rows; ++r) {
                 for (unsigned c = 0; c < cols; ++c) {
-                    cfg.tile_shards.push_back((r * cols + c + r) % shards);
-                    used[cfg.tile_shards.back()] = true;
+                    mesh.tile_shards.push_back((r * cols + c + r) % shards);
+                    used[mesh.tile_shards.back()] = true;
                 }
             }
             for (unsigned n = 0; n < rows * cols; ++n) {
                 if (n % cols + 1 < cols) {
-                    ASSERT_NE(cfg.tile_shards[n], cfg.tile_shards[n + 1]) << n;
+                    ASSERT_NE(mesh.tile_shards[n], mesh.tile_shards[n + 1]) << n;
                 }
                 if (n + cols < rows * cols) {
-                    ASSERT_NE(cfg.tile_shards[n], cfg.tile_shards[n + cols]) << n;
+                    ASSERT_NE(mesh.tile_shards[n], mesh.tile_shards[n + cols]) << n;
                 }
             }
             ASSERT_EQ(static_cast<unsigned>(std::count(used.begin(), used.end(), true)),
