@@ -118,30 +118,27 @@ int main(int argc, char** argv) {
     }
 
     // Worst enumerated attack cell by the search objective; also the
-    // default search target. Baselines (no interference) never qualify.
-    std::size_t worst = sweep.points.size();
-    std::size_t target = sweep.points.size();
-    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-        if (sweep.points[i].config.interference.empty()) { continue; }
-        if (worst == sweep.points.size() ||
-            search_objective(grid[i]) > search_objective(grid[worst])) {
-            worst = i;
-        }
-        if (!sargs.cell.empty() && sweep.points[i].label == sargs.cell) {
-            target = i;
-        }
-    }
+    // default search target.
+    const std::size_t worst = worst_attack_cell(sweep, grid);
     if (worst == sweep.points.size()) {
         std::fprintf(stderr, "sweep '%s' has no attack cells to search\n",
                      sweep_name.c_str());
         return 2;
     }
-    if (sargs.cell.empty()) {
-        target = worst;
-    } else if (target == sweep.points.size()) {
-        std::fprintf(stderr, "--cell '%s' does not name an attack cell of '%s'\n",
-                     sargs.cell.c_str(), sweep_name.c_str());
-        return 2;
+    std::size_t target = worst;
+    if (!sargs.cell.empty()) {
+        target = sweep.points.size();
+        for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+            if (!sweep.points[i].config.interference.empty() &&
+                sweep.points[i].label == sargs.cell) {
+                target = i;
+            }
+        }
+        if (target == sweep.points.size()) {
+            std::fprintf(stderr, "--cell '%s' does not name an attack cell of '%s'\n",
+                         sargs.cell.c_str(), sweep_name.c_str());
+            return 2;
+        }
     }
 
     // Phase 2: the search. The --json dump is the checkpoint; without

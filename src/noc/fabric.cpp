@@ -1,5 +1,6 @@
 #include "noc/fabric.hpp"
 
+#include "realm/realm_unit.hpp"
 #include "sim/check.hpp"
 
 #include <span>
@@ -13,7 +14,8 @@ namespace realm::noc {
 
 NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
                      ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
-                     std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
+                     std::vector<NodeId> manager_nodes,
+                     const std::vector<NodeId>& realm_nodes, const NocFlowConfig& flow,
                      bool deferred_credits, const LinkPlan& links)
     : name_{std::move(name)}, flow_{flow}, map_{std::move(node_map)}, link_plan_{links},
       links_(links.count) {
@@ -24,9 +26,16 @@ NocFabric::NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_no
         links.count * NocLink::slots_needed(flow_, links.num_vcs));
     book_ = std::make_unique<CreditBook>(ctx, num_nodes, std::move(subordinate_nodes),
                                          std::move(manager_nodes), flow_, deferred_credits);
+    std::vector<bool> has_realm(num_nodes, false);
+    for (const NodeId r : realm_nodes) {
+        REALM_EXPECTS(book_->manager_slot(r) != CreditBook::kNoSlot,
+                      name_ + ": REALM node " + std::to_string(r) + " hosts no manager");
+        has_realm[r] = true;
+    }
     for (const NodeId m : book_->managers()) {
-        mgr_ports_.push_back(std::make_unique<axi::AxiChannel>(
-            ctx, name_ + ".mgr" + std::to_string(m)));
+        const std::string port = name_ + ".mgr" + std::to_string(m);
+        mgr_ports_.push_back(has_realm[m] ? rt::make_downstream_channel(ctx, port)
+                                          : std::make_unique<axi::AxiChannel>(ctx, port));
     }
 }
 

@@ -10,7 +10,11 @@
 /// staging lane per manager and an `ic::AxiMux` (which provides the
 /// burst-granular W ordering a real NI needs). REALM units drop in front of
 /// any manager port unchanged — regulation is interconnect-agnostic, which
-/// the NoC fabrics exist to prove. None of that depends on the topology,
+/// the NoC fabrics exist to prove. A port named in `realm_nodes` is built
+/// the way every fabric builds the channel behind a unit
+/// (`rt::make_downstream_channel`: pass-through B/R), so the unit costs one
+/// cycle here as on the crossbar; its unit must be registered after the
+/// node's router. None of that depends on the topology,
 /// so `NocFabric` builds and owns it once; a fabric adds only the links it
 /// wires and a `NocRouter` subclass with its hop step.
 ///
@@ -106,6 +110,9 @@ protected:
     /// \param manager_nodes     nodes hosting a local manager, each listed
     ///        once (asserted by the `CreditBook`). Egress lanes, credit
     ///        pools and NI pair state exist only between the two sets.
+    /// \param realm_nodes       manager nodes with a REALM unit in front of
+    ///        their port, whose B/R channels pass through; asserts that each
+    ///        hosts a manager.
     /// \param deferred_credits  stage every credit return for the
     ///        cycle-edge flush instead of releasing it inline (see
     ///        `CreditBook`).
@@ -113,8 +120,8 @@ protected:
     NocFabric(const sim::SimContext& ctx, std::string name, NodeId num_nodes,
               ic::AddrMap node_map,
               std::vector<NodeId> subordinate_nodes,
-              std::vector<NodeId> manager_nodes, const NocFlowConfig& flow,
-              bool deferred_credits, const LinkPlan& links);
+              std::vector<NodeId> manager_nodes, const std::vector<NodeId>& realm_nodes,
+              const NocFlowConfig& flow, bool deferred_credits, const LinkPlan& links);
 
     /// Builds the next declared link, named `name() + tag`; asserts that
     /// the `LinkPlan` has one left.

@@ -196,10 +196,11 @@ NocFlowConfig shard_safe(NocFlowConfig flow) {
 NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  NodeId cols, ic::AddrMap node_map,
                  std::vector<NodeId> subordinate_nodes,
-                 std::vector<NodeId> manager_nodes, NocFlowConfig flow,
-                 RoutingPolicy routing, std::vector<unsigned> tile_shards)
+                 std::vector<NodeId> manager_nodes, const std::vector<NodeId>& realm_nodes,
+                 NocFlowConfig flow, RoutingPolicy routing,
+                 std::vector<unsigned> tile_shards)
     : NocFabric{ctx, std::move(name), mesh_nodes(rows, cols), std::move(node_map),
-                std::move(subordinate_nodes), std::move(manager_nodes),
+                std::move(subordinate_nodes), std::move(manager_nodes), realm_nodes,
                 shard_safe(flow), /*deferred_credits=*/true,
                 // Every router<->router link is edge-registered: pushes stage
                 // producer-side and commit at the cycle-edge flush, which is

@@ -111,6 +111,8 @@ public:
     /// \param manager_nodes     nodes hosting a local manager, each listed
     ///        once (asserted by the `CreditBook`). Egress lanes, credit
     ///        pools and NI pair state exist only between the two sets.
+    /// \param realm_nodes       manager nodes with a REALM unit in front of
+    ///        their port (see `NocFabric`).
     /// \param flow              transport model and its knobs (shared with
     ///        `NocRing` — the flow-control argument is fabric-independent).
     /// \param routing           routing policy applied fabric-wide (fixes
@@ -126,8 +128,8 @@ public:
     NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
             NodeId cols, ic::AddrMap node_map,
             std::vector<NodeId> subordinate_nodes,
-            std::vector<NodeId> manager_nodes, NocFlowConfig flow = {},
-            RoutingPolicy routing = RoutingPolicy::kXY,
+            std::vector<NodeId> manager_nodes, const std::vector<NodeId>& realm_nodes,
+            NocFlowConfig flow = {}, RoutingPolicy routing = RoutingPolicy::kXY,
             std::vector<unsigned> tile_shards = {});
 
     /// Spatial shard hosting node `n`'s tile: the explicit map when one was

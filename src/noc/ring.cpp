@@ -9,9 +9,10 @@ namespace realm::noc {
 
 NocRing::NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
                  ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
-                 std::vector<NodeId> manager_nodes, NocFlowConfig flow)
+                 std::vector<NodeId> manager_nodes, const std::vector<NodeId>& realm_nodes,
+                 NocFlowConfig flow)
     : NocFabric{ctx, std::move(name), num_nodes, std::move(node_map),
-                std::move(subordinate_nodes), std::move(manager_nodes), flow,
+                std::move(subordinate_nodes), std::move(manager_nodes), realm_nodes, flow,
                 /*deferred_credits=*/false, LinkPlan{2U * num_nodes}} {
     // Link i leaves node i toward node i+1.
     std::vector<NocLink*> req;

@@ -27,10 +27,13 @@ public:
     /// \param subordinate_nodes nodes hosting a local subordinate, and
     /// \param manager_nodes     nodes hosting a local manager, each listed
     ///        once (asserted by the `CreditBook`).
+    /// \param realm_nodes       manager nodes with a REALM unit in front of
+    ///        their port (see `NocFabric`).
     /// \param flow              transport model and its knobs.
     NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
             ic::AddrMap node_map, std::vector<NodeId> subordinate_nodes,
-            std::vector<NodeId> manager_nodes, NocFlowConfig flow = {});
+            std::vector<NodeId> manager_nodes, const std::vector<NodeId>& realm_nodes,
+            NocFlowConfig flow = {});
 };
 
 } // namespace realm::noc

@@ -6,6 +6,12 @@
 
 namespace realm::rt {
 
+std::unique_ptr<axi::AxiChannel> make_downstream_channel(const sim::SimContext& ctx,
+                                                         std::string name) {
+    return std::make_unique<axi::AxiChannel>(ctx, std::move(name), 2,
+                                             /*resp_passthrough=*/true);
+}
+
 RealmUnit::RealmUnit(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
                      axi::AxiChannel& downstream, RealmUnitConfig config)
     : Component{ctx, std::move(name)},

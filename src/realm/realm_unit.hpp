@@ -6,9 +6,10 @@
 /// Timing: the unit adds exactly **one cycle** to the request path and none
 /// to the response path, matching the paper ("AXI-REALM delays in-flight
 /// transactions by just one clock cycle"). For this to hold the downstream
-/// channel must be constructed with `resp_passthrough = true` and the unit
-/// registered *after* the component driving the downstream response
-/// channels (the crossbar). `connect_realm_unit` in soc/ does this.
+/// channel must pass responses through (`make_downstream_channel` builds
+/// it) and the unit must be registered *after* the component driving the
+/// downstream response channels: the crossbar in `soc::CheshireSoc`, the
+/// node's router in `noc::NocFabric`.
 #pragma once
 
 #include "axi/channel.hpp"
@@ -21,7 +22,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 namespace realm::rt {
@@ -143,5 +146,13 @@ private:
     std::uint64_t reads_accepted_ = 0;
     std::uint64_t writes_accepted_ = 0;
 };
+
+/// The channel between a REALM unit and the interconnect port it feeds:
+/// registered requests and pass-through B/R, so the unit costs one cycle on
+/// the request path and none on the response path. Every fabric builds the
+/// channel behind a unit here, and a channel without a unit stays
+/// registered.
+[[nodiscard]] std::unique_ptr<axi::AxiChannel>
+make_downstream_channel(const sim::SimContext& ctx, std::string name);
 
 } // namespace realm::rt

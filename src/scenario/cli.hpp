@@ -89,8 +89,9 @@ struct BenchOptions {
     sim::Scheduler scheduler = sim::Scheduler::kActivity;
     bool scheduler_forced = false; ///< --scheduler given on the command line
     /// `--shards N`: spatial shards of the simulation kernel, forced onto
-    /// every point (bit-identical results for every value; see
-    /// sim/context.hpp). 1 keeps the single-thread kernel.
+    /// every mesh point, the only fabric that places tiles on shards
+    /// (bit-identical results for every value; see sim/context.hpp). 1
+    /// keeps the single-thread kernel.
     unsigned shards = 1;
     bool shards_forced = false; ///< --shards given on the command line
     /// `--routing`: force one routing policy on every mesh point (handy for
@@ -229,13 +230,13 @@ auto load_or_exit(F&& load) {
 }
 
 /// Applies the flags that override config fields to every point whose
-/// fabric has that field: `--routing` to the mesh points, `--link-latency`
-/// to the NoC points.
+/// fabric has that field: `--shards` and `--routing` to the mesh points,
+/// `--link-latency` to the NoC points.
 inline void apply_overrides(const BenchOptions& opts, Sweep& sweep) {
     for (SweepPoint& p : sweep.points) {
         if (opts.scheduler_forced) { p.config.scheduler = opts.scheduler; }
-        if (opts.shards_forced) { p.config.shards = opts.shards; }
         auto* mesh = std::get_if<MeshTopologyConfig>(&p.config.fabric);
+        if (opts.shards_forced && mesh != nullptr) { p.config.shards = opts.shards; }
         if (opts.routing.has_value() && mesh != nullptr) { mesh->routing = *opts.routing; }
         NocTopologyConfig* noc = noc_config(p.config.fabric);
         if (opts.link_latency.has_value() && noc != nullptr) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace realm::scenario {
 
@@ -68,6 +69,13 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     ScenarioResult res;
     res.label = label.empty() ? cfg.name : std::move(label);
     res.seed = cfg.seed;
+
+    // Only the mesh stripes its tiles; any other fabric would tick on shard
+    // 0 behind a barrier with idle workers.
+    const bool crossbar = std::holds_alternative<soc::SocConfig>(cfg.fabric);
+    REALM_EXPECTS(cfg.shards <= 1 || std::holds_alternative<MeshTopologyConfig>(cfg.fabric),
+                  res.label + ": a " + (crossbar ? "crossbar" : "ring") + " runs on one shard, " +
+                      "not " + std::to_string(cfg.shards) + "; only a mesh is sharded");
 
     sim::SimContext ctx;
     ctx.set_scheduler(cfg.scheduler);
@@ -279,7 +287,8 @@ namespace {
 /// field already changes every hash.
 class ConfigDigest {
 public:
-    static constexpr std::uint64_t kVersion = 8; ///< v8: pipelined NoC links
+    /// v9: NoC REALM units' ports pass responses through.
+    static constexpr std::uint64_t kVersion = 9;
 
     ConfigDigest() { mix(kVersion); }
 

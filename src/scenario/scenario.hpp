@@ -136,10 +136,11 @@ struct ScenarioConfig {
     sim::Cycle cooldown_cycles = 0;
 
     sim::Scheduler scheduler = sim::Scheduler::kActivity;
-    /// Spatial shards the simulation kernel partitions the fabric into
-    /// (mesh column stripes; every other fabric stays on shard 0). Shards
-    /// tick concurrently and exchange cross-shard flits at the cycle edge;
-    /// results are bit-identical for every value (see sim/context.hpp).
+    /// Spatial shards the simulation kernel partitions a mesh into (column
+    /// stripes). Shards tick concurrently and exchange cross-shard flits at
+    /// the cycle edge; results are bit-identical for every value (see
+    /// sim/context.hpp). The crossbar and the ring place nothing on another
+    /// shard, so `run_scenario` refuses them more than one.
     unsigned shards = 1;
     /// Worker-thread override for the sharded kernel (0 = autodetect from
     /// `hardware_concurrency()`). Tests force > 1 to exercise the concurrent

@@ -35,6 +35,20 @@ std::vector<std::size_t> rank(const std::vector<SearchEval>& history) {
 
 } // namespace
 
+std::size_t worst_attack_cell(const Sweep& sweep, const std::vector<ScenarioResult>& grid) {
+    REALM_EXPECTS(grid.size() == sweep.points.size(),
+                  "worst_attack_cell: one result per sweep point required");
+    std::size_t worst = sweep.points.size();
+    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+        if (sweep.points[i].config.interference.empty()) { continue; }
+        if (worst == sweep.points.size() ||
+            search_objective(grid[i]) > search_objective(grid[worst])) {
+            worst = i;
+        }
+    }
+    return worst;
+}
+
 ScenarioConfig genome_scenario(const ScenarioConfig& base,
                                const traffic::InjectorGenome& g) {
     REALM_EXPECTS(!base.interference.empty(),

@@ -67,6 +67,14 @@ struct SearchOutcome {
     return r.load_lat_p99;
 }
 
+/// The enumerated grid's worst attack cell, where a search starts and the
+/// bar it must reach: the first point of `sweep` with interference whose
+/// result in `grid` (one per point) has the highest `search_objective`.
+/// Baselines never qualify; returns `sweep.points.size()` when every point
+/// is one.
+[[nodiscard]] std::size_t worst_attack_cell(const Sweep& sweep,
+                                            const std::vector<ScenarioResult>& grid);
+
 /// Rebinds one matrix cell to a searched attacker: every interference entry
 /// of `base` keeps its port, windows, and `hostile` flag but swaps its DMA
 /// program for `g`; the point is renamed to the genome's replayable label.

@@ -129,10 +129,10 @@ private:
 class NocTopologyBase : public TopologyHandle {
 protected:
     /// Builds the fabric from (ctx, node_map, subordinate_nodes,
-    /// manager_nodes).
+    /// manager_nodes, realm_nodes).
     using MakeFabric = std::function<std::unique_ptr<noc::NocFabric>(
-        sim::SimContext&, ic::AddrMap, std::vector<noc::NodeId>,
-        std::vector<noc::NodeId>)>;
+        sim::SimContext&, ic::AddrMap, std::vector<noc::NodeId>, std::vector<noc::NodeId>,
+        const std::vector<noc::NodeId>&)>;
 
     NocTopologyBase(sim::SimContext& ctx, const NocTopologyConfig& cfg,
                     std::vector<RingNodeSpec> specs, const MakeFabric& make_fabric)
@@ -174,12 +174,19 @@ protected:
         std::vector<noc::NodeId> mgr_nodes{victim_node_};
         mgr_nodes.insert(mgr_nodes.end(), interference_nodes_.begin(),
                          interference_nodes_.end());
+        std::vector<noc::NodeId> realm_nodes; // in node order, which builds the units
+        for (noc::NodeId n = 0; n < num_nodes; ++n) {
+            const bool manager = specs_[n].role == RingRole::kVictim ||
+                                 specs_[n].role == RingRole::kInterference;
+            if (manager && specs_[n].realm) { realm_nodes.push_back(n); }
+        }
         fabric_ = make_fabric(ctx, std::move(map), std::move(sub_nodes),
-                              std::move(mgr_nodes));
+                              std::move(mgr_nodes), realm_nodes);
         // Tile-local models co-shard with their tile: the memory slave talks
         // to its egress mux (and the REALM unit to its router NI) through
-        // plain registered channels, which are only race-free within one
-        // shard. The fabric decides the spatial partition.
+        // plain channels, registered or pass-through, which are only
+        // race-free within one shard. The fabric decides the spatial
+        // partition.
         for (Span& s : spans_) {
             const sim::ShardScope scope{ctx, fabric_->shard_of_node(s.node)};
             mems_.push_back(std::make_unique<mem::AxiMemSlave>(
@@ -191,14 +198,12 @@ protected:
             s.store = &static_cast<mem::SramBackend&>(mems_.back()->backend()).store();
         }
 
-        // REALM units last: their response pass-through must observe pushes
-        // from the fabric routers in the same cycle (construction order
-        // fixes evaluation order, as in the crossbar SoC).
+        // REALM units last: the fabric built each unit's manager port with
+        // pass-through B/R, so a unit must tick after the router that pushes
+        // its responses, on the router's shard (construction order fixes
+        // evaluation order, as in the crossbar SoC).
         realm_of_node_.assign(num_nodes, -1);
-        for (noc::NodeId n = 0; n < num_nodes; ++n) {
-            const bool manager = specs_[n].role == RingRole::kVictim ||
-                                 specs_[n].role == RingRole::kInterference;
-            if (!manager || !specs_[n].realm) { continue; }
+        for (const noc::NodeId n : realm_nodes) {
             const sim::ShardScope scope{ctx, fabric_->shard_of_node(n)};
             realm_of_node_[n] = static_cast<int>(realms_.size());
             realm_up_.push_back(std::make_unique<axi::AxiChannel>(
@@ -319,10 +324,11 @@ public:
         : NocTopologyBase{ctx, cfg, resolve(cfg),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
                                  std::vector<noc::NodeId> subs,
-                                 std::vector<noc::NodeId> mgrs) {
+                                 std::vector<noc::NodeId> mgrs,
+                                 const std::vector<noc::NodeId>& realms) {
                               return std::make_unique<noc::NocRing>(
                                   c, "ring", cfg.num_nodes, std::move(map),
-                                  std::move(subs), std::move(mgrs), cfg.flow());
+                                  std::move(subs), std::move(mgrs), realms, cfg.flow());
                           }} {}
 
 private:
@@ -341,10 +347,11 @@ public:
         : NocTopologyBase{ctx, cfg, resolve(cfg),
                           [&cfg](sim::SimContext& c, ic::AddrMap map,
                                  std::vector<noc::NodeId> subs,
-                                 std::vector<noc::NodeId> mgrs) {
+                                 std::vector<noc::NodeId> mgrs,
+                                 const std::vector<noc::NodeId>& realms) {
                               return std::make_unique<noc::NocMesh>(
                                   c, "mesh", cfg.rows, cfg.cols, std::move(map),
-                                  std::move(subs), std::move(mgrs), cfg.flow(),
+                                  std::move(subs), std::move(mgrs), realms, cfg.flow(),
                                   cfg.routing, cfg.tile_shards);
                           }},
           lookahead_{cfg.link_latency} {}

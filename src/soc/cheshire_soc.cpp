@@ -26,11 +26,11 @@ CheshireSoc::CheshireSoc(sim::SimContext& ctx, SocConfig config)
     }
     hwrot_port_ = std::make_unique<axi::AxiChannel>(ctx, "hwrot");
     if (cfg_.realm_present) {
-        // Response channels pass through so each REALM unit adds exactly one
-        // cycle (request path only); the units tick after the crossbar.
+        // Each REALM unit adds exactly one cycle (request path only); the
+        // units tick after the crossbar, which pushes their responses.
         for (std::uint32_t i = 0; i < 1 + cfg_.num_dsa; ++i) {
-            realm_down_.push_back(std::make_unique<axi::AxiChannel>(
-                ctx, "realm_down" + std::to_string(i), 2, /*resp_passthrough=*/true));
+            realm_down_.push_back(
+                rt::make_downstream_channel(ctx, "realm_down" + std::to_string(i)));
         }
     }
     llc_up_ = std::make_unique<axi::AxiChannel>(ctx, "llc_up");

@@ -251,7 +251,8 @@ protected:
         map.add(0x1'0000, 0x10000, 5, "mem5");
         mesh = std::make_unique<NocMesh>(ctx, "mesh", 2, 3, map,
                                          std::vector<noc::NodeId>{3, 5},
-                                         std::vector<noc::NodeId>{0, 2});
+                                         std::vector<noc::NodeId>{0, 2},
+                                         std::vector<noc::NodeId>{});
         mem3 = std::make_unique<mem::AxiMemSlave>(
             ctx, "mem3", mesh->subordinate_port(3),
             std::make_unique<mem::SramBackend>(1, 1), mem::AxiMemSlaveConfig{8, 8, 0});
@@ -419,7 +420,7 @@ TEST(MeshSubordinates, DuplicatedSubordinateNodeIsRejected) {
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
     EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3, 3},
-                          std::vector<NodeId>{0}}),
+                          std::vector<NodeId>{0}, std::vector<NodeId>{}}),
                  sim::ContractViolation);
 }
 
@@ -430,7 +431,7 @@ TEST(MeshManagers, DuplicatedManagerNodeIsRejected) {
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
     EXPECT_THROW((NocMesh{ctx, "mesh", 2, 3, map, std::vector<NodeId>{3},
-                          std::vector<NodeId>{0, 2, 0}}),
+                          std::vector<NodeId>{0, 2, 0}, std::vector<NodeId>{}}),
                  sim::ContractViolation);
 }
 
@@ -675,7 +676,8 @@ TEST(MeshRoutingPolicies, SameIdOrderingHoldsUnderEveryPolicy) {
         map.add(0x0000, 0x10000, 3, "mem3");
         map.add(0x1'0000, 0x10000, 5, "mem5");
         NocMesh mesh{ctx, "mesh", 2, 3, map, std::vector<noc::NodeId>{3, 5},
-                     std::vector<noc::NodeId>{0, 2}, NocFlowConfig{}, policy};
+                     std::vector<noc::NodeId>{0, 2}, std::vector<noc::NodeId>{},
+                     NocFlowConfig{}, policy};
         mem::AxiMemSlave mem3{ctx, "mem3", mesh.subordinate_port(3),
                               std::make_unique<mem::SramBackend>(1, 1),
                               mem::AxiMemSlaveConfig{8, 8, 0}};
@@ -705,7 +707,8 @@ TEST(MeshRoutingPolicies, DmaCopyPreservesDataUnderEveryPolicy) {
         map.add(0x0000, 0x10000, 3, "mem3");
         map.add(0x1'0000, 0x10000, 5, "mem5");
         NocMesh mesh{ctx, "mesh", 2, 3, map, std::vector<noc::NodeId>{3, 5},
-                     std::vector<noc::NodeId>{0, 2}, NocFlowConfig{}, policy};
+                     std::vector<noc::NodeId>{0, 2}, std::vector<noc::NodeId>{},
+                     NocFlowConfig{}, policy};
         mem::AxiMemSlave mem3{ctx, "mem3", mesh.subordinate_port(3),
                               std::make_unique<mem::SramBackend>(1, 1),
                               mem::AxiMemSlaveConfig{8, 8, 0}};

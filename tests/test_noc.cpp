@@ -35,7 +35,8 @@ protected:
         map.add(0x1'0000, 0x10000, 3, "mem3");
         ring = std::make_unique<NocRing>(ctx, "ring", 4, map,
                                          std::vector<noc::NodeId>{2, 3},
-                                         std::vector<noc::NodeId>{0, 1});
+                                         std::vector<noc::NodeId>{0, 1},
+                                         std::vector<noc::NodeId>{});
         mem2 = std::make_unique<mem::AxiMemSlave>(
             ctx, "mem2", ring->subordinate_port(2),
             std::make_unique<mem::SramBackend>(1, 1), mem::AxiMemSlaveConfig{8, 8, 0});
@@ -200,7 +201,7 @@ TEST(RingSubordinates, DuplicatedSubordinateNodeIsRejected) {
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
     EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3, 3},
-                          std::vector<NodeId>{0}}),
+                          std::vector<NodeId>{0}, std::vector<NodeId>{}}),
                  sim::ContractViolation);
 }
 
@@ -209,7 +210,21 @@ TEST(RingManagers, DuplicatedManagerNodeIsRejected) {
     ic::AddrMap map;
     map.add(0x0000, 0x10000, 3, "mem3");
     EXPECT_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3},
-                          std::vector<NodeId>{1, 1}}),
+                          std::vector<NodeId>{1, 1}, std::vector<NodeId>{}}),
+                 sim::ContractViolation);
+}
+
+TEST(RingManagers, RealmNodeWithoutAManagerIsRejected) {
+    // A REALM unit sits in front of a manager port; naming another node
+    // would give no port the unit's pass-through responses.
+    sim::SimContext ctx;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 3, "mem3");
+    EXPECT_NO_THROW((NocRing{ctx, "ring", 6, map, std::vector<NodeId>{3},
+                             std::vector<NodeId>{0, 1}, std::vector<NodeId>{1}}));
+    sim::SimContext other;
+    EXPECT_THROW((NocRing{other, "ring", 6, map, std::vector<NodeId>{3},
+                          std::vector<NodeId>{0, 1}, std::vector<NodeId>{2}}),
                  sim::ContractViolation);
 }
 
@@ -218,8 +233,8 @@ class LinkCountFabric final : public NocFabric {
 public:
     LinkCountFabric(sim::SimContext& ctx, std::size_t declared, std::size_t built)
         : NocFabric{ctx, "f", 2, one_memory_map(), std::vector<NodeId>{1},
-                    std::vector<NodeId>{0}, NocFlowConfig{}, /*deferred_credits=*/false,
-                    LinkPlan{declared}} {
+                    std::vector<NodeId>{0}, std::vector<NodeId>{}, NocFlowConfig{},
+                    /*deferred_credits=*/false, LinkPlan{declared}} {
         for (std::size_t i = 0; i < built; ++i) { add_link(ctx, ".l" + std::to_string(i)); }
         build_egress(ctx);
     }
@@ -327,7 +342,7 @@ TEST(RingCreditDelay, DelayedCreditReturnsStillCompleteEndToEnd) {
     NocFlowConfig fc;
     fc.credit_return_delay = 6;
     NocRing ring{ctx, "ring", 4, map, std::vector<noc::NodeId>{2},
-                 std::vector<noc::NodeId>{0}, fc};
+                 std::vector<noc::NodeId>{0}, std::vector<noc::NodeId>{}, fc};
     ASSERT_NE(ring.credit_book(), nullptr);
     mem::AxiMemSlave mem2{ctx, "mem2", ring.subordinate_port(2),
                           std::make_unique<mem::SramBackend>(1, 1),

@@ -9,6 +9,7 @@
 /// and compares every semantic result field against the single-shard
 /// reference.
 #include "scenario/registry.hpp"
+#include "scenario/topology.hpp"
 #include "sim/rng.hpp"
 
 #include "same_result.hpp"
@@ -85,6 +86,30 @@ TEST_P(PartitionInvariance, RandomTileMapsAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(LinkLatencies, PartitionInvariance,
                          ::testing::Values(1U, 2U, 4U));
+
+TEST(PartitionPlacement, EveryRealmUnitRidesItsNodesShard) {
+    // A REALM unit's manager port passes responses through, which is
+    // race-free only while the unit ticks on the shard of the router that
+    // pushes them; the maps above would not show a unit built elsewhere
+    // whose timing happened to agree. A scattered map puts the victim (node
+    // 0) and the two attackers (nodes 1 and 2) on three different shards.
+    scenario::ScenarioConfig cfg = mesh4x4_cell(1);
+    cfg.shards = 4;
+    std::vector<unsigned> map(16);
+    for (unsigned n = 0; n < map.size(); ++n) { map[n] = (n * 7 + 1) % 4; }
+    std::get<scenario::MeshTopologyConfig>(cfg.fabric).tile_shards = map;
+    sim::SimContext ctx;
+    ctx.set_shards(cfg.shards);
+    const auto topo = scenario::make_topology(ctx, cfg);
+    ASSERT_NE(topo->victim_realm(), nullptr);
+    EXPECT_EQ(topo->victim_shard(), map[0]);
+    EXPECT_EQ(topo->victim_realm()->shard(), topo->victim_shard());
+    ASSERT_EQ(topo->num_interference_ports(), 2U);
+    for (std::size_t i = 0; i < topo->num_interference_ports(); ++i) {
+        ASSERT_NE(topo->interference_realm(i), nullptr) << i;
+        EXPECT_EQ(topo->interference_realm(i)->shard(), topo->interference_shard(i)) << i;
+    }
+}
 
 } // namespace
 } // namespace realm

@@ -364,11 +364,12 @@ TEST(ConfigFields, EverySemanticFieldMovesTheHashAndNoHostOnlyFieldDoes) {
 TEST(ConfigFields, HashesStayPut) {
     // Goldens and `--resume` caches are keyed by `config_hash`. These
     // digests move whenever a field is added, dropped, reordered or
-    // retagged, and so do those keys: change them with the goldens, on purpose.
-    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x4766bae8e8ec9297ULL);
-    EXPECT_EQ(config_hash(full_config(0)), 0x9206d8f6cafe5369ULL);
-    EXPECT_EQ(config_hash(full_config(1)), 0xcbf7d7a17cce3f02ULL);
-    EXPECT_EQ(config_hash(full_config(2)), 0xefa2dfcf63ed2200ULL);
+    // retagged, or `kVersion` is bumped, and so do those keys: change them
+    // with the goldens, on purpose.
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x69efb66a4727dde6ULL);
+    EXPECT_EQ(config_hash(full_config(0)), 0x8bd438147d8f75e8ULL);
+    EXPECT_EQ(config_hash(full_config(1)), 0x7fd619184e55afc3ULL);
+    EXPECT_EQ(config_hash(full_config(2)), 0x7b42f2bfa8b33d61ULL);
 }
 
 TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
@@ -625,9 +626,10 @@ TEST(RoutingOverride, ForcedPolicyKeepsEveryLabelAndChangesEveryConfigHash) {
 }
 
 TEST(FabricOverride, FlagsForAFieldTheFabricLacksLeaveEveryConfigHash) {
-    // `--routing` sets only a mesh's policy and `--link-latency` only a
-    // NoC's links. A point whose fabric has no such field runs unchanged,
-    // so its hash stays and a `--resume` cache serves it.
+    // `--routing` sets only a mesh's policy, `--link-latency` only a NoC's
+    // links and `--shards` only a mesh's stripes. A point whose fabric has
+    // no such field runs unchanged, so its hash stays and a `--resume`
+    // cache serves it.
     const auto expect_unchanged = [](const std::string& name, const std::string& flag,
                                      const std::string& value) {
         const Sweep base = make_sweep(name);
@@ -644,6 +646,51 @@ TEST(FabricOverride, FlagsForAFieldTheFabricLacksLeaveEveryConfigHash) {
     expect_unchanged("ring-dos-smoke", "--routing", "yx");
     expect_unchanged("xbar-dos-smoke", "--routing", "yx");
     expect_unchanged("xbar-dos-smoke", "--link-latency", "4");
+    expect_unchanged("ring-dos-smoke", "--shards", "4");
+    expect_unchanged("xbar-dos-smoke", "--shards", "4");
+}
+
+TEST(FabricOverride, ShardsLeaveACrossbarSweepAsItWas) {
+    // `scenario_sweep xbar-dos-smoke --shards 4` runs what `--shards 1`
+    // runs: every simulated field and tick counter, per-shard slices
+    // included, and every hash.
+    const auto run = [](const std::string& shards) {
+        Sweep sweep = make_sweep("xbar-dos-smoke");
+        apply_overrides(parse_args({"scenario_sweep", "xbar-dos-smoke", "--shards", shards},
+                                   /*accept_positional=*/true),
+                        sweep);
+        return std::pair{sweep, ScenarioRunner{RunnerOptions{.threads = 4}}.run(sweep)};
+    };
+    const auto [one, one_results] = run("1");
+    const auto [four, four_results] = run("4");
+    ASSERT_EQ(four_results.size(), one_results.size());
+    for (std::size_t i = 0; i < one_results.size(); ++i) {
+        EXPECT_EQ(config_hash(four.points[i].config), config_hash(one.points[i].config));
+        EXPECT_TRUE(test::same_result(four_results[i], one_results[i], FieldKind::kHost));
+    }
+}
+
+TEST(FabricOverride, OnlyAMeshRunsOnMoreThanOneShard) {
+    // The crossbar and the ring place every component on shard 0, so more
+    // shards would only add a barrier with idle workers.
+    ScenarioConfig xbar = make_sweep("xbar-dos-smoke").points.front().config;
+    xbar.shards = 2;
+    ScenarioConfig ring = make_sweep("ring-dos-smoke").points.front().config;
+    ring.shards = 2;
+    for (const auto& [cfg, fabric] : {std::pair{xbar, "crossbar"}, std::pair{ring, "ring"}}) {
+        try {
+            (void)run_scenario(cfg, "point");
+            ADD_FAILURE() << fabric << " ran on 2 shards";
+        } catch (const sim::ContractViolation& e) {
+            EXPECT_NE(std::string{e.what()}.find(std::string{"a "} + fabric + " runs on one"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ScenarioConfig mesh = make_sweep("mesh-dos-smoke").points.front().config;
+    mesh.shards = 2;
+    mesh.max_cycles = 0;
+    EXPECT_NO_THROW((void)run_scenario(mesh));
 }
 
 TEST(BenchArgsDeathTest, UnsignedFlagsRejectASignAndValuesOutOfRange) {
