@@ -178,16 +178,16 @@ void BM_QuantileSketch(benchmark::State& state) {
 BENCHMARK(BM_QuantileSketch);
 
 void BM_TxnMonitorTick(benchmark::State& state) {
-    // Steady-state per-cycle cost of the pass-through monitor: a manager
-    // pipelining 1-beat reads against an SRAM slave behind the monitor hop,
-    // so every cycle forwards flits, matches bursts and rolls windows.
+    // Steady-state per-cycle cost of the monitor's tap: a manager pipelining
+    // 1-beat reads into a port that an SRAM slave drains and the monitor
+    // observes, so every cycle runs the observers, matches bursts, checks
+    // the port for held requests and rolls windows.
     sim::SimContext ctx;
-    axi::AxiChannel up{ctx, "up"};
-    axi::AxiChannel down{ctx, "down"};
-    mon::TxnMonitor monitor{ctx, "mon", up, down, mon::TxnMonitorConfig{}};
-    mem::AxiMemSlave slave{ctx, "mem", down, std::make_unique<mem::SramBackend>(1, 1),
+    axi::AxiChannel port{ctx, "port"};
+    mem::AxiMemSlave slave{ctx, "mem", port, std::make_unique<mem::SramBackend>(1, 1),
                            mem::AxiMemSlaveConfig{8, 8, 0}};
-    axi::ManagerView mgr{up};
+    mon::TxnMonitor monitor{ctx, "mon", port, mon::TxnMonitorConfig{}};
+    axi::ManagerView mgr{port};
     for (auto _ : state) {
         if (mgr.can_send_ar()) { mgr.send_ar(axi::make_ar(1, ctx.now() % 4096, 1, 3)); }
         if (mgr.has_r()) { benchmark::DoNotOptimize(mgr.recv_r()); }

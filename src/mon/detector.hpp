@@ -6,13 +6,16 @@
 ///
 ///  - kBandwidth:    windowed bytes/cycle at or above a threshold -- the
 ///                   classic bandwidth hog running unopposed;
-///  - kBackpressure: the manager's requests were held at the monitor boundary
-///                   for at least a fraction of a window -- demand exceeding
-///                   what the fabric grants, which is how both contended hogs
-///                   and isolation-throttled overdrafters look from upstream;
+///  - kBackpressure: the manager's requests sat valid and not ready at its
+///                   port, while it had two or more bursts in demand, for at
+///                   least a fraction of a window -- demand exceeding what
+///                   the fabric grants, which is how both contended hogs and
+///                   isolation-throttled overdrafters look from the port. A
+///                   blocking core with one burst held is waiting on the
+///                   fabric, not pushing past it, so it never counts;
 ///  - kWGap:         an accepted write burst whose manager stopped producing
-///                   W beats while the channel could take them -- the
-///                   W-stall protocol attack, defended or not;
+///                   W beats while its port held none -- the W-stall
+///                   protocol attack, defended or not;
 ///  - kOccupancy:    windowed mean in-demand bursts (reads AR..R-last, writes
 ///                   AW..W-last) at or above a threshold -- the
 ///                   contention-independent signature of a closed-loop hog,
@@ -40,7 +43,7 @@ namespace realm::mon {
 enum Signal : std::uint8_t {
     kSignalNone = 0,
     kSignalBandwidth = 1,    ///< windowed bytes/cycle over threshold
-    kSignalBackpressure = 2, ///< windowed held-handshake fraction over threshold
+    kSignalBackpressure = 2, ///< windowed held fraction over threshold
     kSignalWGap = 4,         ///< W-channel production gap inside an open burst
     kSignalOccupancy = 8,    ///< windowed mean outstanding bursts over threshold
 };

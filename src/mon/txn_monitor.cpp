@@ -7,14 +7,17 @@
 
 namespace realm::mon {
 
-TxnMonitor::TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
-                       axi::AxiChannel& downstream, TxnMonitorConfig config)
-    : Component{ctx, std::move(name)}, up_{upstream}, down_{downstream}, cfg_{config} {
+TxnMonitor::TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
+                       TxnMonitorConfig config)
+    : Component{ctx, std::move(name)}, port_{&port}, cfg_{config} {
     REALM_EXPECTS(cfg_.timeout_cycles > 0, "monitor timeout must be positive");
     REALM_EXPECTS(cfg_.stall_cycles > 0, "monitor stall threshold must be positive");
     REALM_EXPECTS(cfg_.window_cycles > 0, "monitor window must be positive");
-    upstream.wake_subordinate_on_request(*this);
-    downstream.wake_manager_on_response(*this);
+    tap<axi::AwFlit, &TxnMonitor::on_aw>(port.aw);
+    tap<axi::WFlit, &TxnMonitor::on_w>(port.w);
+    tap<axi::ArFlit, &TxnMonitor::on_ar>(port.ar);
+    tap<axi::BFlit, &TxnMonitor::on_b>(port.b);
+    tap<axi::RFlit, &TxnMonitor::on_r>(port.r);
     attach_cycle_ = now();
     window_start_ = now();
     last_w_cycle_ = now();
@@ -23,7 +26,6 @@ TxnMonitor::TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& 
 
 void TxnMonitor::tick() {
     roll_windows();
-    forward_flits();
     check_timeouts();
     check_w_gap();
     account_held();
@@ -47,96 +49,99 @@ std::deque<TxnMonitor::Outstanding>* TxnMonitor::find_fifo(std::vector<OpenQueue
     return nullptr;
 }
 
-void TxnMonitor::forward_flits() {
-    if (up_.has_aw() && down_.can_send_aw()) {
-        axi::AwFlit f = up_.recv_aw();
+// The observers run inside the producer's tick, possibly while this
+// component sleeps, so each rolls the windows up to `now()` before it
+// touches a windowed counter.
+
+void TxnMonitor::open_burst(std::vector<OpenQueue>& open, axi::IdT id) {
+    roll_windows();
+    accrue_occupancy(now());
+    ++occ_count_;
+    open_fifo(open, id).push_back({now(), false});
+    next_timeout_deadline_ = std::min(next_timeout_deadline_, now() + cfg_.timeout_cycles);
+    // The request link is registered: the consumer sees the flit next
+    // cycle, which is when it can first be held.
+    wake(now() + 1);
+}
+
+void TxnMonitor::on_aw(const axi::AwFlit& f) {
+    open_burst(write_open_, f.id);
+    if (w_bursts_.empty()) {
+        last_w_cycle_ = now(); // the burst's W clock starts at AW issue
+        w_gap_flagged_ = false;
+    }
+    w_bursts_.push_back({f.beats(), f.descriptor().beat_bytes()});
+    ++aw_count_;
+}
+
+void TxnMonitor::on_w(const axi::WFlit& /*f*/) {
+    roll_windows();
+    std::uint32_t beat_bytes = axi::kMaxDataBytes;
+    if (!w_bursts_.empty()) {
+        WBurst& burst = w_bursts_.front();
+        beat_bytes = burst.beat_bytes;
+        last_w_cycle_ = now();
+        w_gap_flagged_ = false;
+        if (--burst.beats_left == 0) {
+            w_bursts_.pop_front();
+            // A write stops counting toward occupancy at W-last:
+            // occupancy measures *demand* (request/data phase), and a
+            // victim queueing on late B responses behind someone else's
+            // attack must not inherit the attacker's signature.
+            accrue_occupancy(now());
+            --occ_count_;
+        }
+    }
+    bytes_written_ += beat_bytes;
+    window_bytes_ += beat_bytes;
+    wake(now() + 1);
+}
+
+void TxnMonitor::on_ar(const axi::ArFlit& f) {
+    open_burst(read_open_, f.id);
+    const std::uint32_t beat_bytes = f.descriptor().beat_bytes();
+    bool known = false;
+    for (auto& [id, bytes] : r_bytes_per_beat_) {
+        if (id == f.id) {
+            bytes = beat_bytes;
+            known = true;
+            break;
+        }
+    }
+    if (!known) { r_bytes_per_beat_.emplace_back(f.id, beat_bytes); }
+    ++ar_count_;
+}
+
+void TxnMonitor::on_b(const axi::BFlit& f) {
+    std::deque<Outstanding>* fifo = find_fifo(write_open_, f.id);
+    if (fifo != nullptr && !fifo->empty()) {
+        write_sketch_.record(now() - fifo->front().issued);
+        fifo->pop_front();
+    } else {
+        ++orphan_responses_; // B with no matching outstanding AW
+    }
+}
+
+void TxnMonitor::on_r(const axi::RFlit& f) {
+    roll_windows();
+    std::uint32_t beat_bytes = axi::kMaxDataBytes;
+    for (const auto& [id, bytes] : r_bytes_per_beat_) {
+        if (id == f.id) {
+            beat_bytes = bytes;
+            break;
+        }
+    }
+    bytes_read_ += beat_bytes;
+    window_bytes_ += beat_bytes;
+    if (!f.last) { return; }
+    std::deque<Outstanding>* fifo = find_fifo(read_open_, f.id);
+    if (fifo != nullptr && !fifo->empty()) {
+        read_sketch_.record(now() - fifo->front().issued);
+        fifo->pop_front();
         accrue_occupancy(now());
-        ++occ_count_;
-        open_fifo(write_open_, f.id).push_back({now(), false});
-        next_timeout_deadline_ = std::min(next_timeout_deadline_, now() + cfg_.timeout_cycles);
-        if (w_bursts_.empty()) {
-            last_w_cycle_ = now(); // the burst's W clock starts at AW accept
-            w_gap_flagged_ = false;
-        }
-        w_bursts_.push_back({f.beats(), f.descriptor().beat_bytes()});
-        ++aw_count_;
-        down_.send_aw(f);
-    }
-    if (up_.has_w() && down_.can_send_w()) {
-        axi::WFlit f = up_.recv_w();
-        std::uint32_t beat_bytes = axi::kMaxDataBytes;
-        if (!w_bursts_.empty()) {
-            WBurst& burst = w_bursts_.front();
-            beat_bytes = burst.beat_bytes;
-            last_w_cycle_ = now();
-            w_gap_flagged_ = false;
-            if (--burst.beats_left == 0) {
-                w_bursts_.pop_front();
-                // A write stops counting toward occupancy at W-last:
-                // occupancy measures *demand* (request/data phase), and a
-                // victim queueing on late B responses behind someone else's
-                // attack must not inherit the attacker's signature.
-                accrue_occupancy(now());
-                --occ_count_;
-            }
-        }
-        bytes_written_ += beat_bytes;
-        window_bytes_ += beat_bytes;
-        down_.send_w(f);
-    }
-    if (up_.has_ar() && down_.can_send_ar()) {
-        axi::ArFlit f = up_.recv_ar();
-        accrue_occupancy(now());
-        ++occ_count_;
-        open_fifo(read_open_, f.id).push_back({now(), false});
-        next_timeout_deadline_ = std::min(next_timeout_deadline_, now() + cfg_.timeout_cycles);
-        const std::uint32_t beat_bytes = f.descriptor().beat_bytes();
-        bool known = false;
-        for (auto& [id, bytes] : r_bytes_per_beat_) {
-            if (id == f.id) {
-                bytes = beat_bytes;
-                known = true;
-                break;
-            }
-        }
-        if (!known) { r_bytes_per_beat_.emplace_back(f.id, beat_bytes); }
-        ++ar_count_;
-        down_.send_ar(f);
-    }
-    if (down_.channel().b.can_pop() && up_.channel().b.can_push()) {
-        axi::BFlit f = down_.channel().b.pop();
-        std::deque<Outstanding>* fifo = find_fifo(write_open_, f.id);
-        if (fifo != nullptr && !fifo->empty()) {
-            write_sketch_.record(now() - fifo->front().issued);
-            fifo->pop_front();
-        } else {
-            ++orphan_responses_; // B with no matching outstanding AW
-        }
-        up_.channel().b.push(f);
-    }
-    if (down_.channel().r.can_pop() && up_.channel().r.can_push()) {
-        axi::RFlit f = down_.channel().r.pop();
-        std::uint32_t beat_bytes = axi::kMaxDataBytes;
-        for (const auto& [id, bytes] : r_bytes_per_beat_) {
-            if (id == f.id) {
-                beat_bytes = bytes;
-                break;
-            }
-        }
-        bytes_read_ += beat_bytes;
-        window_bytes_ += beat_bytes;
-        if (f.last) {
-            std::deque<Outstanding>* fifo = find_fifo(read_open_, f.id);
-            if (fifo != nullptr && !fifo->empty()) {
-                read_sketch_.record(now() - fifo->front().issued);
-                fifo->pop_front();
-                accrue_occupancy(now());
-                --occ_count_;
-            } else {
-                ++orphan_responses_; // R-last with no matching outstanding AR
-            }
-        }
-        up_.channel().r.push(f);
+        --occ_count_;
+    } else {
+        ++orphan_responses_; // R-last with no matching outstanding AR
     }
 }
 
@@ -161,8 +166,7 @@ void TxnMonitor::check_timeouts() {
 
 void TxnMonitor::check_w_gap() {
     if (w_bursts_.empty() || w_gap_flagged_) { return; }
-    if (up_.has_w()) { return; }         // data queued at the boundary: not a gap
-    if (!down_.can_send_w()) { return; } // fabric would not accept a beat anyway
+    if (!port_->w.empty()) { return; } // a beat waits in the port: produced, not a gap
     const sim::Cycle deadline = last_w_cycle_ + cfg_.stall_cycles;
     if (now() >= deadline) {
         ++w_gap_events_;
@@ -172,11 +176,9 @@ void TxnMonitor::check_w_gap() {
 }
 
 void TxnMonitor::account_held() {
-    const bool held[3] = {
-        up_.has_aw() && !down_.can_send_aw(),
-        up_.has_w() && !down_.can_send_w(),
-        up_.has_ar() && !down_.can_send_ar(),
-    };
+    // Valid and not ready: a request the port's consumer could see this
+    // cycle and, having ticked already, left in place.
+    const bool held[3] = {port_->aw.can_pop(), port_->w.can_pop(), port_->ar.can_pop()};
     bool any = false;
     for (int i = 0; i < 3; ++i) {
         if (held[i]) {
@@ -195,7 +197,9 @@ void TxnMonitor::account_held() {
             held_streak_reported_[i] = false;
         }
     }
-    if (any) {
+    // A blocking core with one burst held is waiting on the fabric; only a
+    // manager with two or more bursts in demand is pushing past it.
+    if (any && occ_count_ >= 2) {
         ++held_cycles_;
         ++window_held_;
     }
@@ -209,8 +213,8 @@ void TxnMonitor::roll_windows() {
 
 void TxnMonitor::accrue_occupancy(sim::Cycle to) {
     // `to` never precedes the last accrual: events accrue at now(), and
-    // roll_windows() runs first in tick(), so an unclosed window boundary is
-    // always past the previous tick's events.
+    // roll_windows() runs first in tick() and in every observer that accrues,
+    // so an unclosed window boundary is always past the previous events.
     window_occ_ += occ_count_ * (to - occ_last_cycle_);
     occ_last_cycle_ = to;
 }
@@ -254,15 +258,14 @@ void TxnMonitor::finalize() {
 }
 
 void TxnMonitor::update_activity() {
-    // Like the tracer: never sleep while a flit is buffered in the hop
-    // (downstream backpressure clears without a wake hook), and rely on the
-    // push hooks for new work. Beyond that, the monitor has deadline-driven
-    // work of its own -- pending timeout checks and an open W-production gap
-    // -- so it sleeps *until* the earliest deadline instead of forever.
-    // Window closes need no deadline: they are evaluated lazily and dated
-    // deterministically at the window boundary.
-    if (!up_.channel().requests_empty()) { return; }
-    if (!down_.channel().responses_empty()) { return; }
+    // Never sleep while a request sits in the port: it may be held next
+    // cycle, and its acceptance wakes nobody. The request observers wake
+    // the monitor for the next one. Beyond that, the monitor has
+    // deadline-driven work of its own -- pending timeout checks and an open
+    // W-production gap -- so it sleeps *until* the earliest deadline
+    // instead of forever. Window closes need no deadline: they are
+    // evaluated lazily and dated deterministically at the window boundary.
+    if (!port_->requests_empty()) { return; }
     sim::Cycle wake = sim::kNoCycle;
     if (!w_bursts_.empty() && !w_gap_flagged_) {
         wake = std::min(wake, last_w_cycle_ + cfg_.stall_cycles);

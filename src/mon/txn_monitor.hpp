@@ -1,21 +1,28 @@
 /// \file
 /// \brief Per-manager online transaction monitor (the monitoring plane's FSM).
 ///
-/// A TxnMonitor is a pass-through component spliced between a manager (traffic
-/// model) and the fabric port it drives, like `axi::AxiTracer` and
-/// `axi::AxiChecker`: it forwards at most one flit per channel per cycle and
-/// adds exactly one cycle per hop each way. While forwarding it tracks every
+/// A TxnMonitor taps the port a manager (traffic model) drives: one push
+/// observer on each of the port's five links sees every AW/W/AR the manager
+/// issues and every B/R the fabric returns, stamped at the producer's cycle.
+/// It holds no flit and adds no cycle, so a monitored run simulates exactly
+/// the unmonitored one. From the observed handshakes it tracks every
 /// outstanding AW/AR burst online and maintains per-tenant counters:
 ///
 ///  - **timeouts**: a burst outstanding longer than `timeout_cycles` (flagged
 ///    once per burst; late completions still record their latency);
 ///  - **orphaned bursts**: a B/R-last response with no matching request, or a
 ///    request still incomplete when the run ends (`finalize()`);
-///  - **protocol stalls**: a request handshake held at the monitor boundary
-///    for `stall_cycles` consecutive cycles (downstream would not accept);
+///  - **protocol stalls**: a request left valid and not ready at the port for
+///    `stall_cycles` consecutive cycles (the fabric would not accept it);
 ///  - **W-production gaps**: an accepted write burst whose manager produced no
-///    W beat for `stall_cycles` cycles while the channel could take one -- the
+///    W beat for `stall_cycles` cycles while the port held none -- the
 ///    signature of the W-stall DoS attack.
+///
+/// The component itself keeps only what needs a clock: the held accounting
+/// (valid and not ready, read from the port after its consumer ticked) and
+/// the W-gap, timeout and window deadlines. It must therefore be built after
+/// the port's consumer, and on the shard of the port's producers, which run
+/// its observers.
 ///
 /// Completed burst latencies stream into fixed-memory QuantileSketches (one
 /// read, one write), giving P50/P99/P999 for every manager at ~9 KiB each.
@@ -69,8 +76,9 @@ struct TxnMonitorConfig {
 
 class TxnMonitor : public sim::Component {
 public:
-    TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& upstream,
-               axi::AxiChannel& downstream, TxnMonitorConfig config = {});
+    /// Taps `port`, whose five links must carry no push observer yet.
+    TxnMonitor(sim::SimContext& ctx, std::string name, axi::AxiChannel& port,
+               TxnMonitorConfig config = {});
 
     void tick() override;
 
@@ -133,7 +141,23 @@ private:
         std::deque<Outstanding> fifo;
     };
 
-    void forward_flits();
+    /// Installs `Observe` as the push observer of `link`.
+    template <typename T, void (TxnMonitor::*Observe)(const T&)>
+    void tap(sim::Link<T>& link) {
+        link.set_push_observer(
+            {[](void* self, const T& f) { (static_cast<TxnMonitor*>(self)->*Observe)(f); },
+             this});
+    }
+    /// \name Push observers: the handshakes the manager issues (AW/W/AR) and
+    /// the fabric returns (B/R), at the producer's cycle.
+    ///@{
+    void on_aw(const axi::AwFlit& f);
+    void on_w(const axi::WFlit& f);
+    void on_ar(const axi::ArFlit& f);
+    void on_b(const axi::BFlit& f);
+    void on_r(const axi::RFlit& f);
+    ///@}
+    void open_burst(std::vector<OpenQueue>& open, axi::IdT id);
     void accrue_occupancy(sim::Cycle to);
     void account_held();
     void check_timeouts();
@@ -143,8 +167,7 @@ private:
     void flag(std::uint8_t signal, sim::Cycle at);
     void update_activity();
 
-    axi::SubordinateView up_;
-    axi::ManagerView down_;
+    const axi::AxiChannel* port_;
     TxnMonitorConfig cfg_;
     sim::Cycle attach_cycle_ = 0;
 

@@ -88,8 +88,12 @@ public:
     /// the condition that isolates the manager until replenishment.
     [[nodiscard]] bool budget_exhausted() const noexcept { return !admission_open(); }
 
-    /// Debits `bytes` against the region containing `addr` (called at
-    /// transaction acceptance, fragment granularity).
+    /// Debits `bytes` against the region containing `addr`. `RealmUnit`
+    /// calls it once per upstream burst, when it accepts the AW or AR, with
+    /// the whole burst's bytes, before the splitter fragments it. A burst
+    /// admitted on any positive credit is charged in full, so the credit
+    /// may go negative: the overdraft a pipelined attacker exploits, repaid
+    /// from the next periods' budgets.
     void charge(axi::Addr addr, std::uint64_t bytes);
 
     /// Records a completed transaction's latency for the region statistics.

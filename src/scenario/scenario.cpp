@@ -113,20 +113,17 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     if (cfg.monitor_llc_on_core) { topo->set_victim_monitor(); }
 
     // --- Interference ----------------------------------------------------
-    // With monitors enabled each manager drives a fresh channel whose far
-    // side is a pass-through TxnMonitor in front of the real fabric port.
-    // Monitor and channel live on the manager's shard, so the sharded kernel
-    // sees one more same-shard component and stays race-free.
+    // With monitors enabled a TxnMonitor taps each manager's fabric port; the
+    // manager still drives the port itself. The monitor is built after the
+    // topology, so it ticks after the port's consumer, and on the manager's
+    // shard, where the port's producers run its observers.
     const bool monitored = cfg.monitors.enabled;
-    std::vector<std::unique_ptr<axi::AxiChannel>> mon_channels;
     std::vector<std::unique_ptr<mon::TxnMonitor>> monitors;
-    const auto interpose = [&](axi::AxiChannel& port, const std::string& name)
-        -> axi::AxiChannel& {
-        if (!monitored) { return port; }
-        mon_channels.push_back(std::make_unique<axi::AxiChannel>(ctx, "ch_" + name));
-        monitors.push_back(std::make_unique<mon::TxnMonitor>(
-            ctx, name, *mon_channels.back(), port, cfg.monitors.thresholds));
-        return *mon_channels.back();
+    const auto tap = [&](axi::AxiChannel& port, const std::string& name) {
+        if (monitored) {
+            monitors.push_back(
+                std::make_unique<mon::TxnMonitor>(ctx, name, port, cfg.monitors.thresholds));
+        }
     };
 
     std::vector<std::unique_ptr<traffic::DmaEngine>> dmas;
@@ -136,8 +133,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
         // The engine talks to its port through plain registered channels, so
         // it must tick on the same shard as the tile behind the port.
         const sim::ShardScope scope{ctx, topo->interference_shard(i)};
-        axi::AxiChannel& port =
-            interpose(topo->interference_port(i), "mon_dsa" + std::to_string(i));
+        axi::AxiChannel& port = topo->interference_port(i);
+        tap(port, "mon_dsa" + std::to_string(i));
         if (irq.genome) {
             // Genome-driven programmable injector (adversarial search plane).
             traffic::InjectorConfig icfg;
@@ -163,9 +160,9 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
 
     // --- Victim ----------------------------------------------------------
     const sim::ShardScope victim_scope{ctx, topo->victim_shard()};
-    axi::AxiChannel& victim_port = interpose(topo->victim_port(), "mon_core");
+    tap(topo->victim_port(), "mon_core");
     const std::size_t victim_mon = monitored ? monitors.size() - 1 : 0;
-    traffic::CoreModel core{ctx, "core", victim_port, *victim_workload};
+    traffic::CoreModel core{ctx, "core", topo->victim_port(), *victim_workload};
     const sim::Cycle start = ctx.now();
     // Interference-side read counter of engine 0 (DMA or injector), for the
     // victim-window bandwidth metric.
@@ -287,8 +284,8 @@ namespace {
 /// field already changes every hash.
 class ConfigDigest {
 public:
-    /// v9: NoC REALM units' ports pass responses through.
-    static constexpr std::uint64_t kVersion = 9;
+    /// v10: monitors tap the manager's port instead of sitting in it.
+    static constexpr std::uint64_t kVersion = 10;
 
     ConfigDigest() { mix(kVersion); }
 

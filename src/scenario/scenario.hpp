@@ -71,10 +71,11 @@ struct InterferenceConfig {
 };
 
 /// Online transaction-monitoring & telemetry plane (src/mon/). When enabled,
-/// every manager port — the victim core and each interference DMA — gets a
-/// pass-through `mon::TxnMonitor` spliced in front of its fabric port. The
-/// monitor hop adds one cycle each way, as every pipeline stage does, so the
-/// flag is result-affecting and hashed.
+/// a `mon::TxnMonitor` taps every manager port — the victim core's and each
+/// interference DMA's — through the port links' push observers. It holds no
+/// flit, so a monitored run simulates exactly the unmonitored one; the flag
+/// is hashed because a monitored result carries the `mon_*` and `mgr_*`
+/// telemetry an unmonitored one lacks.
 struct MonitorConfig {
     bool enabled = false;
     /// Detection/pathology thresholds.

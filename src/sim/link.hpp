@@ -31,6 +31,18 @@ struct PopHook {
     void operator()() const { fn(user, arg); }
 };
 
+/// Typed push observer, allocation-free like `PopHook`: called from inside
+/// every `push` with the flit just stored, so it runs on the producer's
+/// shard at the producer's cycle. It sees each handshake without holding
+/// the flit, which lets a monitor tap a link instead of sitting in it. The
+/// user object must outlive the link.
+template <typename T>
+struct PushObserver {
+    using Fn = void (*)(void* user, const T& value);
+    Fn fn = nullptr;
+    void* user = nullptr;
+};
+
 /// Single-producer / single-consumer FIFO with *registered* timing:
 /// an element pushed at cycle N becomes poppable at cycle N+1.
 ///
@@ -104,6 +116,7 @@ public:
         }
         ++recent_;
         ++total_pushed_;
+        if (observer_.fn != nullptr) { observer_.fn(observer_.user, slot(tail)); }
         if (wake_on_push_ != nullptr) {
             // Registered flits are observable one cycle after the push, so
             // that is the earliest the consumer could make progress.
@@ -142,6 +155,13 @@ public:
     /// flow control uses this to return end-to-end credits when a staged
     /// flit leaves the network-interface buffer toward its subordinate.
     void set_on_pop(PopHook hook) noexcept { on_pop_ = hook; }
+
+    /// Push observer: invoked after every push (see `PushObserver`). A link
+    /// carries at most one; setting a second is a contract violation.
+    void set_push_observer(PushObserver<T> observer) {
+        REALM_EXPECTS(observer_.fn == nullptr, "second push observer on link " + name_);
+        observer_ = observer;
+    }
 
     /// \name Introspection
     ///@{
@@ -188,6 +208,7 @@ private:
     Cycle last_push_cycle_ = kNoCycle;
     Timing timing_ = Timing::kRegistered;
     Component* wake_on_push_ = nullptr;
+    PushObserver<T> observer_{};
     PopHook on_pop_{};
     std::uint64_t total_pushed_ = 0;
     std::uint64_t total_popped_ = 0;

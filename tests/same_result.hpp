@@ -16,11 +16,12 @@
 
 namespace realm::test {
 
-/// Resets every field of kind `from` or later to its default value.
-inline void clear_from(scenario::ScenarioResult& r, scenario::FieldKind from) {
+/// Resets every field that `drop(field)` selects to its default value.
+template <typename Drop>
+void clear_fields(scenario::ScenarioResult& r, Drop drop) {
     const scenario::ScenarioResult blank{};
     for (const scenario::ResultField& f : scenario::kResultFields) {
-        if (f.kind < from) { continue; }
+        if (!drop(f)) { continue; }
         std::visit(
             [&](auto member) {
                 if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
@@ -29,6 +30,11 @@ inline void clear_from(scenario::ScenarioResult& r, scenario::FieldKind from) {
             },
             f.member);
     }
+}
+
+/// Resets every field of kind `from` or later to its default value.
+inline void clear_from(scenario::ScenarioResult& r, scenario::FieldKind from) {
+    clear_fields(r, [from](const scenario::ResultField& f) { return f.kind >= from; });
 }
 
 /// `r` as a dump holds it: doubles at the writer's six significant digits.

@@ -33,16 +33,16 @@ namespace realm {
 namespace {
 
 struct ManagerChain {
-    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> monitor
-    std::unique_ptr<axi::AxiChannel> mon_out;     // monitor -> realm
+    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> realm, tapped by the monitor
     std::unique_ptr<axi::AxiChannel> realm_down;  // realm -> checker (resp passthrough)
     std::unique_ptr<axi::AxiChannel> chk_out;     // checker -> xbar
-    std::unique_ptr<mon::TxnMonitor> monitor;
     std::unique_ptr<axi::AxiChecker> checker;
     std::unique_ptr<rt::RealmUnit> realm;
+    std::unique_ptr<mon::TxnMonitor> monitor;
 };
 
-/// Topology: manager -> transaction monitor -> REALM -> checker -> xbar -> SRAMs.
+/// Topology: manager -> REALM -> checker -> xbar -> SRAMs, with a transaction
+/// monitor tapping the manager's port.
 class FuzzBench {
 public:
     FuzzBench(std::uint32_t num_managers, const rt::RealmUnitConfig& rcfg) {
@@ -56,19 +56,21 @@ public:
             std::string n = "m"; // appended: `"m" + to_string` trips GCC 12's -Wrestrict
             n += std::to_string(m);
             chain->mgr_side = std::make_unique<axi::AxiChannel>(ctx, n + ".port");
-            chain->mon_out = std::make_unique<axi::AxiChannel>(ctx, n + ".mon");
             chain->realm_down =
                 std::make_unique<axi::AxiChannel>(ctx, n + ".down", 2, true);
             chain->chk_out = std::make_unique<axi::AxiChannel>(ctx, n + ".chk");
-            chain->monitor = std::make_unique<mon::TxnMonitor>(
-                ctx, n + ".mon", *chain->mgr_side, *chain->mon_out);
             // Checker constructed before the REALM unit so the unit's
             // response-passthrough sees same-cycle pushes.
             chain->checker = std::make_unique<axi::AxiChecker>(
                 ctx, n + ".chk", *chain->realm_down, *chain->chk_out, true);
             chain->realm = std::make_unique<rt::RealmUnit>(ctx, n + ".realm",
-                                                           *chain->mon_out,
+                                                           *chain->mgr_side,
                                                            *chain->realm_down, rcfg);
+            // The monitor reads the port after its consumer, the REALM unit,
+            // has ticked: built after it, as `run_scenario` builds monitors
+            // after the topology.
+            chain->monitor =
+                std::make_unique<mon::TxnMonitor>(ctx, n + ".mon", *chain->mgr_side);
             xbar_mgrs.push_back(chain->chk_out.get());
             chains.push_back(std::move(chain));
         }

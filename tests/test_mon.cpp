@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace realm::mon {
@@ -211,19 +212,25 @@ TEST(Detector, EmptyAndAllCleanScoreZero) {
 
 // --- TxnMonitor FSM on crafted traces ----------------------------------------
 
-/// The monitor spliced between a hand-driven manager (`up`) and a hand-driven
-/// subordinate (`down`), in the style of test_axi's CheckerFixture.
+/// The monitor tapping one hand-driven `port`, pushed into as the manager and
+/// drained as the subordinate, in the style of test_axi's CheckerFixture.
 class MonitorFixture : public ::testing::Test {
 protected:
     sim::SimContext ctx;
-    axi::AxiChannel up{ctx, "up"};
-    axi::AxiChannel down{ctx, "down"};
+    axi::AxiChannel port{ctx, "port"};
+    axi::ManagerView mgr{port};
+    axi::SubordinateView sub{port};
+
+    /// The subordinate accepts every request the port shows this cycle.
+    void accept_requests() {
+        while (sub.has_aw()) { sub.recv_aw(); }
+        while (sub.has_w()) { sub.recv_w(); }
+        while (sub.has_ar()) { sub.recv_ar(); }
+    }
 };
 
 TEST_F(MonitorFixture, CleanWriteRecordsOneLatencySample) {
-    TxnMonitor monitor{ctx, "mon", up, down};
-    axi::ManagerView mgr{up};
-    axi::SubordinateView sub{down};
+    TxnMonitor monitor{ctx, "mon", port};
     mgr.send_aw(axi::make_aw(1, 0x1000, 2, 3));
     ctx.step();
     axi::WFlit w0;
@@ -234,9 +241,8 @@ TEST_F(MonitorFixture, CleanWriteRecordsOneLatencySample) {
     w1.last = true;
     mgr.send_w(w1);
     ctx.run(3);
-    // Drain the forwarded request and answer it.
-    while (sub.has_aw()) { sub.recv_aw(); }
-    while (sub.has_w()) { sub.recv_w(); }
+    // Accept the request and answer it.
+    accept_requests();
     axi::BFlit b;
     b.id = 1;
     sub.send_b(b);
@@ -255,12 +261,10 @@ TEST_F(MonitorFixture, CleanWriteRecordsOneLatencySample) {
 }
 
 TEST_F(MonitorFixture, CleanReadRecordsLatencyAndBytes) {
-    TxnMonitor monitor{ctx, "mon", up, down};
-    axi::ManagerView mgr{up};
-    axi::SubordinateView sub{down};
+    TxnMonitor monitor{ctx, "mon", port};
     mgr.send_ar(axi::make_ar(5, 0x2000, 2, 3));
     ctx.run(3);
-    while (sub.has_ar()) { sub.recv_ar(); }
+    accept_requests();
     axi::RFlit r0;
     r0.id = 5;
     r0.last = false;
@@ -275,20 +279,21 @@ TEST_F(MonitorFixture, CleanReadRecordsLatencyAndBytes) {
 
     EXPECT_EQ(monitor.ar_count(), 1U);
     EXPECT_EQ(monitor.read_sketch().count(), 1U);
+    EXPECT_EQ(monitor.read_sketch().min(), 4U) << "AR at cycle 0, R-last at cycle 4";
     EXPECT_EQ(monitor.bytes_read(), 16U) << "2 beats x 8 B";
     EXPECT_EQ(monitor.orphan_responses(), 0U);
     EXPECT_FALSE(monitor.flagged());
 }
 
 TEST_F(MonitorFixture, OrphanResponsesAreCounted) {
-    TxnMonitor monitor{ctx, "mon", up, down};
+    TxnMonitor monitor{ctx, "mon", port};
     axi::BFlit b;
     b.id = 9;
-    down.b.push(b);
+    sub.send_b(b);
     axi::RFlit r;
     r.id = 9;
     r.last = true;
-    down.r.push(r);
+    sub.send_r(r);
     ctx.run(3);
     EXPECT_EQ(monitor.orphan_responses(), 2U);
 }
@@ -296,8 +301,7 @@ TEST_F(MonitorFixture, OrphanResponsesAreCounted) {
 TEST_F(MonitorFixture, TimeoutFlagsOncePerBurstAndOrphansAtFinalize) {
     TxnMonitorConfig cfg;
     cfg.timeout_cycles = 20;
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
+    TxnMonitor monitor{ctx, "mon", port, cfg};
     mgr.send_ar(axi::make_ar(1, 0x1000, 1, 3));
     ctx.run(3);
     EXPECT_EQ(monitor.timeouts(), 0U) << "not yet aged past the deadline";
@@ -313,16 +317,19 @@ TEST_F(MonitorFixture, TimeoutFlagsOncePerBurstAndOrphansAtFinalize) {
 TEST_F(MonitorFixture, WGapFlagsStallingWriteProducer) {
     TxnMonitorConfig cfg;
     cfg.stall_cycles = 8;
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
+    TxnMonitor monitor{ctx, "mon", port, cfg};
     // Open an 8-beat burst, supply a single beat, then go silent while the
-    // downstream W channel stays ready -- the W-stall attack signature.
+    // subordinate takes everything -- the W-stall attack signature. (A beat
+    // left in the port has been produced, so it would not be a gap.)
     mgr.send_aw(axi::make_aw(1, 0x1000, 8, 3));
     ctx.step();
     axi::WFlit w;
     w.last = false;
     mgr.send_w(w);
-    ctx.run(40);
+    for (int c = 0; c < 40; ++c) {
+        accept_requests();
+        ctx.step();
+    }
 
     EXPECT_EQ(monitor.w_gap_events(), 1U);
     EXPECT_TRUE(monitor.flagged());
@@ -338,10 +345,9 @@ TEST_F(MonitorFixture, BackpressureFlagsHeldRequests) {
     cfg.window_cycles = 32;
     cfg.held_threshold = 0.5;
     cfg.bw_threshold = 1e9; // isolate the held signal
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
-    // Never drain `down`: after the monitor fills the downstream AR link the
-    // manager's requests are held at the boundary every cycle.
+    TxnMonitor monitor{ctx, "mon", port, cfg};
+    // Never accept: once the manager fills the port's AR link, its requests
+    // are valid and not ready every cycle.
     axi::IdT id = 0;
     for (int c = 0; c < 100; ++c) {
         if (mgr.can_send_ar()) { mgr.send_ar(axi::make_ar(++id, 0x1000, 1, 3)); }
@@ -353,18 +359,37 @@ TEST_F(MonitorFixture, BackpressureFlagsHeldRequests) {
     EXPECT_EQ(monitor.signals() & kSignalBackpressure, kSignalBackpressure);
 }
 
+TEST_F(MonitorFixture, BackpressureIgnoresASingleHeldBurst) {
+    // A blocking core whose one read the fabric never accepts is waiting on
+    // the fabric, not pushing past it; a second read in demand turns the
+    // same stall into backpressure.
+    TxnMonitorConfig cfg;
+    cfg.window_cycles = 32;
+    cfg.held_threshold = 0.5;
+    cfg.bw_threshold = 1e9;  // isolate the held signal
+    cfg.occ_threshold = 1e9;
+    TxnMonitor monitor{ctx, "mon", port, cfg};
+    mgr.send_ar(axi::make_ar(1, 0x1000, 1, 3));
+    ctx.run(100);
+    EXPECT_EQ(monitor.held_cycles(), 0U);
+    EXPECT_FALSE(monitor.flagged());
+    mgr.send_ar(axi::make_ar(2, 0x2000, 1, 3));
+    ctx.run(100);
+    EXPECT_EQ(monitor.held_cycles(), 100U) << "every cycle with two reads in demand";
+    monitor.finalize();
+    EXPECT_EQ(monitor.signals(), kSignalBackpressure);
+}
+
 TEST_F(MonitorFixture, BandwidthFlagsSaturatingReader) {
     TxnMonitorConfig cfg;
     cfg.window_cycles = 32;
     cfg.bw_threshold = 4.0; // 8 B/cycle of R traffic is well above this
     cfg.held_threshold = 1.1; // isolate the bandwidth signal
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
-    axi::SubordinateView sub{down};
+    TxnMonitor monitor{ctx, "mon", port, cfg};
     mgr.send_ar(axi::make_ar(7, 0x1000, 64, 3));
     std::uint32_t beats = 64;
     for (int c = 0; c < 120; ++c) {
-        while (sub.has_ar()) { sub.recv_ar(); }
+        accept_requests();
         if (beats > 0 && sub.can_send_r()) {
             axi::RFlit r;
             r.id = 7;
@@ -386,12 +411,13 @@ TEST_F(MonitorFixture, OccupancyFlagsPipelinedReader) {
     cfg.occ_threshold = 1.5;
     cfg.held_threshold = 1.1; // isolate the occupancy signal
     cfg.stall_cycles = 1000;
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
-    // Two reads forwarded downstream and never answered: in-demand occupancy
-    // sits at 2 for every following window.
+    TxnMonitor monitor{ctx, "mon", port, cfg};
+    // Two reads accepted and never answered: in-demand occupancy sits at 2
+    // for every following window.
     mgr.send_ar(axi::make_ar(1, 0x1000, 1, 3));
     mgr.send_ar(axi::make_ar(2, 0x2000, 1, 3));
+    ctx.step();
+    accept_requests();
     ctx.run(100);
     // Windows are evaluated lazily (the idle monitor may be asleep at the
     // boundary); finalize() closes them, dated at the deterministic edges.
@@ -407,9 +433,7 @@ TEST_F(MonitorFixture, OccupancyIgnoresResponseWait) {
     TxnMonitorConfig cfg;
     cfg.window_cycles = 32;
     cfg.occ_threshold = 1.5;
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
-    axi::ManagerView mgr{up};
-    axi::SubordinateView sub{down};
+    TxnMonitor monitor{ctx, "mon", port, cfg};
     for (axi::IdT id = 1; id <= 4; ++id) {
         mgr.send_aw(axi::make_aw(id, 0x1000 * id, 1, 3));
         ctx.step();
@@ -417,8 +441,7 @@ TEST_F(MonitorFixture, OccupancyIgnoresResponseWait) {
         w.last = true;
         mgr.send_w(w);
         ctx.step();
-        while (sub.has_aw()) { sub.recv_aw(); }
-        while (sub.has_w()) { sub.recv_w(); }
+        accept_requests();
     }
     // Four stores outstanding on the B channel for a long time.
     ctx.run(300);
@@ -432,7 +455,7 @@ TEST_F(MonitorFixture, OccupancyIgnoresResponseWait) {
 TEST_F(MonitorFixture, QuietManagerStaysClean) {
     TxnMonitorConfig cfg;
     cfg.window_cycles = 16;
-    TxnMonitor monitor{ctx, "mon", up, down, cfg};
+    TxnMonitor monitor{ctx, "mon", port, cfg};
     ctx.run(200);
     monitor.finalize();
     EXPECT_FALSE(monitor.flagged());
@@ -462,6 +485,55 @@ ScenarioConfig monitored_cell(const std::string& sweep_name, const std::string& 
     }
     ADD_FAILURE() << "no cell " << label << " in " << sweep_name;
     return sweep.points.at(0).config;
+}
+
+/// Every point of `sweep_name`, with monitors on when `monitored`.
+std::vector<ScenarioResult> run_sweep(const std::string& sweep_name, bool monitored) {
+    Sweep sweep = make_sweep(sweep_name);
+    for (SweepPoint& p : sweep.points) { p.config.monitors.enabled = monitored; }
+    return ScenarioRunner{RunnerOptions{.threads = 4}}.run(sweep);
+}
+
+TEST(MonitoredScenario, MonitorsLeaveEverySimulatedFieldAsItWas) {
+    // A monitor taps the port its manager drives and holds nothing back, so
+    // a monitored run simulates exactly the unmonitored one: only the
+    // telemetry (mon_*, mgr_*) and the kernel's tick counters differ.
+    for (const char* sweep : {"mesh-dos-smoke", "ring-dos-smoke", "xbar-dos-smoke"}) {
+        const std::vector<ScenarioResult> plain = run_sweep(sweep, false);
+        const std::vector<ScenarioResult> monitored = run_sweep(sweep, true);
+        ASSERT_EQ(plain.size(), monitored.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            SCOPED_TRACE(std::string(sweep) + " " + plain[i].label);
+            ScenarioResult telemetry_free = monitored[i];
+            ASSERT_TRUE(telemetry_free.mon_enabled);
+            test::clear_fields(telemetry_free, [](const ResultField& f) {
+                return f.when == FieldWhen::kMonitored;
+            });
+            EXPECT_TRUE(test::same_result(plain[i], telemetry_free, FieldKind::kKernel));
+        }
+    }
+}
+
+TEST(MonitoredScenario, FullMatricesScoreEveryCellExactly) {
+    // The README's coverage claim over the full DoS matrices: every hostile
+    // manager flagged, no benign DMA flagged, and the victim never flagged.
+    for (const char* sweep : {"mesh-dos-matrix", "xbar-dos-matrix"}) {
+        SCOPED_TRACE(sweep);
+        std::uint64_t hostile = 0;
+        std::uint64_t caught = 0;
+        for (const ScenarioResult& r : run_sweep(sweep, true)) {
+            SCOPED_TRACE(r.label);
+            ASSERT_TRUE(r.mon_enabled);
+            ASSERT_FALSE(r.mgr_flagged.empty());
+            EXPECT_EQ(r.mgr_flagged[0], 0U) << "victim flagged";
+            EXPECT_EQ(r.mon_false_positives, 0U);
+            EXPECT_EQ(r.mon_false_negatives, 0U);
+            for (const std::uint64_t h : r.mgr_hostile) { hostile += h; }
+            caught += r.mon_true_positives;
+        }
+        EXPECT_EQ(hostile, 156U);
+        EXPECT_EQ(caught, hostile);
+    }
 }
 
 TEST(MonitoredScenario, HogAttackerDetectedVictimClean) {

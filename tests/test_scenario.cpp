@@ -366,10 +366,10 @@ TEST(ConfigFields, HashesStayPut) {
     // digests move whenever a field is added, dropped, reordered or
     // retagged, or `kVersion` is bumped, and so do those keys: change them
     // with the goldens, on purpose.
-    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x69efb66a4727dde6ULL);
-    EXPECT_EQ(config_hash(full_config(0)), 0x8bd438147d8f75e8ULL);
-    EXPECT_EQ(config_hash(full_config(1)), 0x7fd619184e55afc3ULL);
-    EXPECT_EQ(config_hash(full_config(2)), 0x7b42f2bfa8b33d61ULL);
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0xc4d938bc70c1d2bdULL);
+    EXPECT_EQ(config_hash(full_config(0)), 0x9e7b07e13c21b34bULL);
+    EXPECT_EQ(config_hash(full_config(1)), 0x2f5b5214481c6260ULL);
+    EXPECT_EQ(config_hash(full_config(2)), 0x05260e663962bda2ULL);
 }
 
 TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
@@ -432,7 +432,7 @@ TEST(Resume, RunResumedSkipsMatchingPointsAndRerunsChangedOnes) {
 
 TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {
     // A dump written without --monitors must not satisfy a monitored resume:
-    // the monitor hop shifts timing and the cached line has no telemetry.
+    // the cached line has no telemetry.
     Sweep sweep = quick_smoke_sweep();
     sweep.points.resize(2);
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};

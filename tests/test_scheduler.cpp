@@ -219,9 +219,10 @@ TEST(SchedulerEquivalence, Fig6TopologyBitIdentical) {
 
 TEST(SchedulerEquivalence, InstrumentedChainBitIdenticalAndSleeps) {
     // Checker, monitor, and tracer opt into the idle contract: a fully
-    // instrumented hop (DMA -> checker -> monitor -> tracer -> SRAM) must
-    // agree bit for bit across schedulers and still fast-forward the
-    // quiescent tail — observability must not cost idle cycles.
+    // instrumented hop (DMA -> checker -> tracer -> SRAM, with a monitor
+    // tapping the tracer's input) must agree bit for bit across schedulers
+    // and still fast-forward the quiescent tail — observability must not
+    // cost idle cycles.
     struct Run {
         std::uint64_t bytes_written = 0;
         std::uint64_t mon_reads = 0;
@@ -240,11 +241,10 @@ TEST(SchedulerEquivalence, InstrumentedChainBitIdenticalAndSleeps) {
         axi::AxiChannel a{ctx, "a"};
         axi::AxiChannel b{ctx, "b"};
         axi::AxiChannel c{ctx, "c"};
-        axi::AxiChannel d{ctx, "d"};
         axi::AxiChecker checker{ctx, "chk", a, b};
-        mon::TxnMonitor monitor{ctx, "mon", b, c};
-        axi::AxiTracer tracer{ctx, "trace", c, d};
-        mem::AxiMemSlave slave{ctx, "mem", d, std::make_unique<mem::SramBackend>(1, 1),
+        axi::AxiTracer tracer{ctx, "trace", b, c};
+        mon::TxnMonitor monitor{ctx, "mon", b}; // after b's consumer, the tracer
+        mem::AxiMemSlave slave{ctx, "mem", c, std::make_unique<mem::SramBackend>(1, 1),
                                mem::AxiMemSlaveConfig{8, 8, 0}};
         traffic::DmaConfig dcfg;
         dcfg.burst_beats = 32;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace realm::sim {
 namespace {
 
@@ -71,6 +74,30 @@ TEST(Link, FifoOrderPreserved) {
     for (int i = 0; i < 5; ++i) { link.push(i); }
     ctx.step();
     for (int i = 0; i < 5; ++i) { EXPECT_EQ(link.pop(), i); }
+}
+
+TEST(Link, PushObserverSeesEveryPushAtTheProducersCycle) {
+    struct Seen {
+        const SimContext* ctx = nullptr;
+        std::vector<std::pair<int, Cycle>> pushes;
+        static void on_push(void* self, const int& v) {
+            auto* seen = static_cast<Seen*>(self);
+            seen->pushes.emplace_back(v, seen->ctx->now());
+        }
+    };
+    SimContext ctx;
+    Seen seen{&ctx, {}};
+    Link<int> link{ctx, 2, "l"};
+    link.set_push_observer({&Seen::on_push, &seen});
+    link.push(1);
+    ctx.step();
+    link.push(2);
+    EXPECT_EQ(link.pop(), 1) << "the observer holds nothing back";
+    ASSERT_EQ(seen.pushes.size(), 2U);
+    EXPECT_EQ(seen.pushes[0], std::make_pair(1, Cycle{0}));
+    EXPECT_EQ(seen.pushes[1], std::make_pair(2, Cycle{1}));
+    EXPECT_THROW(link.set_push_observer({&Seen::on_push, &seen}), ContractViolation)
+        << "one observer per link";
 }
 
 class CountingComponent : public Component {
