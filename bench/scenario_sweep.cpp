@@ -51,11 +51,11 @@ int main(int argc, char** argv) {
             exit_code = diff_rc;
         }
 
-        std::printf("%-22s %12s %8s %9s %9s %9s %10s %9s\n", "label", "cycles", "ops",
-                    "lat_mean", "lat_max", "st_max", "dma[B/cyc]", "hops");
+        std::printf("%-22s %12s %8s %9s %9s %9s %16s %9s\n", "label", "cycles", "ops",
+                    "lat_mean", "lat_max", "st_max", "atk_total[B/cyc]", "hops");
         for (std::size_t i = 0; i < results.size(); ++i) {
             const ScenarioResult& r = results[i];
-            std::printf("%-22s %12llu %8llu %9.2f %9llu %9llu %10.2f %9llu\n",
+            std::printf("%-22s %12llu %8llu %9.2f %9llu %9llu %16.2f %9llu\n",
                         r.label.c_str(), static_cast<unsigned long long>(r.run_cycles),
                         static_cast<unsigned long long>(r.ops), r.load_lat_mean,
                         static_cast<unsigned long long>(r.load_lat_max),

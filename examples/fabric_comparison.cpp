@@ -38,7 +38,7 @@ namespace {
 bool print_rows(const char* fabric, const char* routing,
                 const std::vector<ScenarioResult>& results) {
     for (const ScenarioResult& r : results) {
-        std::printf("%-10s %-12s %-18s %10.2f %10llu %12.2f %10llu\n", fabric,
+        std::printf("%-10s %-12s %-18s %10.2f %10llu %16.2f %10llu\n", fabric,
                     routing, r.label.c_str(), r.load_lat_mean,
                     static_cast<unsigned long long>(worst_case_victim_latency(r)),
                     r.dma_read_bw, static_cast<unsigned long long>(r.fabric_hops));
@@ -55,8 +55,8 @@ bool print_rows(const char* fabric, const char* routing,
 
 int main() {
     std::puts("== The same DoS cell on three fabrics, four mesh routing policies ==\n");
-    std::printf("%-10s %-12s %-18s %10s %10s %12s %10s\n", "fabric", "routing",
-                "cell", "lat_mean", "lat_max", "dma[B/cyc]", "hops");
+    std::printf("%-10s %-12s %-18s %10s %10s %16s %10s\n", "fabric", "routing",
+                "cell", "lat_mean", "lat_max", "atk_total[B/cyc]", "hops");
 
     const ScenarioRunner runner{RunnerOptions{.threads = 2}};
     bool bounded = true;

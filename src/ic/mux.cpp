@@ -20,22 +20,24 @@ AxiMux::AxiMux(sim::SimContext& ctx, std::string name, std::vector<axi::AxiChann
     downstream.wake_manager_on_response(*this);
 }
 
-void AxiMux::route_b() {
-    if (!down_.has_b()) { return; }
+bool AxiMux::route_b() {
+    if (!down_.has_b()) { return false; }
     const std::uint32_t mgr = down_.peek_b().id % num_managers();
-    if (!ups_[mgr]->b.can_push()) { return; }
+    if (!ups_[mgr]->b.can_push()) { return true; }
     axi::BFlit f = down_.recv_b();
     f.id /= num_managers();
     ups_[mgr]->b.push(f);
+    return false;
 }
 
-void AxiMux::route_r() {
-    if (!down_.has_r()) { return; }
+bool AxiMux::route_r() {
+    if (!down_.has_r()) { return false; }
     const std::uint32_t mgr = down_.peek_r().id % num_managers();
-    if (!ups_[mgr]->r.can_push()) { return; }
+    if (!ups_[mgr]->r.can_push()) { return true; }
     axi::RFlit f = down_.recv_r();
     f.id /= num_managers();
     ups_[mgr]->r.push(f);
+    return false;
 }
 
 void AxiMux::tick() {
@@ -47,8 +49,9 @@ void AxiMux::tick() {
     arb_.forward_w(ups_, down_.channel(), [](std::uint32_t) { return true; },
                    [](std::uint32_t) {});
     arb_.grant_ar(ups_, down_.channel(), any, none);
-    route_b();
-    route_r();
+    const bool b_held = route_b();
+    const bool r_held = route_r();
+    if (b_held || r_held) { ++rsp_hold_cycles_; }
     update_activity();
 }
 

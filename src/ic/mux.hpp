@@ -26,7 +26,7 @@ namespace realm::ic {
 
 /// The arbitration of one subordinate port over N upstream managers: the AW
 /// and AR round-robins, the granted-write queue that reserves the W channel,
-/// ID widening and the grant and W-stall counters. `AxiMux` owns one,
+/// ID widening and the W-stall counter. `AxiMux` owns one,
 /// `AxiXbar` one per subordinate; both call the three steps below from
 /// their tick. IDs leave widened as `id * N + manager` so response routing
 /// is stateless and collision-free.
@@ -35,11 +35,7 @@ public:
     /// `owner` is the component ticking this arbiter; contract messages
     /// name it.
     BurstArbiter(const sim::Component& owner, std::uint32_t num_managers)
-        : owner_{&owner},
-          aw_rr_{num_managers},
-          ar_rr_{num_managers},
-          aw_grants_(num_managers, 0),
-          ar_grants_(num_managers, 0) {}
+        : owner_{&owner}, aw_rr_{num_managers}, ar_rr_{num_managers} {}
 
     /// Grants one AW burst to `down`: the first manager after the last
     /// winner whose head passes `eligible(m, head)`. `on_grant(m, flit)`
@@ -48,7 +44,7 @@ public:
     template <typename Eligible, typename OnGrant>
     void grant_aw(const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
                   Eligible&& eligible, OnGrant&& on_grant) {
-        grant(&axi::AxiChannel::aw, aw_rr_, aw_grants_, ups, down, eligible,
+        grant(&axi::AxiChannel::aw, aw_rr_, ups, down, eligible,
               [&](std::uint32_t m, const axi::AwFlit& f) {
                   // Reserve the downstream W channel for this burst *now* —
                   // before any data exists. This is the behaviour [14]
@@ -62,7 +58,7 @@ public:
     template <typename Eligible, typename OnGrant>
     void grant_ar(const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
                   Eligible&& eligible, OnGrant&& on_grant) {
-        grant(&axi::AxiChannel::ar, ar_rr_, ar_grants_, ups, down, eligible, on_grant);
+        grant(&axi::AxiChannel::ar, ar_rr_, ups, down, eligible, on_grant);
     }
 
     /// Forwards one W beat of the oldest granted burst, from its manager if
@@ -102,12 +98,6 @@ public:
 
     /// Write bursts granted whose last W beat has not yet passed.
     [[nodiscard]] std::size_t writes_granted() const noexcept { return w_order_.size(); }
-    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const {
-        return aw_grants_.at(mgr);
-    }
-    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const {
-        return ar_grants_.at(mgr);
-    }
     /// Cycles the W channel spent stalled waiting for a granted manager's
     /// data while other writes were pending (DoS exposure metric).
     [[nodiscard]] std::uint64_t w_stall_cycles() const noexcept { return w_stall_cycles_; }
@@ -121,8 +111,8 @@ private:
     /// The burst round-robin grant on one request channel (`lane`).
     template <typename Flit, typename Eligible, typename OnGrant>
     void grant(sim::Link<Flit> axi::AxiChannel::*lane, RoundRobinArbiter& rr,
-               std::vector<std::uint64_t>& grants, const std::vector<axi::AxiChannel*>& ups,
-               axi::AxiChannel& down, Eligible& eligible, OnGrant&& on_grant) {
+               const std::vector<axi::AxiChannel*>& ups, axi::AxiChannel& down,
+               Eligible& eligible, OnGrant&& on_grant) {
         if (!(down.*lane).can_push()) { return; }
         const int winner = rr.pick([&](std::uint32_t m) {
             const sim::Link<Flit>& in = ups[m]->*lane;
@@ -135,15 +125,12 @@ private:
         on_grant(mgr, std::as_const(f));
         f.id = f.id * rr.size() + mgr;
         (down.*lane).push(f);
-        ++grants[mgr];
     }
 
     const sim::Component* owner_;
     RoundRobinArbiter aw_rr_;
     RoundRobinArbiter ar_rr_;
     std::deque<WGrant> w_order_; ///< granted writes, in W-channel order
-    std::vector<std::uint64_t> aw_grants_;
-    std::vector<std::uint64_t> ar_grants_;
     std::uint64_t w_stall_cycles_ = 0;
 };
 
@@ -160,23 +147,23 @@ public:
     [[nodiscard]] std::uint32_t num_managers() const noexcept {
         return static_cast<std::uint32_t>(ups_.size());
     }
-    /// Grants per manager (fairness introspection for tests/benches).
-    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const {
-        return arb_.aw_grants(mgr);
-    }
-    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const {
-        return arb_.ar_grants(mgr);
-    }
     [[nodiscard]] std::uint64_t w_stall_cycles() const noexcept { return arb_.w_stall_cycles(); }
+    /// Cycles the subordinate's B or R head waited for its manager's full
+    /// upstream channel: the subordinate's one response output was then
+    /// held for every manager (head-of-line blocking).
+    [[nodiscard]] std::uint64_t rsp_hold_cycles() const noexcept { return rsp_hold_cycles_; }
 
 private:
-    void route_b();
-    void route_r();
+    /// Each routes one response upstream; true when the head stayed, held
+    /// by its manager's full channel.
+    bool route_b();
+    bool route_r();
     void update_activity();
 
     std::vector<axi::AxiChannel*> ups_;
     axi::ManagerView down_;
     BurstArbiter arb_;
+    std::uint64_t rsp_hold_cycles_ = 0;
 };
 
 } // namespace realm::ic

@@ -27,18 +27,6 @@ AxiXbar::AxiXbar(sim::SimContext& ctx, std::string name, std::vector<axi::AxiCha
     }
 }
 
-std::uint64_t AxiXbar::aw_grants(std::uint32_t mgr) const {
-    std::uint64_t total = 0;
-    for (const BurstArbiter& a : arbs_) { total += a.aw_grants(mgr); }
-    return total;
-}
-
-std::uint64_t AxiXbar::ar_grants(std::uint32_t mgr) const {
-    std::uint64_t total = 0;
-    for (const BurstArbiter& a : arbs_) { total += a.ar_grants(mgr); }
-    return total;
-}
-
 std::uint32_t AxiXbar::route(axi::Addr addr) {
     if (const auto port = map_.decode(addr)) { return *port; }
     REALM_EXPECTS(config_.default_port.has_value(),

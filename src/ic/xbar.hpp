@@ -51,11 +51,8 @@ public:
         return static_cast<std::uint32_t>(subs_.size());
     }
 
-    /// \name Introspection for fairness tests and benches
+    /// \name Introspection for tests and benches
     ///@{
-    /// Grants per manager, summed over the subordinates.
-    [[nodiscard]] std::uint64_t aw_grants(std::uint32_t mgr) const;
-    [[nodiscard]] std::uint64_t ar_grants(std::uint32_t mgr) const;
     [[nodiscard]] std::uint64_t w_stall_cycles(std::uint32_t sub) const {
         return arbs_.at(sub).w_stall_cycles();
     }

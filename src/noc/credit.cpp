@@ -50,11 +50,13 @@ CreditBook::CreditBook(const sim::SimContext& ctx, NodeId num_nodes,
     const std::size_t pools = subs_.size() * mgrs_.size();
     req_.reserve(pools);
     rsp_.reserve(pools);
+    // A response pool is taken and returned by its manager's NI alone, so
+    // its returns never cross a shard and need no edge staging.
     for (std::size_t i = 0; i < pools; ++i) {
         req_.emplace_back(fc.e2e_credits)
             .configure_return(ctx, fc.credit_return_delay, deferred);
         rsp_.emplace_back(fc.e2e_credits)
-            .configure_return(ctx, fc.credit_return_delay, deferred);
+            .configure_return(ctx, fc.credit_return_delay, /*deferred=*/false);
     }
 }
 

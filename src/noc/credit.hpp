@@ -23,12 +23,15 @@
 ///    pool; credits return when the target NI's staging drains into the
 ///    egress mux. Ejection therefore *never* backpressures the network
 ///    (asserted). Responses use a separate pool per (manager, subordinate)
-///    pair, so the request/response split keeps its deadlock-freedom
-///    argument. With `credit_return_delay > 0` a returning credit rides
-///    the response network for that many cycles instead of materializing
-///    at the drain point instantaneously — the pool tracks the pending
-///    returns, and conservation (held + in flight == capacity) stays
-///    asserted on every transition.
+///    pair, which the manager's NI takes before it asks (a read's whole
+///    response, a write's B) and returns as it delivers each response, so
+///    the subordinate's NI injects responses without a credit check and
+///    the request/response split keeps its deadlock-freedom argument (see
+///    `NocNi`). With `credit_return_delay > 0` a returning credit waits
+///    that many cycles instead of materializing at the drain point
+///    instantaneously — the pool tracks the pending returns, and
+///    conservation (held + in flight == capacity) stays asserted on every
+///    transition.
 ///
 /// Sharded execution (see `sim::EdgeFlushable`): links and pools that cross
 /// shard boundaries run in *edge-registered* mode — producer-side writes
@@ -68,18 +71,20 @@ struct NocFlowConfig {
     /// Receiver buffer depth of one link VC, in flits. Must hold at least
     /// one whole worm (`vc_depth >= flits_per_packet`).
     std::uint32_t vc_depth = 8;
-    /// End-to-end credit pool per (source node, target NI) pair, in flits.
-    /// Bounds the per-source staging occupancy at a subordinate NI (request
-    /// pool) and the in-flight responses toward a manager NI (response
-    /// pool). Must exceed one worm plus its header
+    /// End-to-end credit pool per (manager, subordinate) pair and
+    /// direction, in flits. Bounds the per-manager staging occupancy at a
+    /// subordinate NI (request pool) and the response flits a manager may
+    /// have requested from one subordinate and not yet received (response
+    /// pool; a read whose response exceeds the whole pool goes out
+    /// unreserved). Must exceed one worm plus its header
     /// (`e2e_credits >= flits_per_packet + 1`) so an AW parked in staging
     /// can never starve its own data beats.
     std::uint32_t e2e_credits = 32;
-    /// Cycles a returning end-to-end credit spends riding the response
-    /// network before the injector may reuse it (0 = instantaneous release
-    /// at the drain point, the historical behaviour; the mesh forces >= 1
-    /// so credit returns are cycle-edge events the sharded kernel can
-    /// commit at the barrier). Sharpens the round-trip-limited throughput
+    /// Cycles a returning end-to-end credit waits before its taker may
+    /// reuse it (0 = instantaneous release at the drain point, the
+    /// historical behaviour; the mesh forces >= 1 so request-credit returns
+    /// are cycle-edge events the sharded kernel can commit at the
+    /// barrier). Sharpens the round-trip-limited throughput
     /// numbers without touching any buffer bound: a pending return still
     /// counts as in flight.
     std::uint32_t credit_return_delay = 0;
@@ -106,8 +111,9 @@ struct NocFlowConfig {
 /// buffer space at a receiving NI. `in_flight + available == capacity` is
 /// asserted on every transition, so a leak or double-release trips
 /// immediately instead of showing up as a hung sweep hours later. Credits
-/// released with `release_at` stay in flight (riding the response network)
-/// until their ready cycle; `settle(now)` matures them.
+/// released with `release_at` stay in flight (a request credit riding the
+/// response network back) until their ready cycle; `settle(now)` matures
+/// them.
 ///
 /// Cross-shard pools use `stage_release` instead of `release_at`: the
 /// releasing shard appends to a pool-private staging vector (no lock — one
@@ -139,8 +145,8 @@ public:
                       "credit release exceeds in-flight credits");
         available_ += flits;
     }
-    /// Delayed release: the credits stay in flight until `ready_at`
-    /// (returns ride the response network), then mature on `settle`.
+    /// Delayed release: the credits stay in flight until `ready_at`, then
+    /// mature on `settle`.
     void release_at(sim::Cycle ready_at, std::uint32_t flits) {
         REALM_ENSURES(flits <= in_flight() - pending_total_,
                       "credit release exceeds in-flight credits");
@@ -213,7 +219,7 @@ public:
     [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
     [[nodiscard]] std::uint32_t available() const noexcept { return available_; }
     /// Credits not reusable by the injector: taken by in-network/staged
-    /// worms *plus* pending returns still riding the response network.
+    /// worms (or owed responses) *plus* pending returns.
     [[nodiscard]] std::uint32_t in_flight() const noexcept {
         return capacity_ - available_;
     }
@@ -261,7 +267,9 @@ private:
 /// answer them, so these are exactly the pairs that can carry traffic; a
 /// lookup for any other pair asserts. Request and response pools are kept
 /// separate so the request/response protocol split stays deadlock-free
-/// under credit exhaustion.
+/// under credit exhaustion. A request pool is taken by the manager's NI and
+/// returned by the subordinate's egress lanes; a response pool is taken and
+/// returned by the manager's NI alone.
 ///
 /// The book also owns the fabric's two slot maps, node -> subordinate slot
 /// and node -> manager slot; the fabrics and every `NocNi` size and index
@@ -282,10 +290,11 @@ public:
     /// \param manager_nodes      nodes hosting a manager: each below
     ///                           `num_nodes` and listed once (asserted).
     /// \param deferred           every pool returns credits after
-    ///        `fc.credit_return_delay` cycles, staged for the cycle-edge
-    ///        flush when set (see `CreditPool::configure_return`) — required
-    ///        when the fabric is spatially sharded, where a pool's taker may
-    ///        tick on another shard; requires a delay of at least 1.
+    ///        `fc.credit_return_delay` cycles, and request pools stage them
+    ///        for the cycle-edge flush when set (see
+    ///        `CreditPool::configure_return`) — required when the fabric is
+    ///        spatially sharded, where a request pool's taker may tick on
+    ///        another shard; requires a delay of at least 1.
     CreditBook(const sim::SimContext& ctx, NodeId num_nodes,
                std::vector<NodeId> subordinate_nodes, std::vector<NodeId> manager_nodes,
                const NocFlowConfig& fc, bool deferred);
@@ -540,8 +549,9 @@ private:
 
 /// \name Staging helpers shared by the ring and mesh assemblies
 ///@{
-/// Entries per staging lane: the end-to-end pool bounds staging at
-/// `e2e_credits` single-flit entries per lane.
+/// Entries per staging lane: the end-to-end pools bound a lane at
+/// `e2e_credits` single-flit entries, requests and reserved responses
+/// alike.
 [[nodiscard]] std::size_t staging_depth(const NocFlowConfig& fc);
 
 /// Wires the end-to-end credit returns of one per-source staging channel:

@@ -106,6 +106,12 @@ std::uint64_t NocFabric::total_mux_w_stalls() const noexcept {
     return total;
 }
 
+std::uint64_t NocFabric::total_mux_rsp_holds() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& m : muxes_) { total += m->rsp_hold_cycles(); }
+    return total;
+}
+
 void NocFabric::check_flow_invariants() const {
     book_->check_conserved();
     for (const auto& link : links_) { link->check_bounded(); }
@@ -119,13 +125,15 @@ void NocFabric::check_flow_invariants() const {
         }
     }
     // Response reorder stashes are bounded by the response pools: a stashed
-    // response still holds its end-to-end credits. Only subordinates source
-    // responses and only managers receive them (the book holds exactly
-    // those pools).
+    // reserved response still holds its end-to-end credits, and an
+    // unreserved one is among the flits its manager is still owed. Only
+    // subordinates source responses and only managers receive them (the
+    // book holds exactly those pools).
     for (const NodeId d : mgrs) {
+        const NocNi& ni = routers_[d]->ni();
         for (const NodeId s : subs) {
-            REALM_ENSURES(routers_[d]->ni().stashed_response_flits(s) <=
-                              book_->rsp(d, s).in_flight(),
+            REALM_ENSURES(ni.stashed_response_flits(s) <=
+                              book_->rsp(d, s).in_flight() + ni.unreserved_response_flits(s),
                           "stashed response flits without matching in-flight credits");
         }
     }

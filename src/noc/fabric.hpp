@@ -21,10 +21,13 @@
 /// Flow control (see credit.hpp): per-source staging is sized by the
 /// end-to-end credit pool and its occupancy is *enforced* — the injecting
 /// NI only sends while it holds credits, returned as the egress mux drains
-/// the staging (after `credit_return_delay` cycles on the response network
-/// when configured). Without the credit bound, the mux's per-granted-burst
-/// W-channel reservation plus a filling staging lane would be a protocol
-/// deadlock; credits make the bound structural instead of provisioned.
+/// the staging (after `credit_return_delay` cycles when configured).
+/// Without the credit bound, the mux's per-granted-burst W-channel
+/// reservation plus a filling staging lane would be a protocol deadlock;
+/// credits make the bound structural instead of provisioned. The same
+/// lanes carry responses back: a manager's NI reserves its responses from
+/// the response pool before it asks (see `NocNi`), so a regulated
+/// manager's lane never fills and holds the mux's one R/B output.
 #pragma once
 
 #include "axi/channel.hpp"
@@ -93,11 +96,15 @@ public:
     /// W-channel reservation stalls across the subordinate-side egress
     /// muxes (the DoS exposure metric, cf. `AxiXbar::w_stall_cycles`).
     [[nodiscard]] std::uint64_t total_mux_w_stalls() const noexcept;
+    /// Cycles the subordinate-side egress muxes held a response for a full
+    /// manager lane (see `ic::AxiMux::rsp_hold_cycles`), summed.
+    [[nodiscard]] std::uint64_t total_mux_rsp_holds() const noexcept;
 
     /// Asserts every flow-control invariant of the fabric: credit
     /// conservation on every pool, every link VC within `vc_depth`, staged
     /// NI flits (lanes plus request reorder stash) within the end-to-end
-    /// pool, and stashed responses within their pool's in-flight credits.
+    /// pool, and stashed responses within their pool's in-flight credits
+    /// plus the unreserved response flits still owed.
     /// Pushes and pool transitions already assert these inline; tests call
     /// this every cycle to pin the whole-fabric picture.
     void check_flow_invariants() const;
@@ -210,14 +217,17 @@ protected:
     /// Injects at most one response from the local subordinate, then at
     /// most one request from the local manager. `route(request_net, dest,
     /// flits, vc)` returns the output link able to take that worm this
-    /// cycle, or nullptr on backpressure.
-    template <typename RouteFn>
-    void inject(RouteFn&& route) {
+    /// cycle, or nullptr on backpressure; `first_hop(dest, vc)` names the
+    /// response output a worm waits for (see `NocNi::inject_responses`).
+    template <typename RouteFn, typename FirstHopFn>
+    void inject(RouteFn&& route, FirstHopFn&& first_hop) {
         if (!egress_.empty() &&
-            ni_.inject_responses(egress_, [&](NodeId dest, std::uint32_t flits,
-                                              std::uint8_t vc) {
-                return route(/*request_net=*/false, dest, flits, vc);
-            })) {
+            ni_.inject_responses(
+                egress_,
+                [&](NodeId dest, std::uint32_t flits, std::uint8_t vc) {
+                    return route(/*request_net=*/false, dest, flits, vc);
+                },
+                first_hop)) {
             ++injected_;
         }
         if (local_mgr_ != nullptr &&

@@ -138,9 +138,14 @@ void MeshRouter::tick() {
     drain_response_stash();
     service_network(/*request_net=*/false);
     service_network(/*request_net=*/true);
-    inject([this](bool request_net, NodeId dest, std::uint32_t flits, std::uint8_t vc) {
-        return route_out(request_net, dest, flits, vc);
-    });
+    inject(
+        [this](bool request_net, NodeId dest, std::uint32_t flits, std::uint8_t vc) {
+            return route_out(request_net, dest, flits, vc);
+        },
+        [this](NodeId dest, std::uint8_t vc) {
+            return static_cast<std::uint8_t>(
+                permitted_hops(routing_, cols_, id_, dest, vc).dir[0]);
+        });
     update_activity();
 }
 

@@ -21,9 +21,12 @@ NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
                                  : book_->managers().size();
     req_seq_.assign(subs, 0);
     rsp_reorder_.resize(subs);
+    reads_.resize(subs);
+    unreserved_flits_.assign(subs, 0);
     rsp_seq_.assign(mgrs, 0);
     req_reorder_.resize(mgrs);
     rsp_next_ = first_response_slot();
+    rsp_out_next_.fill(rsp_next_);
 }
 
 void NocNi::update_rsp_stash_index(NodeId src) {
@@ -87,6 +90,10 @@ bool NocNi::try_eject_request(const NocPacket& pkt,
 }
 
 bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
+    // The response credits stay in flight until the delivery into the
+    // manager channel actually happens (which may lag the arrival when the
+    // packet sat in the reorder stash). Every AW reserved its B.
+    bool reserved = true;
     if (const auto* b = std::get_if<axi::BFlit>(&pkt.flit)) {
         if (!mgr.b.can_push()) { return false; }
         if (InFlight* fl = find_in_flight_mut(w_in_flight_, b->id);
@@ -98,7 +105,19 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
         const auto* r = std::get_if<axi::RFlit>(&pkt.flit);
         REALM_EXPECTS(r != nullptr, owner_ + ": malformed response packet");
         if (!mgr.r.can_push()) { return false; }
+        const NodeId sub = book_->subordinate_slot(pkt.src);
+        std::vector<ReadRecord>& reads = reads_[sub];
+        const auto read = std::find_if(reads.begin(), reads.end(),
+                                       [&](const ReadRecord& rd) { return rd.id == r->id; });
+        REALM_ENSURES(read != reads.end(), owner_ + ": R beat without an outstanding read");
+        reserved = read->reserved;
+        if (!reserved) {
+            REALM_ENSURES(unreserved_flits_[sub] >= pkt.flits,
+                          owner_ + ": more unreserved response flits than owed");
+            unreserved_flits_[sub] -= pkt.flits;
+        }
         if (r->last) {
+            reads.erase(read);
             if (InFlight* fl = find_in_flight_mut(r_in_flight_, r->id);
                 fl != nullptr && fl->count > 0) {
                 --fl->count;
@@ -106,10 +125,7 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
         }
         mgr.r.push(*r);
     }
-    // The response credits stay in flight until the delivery into the
-    // manager channel actually happens (which may lag the arrival when the
-    // packet sat in the reorder stash).
-    book_->rsp(pkt.dest, pkt.src).return_credits(pkt.flits);
+    if (reserved) { book_->rsp(pkt.dest, pkt.src).return_credits(pkt.flits); }
     return true;
 }
 

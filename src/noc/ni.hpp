@@ -15,12 +15,29 @@
 /// (returned when the target's staging drains into the egress mux), so
 /// request ejection can never backpressure the network — asserted, not
 /// provisioned. Responses draw on a separate pool per (manager,
-/// subordinate) pair, bounding in-flight responses toward any manager;
-/// those credits return when the response ejects into the local manager
-/// channel. Every pool returns credits under the policy the fabric gave it
-/// (see `CreditBook`): with `credit_return_delay > 0` a return additionally
-/// rides the response network for that many cycles before the injector
-/// sees it.
+/// subordinate) pair, and the *manager* NI reserves them before it asks:
+/// an AR leaves only while the pool can take its whole response (beats x
+/// `flits_per_packet`), an AW only while it can take its B's one flit, and
+/// the credits return as each response is delivered into the local manager
+/// channel. A read whose response exceeds the whole pool goes out
+/// unreserved and returns nothing. So one NI takes and returns every
+/// response pool, the subordinate NI injects responses without a credit
+/// check, and a reserved manager never has more responses owed than its
+/// egress lane holds: its lane cannot fill and hold the memory's single
+/// R/B output for every other manager. Every pool returns credits under
+/// the policy the fabric gave it (see `CreditBook`): with
+/// `credit_return_delay > 0` a return additionally waits that many cycles
+/// before the injector sees it.
+///
+/// **Response arbitration.** The subordinate NI injects at most one
+/// response per cycle. Each output link keeps its own round-robin pointer
+/// over the manager slots; a worm's output is its first permitted hop (one
+/// output on the ring). The first manager from an output's pointer whose
+/// response waits for that output is the output's nominee, and only the
+/// nominee may take it, so a manager waiting for a busy output is served
+/// before any manager behind it in that output's order. One pointer shared
+/// by every output would fall into step with the worms' serialization and
+/// starve whichever manager waits when the output frees.
 ///
 /// **Ordering under multi-path routing.** Adaptive and randomized mesh
 /// policies (O1TURN, west-first) can deliver two worms of one (src, dest)
@@ -30,17 +47,18 @@
 /// delivery into the egress lanes / the local manager is always in
 /// injection order, which preserves the AW-before-data lane pairing and
 /// the AXI same-ID rules under every routing policy. The stash is bounded
-/// by the end-to-end credit pool (a stashed worm still holds its credits),
-/// so it adds no unbounded buffer; under single-path policies (XY, YX, the
-/// ring) arrivals are always in order and the stash stays empty.
+/// by the end-to-end credit pool (a stashed worm still holds its credits)
+/// plus, for responses, the unreserved response flits still owed, so it
+/// adds no unbounded buffer; under single-path policies (XY, YX, the ring)
+/// arrivals are always in order and the stash stays empty.
 ///
 /// **Hot-path layout.** Every per-cycle table is contiguous and sized by
 /// the pairs that can carry traffic, through the credit book's two slot
-/// maps: a manager NI keeps one request sequence counter and one response
-/// reorder state per subordinate slot, and a subordinate NI keeps one
-/// response sequence counter and one request reorder state per manager
-/// slot; every other table is empty. Same-ID tracking is scanned linearly
-/// over a handful of live entries. Per-fabric pair state is therefore
+/// maps: a manager NI keeps one request sequence counter, one response
+/// reorder state and one list of outstanding reads per subordinate slot,
+/// and a subordinate NI keeps one response sequence counter and one
+/// request reorder state per manager slot; every other table is empty.
+/// Same-ID tracking is scanned linearly over a handful of live entries. Per-fabric pair state is therefore
 /// subordinates x managers, however many pass-through nodes the fabric
 /// has, and there is no node-based container on the path the 16x16/32x32
 /// fabrics tick millions of times.
@@ -57,6 +75,7 @@
 #include "sim/ring.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -108,6 +127,10 @@ public:
     }
     ///@}
 
+    /// Outputs a subordinate NI arbitrates responses over: one per mesh
+    /// direction (the ring uses output 0 only).
+    static constexpr std::uint32_t kMaxOutputs = kMeshDirs;
+
     /// \name Injection (local manager / subordinate into the network)
     ///@{
     /// Injects at most one request packet from the local manager. `route`
@@ -119,27 +142,31 @@ public:
     /// *different* node stalls until they retire (the crossbar's same-ID
     /// rule, `ic::AxiXbar`). Every packet additionally needs end-to-end
     /// credits from the target subordinate's pool; a credit-starved head
-    /// holds its lane exactly like link backpressure.
+    /// holds its lane exactly like link backpressure. An AR also waits at
+    /// the head until this manager's response pool for the target can take
+    /// its whole response, unless that response exceeds the whole pool (it
+    /// then goes out unreserved). An AW waits for its B's one flit; while it
+    /// does, the W beats behind it, which belong to writes already sent and
+    /// bring the credit back, still go.
     template <typename RouteFn>
     bool inject_requests(axi::AxiChannel& mgr, const ic::AddrMap& map,
                          RouteFn&& route) {
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
         if (mgr.aw.can_pop()) {
             const axi::AwFlit& head = mgr.aw.front();
-            const auto dest_opt = map.decode(head.addr);
-            REALM_EXPECTS(dest_opt.has_value(), owner_ + ": unmapped NoC address");
-            const auto dest = static_cast<NodeId>(*dest_opt);
+            const NodeId dest = decode(map, head.addr);
             const InFlight* fl = find_in_flight(w_in_flight_, head.id);
             const bool ordering_ok =
                 fl == nullptr || fl->count == 0 || fl->dest == dest;
-            if (ordering_ok) {
-                if (NocLink* out = try_route(dest, 1, /*request_net=*/true, route)) {
+            if (ordering_ok && response_pool(dest).can_take(1)) {
+                if (NocLink* out = try_route(dest, 1, route)) {
                     axi::AwFlit aw = mgr.aw.pop();
                     InFlight& slot = in_flight_slot(w_in_flight_, aw.id);
                     slot.dest = dest;
                     ++slot.count;
                     w_routes_.push_back(WRoute{dest, aw.beats()});
-                    pair_pool(dest, /*request_net=*/true).take(1);
+                    book_->req(dest, self_).take(1);
+                    book_->rsp(self_, dest).take(1);
                     out->push(make_packet(dest, 1, /*request_net=*/true, aw));
                     return true;
                 }
@@ -149,10 +176,9 @@ public:
         if (!w_routes_.empty() && mgr.w.can_pop()) {
             WRoute& wr = w_routes_.front();
             const NodeId dest = wr.dest;
-            if (NocLink* out =
-                    try_route(dest, data_flits, /*request_net=*/true, route)) {
+            if (NocLink* out = try_route(dest, data_flits, route)) {
                 axi::WFlit w = mgr.w.pop();
-                pair_pool(dest, /*request_net=*/true).take(data_flits);
+                book_->req(dest, self_).take(data_flits);
                 out->push(make_packet(dest, data_flits, /*request_net=*/true, w));
                 if (--wr.beats_left == 0) {
                     REALM_ENSURES(w.last, owner_ + ": W burst ended without WLAST");
@@ -164,19 +190,27 @@ public:
         }
         if (mgr.ar.can_pop()) {
             const axi::ArFlit& head = mgr.ar.front();
-            const auto dest_opt = map.decode(head.addr);
-            REALM_EXPECTS(dest_opt.has_value(), owner_ + ": unmapped NoC address");
-            const auto dest = static_cast<NodeId>(*dest_opt);
+            const NodeId dest = decode(map, head.addr);
             const InFlight* fl = find_in_flight(r_in_flight_, head.id);
             const bool ordering_ok =
                 fl == nullptr || fl->count == 0 || fl->dest == dest;
             if (!ordering_ok) { return false; }
-            if (NocLink* out = try_route(dest, 1, /*request_net=*/true, route)) {
+            const std::uint32_t rsp_flits = head.beats() * data_flits;
+            const bool reserved = rsp_flits <= fc_.e2e_credits;
+            if (reserved && !response_pool(dest).can_take(rsp_flits)) { return false; }
+            if (NocLink* out = try_route(dest, 1, route)) {
                 axi::ArFlit ar = mgr.ar.pop();
                 InFlight& slot = in_flight_slot(r_in_flight_, ar.id);
                 slot.dest = dest;
                 ++slot.count;
-                pair_pool(dest, /*request_net=*/true).take(1);
+                book_->req(dest, self_).take(1);
+                const NodeId sub = book_->subordinate_slot(dest);
+                if (reserved) {
+                    book_->rsp(self_, dest).take(rsp_flits);
+                } else {
+                    unreserved_flits_[sub] += rsp_flits;
+                }
+                reads_[sub].push_back(ReadRecord{ar.id, reserved});
                 out->push(make_packet(dest, 1, /*request_net=*/true, ar));
                 return true;
             }
@@ -184,44 +218,58 @@ public:
         return false;
     }
 
-    /// Injects at most one response packet from the local subordinate,
-    /// round-robin over the managers whose responses wait in their egress
-    /// lanes (`egress[manager slot]`), in manager slot order. `route` maps
+    /// Injects at most one response packet from the local subordinate: the
+    /// responses wait in the managers' egress lanes (`egress[manager
+    /// slot]`), and the requester reserved them, so no credit is checked.
+    /// `first_hop(dest, vc)` names a worm's output (its first permitted hop,
+    /// below `kMaxOutputs`; 0 on the ring). Only each output's nominee may
+    /// take it (see the file comment); the nominees are tried in manager
+    /// slot order from one past the last manager served. `route` maps
     /// (response destination, worm flits, route class/VC) to the outgoing
-    /// link, or nullptr on backpressure — a blocked or credit-starved
-    /// manager does not stop a routable one.
-    template <typename RouteFn>
+    /// link, or nullptr on backpressure — a blocked nominee does not stop
+    /// another output's.
+    template <typename RouteFn, typename FirstHopFn>
     bool inject_responses(const std::vector<axi::AxiChannel*>& egress,
-                          RouteFn&& route) {
-        const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
+                          RouteFn&& route, FirstHopFn&& first_hop) {
         const auto m = static_cast<std::uint32_t>(egress.size());
-        for (std::uint32_t i = 0; i < m; ++i) {
-            const std::uint32_t slot = (rsp_next_ + i) % m;
-            axi::AxiChannel* ch = egress[slot];
-            const NodeId dest = book_->managers()[slot];
-            if (ch->b.can_pop()) {
-                if (NocLink* out =
-                        try_route(dest, 1, /*request_net=*/false, route)) {
-                    pair_pool(dest, /*request_net=*/false).take(1);
-                    out->push(make_packet(dest, 1, /*request_net=*/false,
-                                          ch->b.pop()));
-                    rsp_next_ = (slot + 1) % m;
-                    return true;
-                }
-                continue;
-            }
-            if (ch->r.can_pop()) {
-                if (NocLink* out = try_route(dest, data_flits,
-                                             /*request_net=*/false, route)) {
-                    pair_pool(dest, /*request_net=*/false).take(data_flits);
-                    out->push(make_packet(dest, data_flits, /*request_net=*/false,
-                                          ch->r.pop()));
-                    rsp_next_ = (slot + 1) % m;
-                    return true;
-                }
-            }
+        const std::vector<NodeId>& mgrs = book_->managers();
+        // Each output's nominee: the waiting manager nearest its pointer.
+        std::array<std::uint32_t, kMaxOutputs> nominee;
+        nominee.fill(m);
+        for (std::uint32_t slot = 0; slot < m; ++slot) {
+            const axi::AxiChannel* ch = egress[slot];
+            if (!ch->b.can_pop() && !ch->r.can_pop()) { continue; }
+            const NodeId dest = mgrs[slot];
+            const std::uint8_t out =
+                first_hop(dest, route_class(routing_, self_, dest, rsp_seq_[slot]));
+            REALM_EXPECTS(out < kMaxOutputs, owner_ + ": response output out of range");
+            const auto dist = [&](std::uint32_t s) { return (s + m - rsp_out_next_[out]) % m; };
+            if (nominee[out] == m || dist(slot) < dist(nominee[out])) { nominee[out] = slot; }
         }
-        return false;
+        // Try the nominees in slot order from the scan pointer.
+        const auto key = [&](std::uint32_t out) { return (nominee[out] + m - rsp_next_) % m; };
+        const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
+        for (;;) {
+            std::uint32_t out = kMaxOutputs;
+            for (std::uint32_t o = 0; o < kMaxOutputs; ++o) {
+                if (nominee[o] != m && (out == kMaxOutputs || key(o) < key(out))) { out = o; }
+            }
+            if (out == kMaxOutputs) { return false; }
+            const std::uint32_t slot = nominee[out];
+            nominee[out] = m;
+            axi::AxiChannel* ch = egress[slot];
+            const NodeId dest = mgrs[slot];
+            const bool b = ch->b.can_pop();
+            const std::uint32_t flits = b ? 1 : data_flits;
+            NocLink* link =
+                route(dest, flits, route_class(routing_, self_, dest, rsp_seq_[slot]));
+            if (link == nullptr) { continue; }
+            link->push(b ? make_packet(dest, flits, /*request_net=*/false, ch->b.pop())
+                         : make_packet(dest, flits, /*request_net=*/false, ch->r.pop()));
+            rsp_out_next_[out] = (slot + 1) % m;
+            rsp_next_ = (slot + 1) % m;
+            return true;
+        }
     }
     ///@}
 
@@ -241,6 +289,13 @@ public:
     [[nodiscard]] std::uint32_t stashed_response_flits(NodeId src) const {
         const NodeId slot = book_->subordinate_slot(src);
         return slot < rsp_reorder_.size() ? stashed_flits(rsp_reorder_[slot]) : 0;
+    }
+    /// Response flits subordinate node `src` still owes this manager for
+    /// reads that went out unreserved (0 away from a manager). These hold
+    /// no credit, so the stash bound counts them separately.
+    [[nodiscard]] std::uint32_t unreserved_response_flits(NodeId src) const {
+        const NodeId slot = book_->subordinate_slot(src);
+        return slot < unreserved_flits_.size() ? unreserved_flits_[slot] : 0;
     }
     ///@}
 
@@ -288,11 +343,19 @@ private:
         return request_net ? req_seq_[book_->subordinate_slot(dest)]
                            : rsp_seq_[book_->manager_slot(dest)];
     }
-    /// End-to-end pool of the (self, `dest`) pair; asserts the pair has a
-    /// manager and a subordinate end, which also bounds the `next_seq`
-    /// index.
-    [[nodiscard]] CreditPool& pair_pool(NodeId dest, bool request_net) {
-        return request_net ? book_->req(dest, self_) : book_->rsp(dest, self_);
+    /// Subordinate node serving `addr`.
+    [[nodiscard]] NodeId decode(const ic::AddrMap& map, axi::Addr addr) const {
+        const auto dest = map.decode(addr);
+        REALM_EXPECTS(dest.has_value(), owner_ + ": unmapped NoC address");
+        return static_cast<NodeId>(*dest);
+    }
+    /// This manager's response pool for subordinate node `dest`, with its
+    /// pending returns matured (a delayed return is usable the cycle it
+    /// arrives). Asserts the pair has a manager and a subordinate end.
+    [[nodiscard]] CreditPool& response_pool(NodeId dest) {
+        CreditPool& p = book_->rsp(self_, dest);
+        p.settle(ctx_->now());
+        return p;
     }
     /// Reorder state for responses from subordinate node `src`.
     [[nodiscard]] Reorder& rsp_reorder(NodeId src) {
@@ -316,16 +379,15 @@ private:
         return pkt;
     }
 
-    /// Credit gate + route lookup for one candidate worm. Matures pending
-    /// credit returns first so a delayed return becomes visible the cycle
-    /// it arrives.
+    /// Request credit gate + route lookup for one candidate worm toward
+    /// subordinate node `dest`. Matures pending credit returns first so a
+    /// delayed return becomes visible the cycle it arrives.
     template <typename RouteFn>
-    [[nodiscard]] NocLink* try_route(NodeId dest, std::uint32_t flits,
-                                     bool request_net, RouteFn&& route) {
-        CreditPool& p = pair_pool(dest, request_net);
+    [[nodiscard]] NocLink* try_route(NodeId dest, std::uint32_t flits, RouteFn&& route) {
+        CreditPool& p = book_->req(dest, self_);
         p.settle(ctx_->now());
         if (!p.can_take(flits)) { return nullptr; }
-        const std::uint16_t seq = next_seq(dest, request_net);
+        const std::uint16_t seq = next_seq(dest, /*request_net=*/true);
         return route(dest, flits, route_class(routing_, self_, dest, seq));
     }
 
@@ -348,8 +410,8 @@ private:
     /// asserted — the injector held credits for it).
     void deliver_request(const NocPacket& pkt, axi::AxiChannel& ch);
     /// Delivers one in-order response packet to the local manager and
-    /// returns its end-to-end credits; returns false on manager-channel
-    /// backpressure.
+    /// returns its end-to-end credits when its request reserved them;
+    /// returns false on manager-channel backpressure.
     bool deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr);
 
     /// Where the first response scan starts: the lowest manager slot above
@@ -425,9 +487,21 @@ private:
     sim::FlatRing<WRoute> w_routes_;
     std::vector<InFlight> w_in_flight_;
     std::vector<InFlight> r_in_flight_;
-    /// Response injection round-robin: the manager slot the next scan
-    /// starts at (see `first_response_slot`).
+    /// Response arbitration: where the nominees' scan starts, and per
+    /// output the manager slot its next nominee search starts at; both one
+    /// past the last manager served there (initially `first_response_slot`).
     std::uint32_t rsp_next_ = 0;
+    std::array<std::uint32_t, kMaxOutputs> rsp_out_next_{};
+    /// Outstanding reads per subordinate slot (manager NIs only, else
+    /// empty), in issue order: whether each reserved its response. A
+    /// response retires the oldest read of its ID.
+    struct ReadRecord {
+        axi::IdT id = 0;
+        bool reserved = false;
+    };
+    std::vector<std::vector<ReadRecord>> reads_;
+    /// Response flits owed for unreserved reads, per subordinate slot.
+    std::vector<std::uint32_t> unreserved_flits_;
     /// Injection sequence counters: requests per target subordinate slot
     /// (manager NIs only, else empty); responses per destination manager
     /// slot (subordinate NIs only, else empty).

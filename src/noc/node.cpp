@@ -42,12 +42,14 @@ void NocNode::tick() {
     ring_hop(*rsp_in_, *rsp_out_, /*request_ring=*/false);
     ring_hop(*req_in_, *req_out_, /*request_ring=*/true);
     // Single-lane ring: every destination leaves through the one link of
-    // its network; the NI supplies the worm length so the link can gate on
-    // serialization and VC space.
-    inject([this](bool request_net, NodeId, std::uint32_t flits, std::uint8_t vc) {
-        NocLink* out = request_net ? req_out_ : rsp_out_;
-        return out->can_push(flits, vc) ? out : nullptr;
-    });
+    // its network (response output 0); the NI supplies the worm length so
+    // the link can gate on serialization and VC space.
+    inject(
+        [this](bool request_net, NodeId, std::uint32_t flits, std::uint8_t vc) {
+            NocLink* out = request_net ? req_out_ : rsp_out_;
+            return out->can_push(flits, vc) ? out : nullptr;
+        },
+        [](NodeId, std::uint8_t) { return std::uint8_t{0}; });
     // Idle contract: `empty()`, not `can_pop()` — a flit pushed this cycle
     // is not yet poppable but does need us next cycle. A link's
     // serialization window expiring enables no new work by itself.

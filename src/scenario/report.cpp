@@ -157,7 +157,7 @@ void write_flat_report(std::ostream& os, const Sweep& sweep,
         any_speed = any_speed || r.wall_seconds > 0.0;
     }
     os << "| point | run cycles | ops | load lat mean | load lat max "
-          "| store lat max | DMA B/cyc | hops |";
+          "| store lat max | attackers' total B/cyc | hops |";
     if (any_speed) { os << " sim c/s |"; }
     if (baseline != nullptr) { os << " perf vs baseline |"; }
     os << "\n|---|---|---|---|---|---|---|---|";

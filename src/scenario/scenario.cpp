@@ -164,11 +164,13 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg, std::string label) {
     const std::size_t victim_mon = monitored ? monitors.size() - 1 : 0;
     traffic::CoreModel core{ctx, "core", topo->victim_port(), *victim_workload};
     const sim::Cycle start = ctx.now();
-    // Interference-side read counter of engine 0 (DMA or injector), for the
+    // Bytes read by every interference engine, DMA or injector, for the
     // victim-window bandwidth metric.
     const auto interference_bytes_read = [&]() -> std::uint64_t {
-        if (!dmas.empty()) { return dmas[0]->bytes_read(); }
-        return injectors.empty() ? 0 : injectors[0]->bytes_read();
+        std::uint64_t total = 0;
+        for (const auto& dma : dmas) { total += dma->bytes_read(); }
+        for (const auto& injector : injectors) { total += injector->bytes_read(); }
+        return total;
     };
     const std::uint64_t dma_bytes_before = interference_bytes_read();
     res.timed_out = !ctx.run_until([&] { return core.done(); }, cfg.max_cycles);
@@ -284,8 +286,9 @@ namespace {
 /// field already changes every hash.
 class ConfigDigest {
 public:
-    /// v10: monitors tap the manager's port instead of sitting in it.
-    static constexpr std::uint64_t kVersion = 10;
+    /// v11: NoC managers reserve their responses before they ask, and each
+    /// subordinate NI output arbitrates over its own round-robin pointer.
+    static constexpr std::uint64_t kVersion = 11;
 
     ConfigDigest() { mix(kVersion); }
 

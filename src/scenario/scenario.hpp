@@ -176,19 +176,23 @@ struct ScenarioResult {
     sim::Cycle store_lat_max = 0;
     ///@}
 
-    /// \name Interference-side observability (DSA port 0)
+    /// \name Interference-side observability
+    ///
+    /// `dma_bytes` and `dma_read_bw` total every interference engine (DMA or
+    /// injector); the `dma_` unit counters and the DSA-side M&R fields
+    /// describe the REALM unit in front of interference port 0 only.
     ///@{
-    std::uint64_t dma_bytes = 0;  ///< read during the victim window
-    double dma_read_bw = 0;       ///< bytes/cycle over the victim window
-    std::uint64_t dma_depletions = 0;
-    std::uint64_t dma_isolation_cycles = 0;
-    std::uint64_t dma_throttle_stalls = 0;
-    std::uint64_t dma_cut_through = 0; ///< write-buffer cut-through bursts
+    std::uint64_t dma_bytes = 0;  ///< read by every attacker during the victim window
+    double dma_read_bw = 0;       ///< all attackers' bytes/cycle over the victim window
+    std::uint64_t dma_depletions = 0;       ///< unit 0
+    std::uint64_t dma_isolation_cycles = 0; ///< unit 0
+    std::uint64_t dma_throttle_stalls = 0;  ///< unit 0
+    std::uint64_t dma_cut_through = 0; ///< unit 0: write-buffer cut-through bursts
     std::uint64_t xbar_w_stalls = 0;   ///< fabric W-channel starvation (crossbar:
                                        ///< LLC port; ring: memory-node muxes)
     std::uint64_t fabric_hops = 0;     ///< ring packets forwarded (0 on crossbar)
-    std::uint64_t dma_mr_bytes_total = 0;  ///< DSA-side M&R: bytes moved
-    double dma_mr_read_lat_mean = 0;       ///< DSA-side M&R: read latency
+    std::uint64_t dma_mr_bytes_total = 0;  ///< unit 0's M&R: bytes moved
+    double dma_mr_read_lat_mean = 0;       ///< unit 0's M&R: read latency
     ///@}
 
     /// \name Core-side M&R observability (with `monitor_llc_on_core`)

@@ -279,6 +279,7 @@ public:
         return fabric_->total_mux_w_stalls();
     }
     std::uint64_t fabric_hops() const override { return fabric_->total_forwarded(); }
+    std::uint64_t fabric_rsp_holds() const override { return fabric_->total_mux_rsp_holds(); }
     void check_flow_invariants() const override { fabric_->check_flow_invariants(); }
 
 private:

@@ -90,11 +90,13 @@ struct NocTopologyConfig {
     std::uint32_t flits_per_packet = 4;
     /// Link VC buffer depth in flits (must hold one whole worm).
     std::uint32_t vc_depth = 8;
-    /// End-to-end credit pool per (source, target NI) pair, in flits.
+    /// End-to-end credit pool per (manager, subordinate) pair and direction,
+    /// in flits: for requests, the most a manager may have staged at the
+    /// subordinate's NI; for responses, the most response flits a manager
+    /// may have requested from one subordinate and not yet received.
     std::uint32_t e2e_credits = 32;
-    /// Cycles a returning end-to-end credit rides the response network
-    /// before the injector may reuse it (0 = instantaneous release at the
-    /// drain point, the historical behaviour).
+    /// Cycles a returned end-to-end credit waits before its pool's taker
+    /// may reuse it (0 = instantaneous release, the historical behaviour).
     std::uint32_t credit_return_delay = 0;
     /// Uniform pipeline depth of every fabric link in cycles: a flit pushed
     /// at cycle N becomes visible to the consumer at N + link_latency
@@ -237,6 +239,10 @@ public:
     [[nodiscard]] virtual std::uint64_t fabric_w_stalls() const = 0;
     /// Packets forwarded across fabric hops (0 on the crossbar).
     [[nodiscard]] virtual std::uint64_t fabric_hops() const = 0;
+    /// Cycles a memory node's response output was held for one manager's
+    /// full egress lane (NoC: sum over the memory-node egress muxes; 0 on
+    /// the crossbar).
+    [[nodiscard]] virtual std::uint64_t fabric_rsp_holds() const { return 0; }
     /// Asserts the fabric's flow-control invariants (credit conservation,
     /// bounded NI staging, bounded link VCs). No-op on fabrics without
     /// credited flow control; tests call it every cycle.

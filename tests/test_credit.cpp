@@ -201,13 +201,17 @@ ScenarioConfig cell_config(const std::string& sweep_name, const std::string& lab
     return {};
 }
 
-/// Drives one NoC scenario config by hand — fabric via `make_topology`,
-/// interference DMAs and the stream victim attached like `run_scenario`
-/// does — so the test can step cycle by cycle and assert the fabric's
-/// flow-control invariants at *every* cycle, not just sample them.
-void step_and_check_invariants(const ScenarioConfig& cfg, sim::Cycle cycles) {
+/// Drives one NoC scenario config by hand, as `run_scenario` does — fabric
+/// via `make_topology`, REALM units booted from the config's plans,
+/// interference DMAs, and the stream victim after the warm-up — so a test
+/// can act after *every* cycle, not just sample. Runs `cycles` cycles, or
+/// until the victim is done; `each_cycle(topo, now)` runs after every one.
+template <typename EachCycle>
+void drive_cell(const ScenarioConfig& cfg, sim::Cycle cycles, EachCycle&& each_cycle) {
     sim::SimContext ctx;
     auto topo = scenario::make_topology(ctx, cfg);
+    ASSERT_TRUE(topo->boot(cfg.boot_plans));
+    if (cfg.throttle_dsa) { topo->set_interference_throttle(true); }
     std::vector<std::unique_ptr<traffic::DmaEngine>> dmas;
     for (std::size_t i = 0; i < cfg.interference.size(); ++i) {
         const scenario::InterferenceConfig& irq = cfg.interference[i];
@@ -216,12 +220,25 @@ void step_and_check_invariants(const ScenarioConfig& cfg, sim::Cycle cycles) {
         dmas.back()->push_job(traffic::DmaJob{irq.src, irq.dst, irq.bytes, irq.loop});
     }
     traffic::StreamWorkload victim{cfg.victim.stream};
-    traffic::CoreModel core{ctx, "victim", topo->victim_port(), victim};
-    for (sim::Cycle c = 0; c < cycles; ++c) {
+    std::unique_ptr<traffic::CoreModel> core;
+    for (sim::Cycle c = 0; c < cycles && !(core && core->done()); ++c) {
+        if (c == cfg.warmup_cycles) {
+            core = std::make_unique<traffic::CoreModel>(ctx, "victim", topo->victim_port(),
+                                                        victim);
+        }
         ctx.step();
-        ASSERT_NO_THROW(topo->check_flow_invariants()) << "cycle " << ctx.now();
+        each_cycle(*topo, ctx.now());
+        if (::testing::Test::HasFatalFailure()) { return; }
     }
     EXPECT_GT(topo->fabric_hops(), 0U) << "traffic must actually cross the fabric";
+}
+
+/// Asserts the fabric's flow-control invariants after every cycle of
+/// `drive_cell`.
+void step_and_check_invariants(const ScenarioConfig& cfg, sim::Cycle cycles) {
+    drive_cell(cfg, cycles, [](const scenario::TopologyHandle& topo, sim::Cycle now) {
+        ASSERT_NO_THROW(topo.check_flow_invariants()) << "cycle " << now;
+    });
 }
 
 TEST(CreditConservation, HoldsEveryCycleUnderTheWorstMeshDosCell) {
@@ -233,12 +250,53 @@ TEST(CreditConservation, HoldsEveryCycleUnderTheWorstMeshDosCell) {
                               15000);
 }
 
+TEST(CreditConservation, HoldsEveryCycleWithUnreservedResponsesOnEveryMeshPolicy) {
+    // An unregulated overdraft attacker's 64-beat reads exceed its whole
+    // response pool, so they go out unreserved; on the 4x6 mesh under
+    // west-first and O1TURN some of their responses arrive out of order and
+    // wait in the reorder stash (more flits than the pool has in flight on
+    // 79 pair-cycles), which the invariant bounds by the pool's in-flight
+    // credits plus the unreserved flits owed.
+    for (const RoutingPolicy policy : {RoutingPolicy::kWestFirst, RoutingPolicy::kO1Turn}) {
+        SCOPED_TRACE(to_string(policy));
+        ScenarioConfig cfg = cell_config("mesh-dos-matrix", "1atk/overdraft/none");
+        std::get<scenario::MeshTopologyConfig>(cfg.fabric).routing = policy;
+        step_and_check_invariants(cfg, 15000);
+    }
+}
+
 TEST(CreditConservation, HoldsEveryCycleOnTheTightCreditRing) {
     // The tight-credit smoke (vc_depth = one worm, e2e_credits = 8) keeps
     // the fabric permanently credit-limited — the regime where a release
     // miscount would surface fastest.
     step_and_check_invariants(cell_config("ring-credit-dos-smoke", "2atk/hog/none"),
                               15000);
+}
+
+// --- Response reservation: no head-of-line hold at the memory ---------------
+
+TEST(ResponseReservation, RegulatedManagersNeverHoldTheMemoryResponseOutput) {
+    // A manager reserves its responses before it asks, so a regulated
+    // manager never has more responses owed than its egress lane holds,
+    // and the memory node's mux never holds its one R/B output for a full
+    // lane. Unregulated 256-beat hogs read more than their whole pool,
+    // unreserved, and still do.
+    for (const char* sweep : {"mesh-dos-smoke", "ring-dos-smoke"}) {
+        for (const SweepPoint& p : scenario::make_sweep(sweep).points) {
+            SCOPED_TRACE(std::string{sweep} + " " + p.label);
+            std::uint64_t holds = 0;
+            drive_cell(p.config, p.config.max_cycles,
+                       [&](const scenario::TopologyHandle& topo, sim::Cycle) {
+                           holds = topo.fabric_rsp_holds();
+                       });
+            if (!p.config.boot_plans.empty()) {
+                EXPECT_EQ(holds, 0U);
+            } else if (!p.config.interference.empty() &&
+                       p.label.find("/hog/") != std::string::npos) {
+                EXPECT_GT(holds, 0U);
+            }
+        }
+    }
 }
 
 // --- Delayed credit returns: A/B, conservation and resume -------------------

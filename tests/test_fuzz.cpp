@@ -33,16 +33,18 @@ namespace realm {
 namespace {
 
 struct ManagerChain {
-    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> realm, tapped by the monitor
+    std::unique_ptr<axi::AxiChannel> mgr_side;    // manager -> parent checker, tapped by the monitor
+    std::unique_ptr<axi::AxiChannel> realm_up;    // parent checker -> realm
     std::unique_ptr<axi::AxiChannel> realm_down;  // realm -> checker (resp passthrough)
     std::unique_ptr<axi::AxiChannel> chk_out;     // checker -> xbar
-    std::unique_ptr<axi::AxiChecker> checker;
+    std::unique_ptr<axi::AxiChecker> parent_checker; // the manager's own bursts
+    std::unique_ptr<axi::AxiChecker> checker;        // the unit's fragments
     std::unique_ptr<rt::RealmUnit> realm;
     std::unique_ptr<mon::TxnMonitor> monitor;
 };
 
-/// Topology: manager -> REALM -> checker -> xbar -> SRAMs, with a transaction
-/// monitor tapping the manager's port.
+/// Topology: manager -> checker -> REALM -> checker -> xbar -> SRAMs, with a
+/// transaction monitor tapping the manager's port.
 class FuzzBench {
 public:
     FuzzBench(std::uint32_t num_managers, const rt::RealmUnitConfig& rcfg) {
@@ -56,19 +58,23 @@ public:
             std::string n = "m"; // appended: `"m" + to_string` trips GCC 12's -Wrestrict
             n += std::to_string(m);
             chain->mgr_side = std::make_unique<axi::AxiChannel>(ctx, n + ".port");
+            chain->realm_up = std::make_unique<axi::AxiChannel>(ctx, n + ".up");
             chain->realm_down =
                 std::make_unique<axi::AxiChannel>(ctx, n + ".down", 2, true);
             chain->chk_out = std::make_unique<axi::AxiChannel>(ctx, n + ".chk");
-            // Checker constructed before the REALM unit so the unit's
+            // Checkers record violations (the test counts them); this one is
+            // constructed before the REALM unit so the unit's
             // response-passthrough sees same-cycle pushes.
             chain->checker = std::make_unique<axi::AxiChecker>(
-                ctx, n + ".chk", *chain->realm_down, *chain->chk_out, true);
+                ctx, n + ".chk", *chain->realm_down, *chain->chk_out, false);
             chain->realm = std::make_unique<rt::RealmUnit>(ctx, n + ".realm",
-                                                           *chain->mgr_side,
+                                                           *chain->realm_up,
                                                            *chain->realm_down, rcfg);
-            // The monitor reads the port after its consumer, the REALM unit,
-            // has ticked: built after it, as `run_scenario` builds monitors
-            // after the topology.
+            chain->parent_checker = std::make_unique<axi::AxiChecker>(
+                ctx, n + ".pchk", *chain->mgr_side, *chain->realm_up, false);
+            // The monitor reads the port after its consumer, the parent
+            // checker, has ticked: built after it, as `run_scenario` builds
+            // monitors after the topology.
             chain->monitor =
                 std::make_unique<mon::TxnMonitor>(ctx, n + ".mon", *chain->mgr_side);
             xbar_mgrs.push_back(chain->chk_out.get());
@@ -146,9 +152,12 @@ TEST_P(FuzzSweep, RandomTrafficKeepsAllInvariants) {
         [&] { return core0.done() && core1.done() && dma.idle(); }, 1'000'000))
         << "seed " << seed << " frag " << fragment << " did not drain";
 
-    // Invariant 1: protocol-clean on the fragmented side of every unit.
+    // Invariant 1: protocol-clean on both sides of every unit.
     for (const auto& chain : bench.chains) {
-        EXPECT_EQ(chain->checker->violation_count(), 0U);
+        for (const axi::AxiChecker* c : {chain->parent_checker.get(), chain->checker.get()}) {
+            EXPECT_EQ(c->violation_count(), 0U)
+                << c->name() << ": " << (c->violations().empty() ? "" : c->violations()[0]);
+        }
     }
     // Invariant 2: every issued transaction completed.
     EXPECT_EQ(core0.loads_retired() + core0.stores_retired(), 300U);

@@ -90,11 +90,9 @@ TEST_F(MuxFixture, RoutesResponsesByRemappedId) {
     axi::ManagerView v1{m1};
     v0.send_ar(axi::make_ar(3, 0x0, 1, 3));
     v1.send_ar(axi::make_ar(3, 0x100, 1, 3));
-    (void)collect_read_burst(ctx, m0, 1);
-    (void)collect_read_burst(ctx, m1, 1);
-    // IDs must come back un-remapped.
-    EXPECT_EQ(mux->ar_grants(0), 1U);
-    EXPECT_EQ(mux->ar_grants(1), 1U);
+    // Each response reaches its own manager, with the ID un-remapped.
+    EXPECT_EQ(collect_read_burst(ctx, m0, 1).id, 3U);
+    EXPECT_EQ(collect_read_burst(ctx, m1, 1).id, 3U);
 }
 
 TEST_F(MuxFixture, WChannelReservedByGrantedManager) {
@@ -255,19 +253,26 @@ TEST_F(XbarFixture, WriteReservationBlocksOtherWriters) {
 }
 
 TEST_F(XbarFixture, GrantCountsBalanceUnderSymmetricLoad) {
+    // Single-beat reads: one response per grant.
     axi::ManagerView v0{m0};
     axi::ManagerView v1{m1};
+    int g0 = 0;
+    int g1 = 0;
     for (int cycle = 0; cycle < 300; ++cycle) {
         if (v0.can_send_ar()) { v0.send_ar(axi::make_ar(0, 0x0, 1, 3)); }
         if (v1.can_send_ar()) { v1.send_ar(axi::make_ar(0, 0x8, 1, 3)); }
-        if (v0.has_r()) { (void)v0.recv_r(); }
-        if (v1.has_r()) { (void)v1.recv_r(); }
+        if (v0.has_r()) {
+            (void)v0.recv_r();
+            ++g0;
+        }
+        if (v1.has_r()) {
+            (void)v1.recv_r();
+            ++g1;
+        }
         ctx.step();
     }
-    const auto g0 = xbar->ar_grants(0);
-    const auto g1 = xbar->ar_grants(1);
-    EXPECT_GT(g0, 50U);
-    EXPECT_NEAR(static_cast<double>(g0), static_cast<double>(g1), 3.0);
+    EXPECT_GT(g0, 50);
+    EXPECT_NEAR(g0, g1, 3);
 }
 
 /// One manager in front of a 1-cycle and a 6-cycle subordinate, whose

@@ -295,10 +295,12 @@ protected:
     NodeId inject_one() {
         NodeId dest = CreditBook::kNoSlot;
         EXPECT_TRUE(ni->inject_responses(
-            lane_ptrs, [&](NodeId d, std::uint32_t flits, std::uint8_t vc) {
+            lane_ptrs,
+            [&](NodeId d, std::uint32_t flits, std::uint8_t vc) {
                 dest = d;
                 return out.can_push(flits, vc) ? &out : nullptr;
-            }));
+            },
+            [](NodeId, std::uint8_t) { return std::uint8_t{0}; }));
         ctx.step();
         return dest;
     }
@@ -330,6 +332,128 @@ TEST_F(NiResponseScan, NodeZeroWithAManagerIsServedLastOnTheFirstScan) {
     ready_all();
     EXPECT_EQ(inject_one(), 2U);
     EXPECT_EQ(inject_one(), 0U);
+}
+
+TEST_F(NiResponseScan, AManagerWaitingOnABusyOutputIsServedWithinOneTurn) {
+    // Managers 0 and 2 wait for output 0, whose 4-flit R worms keep it busy
+    // three cycles in four; manager 1 sends 1-flit B's on output 1, free
+    // every cycle. A pointer shared by both outputs would pass manager 0
+    // while output 0 is busy and sit on manager 2 each time it frees; with
+    // a pointer per output, managers 0 and 2 take turns.
+    build({0, 1, 2});
+    std::vector<NocLink::Slot> busy_slots(NocLink::slots_needed(fc, 1));
+    NocLink busy{ctx, "rsp_busy", fc, busy_slots};
+    std::vector<NodeId> served; // on output 0, in order
+    const auto route = [&](NodeId d, std::uint32_t flits, std::uint8_t vc) -> NocLink* {
+        NocLink& link = d == 1 ? out : busy;
+        if (!link.can_push(flits, vc)) { return nullptr; }
+        if (d != 1) { served.push_back(d); }
+        return &link;
+    };
+    const auto first_hop = [](NodeId d, std::uint8_t) {
+        return static_cast<std::uint8_t>(d == 1 ? 1 : 0);
+    };
+    for (int cycle = 0; cycle < 64; ++cycle) {
+        for (std::size_t slot = 0; slot < lanes.size(); ++slot) {
+            axi::AxiChannel& lane = *lanes[slot];
+            while (slot == 1 && lane.b.occupancy() < 2) { lane.b.push(axi::BFlit{}); }
+            while (slot != 1 && lane.r.occupancy() < 2) { lane.r.push(axi::RFlit{}); }
+        }
+        (void)ni->inject_responses(lane_ptrs, route, first_hop);
+        ctx.step();
+        while (busy.can_pop()) { (void)busy.pop(); }
+        while (out.can_pop()) { (void)out.pop(); }
+    }
+    ASSERT_GE(served.size(), 12U);
+    for (std::size_t i = 1; i < served.size(); ++i) {
+        EXPECT_NE(served[i], served[i - 1]) << "service " << i << " on output 0";
+    }
+}
+
+/// The request side of one manager NI, driven by hand: node 0 of a 4-node
+/// fabric hosts the manager, node 3 the only subordinate, and the test
+/// plays the network: it takes requests off the outgoing link and hands
+/// the NI responses as if they had crossed the fabric.
+class NiReservation : public ::testing::Test {
+protected:
+    NiReservation() { map.add(0x0, 0x10000, 3, "mem3"); }
+    /// Lets the NI inject at most one request; true when one went out.
+    bool inject() {
+        const bool sent = ni.inject_requests(
+            mgr, map, [&](NodeId, std::uint32_t flits, std::uint8_t vc) {
+                return out.can_push(flits, vc) ? &out : nullptr;
+            });
+        ctx.step();
+        while (out.can_pop()) { (void)out.pop(); }
+        book.check_conserved();
+        return sent;
+    }
+    /// Delivers one read-response beat from node 3 to the manager.
+    void respond(axi::IdT id, bool last) {
+        NocPacket pkt;
+        pkt.src = 3;
+        pkt.dest = 0;
+        pkt.flits = static_cast<std::uint8_t>(fc.flits_per_packet);
+        pkt.seq = rsp_seq++;
+        pkt.flit = axi::RFlit{.id = id, .last = last};
+        ASSERT_TRUE(ni.try_eject_response(pkt, &mgr));
+        ctx.step();
+        (void)mgr.r.pop();
+        book.check_conserved();
+    }
+    /// The manager's response pool for the subordinate.
+    [[nodiscard]] const CreditPool& pool() const { return book.rsp(0, 3); }
+
+    sim::SimContext ctx;
+    NocFlowConfig fc; // 32-flit pools, 4-flit R worms
+    ic::AddrMap map;
+    CreditBook book{ctx, 4, {3}, {0}, fc, /*deferred=*/false};
+    NocNi ni{ctx, "ni0", 0, fc, &book};
+    axi::AxiChannel mgr{ctx, "mgr0", 8};
+    std::vector<NocLink::Slot> out_slots =
+        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, 1));
+    NocLink out{ctx, "req_out", fc, out_slots};
+    std::uint16_t rsp_seq = 0;
+};
+
+TEST_F(NiReservation, AReadWithoutResponseCreditsWaitsAtTheHead) {
+    // Four 2-beat reads reserve 4 x 8 flits, the whole pool; the fifth
+    // waits at the head until the first read's response is delivered.
+    for (axi::IdT id = 0; id < 5; ++id) { mgr.ar.push(axi::make_ar(id, 0x100, 2, 3)); }
+    ctx.step();
+    for (int i = 0; i < 4; ++i) { ASSERT_TRUE(inject()) << "read " << i; }
+    EXPECT_EQ(pool().in_flight(), 32U);
+    for (int i = 0; i < 3; ++i) { EXPECT_FALSE(inject()) << "cycle " << i; }
+    EXPECT_EQ(mgr.ar.occupancy(), 1U) << "the fifth read waits at the head";
+    respond(0, false);
+    EXPECT_EQ(pool().in_flight(), 28U) << "each delivered beat returns its flits";
+    EXPECT_FALSE(inject()) << "4 flits free, the read needs 8";
+    respond(0, true);
+    EXPECT_TRUE(inject());
+    EXPECT_EQ(pool().in_flight(), 32U);
+    EXPECT_EQ(ni.unreserved_response_flits(3), 0U);
+}
+
+TEST_F(NiReservation, AnOversizeReadGoesOutUnreservedAndReturnsNoCredits) {
+    // A 16-beat read's response (64 flits) exceeds the whole pool: it goes
+    // out without a reservation, beside a reserved 2-beat read, and only
+    // the reserved read returns credits, whatever order they return in.
+    mgr.ar.push(axi::make_ar(1, 0x100, 16, 3));
+    mgr.ar.push(axi::make_ar(2, 0x200, 2, 3));
+    ctx.step();
+    ASSERT_TRUE(inject());
+    EXPECT_EQ(pool().in_flight(), 0U);
+    EXPECT_EQ(ni.unreserved_response_flits(3), 64U);
+    ASSERT_TRUE(inject());
+    EXPECT_EQ(pool().in_flight(), 8U);
+    respond(2, false);
+    respond(2, true);
+    EXPECT_EQ(pool().in_flight(), 0U);
+    for (int beat = 0; beat < 16; ++beat) {
+        respond(1, beat == 15);
+        EXPECT_EQ(pool().in_flight(), 0U) << "beat " << beat;
+    }
+    EXPECT_EQ(ni.unreserved_response_flits(3), 0U);
 }
 
 TEST(RingCreditDelay, DelayedCreditReturnsStillCompleteEndToEnd) {

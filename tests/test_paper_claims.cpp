@@ -157,21 +157,29 @@ Row fig6_row(Row row, const std::vector<Fig6>& images, const char* fmt,
     return row;
 }
 
-/// Mean load latency of a single-source stream on the Cheshire SoC, with
-/// or without REALM units on the managers' paths.
-double stream_load_latency(bool realm_present) {
+/// Mean load and store latency of a single-source stream on the Cheshire
+/// SoC, `store_ratio16` of every 16 ops single-beat stores and the rest
+/// loads, with or without REALM units on the managers' paths, and with the
+/// units' write buffers on or off.
+struct StreamLatency {
+    double load = 0;
+    double store = 0;
+};
+StreamLatency stream_latency(bool realm_present, std::uint32_t store_ratio16,
+                             bool write_buffer = true) {
     constexpr axi::Addr kDram = 0x8000'0000;
     sim::SimContext ctx;
     soc::SocConfig cfg;
     cfg.realm_present = realm_present;
+    cfg.realm.write_buffer_enabled = write_buffer;
     soc::CheshireSoc soc{ctx, cfg};
     for (axi::Addr a = 0; a < 0x10000; a += 8) { soc.dram_image().write_u64(kDram + a, a); }
     soc.warm_llc(kDram, 0x10000);
     traffic::StreamWorkload wl{{.base = kDram, .bytes = 0x8000, .op_bytes = 8,
-                                .stride_bytes = 8, .store_ratio16 = 4}};
+                                .stride_bytes = 8, .store_ratio16 = store_ratio16}};
     traffic::CoreModel core{ctx, "core", soc.core_port(), wl};
     EXPECT_TRUE(ctx.run_until([&] { return core.done(); }, 1'000'000));
-    return core.load_latency().mean();
+    return {core.load_latency().mean(), core.store_latency().mean()};
 }
 
 /// Mean load latency of a single-source stream of loads on a NoC fabric,
@@ -225,10 +233,24 @@ std::vector<Row> ledger() {
         [](const Fig6& f) { return f.single.load_lat_max; },
         [](const Fig6& f) { return holds(f.single.load_lat_max <= 8); }));
 
-    const double overhead = stream_load_latency(true) - stream_load_latency(false);
+    const double overhead = stream_latency(true, 4).load - stream_latency(false, 4).load;
     rows.push_back(measured(
         {"REALM request overhead, crossbar", "1 cycle", "+-0.05 cycles", V::kMatch},
         format("%.2f", overhead), {overhead}, holds(std::abs(overhead - 1.0) <= 0.05)));
+    // The same stream, every op a store.
+    const double without = stream_latency(false, 16).store;
+    const double with = stream_latency(true, 16).store;
+    const double store_overhead = with - without;
+    const double store_unbuffered = stream_latency(true, 16, false).store;
+    rows.push_back(measured(
+        {"REALM store overhead, write buffer on", "1 cycle", "+-0.05 cycles",
+         V::kMiss, {2.0}},
+        format("%.2f (", store_overhead) + format("%.1f -> ", without) +
+            format("%.1f cycles, ", with) +
+            format("%.1f with the buffer off)", store_unbuffered),
+        {store_overhead}, holds(std::abs(store_overhead - 1.0) <= 0.05)));
+    rows.back().reason = "the buffer forwards a store's AW once its last W beat is in, and "
+                         "the core sends that W one cycle after the AW";
     rows.push_back(noc_overhead_row("ring (6 nodes)", scenario::RingTopologyConfig{}));
     rows.push_back(noc_overhead_row("mesh (2x3)", scenario::MeshTopologyConfig{}));
 

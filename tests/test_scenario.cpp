@@ -366,10 +366,10 @@ TEST(ConfigFields, HashesStayPut) {
     // digests move whenever a field is added, dropped, reordered or
     // retagged, or `kVersion` is bumped, and so do those keys: change them
     // with the goldens, on purpose.
-    EXPECT_EQ(config_hash(ScenarioConfig{}), 0xc4d938bc70c1d2bdULL);
-    EXPECT_EQ(config_hash(full_config(0)), 0x9e7b07e13c21b34bULL);
-    EXPECT_EQ(config_hash(full_config(1)), 0x2f5b5214481c6260ULL);
-    EXPECT_EQ(config_hash(full_config(2)), 0x05260e663962bda2ULL);
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0xb324ff1bc2d6d2c4ULL);
+    EXPECT_EQ(config_hash(full_config(0)), 0x2eb9d7e351a7f70aULL);
+    EXPECT_EQ(config_hash(full_config(1)), 0xc662724035ab1a01ULL);
+    EXPECT_EQ(config_hash(full_config(2)), 0x883bdce485492423ULL);
 }
 
 TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
