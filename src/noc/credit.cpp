@@ -65,7 +65,7 @@ NocLink::NocLink(const sim::SimContext& ctx, std::string name, const NocFlowConf
     : ctx_{&ctx}, fc_{fc}, name_{std::move(name)}, edge_{edge_registered},
       num_vcs_{num_vcs}, cap_{fc.vc_depth}, slots_{slots} {
     REALM_EXPECTS(num_vcs >= 1 && num_vcs <= kMaxVcs,
-                  name_ + ": a NoC link carries one or two VCs");
+                  name_ + ": a NoC link carries one to four VCs");
     REALM_EXPECTS(slots.size() == slots_needed(fc, num_vcs),
                   name_ + ": slot span does not match vc_depth x VCs");
 }
@@ -80,6 +80,7 @@ void NocLink::commit(const Entry& e) {
     // The slot past the tail holds no live entry: build one there.
     std::construct_at(reinterpret_cast<Entry*>(slot(e.pkt.vc, s.head + s.count).bytes), e);
     ++s.count;
+    occupied_ |= static_cast<std::uint8_t>(1U << e.pkt.vc);
 }
 
 void NocLink::push(NocPacket pkt) {
@@ -119,7 +120,7 @@ NocPacket NocLink::pop(std::uint8_t vc) {
     REALM_ENSURES(s.flits >= pkt.flits, "NoC link flit underflow");
     s.flits -= pkt.flits;
     s.head = (s.head + 1) % cap_;
-    --s.count;
+    if (--s.count == 0) { occupied_ &= static_cast<std::uint8_t>(~(1U << vc)); }
     if (edge_ && !pop_dirty_) {
         // The producer's capacity snapshot must learn about this pop at the
         // next edge even if nothing gets pushed meanwhile. Guard on

@@ -16,8 +16,9 @@
 ///  - **Per-VC link credits.** Each link buffers at most `vc_depth` flits
 ///    per virtual channel at the receiver; `NocLink` asserts the bound on
 ///    every push. The request and response networks are disjoint physical
-///    links; a link carries one VC by default, two under the O1TURN
-///    routing policy (one per route class — see noc/routing.hpp).
+///    links, and each carries one VC per route class and message class
+///    (see noc/routing.hpp): two, reads and writes, on the ring and every
+///    mesh policy but O1TURN, which rides four.
 ///  - **End-to-end credits.** An injecting NI may only send a request worm
 ///    toward subordinate node D while it holds `flits` credits from D's
 ///    pool; credits return when the target NI's staging drains into the
@@ -370,10 +371,11 @@ private:
 /// occupies it for `n` cycles — wormhole serialization; the header still
 /// forwards with the usual one-cycle hop latency) and each VC buffers at
 /// most `vc_depth` flits at the receiver, asserted on every push. A packet
-/// rides the VC named by its route class (`NocPacket::vc`); VCs hold
-/// private buffers, so a blocked worm in one class never holds buffer
-/// space another class waits on — the O1TURN deadlock-freedom requirement
-/// (see noc/routing.hpp).
+/// rides the VC named by its route and message class (`NocPacket::vc`);
+/// VCs hold private buffers, so a blocked worm in one class never holds
+/// buffer space another class waits on — the O1TURN deadlock-freedom
+/// requirement, and what lets a read pass a blocked write (see
+/// noc/routing.hpp).
 ///
 /// Storage: the link owns none. Whoever builds it hands it a span of
 /// `slots_needed` raw slots — `vc_depth` per VC, addressed as per-VC ring
@@ -408,8 +410,9 @@ class NocLink : public sim::EdgeFlushable {
     static_assert(std::is_trivially_destructible_v<Entry>);
 
 public:
-    /// Most VCs one link carries: one per route class (two under O1TURN).
-    static constexpr std::uint8_t kMaxVcs = 2;
+    /// Most VCs one link carries: one per route class and message class
+    /// (four under O1TURN, see `link_num_vcs`).
+    static constexpr std::uint8_t kMaxVcs = 4;
 
     /// Raw storage for one ring entry (see the class comment).
     struct Slot {
@@ -459,12 +462,11 @@ public:
 
     /// Consumer view: no committed packets on any VC (staged pushes are
     /// covered by the flush-time wake, so a consumer may sleep on this).
-    [[nodiscard]] bool empty() const noexcept {
-        for (std::uint8_t vc = 0; vc < num_vcs_; ++vc) {
-            if (vc_[vc].count > 0) { return false; }
-        }
-        return true;
-    }
+    [[nodiscard]] bool empty() const noexcept { return occupied_ == 0; }
+    /// Consumer view: bit `vc` is set while VC `vc` holds a committed
+    /// packet, so a router skips the empty VCs of an input without
+    /// visiting them.
+    [[nodiscard]] std::uint8_t occupied_vcs() const noexcept { return occupied_; }
     void set_wake_on_push(sim::Component* c) noexcept { wake_on_push_ = c; }
 
     /// Commits staged pushes into the rings and refreshes the producer's
@@ -537,6 +539,7 @@ private:
     std::uint32_t cap_; ///< ring slots per VC (== vc_depth packets)
     std::span<Slot> slots_;
     std::array<VcState, kMaxVcs> vc_{};
+    std::uint8_t occupied_ = 0; ///< one bit per VC with `count > 0`
     /// Edge mode: pushes awaiting the barrier. Producer-owned during the
     /// tick phase (cleared at the barrier); the consumer must never read it.
     std::vector<Entry> staged_;

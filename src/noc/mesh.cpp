@@ -19,7 +19,7 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
       cols_{cols},
       ports_{ports},
       routing_{routing},
-      num_vcs_{route_num_vcs(routing)} {
+      num_vcs_{link_num_vcs(routing)} {
     // Every neighbor link feeding this router has exactly one consumer
     // (this router), so claiming the push hooks is safe.
     for (std::size_t d = 0; d < kMeshDirs; ++d) {
@@ -30,7 +30,7 @@ MeshRouter::MeshRouter(sim::SimContext& ctx, std::string name, NodeId node_id,
 
 NocLink* MeshRouter::route_out(bool request_net, NodeId dest,
                                std::uint32_t flits, std::uint8_t vc) {
-    const HopSet hops = permitted_hops(routing_, cols_, id_, dest, vc);
+    const HopSet hops = permitted_hops(routing_, cols_, id_, dest, vc_route_class(vc));
     REALM_EXPECTS(!hops.empty(),
                   name() + ": a mesh node does not route packets to itself");
     return pick_output(request_net, hops, flits, vc, std::nullopt);
@@ -81,7 +81,7 @@ void MeshRouter::service_network(bool request_net) {
     // the ring NI) and each output port take one packet at most. Rotating
     // input priority keeps merge points fair under sustained contention;
     // the pointer only moves when a packet moved, so idle ticks stay
-    // no-ops.
+    // no-ops. A port visits only its occupied VCs.
     bool eject_done = false;
     bool any_moved = false;
     std::uint8_t first_moved = 0;
@@ -89,14 +89,16 @@ void MeshRouter::service_network(bool request_net) {
         const auto d = static_cast<std::uint8_t>((rr + k) % kMeshDirs);
         NocLink* link = in[d];
         if (link == nullptr) { continue; }
+        const std::uint8_t occupied = link->occupied_vcs();
+        if (occupied == 0) { continue; }
         bool port_moved = false;
         bool port_blocked = false;
         for (std::uint8_t j = 0; j < num_vcs_ && !port_moved; ++j) {
             const auto vc = static_cast<std::uint8_t>((vc_rr[d] + j) % num_vcs_);
-            if (!link->can_pop(vc)) { continue; }
+            if ((occupied >> vc & 1U) == 0 || !link->can_pop(vc)) { continue; }
             const NocPacket& pkt = link->front(vc);
             const HopSet hops =
-                permitted_hops(routing_, cols_, id_, pkt.dest, pkt.vc);
+                permitted_hops(routing_, cols_, id_, pkt.dest, vc_route_class(pkt.vc));
             if (hops.empty()) {
                 if (eject_done) {
                     port_blocked = true;
@@ -144,7 +146,7 @@ void MeshRouter::tick() {
         },
         [this](NodeId dest, std::uint8_t vc) {
             return static_cast<std::uint8_t>(
-                permitted_hops(routing_, cols_, id_, dest, vc).dir[0]);
+                permitted_hops(routing_, cols_, id_, dest, vc_route_class(vc)).dir[0]);
         });
     update_activity();
 }
@@ -183,20 +185,13 @@ std::size_t mesh_links(NodeId rows, NodeId cols) {
     return 4 * pairs;
 }
 
-/// The mesh always runs the shard-safe transport — edge-registered
-/// neighbor links and cycle-edge credit returns — so its behaviour never
-/// depends on the shard count (including 1). Deferred returns need at
-/// least one cycle of return latency; with a pipelined fabric
-/// (link_latency > 1) they need the full link latency, so every
-/// cross-shard channel — flit links *and* credit returns — carries the
-/// conservative lookahead the batched barrier relies on.
-NocFlowConfig shard_safe(NocFlowConfig flow) {
+} // namespace
+
+NocFlowConfig NocMesh::shard_safe(NocFlowConfig flow) {
     flow.credit_return_delay = std::max(
         flow.link_latency, std::max<std::uint32_t>(1, flow.credit_return_delay));
     return flow;
 }
-
-} // namespace
 
 NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                  NodeId cols, ic::AddrMap node_map,
@@ -210,9 +205,9 @@ NocMesh::NocMesh(sim::SimContext& ctx, std::string name, NodeId rows,
                 // Every router<->router link is edge-registered: pushes stage
                 // producer-side and commit at the cycle-edge flush, which is
                 // what makes cross-shard traffic order-independent within a
-                // cycle. The routing policy fixes the per-link VC count
-                // (O1TURN needs one VC per route class).
-                LinkPlan{mesh_links(rows, cols), route_num_vcs(routing), true}},
+                // cycle. The routing policy fixes the per-link VC count:
+                // one per route class and message class.
+                LinkPlan{mesh_links(rows, cols), link_num_vcs(routing), true}},
       cols_{cols}, routing_{routing},
       stripe_shards_{std::min<unsigned>(std::max(1U, ctx.shards()), cols)},
       tile_shards_{std::move(tile_shards)} {

@@ -6,12 +6,14 @@
 /// subordinate (reached through the same per-manager egress staging and
 /// `ic::AxiMux` scheme as the ring NI). The routing decision lives in
 /// noc/routing.hpp as a pluggable `RoutingPolicy` — deterministic XY / YX
-/// dimension order, per-worm randomized O1TURN (two VCs, one per route
-/// class), or turn-model adaptive west-first (output chosen by per-VC
-/// occupancy among the permitted hops). Every policy is minimal and
-/// deadlock-free (per-policy arguments in routing.hpp), and the ejecting
-/// NI restores per-pair injection order, so the request/response split and
-/// the AXI same-ID rules hold under all of them. Unlike the single-lane
+/// dimension order, per-worm randomized O1TURN (two route classes), or
+/// turn-model adaptive west-first (output chosen by per-VC occupancy among
+/// the permitted hops). Every link carries one VC per route class and
+/// message class, so reads never queue behind writes. Every policy is
+/// minimal and deadlock-free (per-policy arguments in routing.hpp), and the
+/// ejecting NI restores per-pair, per-class injection order, so the
+/// request/response split and the AXI same-ID rules hold under all of
+/// them. Unlike the single-lane
 /// ring, a mesh router moves up to one packet per output port per cycle,
 /// so independent flows on disjoint paths do not serialize — the
 /// multi-path contention regime the DoS matrix probes. Every link is a
@@ -44,13 +46,14 @@ namespace realm::noc {
 /// One mesh router + network interface. Up to four neighbor ports per
 /// virtual network (request / response), one local manager, one local
 /// subordinate. Per cycle: every input port may advance one packet (the
-/// first movable VC head wins, rotating per-port VC priority so neither
-/// class starves; ejection is single-ported per network, like the ring
-/// NI), each output port accepts at most one packet, inputs arbitrate
-/// round-robin, and forwarding has priority over injection. The next hop
-/// comes from the fabric's `RoutingPolicy`; when the policy permits more
-/// than one productive hop (west-first), the router takes the candidate
-/// whose target VC holds the fewest buffered flits.
+/// first movable VC head wins, rotating per-port VC priority so no class
+/// starves; ejection is single-ported per network, like the ring NI), each
+/// output port accepts at most one packet, inputs arbitrate round-robin,
+/// and forwarding has priority over injection. The next hop comes from the
+/// fabric's `RoutingPolicy` and the route class a worm's VC names
+/// (`vc_route_class`); when the policy permits more than one productive
+/// hop (west-first), the router takes the candidate whose target VC holds
+/// the fewest buffered flits.
 class MeshRouter final : public NocRouter {
 public:
     /// Neighbor links, indexed by `MeshDir`; nullptr at mesh edges.
@@ -116,7 +119,8 @@ public:
     /// \param flow              transport model and its knobs (shared with
     ///        `NocRing` — the flow-control argument is fabric-independent).
     /// \param routing           routing policy applied fabric-wide (fixes
-    ///        the per-link VC count: 2 under O1TURN, 1 otherwise).
+    ///        the per-link VC count, `link_num_vcs`: 4 under O1TURN, 2
+    ///        otherwise).
     /// \param tile_shards       explicit tile -> shard map (one entry per
     ///        node, each < the context's shard count). Empty selects the
     ///        default column-stripe partition. Any map yields bit-identical
@@ -143,6 +147,18 @@ public:
                    : tile_shards_[n];
     }
     [[nodiscard]] RoutingPolicy routing() const noexcept { return routing_; }
+
+    /// The transport a mesh built with `flow` runs. The mesh always runs
+    /// the shard-safe transport — edge-registered neighbor links and
+    /// cycle-edge credit returns — so its behaviour never depends on the
+    /// shard count (including 1). Deferred returns need at least one cycle
+    /// of return latency; with a pipelined fabric (link_latency > 1) they
+    /// need the full link latency, so every cross-shard channel — flit
+    /// links *and* credit returns — carries the conservative lookahead the
+    /// batched barrier relies on. So `credit_return_delay` is raised to
+    /// `max(link_latency, 1)`, and a mesh point's `config_hash` mixes the
+    /// raised value: two delays below it run, and hash, as one.
+    [[nodiscard]] static NocFlowConfig shard_safe(NocFlowConfig flow);
 
 private:
     NodeId cols_;

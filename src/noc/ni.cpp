@@ -19,25 +19,24 @@ NocNi::NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
     const std::size_t mgrs = book_->subordinate_slot(self_) == CreditBook::kNoSlot
                                  ? 0
                                  : book_->managers().size();
-    req_seq_.assign(subs, 0);
-    rsp_reorder_.resize(subs);
+    req_seq_.assign(subs * kMessageClasses, 0);
+    rsp_reorder_.resize(subs * kMessageClasses);
     reads_.resize(subs);
     unreserved_flits_.assign(subs, 0);
-    rsp_seq_.assign(mgrs, 0);
-    req_reorder_.resize(mgrs);
-    rsp_next_ = first_response_slot();
+    rsp_seq_.assign(mgrs * kMessageClasses, 0);
+    req_reorder_.resize(mgrs * kMessageClasses);
+    rsp_next_ = first_response_slot() * kMessageClasses;
     rsp_out_next_.fill(rsp_next_);
 }
 
-void NocNi::update_rsp_stash_index(NodeId src) {
-    const bool nonempty = !rsp_reorder(src).stash.empty();
-    const auto it =
-        std::lower_bound(rsp_stash_srcs_.begin(), rsp_stash_srcs_.end(), src);
-    const bool present = it != rsp_stash_srcs_.end() && *it == src;
+void NocNi::update_rsp_stash_index(std::uint32_t i) {
+    const bool nonempty = !rsp_reorder_[i].stash.empty();
+    const auto it = std::lower_bound(rsp_stashed_.begin(), rsp_stashed_.end(), i);
+    const bool present = it != rsp_stashed_.end() && *it == i;
     if (nonempty && !present) {
-        rsp_stash_srcs_.insert(it, src);
+        rsp_stashed_.insert(it, i);
     } else if (!nonempty && present) {
-        rsp_stash_srcs_.erase(it);
+        rsp_stashed_.erase(it);
     }
 }
 
@@ -70,7 +69,7 @@ bool NocNi::try_eject_request(const NocPacket& pkt,
                   owner_ + ": request ejected at a node without a subordinate");
     REALM_EXPECTS(slot < egress.size(), owner_ + ": request from a node without a manager");
     axi::AxiChannel& ch = *egress[slot];
-    Reorder& ro = req_reorder_[slot];
+    Reorder& ro = req_reorder_[slot * kMessageClasses + pkt.message_class()];
     if (pkt.seq != ro.expected) {
         // Early arrival on a faster path: hold it (its credits stay in
         // flight) until the injection-order predecessors catch up.
@@ -130,26 +129,26 @@ bool NocNi::deliver_response(const NocPacket& pkt, axi::AxiChannel& mgr) {
 }
 
 void NocNi::drain_response_stash(axi::AxiChannel* local_mgr) {
-    if (local_mgr == nullptr || rsp_stash_srcs_.empty()) { return; }
-    // Iterate a snapshot (ascending source): draining rewrites the index.
-    rsp_stash_scan_.assign(rsp_stash_srcs_.begin(), rsp_stash_srcs_.end());
-    for (const NodeId src : rsp_stash_scan_) {
-        Reorder& ro = rsp_reorder(src);
-        drain_stash(arena_, ro, [&](const NocPacket& p) {
+    if (local_mgr == nullptr || rsp_stashed_.empty()) { return; }
+    // Iterate a snapshot (ascending index): draining rewrites the index.
+    rsp_stash_scan_.assign(rsp_stashed_.begin(), rsp_stashed_.end());
+    for (const std::uint32_t i : rsp_stash_scan_) {
+        drain_stash(arena_, rsp_reorder_[i], [&](const NocPacket& p) {
             return deliver_response(p, *local_mgr);
         });
-        update_rsp_stash_index(src);
+        update_rsp_stash_index(i);
     }
 }
 
 bool NocNi::try_eject_response(const NocPacket& pkt, axi::AxiChannel* local_mgr) {
     REALM_EXPECTS(local_mgr != nullptr,
                   owner_ + ": response ejected at a node without a manager");
-    Reorder& ro = rsp_reorder(pkt.src);
+    const std::uint32_t i = rsp_reorder_index(pkt.src, pkt.message_class());
+    Reorder& ro = rsp_reorder_[i];
     if (pkt.seq != ro.expected) {
         const bool inserted = ro.stash_insert(arena_, pkt.seq, pkt);
         REALM_ENSURES(inserted, owner_ + ": duplicate response sequence number");
-        update_rsp_stash_index(pkt.src);
+        update_rsp_stash_index(i);
         return true;
     }
     if (!deliver_response(pkt, *local_mgr)) { return false; }
@@ -157,7 +156,7 @@ bool NocNi::try_eject_response(const NocPacket& pkt, axi::AxiChannel* local_mgr)
     drain_stash(arena_, ro, [&](const NocPacket& p) {
         return deliver_response(p, *local_mgr);
     });
-    update_rsp_stash_index(pkt.src);
+    update_rsp_stash_index(i);
     return true;
 }
 

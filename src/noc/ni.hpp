@@ -6,7 +6,8 @@
 /// interfaces are identical: requests are packetized with an AW-before-data
 /// lane discipline and AXI same-ID ordering, ejected requests land in
 /// per-source egress staging in front of an `ic::AxiMux`, and responses are
-/// injected round-robin over the sources waiting at the local subordinate.
+/// injected round-robin over the (manager, channel) requesters waiting at
+/// the local subordinate.
 /// `NocNi` owns exactly that state so both fabrics share one flow-control
 /// implementation (and one set of bugs).
 ///
@@ -30,34 +31,41 @@
 /// before the injector sees it.
 ///
 /// **Response arbitration.** The subordinate NI injects at most one
-/// response per cycle. Each output link keeps its own round-robin pointer
-/// over the manager slots; a worm's output is its first permitted hop (one
-/// output on the ring). The first manager from an output's pointer whose
-/// response waits for that output is the output's nominee, and only the
-/// nominee may take it, so a manager waiting for a busy output is served
-/// before any manager behind it in that output's order. One pointer shared
-/// by every output would fall into step with the worms' serialization and
-/// starve whichever manager waits when the output frees.
+/// response per cycle. B and R are separate requesters, as they are
+/// separate channels on the crossbar: manager slot s's B is requester 2s
+/// and its R requester 2s + 1, so a manager's R follows its own B instead
+/// of waiting a round of other managers. Each output link keeps its own
+/// round-robin pointer over the requesters; a worm's output is its first
+/// permitted hop (one output on the ring). The first requester from an
+/// output's pointer whose response waits for that output is the output's
+/// nominee, and only the nominee may take it, so a requester waiting for a
+/// busy output is served before any requester behind it in that output's
+/// order. One pointer shared by every output would fall into step with the
+/// worms' serialization and starve whichever requester waits when the
+/// output frees.
 ///
 /// **Ordering under multi-path routing.** Adaptive and randomized mesh
 /// policies (O1TURN, west-first) can deliver two worms of one (src, dest)
 /// pair out of injection order. The NI therefore stamps every worm with a
-/// per-(pair, network) sequence number at injection, and the ejecting side
-/// holds out-of-order arrivals in a reorder stash until the gap closes —
-/// delivery into the egress lanes / the local manager is always in
-/// injection order, which preserves the AW-before-data lane pairing and
-/// the AXI same-ID rules under every routing policy. The stash is bounded
-/// by the end-to-end credit pool (a stashed worm still holds its credits)
-/// plus, for responses, the unreserved response flits still owed, so it
-/// adds no unbounded buffer; under single-path policies (XY, YX, the ring)
-/// arrivals are always in order and the stash stays empty.
+/// per-(pair, network, message class) sequence number at injection, and
+/// the ejecting side holds out-of-order arrivals in that class's reorder
+/// stash until the gap closes — delivery into the egress lanes / the local
+/// manager is always in injection order within a class, which preserves
+/// the AW-before-data lane pairing and the AXI same-ID rules under every
+/// routing policy, while a read, on its own VC, passes its pair's writes
+/// without waiting in the stash. The stash is bounded by the end-to-end
+/// credit pool (a stashed worm still holds its credits) plus, for
+/// responses, the unreserved response flits still owed, so it adds no
+/// unbounded buffer; under single-path policies (XY, YX, the ring) each
+/// class arrives in order and the stash stays empty.
 ///
 /// **Hot-path layout.** Every per-cycle table is contiguous and sized by
 /// the pairs that can carry traffic, through the credit book's two slot
-/// maps: a manager NI keeps one request sequence counter, one response
-/// reorder state and one list of outstanding reads per subordinate slot,
-/// and a subordinate NI keeps one response sequence counter and one
-/// request reorder state per manager slot; every other table is empty.
+/// maps: a manager NI keeps one request sequence counter and one response
+/// reorder state per subordinate slot and message class, and one list of
+/// outstanding reads per subordinate slot; a subordinate NI keeps one
+/// response sequence counter and one request reorder state per manager
+/// slot and message class; every other table is empty.
 /// Same-ID tracking is scanned linearly over a handful of live entries. Per-fabric pair state is therefore
 /// subordinates x managers, however many pass-through nodes the fabric
 /// has, and there is no node-based container on the path the 16x16/32x32
@@ -89,8 +97,9 @@ public:
     /// \param book       End-to-end credit book of the fabric (required);
     ///                   its slot maps size the pair tables.
     /// \param routing    Routing policy of the fabric — the NI assigns each
-    ///                   worm's route class / VC at injection (kXY for the
-    ///                   ring and every other single-path fabric).
+    ///                   worm's route class, and with its message class its
+    ///                   VC, at injection (kXY for the ring and every other
+    ///                   single-path fabric).
     NocNi(const sim::SimContext& ctx, std::string owner, NodeId self,
           const NocFlowConfig& fc, CreditBook* book,
           RoutingPolicy routing = RoutingPolicy::kXY);
@@ -123,7 +132,7 @@ public:
     /// router must stay awake (stash progress rides on the local manager
     /// draining, which raises no wake). O(1): tracked, not scanned.
     [[nodiscard]] bool has_stashed_responses() const noexcept {
-        return !rsp_stash_srcs_.empty();
+        return !rsp_stashed_.empty();
     }
     ///@}
 
@@ -134,7 +143,7 @@ public:
     /// \name Injection (local manager / subordinate into the network)
     ///@{
     /// Injects at most one request packet from the local manager. `route`
-    /// maps (destination node, worm flits, route class/VC) to the outgoing
+    /// maps (destination node, worm flits, VC) to the outgoing
     /// link able to accept that worm this cycle, or nullptr on backpressure
     /// (the flit is then held and retried, preserving the lane order). AW
     /// travels before its data; W continuation beats take priority over new
@@ -159,7 +168,7 @@ public:
             const bool ordering_ok =
                 fl == nullptr || fl->count == 0 || fl->dest == dest;
             if (ordering_ok && response_pool(dest).can_take(1)) {
-                if (NocLink* out = try_route(dest, 1, route)) {
+                if (NocLink* out = try_route(dest, 1, kWriteClass, route)) {
                     axi::AwFlit aw = mgr.aw.pop();
                     InFlight& slot = in_flight_slot(w_in_flight_, aw.id);
                     slot.dest = dest;
@@ -176,7 +185,7 @@ public:
         if (!w_routes_.empty() && mgr.w.can_pop()) {
             WRoute& wr = w_routes_.front();
             const NodeId dest = wr.dest;
-            if (NocLink* out = try_route(dest, data_flits, route)) {
+            if (NocLink* out = try_route(dest, data_flits, kWriteClass, route)) {
                 axi::WFlit w = mgr.w.pop();
                 book_->req(dest, self_).take(data_flits);
                 out->push(make_packet(dest, data_flits, /*request_net=*/true, w));
@@ -198,7 +207,7 @@ public:
             const std::uint32_t rsp_flits = head.beats() * data_flits;
             const bool reserved = rsp_flits <= fc_.e2e_credits;
             if (reserved && !response_pool(dest).can_take(rsp_flits)) { return false; }
-            if (NocLink* out = try_route(dest, 1, route)) {
+            if (NocLink* out = try_route(dest, 1, kReadClass, route)) {
                 axi::ArFlit ar = mgr.ar.pop();
                 InFlight& slot = in_flight_slot(r_in_flight_, ar.id);
                 slot.dest = dest;
@@ -223,51 +232,57 @@ public:
     /// slot]`), and the requester reserved them, so no credit is checked.
     /// `first_hop(dest, vc)` names a worm's output (its first permitted hop,
     /// below `kMaxOutputs`; 0 on the ring). Only each output's nominee may
-    /// take it (see the file comment); the nominees are tried in manager
-    /// slot order from one past the last manager served. `route` maps
-    /// (response destination, worm flits, route class/VC) to the outgoing
-    /// link, or nullptr on backpressure — a blocked nominee does not stop
-    /// another output's.
+    /// take it (see the file comment); the nominees are tried in requester
+    /// order from one past the last requester served. `route` maps
+    /// (response destination, worm flits, VC) to the outgoing link, or
+    /// nullptr on backpressure — a blocked nominee does not stop another
+    /// output's.
     template <typename RouteFn, typename FirstHopFn>
     bool inject_responses(const std::vector<axi::AxiChannel*>& egress,
                           RouteFn&& route, FirstHopFn&& first_hop) {
-        const auto m = static_cast<std::uint32_t>(egress.size());
+        // Requester q is manager slot q / 2's B (q even) or R (q odd); its
+        // sequence counter is `rsp_seq_[q]`.
+        const auto n = static_cast<std::uint32_t>(egress.size() * kMessageClasses);
         const std::vector<NodeId>& mgrs = book_->managers();
-        // Each output's nominee: the waiting manager nearest its pointer.
+        const auto vc_of = [&](std::uint32_t q, NodeId dest) {
+            return packet_vc(route_class(routing_, self_, dest, rsp_seq_[q]),
+                             static_cast<std::uint8_t>(q % kMessageClasses));
+        };
+        // Each output's nominee: the waiting requester nearest its pointer.
         std::array<std::uint32_t, kMaxOutputs> nominee;
-        nominee.fill(m);
-        for (std::uint32_t slot = 0; slot < m; ++slot) {
-            const axi::AxiChannel* ch = egress[slot];
-            if (!ch->b.can_pop() && !ch->r.can_pop()) { continue; }
-            const NodeId dest = mgrs[slot];
-            const std::uint8_t out =
-                first_hop(dest, route_class(routing_, self_, dest, rsp_seq_[slot]));
+        nominee.fill(n);
+        const auto nominate = [&](std::uint32_t q, NodeId dest) {
+            const std::uint8_t out = first_hop(dest, vc_of(q, dest));
             REALM_EXPECTS(out < kMaxOutputs, owner_ + ": response output out of range");
-            const auto dist = [&](std::uint32_t s) { return (s + m - rsp_out_next_[out]) % m; };
-            if (nominee[out] == m || dist(slot) < dist(nominee[out])) { nominee[out] = slot; }
+            const auto dist = [&](std::uint32_t r) { return (r + n - rsp_out_next_[out]) % n; };
+            if (nominee[out] == n || dist(q) < dist(nominee[out])) { nominee[out] = q; }
+        };
+        for (std::uint32_t slot = 0; slot < egress.size(); ++slot) {
+            const axi::AxiChannel* ch = egress[slot];
+            if (ch->b.can_pop()) { nominate(slot * kMessageClasses + kWriteClass, mgrs[slot]); }
+            if (ch->r.can_pop()) { nominate(slot * kMessageClasses + kReadClass, mgrs[slot]); }
         }
-        // Try the nominees in slot order from the scan pointer.
-        const auto key = [&](std::uint32_t out) { return (nominee[out] + m - rsp_next_) % m; };
+        // Try the nominees in requester order from the scan pointer.
+        const auto key = [&](std::uint32_t out) { return (nominee[out] + n - rsp_next_) % n; };
         const std::uint32_t data_flits = fc_.packet_flits(/*data_carrying=*/true);
         for (;;) {
             std::uint32_t out = kMaxOutputs;
             for (std::uint32_t o = 0; o < kMaxOutputs; ++o) {
-                if (nominee[o] != m && (out == kMaxOutputs || key(o) < key(out))) { out = o; }
+                if (nominee[o] != n && (out == kMaxOutputs || key(o) < key(out))) { out = o; }
             }
             if (out == kMaxOutputs) { return false; }
-            const std::uint32_t slot = nominee[out];
-            nominee[out] = m;
-            axi::AxiChannel* ch = egress[slot];
-            const NodeId dest = mgrs[slot];
-            const bool b = ch->b.can_pop();
+            const std::uint32_t q = nominee[out];
+            nominee[out] = n;
+            axi::AxiChannel* ch = egress[q / kMessageClasses];
+            const NodeId dest = mgrs[q / kMessageClasses];
+            const bool b = q % kMessageClasses == kWriteClass;
             const std::uint32_t flits = b ? 1 : data_flits;
-            NocLink* link =
-                route(dest, flits, route_class(routing_, self_, dest, rsp_seq_[slot]));
+            NocLink* link = route(dest, flits, vc_of(q, dest));
             if (link == nullptr) { continue; }
             link->push(b ? make_packet(dest, flits, /*request_net=*/false, ch->b.pop())
                          : make_packet(dest, flits, /*request_net=*/false, ch->r.pop()));
-            rsp_out_next_[out] = (slot + 1) % m;
-            rsp_next_ = (slot + 1) % m;
+            rsp_out_next_[out] = (q + 1) % n;
+            rsp_next_ = (q + 1) % n;
             return true;
         }
     }
@@ -281,14 +296,12 @@ public:
     /// Flits stashed out of order for request packets from manager node
     /// `src` (0 under single-path policies, and away from a subordinate).
     [[nodiscard]] std::uint32_t stashed_request_flits(NodeId src) const {
-        const NodeId slot = book_->manager_slot(src);
-        return slot < req_reorder_.size() ? stashed_flits(req_reorder_[slot]) : 0;
+        return stashed_flits(req_reorder_, book_->manager_slot(src));
     }
     /// Flits stashed out of order for response packets from subordinate
     /// node `src` (0 away from a manager).
     [[nodiscard]] std::uint32_t stashed_response_flits(NodeId src) const {
-        const NodeId slot = book_->subordinate_slot(src);
-        return slot < rsp_reorder_.size() ? stashed_flits(rsp_reorder_[slot]) : 0;
+        return stashed_flits(rsp_reorder_, book_->subordinate_slot(src));
     }
     /// Response flits subordinate node `src` still owes this manager for
     /// reads that went out unreserved (0 away from a manager). These hold
@@ -300,7 +313,7 @@ public:
     ///@}
 
 private:
-    /// Per-(pair, network) reorder state at the ejecting side: the next
+    /// Per-(pair, network, class) reorder state at the ejecting side: the next
     /// expected sequence number and the stash of early arrivals. The stash
     /// is a small unsorted vector — only multi-path policies ever populate
     /// it, delivery always looks up the exact `expected` number, and its
@@ -335,13 +348,14 @@ private:
         }
     };
 
-    /// Injection sequence counter of the (self, `dest`) pair: requests only
-    /// leave a manager NI toward a subordinate (one counter per subordinate
-    /// slot), responses only leave a subordinate NI toward a manager (one
-    /// counter per manager slot).
-    [[nodiscard]] std::uint16_t& next_seq(NodeId dest, bool request_net) {
-        return request_net ? req_seq_[book_->subordinate_slot(dest)]
-                           : rsp_seq_[book_->manager_slot(dest)];
+    /// Injection sequence counter of the (self, `dest`) pair's message
+    /// class `cls`: requests only leave a manager NI toward a subordinate
+    /// (counters per subordinate slot), responses only leave a subordinate
+    /// NI toward a manager (counters per manager slot).
+    [[nodiscard]] std::uint16_t& next_seq(NodeId dest, bool request_net, std::uint8_t cls) {
+        const NodeId slot =
+            request_net ? book_->subordinate_slot(dest) : book_->manager_slot(dest);
+        return (request_net ? req_seq_ : rsp_seq_)[slot * kMessageClasses + cls];
     }
     /// Subordinate node serving `addr`.
     [[nodiscard]] NodeId decode(const ic::AddrMap& map, axi::Addr addr) const {
@@ -357,38 +371,41 @@ private:
         p.settle(ctx_->now());
         return p;
     }
-    /// Reorder state for responses from subordinate node `src`.
-    [[nodiscard]] Reorder& rsp_reorder(NodeId src) {
-        const NodeId slot = book_->subordinate_slot(src);
-        REALM_EXPECTS(slot < rsp_reorder_.size(),
+    /// Index into `rsp_reorder_` of class `cls` responses from subordinate
+    /// node `src`.
+    [[nodiscard]] std::uint32_t rsp_reorder_index(NodeId src, std::uint8_t cls) const {
+        const std::uint32_t i = book_->subordinate_slot(src) * kMessageClasses + cls;
+        REALM_EXPECTS(i < rsp_reorder_.size(),
                       owner_ + ": response from a node without a subordinate");
-        return rsp_reorder_[slot];
+        return i;
     }
 
     template <typename Flit>
     [[nodiscard]] NocPacket make_packet(NodeId dest, std::uint32_t flits,
                                         bool request_net, Flit&& flit) {
-        std::uint16_t& seq = next_seq(dest, request_net);
         NocPacket pkt;
         pkt.src = self_;
         pkt.dest = dest;
         pkt.flits = static_cast<std::uint8_t>(flits);
-        pkt.seq = seq++;
-        pkt.vc = route_class(routing_, self_, dest, pkt.seq);
         pkt.flit = std::forward<Flit>(flit);
+        const std::uint8_t cls = pkt.message_class();
+        pkt.seq = next_seq(dest, request_net, cls)++;
+        pkt.vc = packet_vc(route_class(routing_, self_, dest, pkt.seq), cls);
         return pkt;
     }
 
-    /// Request credit gate + route lookup for one candidate worm toward
-    /// subordinate node `dest`. Matures pending credit returns first so a
-    /// delayed return becomes visible the cycle it arrives.
+    /// Request credit gate + route lookup for one candidate worm of message
+    /// class `cls` toward subordinate node `dest`. Matures pending credit
+    /// returns first so a delayed return becomes visible the cycle it
+    /// arrives.
     template <typename RouteFn>
-    [[nodiscard]] NocLink* try_route(NodeId dest, std::uint32_t flits, RouteFn&& route) {
+    [[nodiscard]] NocLink* try_route(NodeId dest, std::uint32_t flits, std::uint8_t cls,
+                                     RouteFn&& route) {
         CreditPool& p = book_->req(dest, self_);
         p.settle(ctx_->now());
         if (!p.can_take(flits)) { return nullptr; }
-        const std::uint16_t seq = next_seq(dest, /*request_net=*/true);
-        return route(dest, flits, route_class(routing_, self_, dest, seq));
+        const std::uint16_t seq = next_seq(dest, /*request_net=*/true, cls);
+        return route(dest, flits, packet_vc(route_class(routing_, self_, dest, seq), cls));
     }
 
     /// Delivers consecutive stashed packets starting at `ro.expected`
@@ -422,13 +439,19 @@ private:
         return !mgrs.empty() && mgrs.front() == 0 ? 1 : 0;
     }
 
-    /// Keeps `rsp_stash_srcs_` (the sorted list of sources with stashed
-    /// responses) in sync after a stash mutation for `src`.
-    void update_rsp_stash_index(NodeId src);
+    /// Keeps `rsp_stashed_` (the sorted list of response reorder states
+    /// with a stash) in sync after a stash mutation of `rsp_reorder_[i]`.
+    void update_rsp_stash_index(std::uint32_t i);
 
-    [[nodiscard]] std::uint32_t stashed_flits(const Reorder& ro) const {
+    /// Flits stashed in every class of pair slot `slot` of `reorder` (0 for
+    /// a slot the table does not hold).
+    [[nodiscard]] std::uint32_t stashed_flits(const std::vector<Reorder>& reorder,
+                                              NodeId slot) const {
         std::uint32_t total = 0;
-        for (const auto& [seq, slot] : ro.stash) { total += arena_[slot].flits; }
+        for (std::uint32_t i = slot * kMessageClasses;
+             i < reorder.size() && i < (slot + 1U) * kMessageClasses; ++i) {
+            for (const auto& [seq, s] : reorder[i].stash) { total += arena_[s].flits; }
+        }
         return total;
     }
 
@@ -488,8 +511,9 @@ private:
     std::vector<InFlight> w_in_flight_;
     std::vector<InFlight> r_in_flight_;
     /// Response arbitration: where the nominees' scan starts, and per
-    /// output the manager slot its next nominee search starts at; both one
-    /// past the last manager served there (initially `first_response_slot`).
+    /// output the requester its next nominee search starts at; both one
+    /// past the last requester served there (initially the B requester of
+    /// `first_response_slot`).
     std::uint32_t rsp_next_ = 0;
     std::array<std::uint32_t, kMaxOutputs> rsp_out_next_{};
     /// Outstanding reads per subordinate slot (manager NIs only, else
@@ -502,28 +526,28 @@ private:
     std::vector<std::vector<ReadRecord>> reads_;
     /// Response flits owed for unreserved reads, per subordinate slot.
     std::vector<std::uint32_t> unreserved_flits_;
-    /// Injection sequence counters: requests per target subordinate slot
-    /// (manager NIs only, else empty); responses per destination manager
-    /// slot (subordinate NIs only, else empty).
+    /// Injection sequence counters, at `slot * kMessageClasses + class`:
+    /// requests per target subordinate slot (manager NIs only, else empty);
+    /// responses per destination manager slot (subordinate NIs only, else
+    /// empty), which is also the response requester's index.
     std::vector<std::uint16_t> req_seq_;
     std::vector<std::uint16_t> rsp_seq_;
-    /// Ejection reorder state: requests per source manager slot
-    /// (subordinate NIs only, else empty); responses per source subordinate
-    /// slot (manager NIs only, else empty).
+    /// Ejection reorder state, at `slot * kMessageClasses + class`:
+    /// requests per source manager slot (subordinate NIs only, else empty);
+    /// responses per source subordinate slot (manager NIs only, else empty).
     std::vector<Reorder> req_reorder_;
     std::vector<Reorder> rsp_reorder_;
     /// Slot pool for every stashed packet of this NI (per shard by
     /// construction: one NI is ticked by exactly one shard). Lazy — stays
     /// empty under single-path policies.
     PacketArena arena_;
-    /// Sources with a non-empty response stash, kept sorted ascending —
-    /// the per-tick stash drain touches only these (delivery order must be
-    /// deterministic: ascending source node, as the ordered map used to
-    /// iterate).
-    std::vector<NodeId> rsp_stash_srcs_;
-    /// The drain's copy of `rsp_stash_srcs_` (draining rewrites the index);
-    /// a member so its capacity survives and the drain never allocates.
-    std::vector<NodeId> rsp_stash_scan_;
+    /// Indexes into `rsp_reorder_` with a non-empty stash, kept sorted
+    /// ascending — the per-tick stash drain touches only these, in a
+    /// deterministic order (subordinate slot, then class).
+    std::vector<std::uint32_t> rsp_stashed_;
+    /// The drain's copy of `rsp_stashed_` (draining rewrites the index); a
+    /// member so its capacity survives and the drain never allocates.
+    std::vector<std::uint32_t> rsp_stash_scan_;
 };
 
 } // namespace realm::noc

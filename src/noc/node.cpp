@@ -18,29 +18,38 @@ NocNode::NocNode(sim::SimContext& ctx, std::string name, NodeId node_id,
     rsp_in.set_wake_on_push(this);
 }
 
-void NocNode::ring_hop(NocLink& in, NocLink& out, bool request_ring) {
-    if (!in.can_pop()) { return; }
-    const NocPacket& pkt = in.front();
-    if (pkt.dest == id_) {
-        if (eject(pkt, request_ring)) {
-            (void)in.pop();
+void NocNode::ring_hop(NocLink& in, NocLink& out, bool request_ring, std::uint8_t& vc_rr) {
+    const std::uint8_t occupied = in.occupied_vcs();
+    if (occupied == 0) { return; }
+    const std::uint8_t vcs = in.num_vcs();
+    bool blocked = false;
+    for (std::uint8_t j = 0; j < vcs; ++j) {
+        const auto vc = static_cast<std::uint8_t>((vc_rr + j) % vcs);
+        if ((occupied >> vc & 1U) == 0 || !in.can_pop(vc)) { continue; }
+        const NocPacket& pkt = in.front(vc);
+        if (pkt.dest == id_) {
+            if (!eject(pkt, request_ring)) {
+                blocked = true;
+                continue;
+            }
+            (void)in.pop(vc);
+        } else if (out.can_push(pkt)) {
+            out.push(in.pop(vc));
+            ++forwarded_;
         } else {
-            ++stalls_;
+            blocked = true;
+            continue;
         }
+        vc_rr = static_cast<std::uint8_t>((vc + 1) % vcs);
         return;
     }
-    if (out.can_push(pkt)) {
-        out.push(in.pop());
-        ++forwarded_;
-    } else {
-        ++stalls_;
-    }
+    if (blocked) { ++stalls_; }
 }
 
 void NocNode::tick() {
     drain_response_stash();
-    ring_hop(*rsp_in_, *rsp_out_, /*request_ring=*/false);
-    ring_hop(*req_in_, *req_out_, /*request_ring=*/true);
+    ring_hop(*rsp_in_, *rsp_out_, /*request_ring=*/false, rsp_vc_rr_);
+    ring_hop(*req_in_, *req_out_, /*request_ring=*/true, req_vc_rr_);
     // Single-lane ring: every destination leaves through the one link of
     // its network (response output 0); the NI supplies the worm length so
     // the link can gate on serialization and VC space.

@@ -2,9 +2,12 @@
 /// \brief One ring-NoC node: the ring's hop step on the shared router shell.
 ///
 /// Rings are unidirectional with one-cycle hops, and forwarding has
-/// priority over injection. A request worm only enters the ring once its
-/// end-to-end credits reserved the target staging, so request ejection
-/// never stalls the ring head. Everything else a node does — the NI, the
+/// priority over injection. Each ring link carries one VC per message
+/// class (`link_num_vcs(kXY)`), so a read never queues behind a write; a
+/// node moves at most one packet per network per cycle, the first movable
+/// VC head in a rotating per-input order, as a mesh input port does. A
+/// request worm only enters the ring once its end-to-end credits reserved
+/// the target staging, so request ejection never stalls the ring head. Everything else a node does — the NI, the
 /// local manager and egress lanes, injection, statistics — is the
 /// fabric-shared `NocRouter` (see fabric.hpp).
 #pragma once
@@ -14,6 +17,7 @@
 
 #include "sim/context.hpp"
 
+#include <cstdint>
 #include <string>
 
 namespace realm::noc {
@@ -28,12 +32,17 @@ public:
     void tick() override;
 
 private:
-    void ring_hop(NocLink& in, NocLink& out, bool request_ring);
+    /// Moves at most one packet from `in`: ejects it here or forwards it
+    /// onto `out`. `vc_rr` is the input's VC priority, rotated past the VC
+    /// that moved.
+    void ring_hop(NocLink& in, NocLink& out, bool request_ring, std::uint8_t& vc_rr);
 
     NocLink* req_in_;
     NocLink* req_out_;
     NocLink* rsp_in_;
     NocLink* rsp_out_;
+    std::uint8_t req_vc_rr_ = 0;
+    std::uint8_t rsp_vc_rr_ = 0;
 };
 
 } // namespace realm::noc

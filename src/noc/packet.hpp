@@ -5,6 +5,7 @@
 
 #include "axi/flit.hpp"
 #include "noc/node_id.hpp"
+#include "noc/routing.hpp"
 
 #include <cstdint>
 #include <variant>
@@ -22,19 +23,23 @@ namespace realm::noc {
 /// (AW / AR / B) are single-flit headers. A link transmits one flit per
 /// cycle, so `flits` is also the channel occupancy of the packet.
 ///
-/// `seq` numbers the worms of one (src, dest) pair per network in injection
-/// order; the ejecting NI restores that order, so multi-path routing
-/// policies (O1TURN, west-first) cannot reorder a pair's stream in a way
-/// the AXI same-ID rules or the AW-before-data lane discipline would
-/// observe. `vc` is the route class assigned at injection (O1TURN: 0 = XY
-/// rails, 1 = YX rails; every other policy uses 0) and selects the link
-/// virtual channel the worm rides end to end.
+/// Every packet belongs to one message class, writes (AW, W, B) or reads
+/// (AR, R). `seq` numbers the worms of one (src, dest)
+/// pair per network and class in injection order; the ejecting NI restores
+/// that order, so multi-path routing policies (O1TURN, west-first) cannot
+/// reorder a class's stream in a way the AXI same-ID rules or the
+/// AW-before-data lane discipline would observe, while a read may pass its
+/// pair's writes as it may on the crossbar. `vc` is the link virtual
+/// channel the worm rides end to end, `route class x kMessageClasses +
+/// message class`: the route class is assigned at injection (O1TURN: 0 =
+/// XY rails, 1 = YX rails; every other policy uses 0), so reads and writes
+/// never share a VC.
 struct NocPacket {
     NodeId src = 0;         ///< injecting node
     NodeId dest = 0;        ///< ejecting node
     std::uint8_t flits = 1; ///< worm length in flits (1 = bare header)
-    std::uint8_t vc = 0;    ///< route class == link virtual channel
-    std::uint16_t seq = 0;  ///< per-(src, dest, network) injection order
+    std::uint8_t vc = 0;    ///< link virtual channel (route and message class)
+    std::uint16_t seq = 0;  ///< per-(src, dest, network, class) injection order
     std::variant<axi::AwFlit, axi::WFlit, axi::BFlit, axi::ArFlit, axi::RFlit> flit;
 
     /// True for the beats that carry bus data (and therefore serialize into
@@ -42,6 +47,14 @@ struct NocPacket {
     [[nodiscard]] bool data_carrying() const noexcept {
         return std::holds_alternative<axi::WFlit>(flit) ||
                std::holds_alternative<axi::RFlit>(flit);
+    }
+    /// Message class: `kReadClass` for a read's beats (AR, R),
+    /// `kWriteClass` for a write's.
+    [[nodiscard]] std::uint8_t message_class() const noexcept {
+        return std::holds_alternative<axi::ArFlit>(flit) ||
+                       std::holds_alternative<axi::RFlit>(flit)
+                   ? kReadClass
+                   : kWriteClass;
     }
 };
 

@@ -13,7 +13,8 @@ NocRing::NocRing(sim::SimContext& ctx, std::string name, NodeId num_nodes,
                  NocFlowConfig flow)
     : NocFabric{ctx, std::move(name), num_nodes, std::move(node_map),
                 std::move(subordinate_nodes), std::move(manager_nodes), realm_nodes, flow,
-                /*deferred_credits=*/false, LinkPlan{2U * num_nodes}} {
+                /*deferred_credits=*/false,
+                LinkPlan{2U * num_nodes, link_num_vcs(RoutingPolicy::kXY)}} {
     // Link i leaves node i toward node i+1.
     std::vector<NocLink*> req;
     std::vector<NocLink*> rsp;

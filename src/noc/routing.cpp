@@ -58,7 +58,7 @@ HopSet permitted_hops(RoutingPolicy p, NodeId cols, NodeId cur,
         hops.add(*yx_next_hop(cols, cur, dest));
         return hops;
     case RoutingPolicy::kO1Turn:
-        // Class 0 rides the XY rails (VC 0), class 1 the YX rails (VC 1).
+        // Route class 0 rides the XY rails, route class 1 the YX rails.
         hops.add(vc_class == 0 ? *xy_next_hop(cols, cur, dest)
                                : *yx_next_hop(cols, cur, dest));
         return hops;

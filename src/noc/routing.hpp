@@ -20,27 +20,37 @@
 ///  - **`kO1Turn`** — each worm picks X-first or Y-first pseudo-randomly
 ///    (O1TURN, Seo et al.). The choice is a pure function of the packet's
 ///    (src, dest, seq) identity, so replays are bit-for-bit deterministic.
-///    Deadlock freedom needs the classic two-virtual-channel argument: XY
-///    worms ride VC 0, YX worms ride VC 1 (`route_num_vcs` returns 2), each
-///    class is dimension-ordered within its own private buffers, and the
-///    classes share only the physical channel's serialization window, which
-///    always expires after `flits` cycles — a time bound, not a held
-///    resource, so no cross-class dependency cycle exists.
+///    Deadlock freedom needs the classic two-route-class argument: XY worms
+///    ride route class 0, YX worms route class 1 (`route_num_vcs` returns
+///    2), each class is dimension-ordered within its own private buffers,
+///    and the classes share only the physical channel's serialization
+///    window, which always expires after `flits` cycles — a time bound, not
+///    a held resource, so no cross-class dependency cycle exists.
 ///  - **`kWestFirst`** — turn-model adaptive (Glass & Ni): a packet with
 ///    westward distance travels *all* its west hops first; everywhere else
 ///    it may choose among the productive directions (east / vertical),
 ///    picked by per-VC occupancy of the candidate links. Deadlock-free on a
-///    single VC because the only prohibited turns are the two *into* west,
+///    single route class because the only prohibited turns are the two *into* west,
 ///    which removes every cycle from the turn graph; minimal (only
 ///    productive hops are permitted), hence also livelock-free.
+///
+/// Message classes (all policies). Every route class is split once more by
+/// message class, reads (AR, R) against writes (AW, W, B), so a link
+/// carries `link_num_vcs` = route classes x 2 VCs and a read never queues
+/// behind a write worm blocked on another output, as the crossbar's
+/// independent AR and AW channels never make it. The classes share no
+/// buffer, and neither waits on the other inside the network: request
+/// ejection is credited and response ejection waits only on the local
+/// manager, so each class's deadlock argument holds on its own VCs.
 ///
 /// Ordering note (all policies). Multi-path routing can reorder packets of
 /// one (source, destination) pair in flight, which would break the AXI
 /// same-ID rules and the AW-before-data lane discipline at the ejecting NI.
-/// The NI therefore tags every worm with a per-(pair, network) sequence
-/// number and the ejection side restores injection order (see `NocNi`), so
-/// every policy — adaptive ones included — preserves the request/response
-/// split and the same-ID ordering rules end to end.
+/// The NI therefore tags every worm with a per-(pair, network, message
+/// class) sequence number and the ejection side restores each class's
+/// injection order (see `NocNi`), so every policy — adaptive ones included
+/// — preserves the request/response split and the same-ID ordering rules
+/// end to end. Reads and writes are ordered apart, as AXI orders them.
 #pragma once
 
 #include "noc/node_id.hpp"
@@ -76,7 +86,7 @@ inline constexpr std::size_t kMeshDirs = 4;
 enum class RoutingPolicy : std::uint8_t {
     kXY,        ///< deterministic dimension order, column first
     kYX,        ///< deterministic dimension order, row first
-    kO1Turn,    ///< per-worm random XY/YX, one VC per class
+    kO1Turn,    ///< per-worm random XY/YX, one route class per rail
     kWestFirst, ///< turn-model adaptive, west hops first
 };
 
@@ -104,16 +114,39 @@ inline constexpr std::array<RoutingPolicy, kNumRoutingPolicies> kAllRoutingPolic
 /// cell-label parser.
 [[nodiscard]] std::optional<RoutingPolicy> parse_routing_policy(std::string_view s);
 
-/// Virtual channels per mesh link under `p`: 2 for `kO1Turn` (one per route
-/// class — the classic deadlock-freedom requirement), 1 otherwise.
+/// Route classes under `p`: 2 for `kO1Turn` (XY and YX rails — the classic
+/// deadlock-freedom requirement), 1 otherwise.
 [[nodiscard]] constexpr std::uint8_t route_num_vcs(RoutingPolicy p) noexcept {
     return p == RoutingPolicy::kO1Turn ? 2 : 1;
 }
 
-/// Route class (== VC) of a worm at injection. For `kO1Turn` a pseudo-random
-/// bit derived *only* from the packet identity (src, dest, per-pair seq) —
-/// no global RNG state, so replays and `--resume` re-runs are bit-for-bit
-/// deterministic. Every other policy uses class 0.
+/// Message classes: writes (AW, W, B) and reads (AR, R) (see
+/// `NocPacket::message_class`).
+inline constexpr std::uint8_t kWriteClass = 0;
+inline constexpr std::uint8_t kReadClass = 1;
+inline constexpr std::uint8_t kMessageClasses = 2;
+
+/// Virtual channels per link under `p`: one per route class and message
+/// class, so 4 under `kO1Turn` and 2 on every other policy and the ring.
+[[nodiscard]] constexpr std::uint8_t link_num_vcs(RoutingPolicy p) noexcept {
+    return static_cast<std::uint8_t>(route_num_vcs(p) * kMessageClasses);
+}
+
+/// The VC a worm of route class `route` and message class `message` rides.
+[[nodiscard]] constexpr std::uint8_t packet_vc(std::uint8_t route,
+                                               std::uint8_t message) noexcept {
+    return static_cast<std::uint8_t>(route * kMessageClasses + message);
+}
+
+/// The route class a worm on VC `vc` follows.
+[[nodiscard]] constexpr std::uint8_t vc_route_class(std::uint8_t vc) noexcept {
+    return static_cast<std::uint8_t>(vc / kMessageClasses);
+}
+
+/// Route class of a worm at injection. For `kO1Turn` a pseudo-random bit
+/// derived *only* from the packet identity (src, dest, per-pair-and-class
+/// seq) — no global RNG state, so replays and `--resume` re-runs are
+/// bit-for-bit deterministic. Every other policy uses class 0.
 [[nodiscard]] std::uint8_t route_class(RoutingPolicy p, NodeId src,
                                        NodeId dest, std::uint16_t seq) noexcept;
 

@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include "noc/mesh.hpp"
 #include "scenario/config_fields.hpp"
 #include "sim/check.hpp"
 #include "sim/profiler.hpp"
@@ -286,9 +287,10 @@ namespace {
 /// field already changes every hash.
 class ConfigDigest {
 public:
-    /// v11: NoC managers reserve their responses before they ask, and each
-    /// subordinate NI output arbitrates over its own round-robin pointer.
-    static constexpr std::uint64_t kVersion = 11;
+    /// v12: NoC reads and writes ride separate VCs with per-class sequence
+    /// numbers, and a subordinate NI arbitrates B and R as separate
+    /// requesters; a mesh point mixes the credit-return delay it runs.
+    static constexpr std::uint64_t kVersion = 12;
 
     ConfigDigest() { mix(kVersion); }
 
@@ -328,8 +330,14 @@ private:
 } // namespace
 
 std::uint64_t config_hash(const ScenarioConfig& cfg) {
+    // The mesh raises a credit-return delay below its floor, so a point
+    // hashes the delay it runs (see `noc::NocMesh::shard_safe`).
+    ScenarioConfig run = cfg;
+    if (auto* mesh = std::get_if<MeshTopologyConfig>(&run.fabric)) {
+        mesh->credit_return_delay = noc::NocMesh::shard_safe(mesh->flow()).credit_return_delay;
+    }
     ConfigDigest d;
-    walk_config(cfg, d);
+    walk_config(run, d);
     return d.value();
 }
 

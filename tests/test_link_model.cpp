@@ -229,12 +229,17 @@ TEST_P(NocLinkModelSweep, AgreesWithThePerVcStampedDequeModel) {
     std::uint16_t seq = 0;
     std::vector<std::uint64_t> pops(num_vcs, 0);
 
-    for (int i = 0; i < 40000; ++i) {
+    // One channel serializes every VC, so more VCs need more steps for
+    // each ring to wrap as often.
+    const int steps = 20000 * std::max(2, num_vcs_param);
+    for (int i = 0; i < steps; ++i) {
         const Cycle now = ctx.now();
         const std::string at = "step " + std::to_string(i);
         ASSERT_EQ(link.empty(), ref.empty()) << at;
         for (std::uint8_t vc = 0; vc < num_vcs; ++vc) {
             ASSERT_EQ(link.can_pop(vc), ref.can_pop(vc, now)) << at << " vc " << int{vc};
+            ASSERT_EQ((link.occupied_vcs() >> vc & 1U) != 0, !ref.vcs[vc].committed.empty())
+                << at << " vc " << int{vc};
             ASSERT_EQ(link.buffered_flits(vc), ref.buffered_flits(vc)) << at;
             for (const std::uint32_t flits : {1U, fc.flits_per_packet}) {
                 ASSERT_EQ(link.can_push(flits, vc), ref.can_push(flits, vc, now))
@@ -287,13 +292,13 @@ TEST_P(NocLinkModelSweep, AgreesWithThePerVcStampedDequeModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     VcsModesLatenciesSeeds, NocLinkModelSweep,
-    ::testing::Combine(::testing::Values(1, 2),             // VCs
+    ::testing::Combine(::testing::Values(1, 2, 4),          // VCs
                        ::testing::Bool(),                   // edge-registered
                        ::testing::Values(1U, 3U),           // link_latency
                        ::testing::Values(0xC0FFEEU, 7U)));
 
 TEST(NocLinkModel, AVcPastTheLinksOwnCountIsRejected) {
-    // The per-VC state is an inline array of two, so VC 1 of a one-VC link
+    // The per-VC state is an inline array of four, so VC 1 of a one-VC link
     // is in the array but not on the link: every accessor must refuse it.
     noc::NocFlowConfig fc;
     SimContext ctx;

@@ -207,7 +207,7 @@ TEST(RoutingPolicies, WestFirstProhibitsTurnsIntoWest) {
 TEST(RoutingPolicies, O1TurnClassIsDeterministicPerWormAndUsesBothRails) {
     // The per-worm class is a pure function of (src, dest, seq) — replays
     // are deterministic — and over a window of worms both rails appear
-    // (otherwise the policy degenerates to XY or YX). Class selects the VC.
+    // (otherwise the policy degenerates to XY or YX). Class selects the rails.
     EXPECT_EQ(route_num_vcs(RoutingPolicy::kO1Turn), 2);
     EXPECT_EQ(route_num_vcs(RoutingPolicy::kXY), 1);
     bool saw[2] = {false, false};
@@ -217,7 +217,7 @@ TEST(RoutingPolicies, O1TurnClassIsDeterministicPerWormAndUsesBothRails) {
         EXPECT_EQ(cls, route_class(RoutingPolicy::kO1Turn, 3, 17, seq))
             << "class must be replay-deterministic";
         saw[cls] = true;
-        // Deterministic policies always ride class/VC 0.
+        // Deterministic policies always ride route class 0.
         EXPECT_EQ(route_class(RoutingPolicy::kWestFirst, 3, 17, seq), 0);
     }
     EXPECT_TRUE(saw[0] && saw[1]) << "both rails must be exercised";
@@ -239,7 +239,102 @@ TEST(RoutingPolicies, NamesRoundTrip) {
     EXPECT_FALSE(parse_routing_policy("extra").has_value());
 }
 
+TEST(RoutingPolicies, LinksCarryOneVcPerRouteClassAndMessageClass) {
+    // `route_num_vcs` counts route classes; a link doubles them, reads
+    // apart from writes.
+    for (const RoutingPolicy policy : kAllRoutingPolicies) {
+        EXPECT_EQ(link_num_vcs(policy), policy == RoutingPolicy::kO1Turn ? 4 : 2)
+            << to_string(policy);
+        for (std::uint8_t route = 0; route < route_num_vcs(policy); ++route) {
+            for (std::uint8_t message = 0; message < kMessageClasses; ++message) {
+                const std::uint8_t vc = packet_vc(route, message);
+                EXPECT_LT(vc, link_num_vcs(policy));
+                EXPECT_EQ(vc_route_class(vc), route);
+            }
+        }
+    }
+}
+
 // --- Mesh substrate ----------------------------------------------------------
+
+/// The endpoints of a 2x3 mesh without its links — a manager at node 0 and
+/// subordinates at nodes 2 and 4 — so a test can wire one router by hand.
+class BareMeshFabric final : public NocFabric {
+public:
+    BareMeshFabric(sim::SimContext& ctx, ic::AddrMap map)
+        : NocFabric{ctx, "f", 6, std::move(map), std::vector<NodeId>{2, 4},
+                    std::vector<NodeId>{0}, std::vector<NodeId>{}, NocFlowConfig{},
+                    /*deferred_credits=*/false, LinkPlan{}} {
+        build_egress(ctx);
+    }
+};
+
+TEST(MeshRouterVcs, AReadPassesAWriteBlockedOnAnotherOutput) {
+    // Node 0's NI sends a write to node 2 and then a read to node 4 through
+    // router 1: the write goes east, the read south. East holds a stale
+    // worm nobody drains, so the write's W worm blocks at router 1's west
+    // input. The read rides its own VC and leaves the cycle it reaches the
+    // router, as the crossbar's AR channel never waits on AW or W; on one
+    // shared VC it would wait behind the W until the worm moved.
+    sim::SimContext ctx;
+    const NocFlowConfig fc;
+    ic::AddrMap map;
+    map.add(0x0000, 0x10000, 2, "mem2");
+    map.add(0x1'0000, 0x10000, 4, "mem4");
+    BareMeshFabric fabric{ctx, map};
+    const std::uint8_t vcs = link_num_vcs(RoutingPolicy::kXY);
+    std::vector<NocLink::Slot> w_slots(NocLink::slots_needed(fc, vcs));
+    std::vector<NocLink::Slot> e_slots(w_slots.size());
+    std::vector<NocLink::Slot> s_slots(w_slots.size());
+    NocLink in_west{ctx, "w1", fc, w_slots, vcs}; // node 0 -> router 1
+    NocLink out_east{ctx, "e1", fc, e_slots, vcs};
+    NocLink out_south{ctx, "s1", fc, s_slots, vcs};
+    MeshRouter::Ports ports;
+    ports.req_in[static_cast<std::size_t>(MeshDir::kWest)] = &in_west;
+    ports.req_out[static_cast<std::size_t>(MeshDir::kEast)] = &out_east;
+    ports.req_out[static_cast<std::size_t>(MeshDir::kSouth)] = &out_south;
+    MeshRouter router{ctx, "r1", 1, fabric, 3, ports, RoutingPolicy::kXY};
+
+    // A stale worm leaves east room for the AW's one flit, not for a W.
+    NocPacket stale;
+    stale.src = 0;
+    stale.dest = 2;
+    stale.flits = static_cast<std::uint8_t>(fc.flits_per_packet);
+    stale.flit = axi::WFlit{};
+    out_east.push(stale);
+
+    CreditBook book{ctx, 6, {2, 4}, {0}, fc, /*deferred=*/false};
+    NocNi ni{ctx, "ni0", 0, fc, &book};
+    axi::AxiChannel mgr{ctx, "mgr0", 8};
+    mgr.aw.push(axi::AwFlit{.addr = 0x0});
+    mgr.w.push(axi::WFlit{.last = true});
+    mgr.ar.push(axi::ArFlit{.addr = 0x1'0000});
+    ctx.step();
+    const auto into_west = [&](NodeId, std::uint32_t flits, std::uint8_t vc) {
+        return in_west.can_push(flits, vc) ? &in_west : nullptr;
+    };
+    std::optional<sim::Cycle> ar_sent;
+    std::optional<sim::Cycle> ar_forwarded;
+    for (int cycle = 0; cycle < 32 && !ar_forwarded; ++cycle) {
+        const bool ar_waiting = mgr.ar.can_pop();
+        if (ni.inject_requests(mgr, map, into_west) && ar_waiting && !mgr.ar.can_pop()) {
+            ar_sent = ctx.now();
+        }
+        ctx.step();
+        for (std::uint8_t vc = 0; vc < vcs; ++vc) {
+            if (out_south.can_pop(vc)) {
+                EXPECT_TRUE(std::holds_alternative<axi::ArFlit>(out_south.pop(vc).flit));
+                ar_forwarded = ctx.now();
+            }
+        }
+    }
+    ASSERT_TRUE(ar_sent.has_value()) << "the NI never sent the read";
+    ASSERT_TRUE(ar_forwarded.has_value()) << "the read waited behind the blocked write";
+    // Sent at N, at the router's input at N + 1, on the south link at N + 2.
+    EXPECT_EQ(*ar_forwarded, *ar_sent + 2);
+    // The W is still at the router's input: the read did not wait for it.
+    EXPECT_FALSE(in_west.empty());
+}
 
 /// 2x3 mesh: managers at 0 (NW corner) and 2 (NE corner), SRAMs at 3 (fast)
 /// and 5 (slow).

@@ -26,6 +26,10 @@ using test::collect_read_burst;
 using test::push_write_burst;
 using test::step_until;
 
+/// VCs of a ring link (and of a mesh link under every policy but O1TURN):
+/// one per message class.
+constexpr std::uint8_t kLinkVcs = link_num_vcs(RoutingPolicy::kXY);
+
 /// 4-node ring: managers at 0/1, SRAMs at 2 (fast) and 3 (slow).
 class RingFixture : public ::testing::Test {
 protected:
@@ -269,16 +273,24 @@ TEST(NocFabricLinks, EveryDeclaredLinkAndNoMoreIsBuilt) {
     EXPECT_NE(missing.find("1 links built, 2 declared"), std::string::npos) << missing;
 }
 
-/// The response side of one subordinate NI, driven by hand: node 3 of a
-/// 4-node fabric hosts the subordinate, the managers sit at `managers`, and
-/// the test plays the egress mux by pushing responses into the managers'
-/// egress lanes directly.
+/// Pops every packet `link` can hand out this cycle, on every VC.
+void drain(NocLink& link) {
+    for (std::uint8_t vc = 0; vc < link.num_vcs(); ++vc) {
+        while (link.can_pop(vc)) { (void)link.pop(vc); }
+    }
+}
+
+/// The response side of one subordinate NI, driven by hand: the last node
+/// (`sub`, node 3 of 4 by default) hosts the subordinate, the managers sit
+/// at `managers`, and the test plays the egress mux by pushing responses
+/// into the managers' egress lanes directly.
 class NiResponseScan : public ::testing::Test {
 protected:
-    void build(std::vector<NodeId> managers) {
-        book = std::make_unique<CreditBook>(ctx, 4, std::vector<NodeId>{3},
-                                            std::move(managers), fc, /*deferred=*/false);
-        ni = std::make_unique<NocNi>(ctx, "ni3", 3, fc, book.get());
+    void build(std::vector<NodeId> managers, NodeId sub = 3) {
+        book = std::make_unique<CreditBook>(ctx, static_cast<NodeId>(sub + 1),
+                                            std::vector<NodeId>{sub}, std::move(managers),
+                                            fc, /*deferred=*/false);
+        ni = std::make_unique<NocNi>(ctx, "ni" + std::to_string(sub), sub, fc, book.get());
         for (const NodeId m : book->managers()) {
             lanes.push_back(std::make_unique<axi::AxiChannel>(
                 ctx, "eg3_" + std::to_string(m), staging_depth(fc)));
@@ -308,8 +320,8 @@ protected:
     sim::SimContext ctx;
     NocFlowConfig fc;
     std::vector<NocLink::Slot> out_slots =
-        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, 1));
-    NocLink out{ctx, "rsp_out", fc, out_slots};
+        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, kLinkVcs));
+    NocLink out{ctx, "rsp_out", fc, out_slots, kLinkVcs};
     std::unique_ptr<CreditBook> book;
     std::unique_ptr<NocNi> ni;
     std::vector<std::unique_ptr<axi::AxiChannel>> lanes;
@@ -341,8 +353,8 @@ TEST_F(NiResponseScan, AManagerWaitingOnABusyOutputIsServedWithinOneTurn) {
     // while output 0 is busy and sit on manager 2 each time it frees; with
     // a pointer per output, managers 0 and 2 take turns.
     build({0, 1, 2});
-    std::vector<NocLink::Slot> busy_slots(NocLink::slots_needed(fc, 1));
-    NocLink busy{ctx, "rsp_busy", fc, busy_slots};
+    std::vector<NocLink::Slot> busy_slots(NocLink::slots_needed(fc, kLinkVcs));
+    NocLink busy{ctx, "rsp_busy", fc, busy_slots, kLinkVcs};
     std::vector<NodeId> served; // on output 0, in order
     const auto route = [&](NodeId d, std::uint32_t flits, std::uint8_t vc) -> NocLink* {
         NocLink& link = d == 1 ? out : busy;
@@ -361,13 +373,40 @@ TEST_F(NiResponseScan, AManagerWaitingOnABusyOutputIsServedWithinOneTurn) {
         }
         (void)ni->inject_responses(lane_ptrs, route, first_hop);
         ctx.step();
-        while (busy.can_pop()) { (void)busy.pop(); }
-        while (out.can_pop()) { (void)out.pop(); }
+        drain(busy);
+        drain(out);
     }
     ASSERT_GE(served.size(), 12U);
     for (std::size_t i = 1; i < served.size(); ++i) {
         EXPECT_NE(served[i], served[i - 1]) << "service " << i << " on output 0";
     }
+}
+
+TEST_F(NiResponseScan, AManagersReadResponseFollowsItsOwnWriteResponse) {
+    // B and R are separate requesters, as they are separate channels on the
+    // crossbar: manager slot 0 has a B and an R waiting, slots 1 and 2 an R
+    // each, all for one output. Slot 0's R goes right after its B instead
+    // of waiting a round of the other managers (B0, R1, R2, R0).
+    build({1, 2, 3}, 4);
+    lanes[0]->b.push(axi::BFlit{});
+    for (const auto& lane : lanes) { lane->r.push(axi::RFlit{.last = true}); }
+    ctx.step();
+    std::vector<std::string> sent;
+    for (int cycle = 0; cycle < 32 && sent.size() < 4; ++cycle) {
+        (void)ni->inject_responses(
+            lane_ptrs,
+            [&](NodeId d, std::uint32_t flits, std::uint8_t vc) -> NocLink* {
+                if (!out.can_push(flits, vc)) { return nullptr; }
+                std::string tag(1, flits == 1 ? 'B' : 'R');
+                tag += std::to_string(book->manager_slot(d));
+                sent.push_back(tag);
+                return &out;
+            },
+            [](NodeId, std::uint8_t) { return std::uint8_t{0}; });
+        ctx.step();
+        drain(out);
+    }
+    EXPECT_EQ(sent, (std::vector<std::string>{"B0", "R0", "R1", "R2"}));
 }
 
 /// The request side of one manager NI, driven by hand: node 0 of a 4-node
@@ -384,7 +423,7 @@ protected:
                 return out.can_push(flits, vc) ? &out : nullptr;
             });
         ctx.step();
-        while (out.can_pop()) { (void)out.pop(); }
+        drain(out);
         book.check_conserved();
         return sent;
     }
@@ -411,8 +450,8 @@ protected:
     NocNi ni{ctx, "ni0", 0, fc, &book};
     axi::AxiChannel mgr{ctx, "mgr0", 8};
     std::vector<NocLink::Slot> out_slots =
-        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, 1));
-    NocLink out{ctx, "req_out", fc, out_slots};
+        std::vector<NocLink::Slot>(NocLink::slots_needed(fc, kLinkVcs));
+    NocLink out{ctx, "req_out", fc, out_slots, kLinkVcs};
     std::uint16_t rsp_seq = 0;
 };
 

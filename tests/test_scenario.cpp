@@ -341,7 +341,17 @@ TEST(ConfigFields, EverySemanticFieldMovesTheHashAndNoHostOnlyFieldDoes) {
                 kind = field_kind;
             });
             if (path.empty()) { break; } // past the last field
-            if (kind == ConfigKind::kSemantic) {
+            if (kind == ConfigKind::kSemantic && path == "fabric.mesh.credit_return_delay") {
+                // The mesh runs a delay below max(link_latency, 1) at that
+                // floor and hashes the delay it runs (`noc::NocMesh::shard_safe`).
+                // This config's delay sits below its link latency, so the
+                // mutation leaves the hash; a delay past the floor moves it.
+                auto& mesh = std::get<MeshTopologyConfig>(c.fabric);
+                ASSERT_LT(mesh.credit_return_delay, mesh.link_latency);
+                EXPECT_EQ(config_hash(c), hash) << path << " below the mesh's floor moves the hash";
+                mesh.credit_return_delay = mesh.link_latency + 1;
+                EXPECT_NE(config_hash(c), hash) << path << " past the mesh's floor leaves the hash";
+            } else if (kind == ConfigKind::kSemantic) {
                 EXPECT_NE(config_hash(c), hash) << path << " is semantic but leaves the hash";
             } else {
                 host_only.push_back(path);
@@ -366,10 +376,10 @@ TEST(ConfigFields, HashesStayPut) {
     // digests move whenever a field is added, dropped, reordered or
     // retagged, or `kVersion` is bumped, and so do those keys: change them
     // with the goldens, on purpose.
-    EXPECT_EQ(config_hash(ScenarioConfig{}), 0xb324ff1bc2d6d2c4ULL);
-    EXPECT_EQ(config_hash(full_config(0)), 0x2eb9d7e351a7f70aULL);
-    EXPECT_EQ(config_hash(full_config(1)), 0xc662724035ab1a01ULL);
-    EXPECT_EQ(config_hash(full_config(2)), 0x883bdce485492423ULL);
+    EXPECT_EQ(config_hash(ScenarioConfig{}), 0x8bccd3eaf728d513ULL);
+    EXPECT_EQ(config_hash(full_config(0)), 0xbc2294bf140a27adULL);
+    EXPECT_EQ(config_hash(full_config(1)), 0x5bec4d47110c57a6ULL);
+    EXPECT_EQ(config_hash(full_config(2)), 0x66fbd9e7f8f393bbULL);
 }
 
 TEST(ConfigFields, ShapesAndPoliciesNeverAlias) {
@@ -453,6 +463,28 @@ TEST(Resume, MonitoredPointsNeverAliasUnmonitoredCaches) {
     const auto again = runner.run_resumed(monitored, path, &reused);
     EXPECT_EQ(reused, monitored.points.size());
     std::remove(path.c_str());
+}
+
+TEST(Resume, AMeshPointBelowItsDelayFloorResumesFromOneAtIt) {
+    // At link latency 1 the mesh runs credit_return_delay 0 as 1
+    // (`noc::NocMesh::shard_safe`), so the two share a resume entry; the
+    // ring runs delay 0 as 0, so a dump written at 1 does not serve it.
+    const ScenarioRunner runner{RunnerOptions{.threads = 1}};
+    for (const bool mesh : {true, false}) {
+        SCOPED_TRACE(mesh ? "mesh" : "ring");
+        Sweep at_one = make_sweep(mesh ? "mesh-dos-smoke" : "ring-dos-smoke");
+        at_one.points.resize(1);
+        ASSERT_EQ(noc_config(at_one.points[0].config.fabric)->link_latency, 1U);
+        noc_config(at_one.points[0].config.fabric)->credit_return_delay = 1;
+        const std::string path = test::scratch_path("scenario_resume_delay_floor.json");
+        ASSERT_TRUE(write_json_file(path, at_one, runner.run(at_one)));
+        Sweep at_zero = at_one;
+        noc_config(at_zero.points[0].config.fabric)->credit_return_delay = 0;
+        std::size_t reused = 0;
+        (void)runner.run_resumed(at_zero, path, &reused);
+        EXPECT_EQ(reused, mesh ? 1U : 0U);
+        std::remove(path.c_str());
+    }
 }
 
 // --- 24-node DoS-matrix point through the parallel runner --------------------
